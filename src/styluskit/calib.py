@@ -14,13 +14,24 @@ approach vector) aligns with every hole's reference axis, by minimizing
 unobservable here (the tip is axially symmetric) and is fixed separately
 against the button direction by :func:`fix_roll_to_button`.
 
-Both steps drop occlusion glitches with density clustering: points with
-too few neighbors inside a radius are discarded, and only the largest
-cluster is kept.
+Both steps drop occlusion glitches with density clustering (DBSCAN):
+points with too few neighbors inside a radius are discarded, and only the
+largest cluster is kept.  :func:`filter_outliers` finds the exact DBSCAN
+clusters on a grid, in time and memory near-linear in the number of
+points; its docstring gives the grid rules and how border points are
+assigned.
+
+Before solving, the position step checks that the poses rotate enough: some
+pair must be at least ``min_rotation`` apart.  Rotation angle is a metric,
+so by the triangle inequality the largest pairwise angle lies between the
+largest angle ``m`` from pose 0 and ``2m``.  The test passes when
+``m >= min_rotation`` and fails when ``2m < min_rotation``.  Only in
+between does it scan all pairs, a block of rows at a time in O(N) memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -70,8 +81,9 @@ class FilterParams:
     min_neighbors: int = 10
 
     def __post_init__(self):
-        if self.neighborhood_radius <= 0.0:
-            raise ValueError("neighborhood_radius must be positive")
+        radius = self.neighborhood_radius
+        if not (radius > 0.0 and math.isfinite(radius * radius)):
+            raise ValueError("neighborhood_radius must be positive with a finite square")
         if self.min_neighbors < 1:
             raise ValueError("min_neighbors must be at least 1")
 
@@ -167,55 +179,248 @@ def candidate_tip_points(ds: PositionDataset, p) -> np.ndarray:
     return ds.rotation_array() @ p + ds.translation_array()
 
 
+def _sq_norm(diff: np.ndarray) -> np.ndarray:
+    """Squared norms over the last axis, summed axis by axis in the same
+    order and rounding as ``cKDTree``, so ties at exactly ``r`` agree."""
+    total = diff[..., 0] * diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        total = total + diff[..., k] * diff[..., k]
+    return total
+
+
+def _grid_cells(pts: np.ndarray, radius: float) -> np.ndarray:
+    """Integer cell coordinates on a grid of side about ``radius / sqrt(d)``.
+
+    The side is shrunk by a relative 1e-9 so a full cell fits within
+    ``radius`` after rounding.  It is widened where the extent would need
+    more than 2**45 cells per axis, which keeps float cell coordinates
+    within 1/64 cell of exact.  Radii below 2**-500 are raised to it: their
+    squares underflow, so the neighbor test reaches further than the radius
+    itself.
+    """
+    lo = pts.min(axis=0)
+    side = max(
+        max(radius, 2.0**-500) / math.sqrt(pts.shape[1]) * (1.0 - 1e-9),
+        float(np.max(pts.max(axis=0) - lo)) / 2.0**45,
+    )
+    if math.isinf(side):  # the extent overflows: one cell for everything
+        return np.zeros(pts.shape, dtype=np.int64)
+    return np.floor((pts - lo) / side).astype(np.int64)
+
+
+def _grid_reach(d: int) -> int:
+    """How many cells apart, per axis, two neighbors can land: floor(sqrt(d))
+    + 1, with room for the 1/64-cell rounding of the cell coordinates."""
+    return math.ceil(math.sqrt(d) * (1.0 + 1e-8) + 2.0**-6)
+
+
+def _neighbor_pairs(tree: cKDTree, idx: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` arrays listing every point ``j`` within ``r`` of each ``i`` in ``idx``."""
+    if idx.size == 0:
+        return idx, idx
+    near = tree.query_ball_point(tree.data[idx], r)
+    return (
+        np.repeat(idx, [len(nb) for nb in near]),
+        np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp),
+    )
+
+
+def _box_pairs(box_pts, box_starts, box_cells, r2):
+    """Pairs ``(a, b)`` of boxes (runs of ``box_pts`` in grid cells
+    ``box_cells``) that may hold points within ``sqrt(r2)`` of each other.
+
+    Returns the pairs whose bounding boxes fit within the radius end to end
+    (surely joined), then those that need a closest-pair test.  Pairs whose
+    boxes are farther apart, or whose cells are beyond the grid reach, are
+    dropped.  Box corners bound every point difference after rounding, so
+    both tests are exact.
+    """
+    if box_starts.size == 0:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, none, none
+    lo = np.minimum.reduceat(box_pts, box_starts)
+    hi = np.maximum.reduceat(box_pts, box_starts)
+    pairs = cKDTree(box_cells.astype(float)).query_pairs(
+        _grid_reach(box_cells.shape[1]), p=np.inf, output_type="ndarray"
+    )
+    a, b = pairs[:, 0], pairs[:, 1]
+    gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
+    joined = _sq_norm(np.maximum(hi[b] - lo[a], hi[a] - lo[b])) <= r2
+    unsure = ~joined & (_sq_norm(gap) <= r2)
+    return a[joined], b[joined], a[unsure], b[unsure]
+
+
+def _connect_units(units, linked_a, linked_b, a, b, box_pts, box_starts, box_sizes, r2):
+    """Component root of each of ``units`` units, by union-find.
+
+    Units ``linked_a[k]`` and ``linked_b[k]`` are known to be connected.
+    Boxes ``a[k]`` and ``b[k]`` (units numbered by box) connect when their
+    closest pair of points is within ``sqrt(r2)``; the test is skipped for
+    pairs already connected.  Small pairs compare every point pair;
+    otherwise a k-d tree of the larger box finds each point's nearest
+    neighbor in it.
+    """
+    parent = list(range(units))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in zip(linked_a.tolist(), linked_b.tolist()):
+        parent[find(x)] = find(y)
+    trees: dict[int, cKDTree] = {}
+    for x, y in zip(a.tolist(), b.tolist()):
+        root_x, root_y = find(x), find(y)
+        if root_x == root_y:
+            continue
+        if box_sizes[x] > box_sizes[y]:
+            x, y = y, x
+        px = box_pts[box_starts[x]:box_starts[x] + box_sizes[x]]
+        py = box_pts[box_starts[y]:box_starts[y] + box_sizes[y]]
+        if px.shape[0] * py.shape[0] <= 256:
+            closest = _sq_norm(px[:, None, :] - py[None, :, :]).min()
+        else:
+            if y not in trees:
+                trees[y] = cKDTree(py)
+            closest = _sq_norm(px - py[trees[y].query(px, k=1)[1]]).min()
+        if closest <= r2:
+            parent[root_x] = root_y
+    return np.array([find(u) for u in range(units)])
+
+
 def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
-    """Keep the largest density cluster of ``points``.
+    """Keep the largest density cluster of ``points`` (exact DBSCAN).
+
+    A point is core when at least ``min_neighbors`` points, itself
+    included, lie within ``neighborhood_radius`` ``r`` (distance ``<= r``,
+    as ``cKDTree`` counts it).  Core points within ``r`` of each other share
+    a cluster.  A non-core point within ``r`` of core points joins the
+    adjacent cluster whose lowest core index is smallest; the others are
+    noise.  Clusters rank by lowest core index, and the first of the
+    largest is kept.
+
+    Grid DBSCAN (Gunawan 2013; Gan & Tao, SIGMOD 2015; Schubert et al., ACM
+    TODS 2017) computes this in near-linear time.  Points go into cells of
+    side about ``r / sqrt(d)``.  A cell whose bounding box fits within
+    ``r`` is a clique: its core points are connected, and if it holds
+    ``min_neighbors`` points they are all core without being counted.  Only
+    the other points get an exact neighbor count.  Clique cells up to
+    ``floor(sqrt(d)) + 1`` cells apart merge when their core bounding boxes
+    are within ``r`` end to end, stay apart when the boxes are more than
+    ``r`` apart, and otherwise merge when their closest pair of core points
+    is within ``r``.  Core points of the other cells, which occur only for
+    extreme extents or radii, link through their neighbor lists.
+    Non-core points have fewer than ``min_neighbors`` neighbors, so their
+    neighbor lists stay short.
 
     Returns ``(kept_indices, removed_count)``; kept indices stay in input
     order, so the result is deterministic.  Raises :class:`AllOutliers`
-    when no cluster reaches ``min_neighbors`` points.
+    when no point has enough neighbors to seed a cluster.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("filter_outliers expects a non-empty (N, d) array")
     n = pts.shape[0]
+    r = params.neighborhood_radius
+    r2 = r * r
     tree = cKDTree(pts)
-    neighbor_lists = tree.query_ball_point(pts, params.neighborhood_radius)
-    core = np.array([len(nb) >= params.min_neighbors for nb in neighbor_lists])
 
-    labels = np.full(n, -1, dtype=int)
-    cluster = 0
-    for start in range(n):
-        if labels[start] != -1 or not core[start]:
-            continue
-        labels[start] = cluster
-        stack = [start]
-        while stack:
-            j = stack.pop()
-            for k in neighbor_lists[j]:
-                if labels[k] == -1:
-                    labels[k] = cluster
-                    if core[k]:
-                        stack.append(k)
-        cluster += 1
+    # Cells, with the points of each cell contiguous in ``by_cell``.
+    grid = _grid_cells(pts, r)
+    by_cell = np.lexsort(grid.T[::-1])
+    new_cell = np.r_[True, np.any(grid[by_cell[1:]] != grid[by_cell[:-1]], axis=1)]
+    cells = grid[by_cell[new_cell]]
+    cell_of = np.empty(n, dtype=np.intp)
+    cell_of[by_cell] = np.cumsum(new_cell) - 1
+    starts = np.flatnonzero(new_cell)
+    grouped = pts[by_cell]
+    clique = (
+        _sq_norm(np.maximum.reduceat(grouped, starts) - np.minimum.reduceat(grouped, starts))
+        <= r2
+    )
 
-    if cluster == 0:
+    core = (clique & (np.diff(np.r_[starts, n]) >= params.min_neighbors))[cell_of]
+    counted = np.flatnonzero(~core)
+    core[counted] = (
+        tree.query_ball_point(pts[counted], r, return_length=True) >= params.min_neighbors
+    )
+    if not core.any():
         raise AllOutliers("no point has enough neighbors to seed a cluster")
-    sizes = np.bincount(labels[labels >= 0], minlength=cluster)
-    best = int(np.argmax(sizes))
-    if sizes[best] < params.min_neighbors:
-        raise AllOutliers(
-            f"largest cluster has {sizes[best]} points, fewer than min_neighbors"
-        )
-    kept = np.flatnonzero(labels == best)
+
+    # Units to connect: the core points of one clique cell (a "box"), or a
+    # single core point of any other cell.  ``boxed`` lists boxes in turn.
+    in_box = core & clique[cell_of]
+    boxed = by_cell[in_box[by_cell]]
+    box_starts = np.flatnonzero(np.diff(cell_of[boxed], prepend=-1))
+    box_sizes = np.diff(np.r_[box_starts, boxed.size])
+    box_pts = pts[boxed]
+    unit = np.full(n, -1)
+    unit[boxed] = np.repeat(np.arange(box_starts.size), box_sizes)
+    loose = np.flatnonzero(core & ~in_box)
+    unit[loose] = box_starts.size + np.arange(loose.size)
+    units = box_starts.size + loose.size
+
+    owner, other = _neighbor_pairs(tree, loose, r)
+    linked = core[other]
+    joined_a, joined_b, a, b = _box_pairs(
+        box_pts, box_starts, cells[cell_of[boxed[box_starts]]], r2
+    )
+    comp = _connect_units(
+        units,
+        np.concatenate([unit[owner[linked]], joined_a]),
+        np.concatenate([unit[other[linked]], joined_b]),
+        a,
+        b,
+        box_pts,
+        box_starts,
+        box_sizes,
+        r2,
+    )
+
+    # Number clusters by lowest core index, as a scan in index order would.
+    core_idx = np.flatnonzero(core)
+    _, first, cluster_of = np.unique(comp[unit[core_idx]], return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    labels = np.full(n, -1)
+    labels[core_idx] = rank[cluster_of.reshape(-1)]
+
+    border = np.flatnonzero(~core)
+    owner, other = _neighbor_pairs(tree, border, r)
+    touching = core[other]
+    best = np.full(n, first.size)
+    np.minimum.at(best, owner[touching], labels[other[touching]])
+    labels[border] = np.where(best[border] < first.size, best[border], -1)
+
+    kept = np.flatnonzero(labels == int(np.argmax(np.bincount(labels[labels >= 0]))))
     return kept, n - kept.size
 
 
-def _rotation_diversity(ds: PositionDataset) -> float:
-    """Largest pairwise rotation angle in the dataset."""
-    q = ds.quaternion_array()
-    dots = np.abs(q @ q.T)
-    np.clip(dots, -1.0, 1.0, out=dots)
-    return 2.0 * math.acos(float(dots.min()))
+_GATE_CHUNK = 1 << 20
+
+
+def _rotation_spread_reaches(q: np.ndarray, threshold: float) -> bool:
+    """Whether some pair of unit quaternions is at least ``threshold`` apart.
+
+    The angle ``2 acos|q_i . q_j|`` is a metric on rotations, so with ``m``
+    the largest angle from pose 0 the largest pairwise angle lies in
+    ``[m, 2m]``.  Only when ``threshold`` falls in that band is the exact
+    minimum of ``|q q^T|`` computed, a block of rows at a time, in O(N)
+    memory.  The 1e-6 rad slack covers ``acos`` rounding near 1.
+    """
+    spread = 2.0 * math.acos(min(float(np.abs(q @ q[0]).min()), 1.0))
+    if spread >= threshold:
+        return True
+    if 2.0 * spread + 1e-6 < threshold:
+        return False
+    rows = max(1, _GATE_CHUNK // q.shape[0])
+    for start in range(0, q.shape[0], rows):
+        dots = np.abs(q[start:start + rows] @ q.T)
+        if 2.0 * math.acos(min(float(dots.min()), 1.0)) >= threshold:
+            return True
+    return False
 
 
 def _solve_pivot(rotations: np.ndarray, translations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +451,7 @@ def calibrate_position(
     """
     if len(ds) < 3:
         raise DegenerateRotations(f"need at least 3 poses, got {len(ds)}")
-    if _rotation_diversity(ds) < min_rotation:
+    if not _rotation_spread_reaches(ds.quaternion_array(), min_rotation):
         raise DegenerateRotations(
             "largest pairwise rotation is below the required minimum "
             f"({math.degrees(min_rotation):.1f} deg)"

@@ -133,11 +133,22 @@ def _load_json(path: str):
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
+def _filter_params(radius, min_neighbors, radius_flag, count_flag) -> calib.FilterParams:
+    try:
+        return calib.FilterParams(radius, min_neighbors)
+    except ValueError as exc:
+        raise InputError(
+            f"{radius_flag} {radius} / {count_flag} {min_neighbors}: {exc}"
+        ) from None
+
+
 def _cmd_calibrate_position(args) -> int:
+    params = None
+    if not args.no_filter:
+        params = _filter_params(args.radius, args.min_neighbors, "--radius", "--min-neighbors")
     with open(args.pose_csv, "r", encoding="utf-8") as f:
         recording = ingest.parse_pose_csv(f)
     dataset = calib.PositionDataset([s.pose for s in recording.samples])
-    params = None if args.no_filter else calib.FilterParams(args.radius, args.min_neighbors)
     result = calib.calibrate_position(
         dataset, params, min_rotation=math.radians(args.min_rotation_deg)
     )
@@ -159,6 +170,9 @@ def _cmd_calibrate_position(args) -> int:
 
 
 def _cmd_calibrate_orientation(args) -> int:
+    axis_filter = _filter_params(
+        args.axis_radius, args.axis_min_neighbors, "--axis-radius", "--axis-min-neighbors"
+    )
     manifest = _load_json(args.manifest)
     try:
         hole_entries = list(manifest["holes"])
@@ -198,7 +212,7 @@ def _cmd_calibrate_orientation(args) -> int:
         orientation = calib.calibrate_orientation(
             dataset,
             translation,
-            axis_filter=calib.FilterParams(args.axis_radius, args.axis_min_neighbors),
+            axis_filter=axis_filter,
             initial_roll=math.radians(args.initial_roll_deg),
             max_iterations=args.max_iterations,
         )

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     EmptyInput,
     FormatError,
+    InputError,
     SegmentUncovered,
     ShapeMismatch,
     TooShort,
@@ -338,6 +339,9 @@ def epsilon_histogram(
     )
 
 
+FFT_GRID_FACTOR = 64
+
+
 def force_spectrum(
     force: ForceRecording,
     threshold_ratio: float = 0.05,
@@ -349,11 +353,23 @@ def force_spectrum(
     by linear interpolation and mean-removed before the FFT.  The peak
     count covers non-DC bins above ``threshold_ratio`` times the largest
     non-DC amplitude, or above ``threshold_abs`` when given.
+
+    The uniform grid may hold at most ``FFT_GRID_FACTOR`` (64) points per
+    input sample.  A recording whose median spacing is that much finer than
+    its mean spacing (a long gap, or a burst of near-duplicate timestamps)
+    raises :class:`InputError` instead of allocating an unbounded grid.
     """
     if len(force) < 8:
         raise TooShort(f"need at least 8 force samples, got {len(force)}")
     dt = float(np.median(np.diff(force.t)))
-    count = int(math.floor((force.t[-1] - force.t[0]) / dt + 1e-9)) + 1
+    steps = (force.t[-1] - force.t[0]) / dt + 1e-9
+    if steps >= FFT_GRID_FACTOR * len(force):
+        raise InputError(
+            "force samples are too unevenly timed: a uniform grid at their median "
+            f"spacing needs {steps:.3g} points, more than {FFT_GRID_FACTOR} per "
+            f"sample ({len(force)} samples)"
+        )
+    count = int(math.floor(steps)) + 1
     grid = force.t[0] + np.arange(count) * dt
     x = np.interp(grid, force.t, force.fz)
     x = x - x.mean()

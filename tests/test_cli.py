@@ -426,3 +426,72 @@ class TestHelp:
         with pytest.raises(SystemExit) as excinfo:
             main(["calibrate-position", "x.csv", "--bogus"])
         assert excinfo.value.code != 0
+
+
+class TestFilterFlagErrors:
+    @staticmethod
+    def assert_one_line_error(code, out, err, flag):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--radius", "0"), ("--radius", "-1"), ("--radius", "nan"), ("--radius", "inf"),
+         ("--min-neighbors", "0"), ("--min-neighbors", "-3")],
+    )
+    def test_calibrate_position_bad_filter_flag_exit_2(self, tmp_path, capsys, flag, value):
+        data_dir, _ = simulate_position(tmp_path, capsys)
+        code, out, err = run(capsys, "calibrate-position", str(data_dir / "poses.csv"), flag, value)
+        self.assert_one_line_error(code, out, err, flag)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--axis-radius", "0"), ("--axis-radius", "-1"), ("--axis-radius", "nan"),
+         ("--axis-min-neighbors", "0")],
+    )
+    def test_calibrate_orientation_bad_filter_flag_exit_2(self, tmp_path, capsys, flag, value):
+        position_dir, _ = simulate_position(tmp_path, capsys)
+        position_file = tmp_path / "position.json"
+        code, _, err = run(
+            capsys, "calibrate-position", str(position_dir / "poses.csv"), "-o", str(position_file)
+        )
+        assert code == 0, err
+        orientation_dir, _ = simulate_orientation(tmp_path, capsys)
+        code, out, err = run(
+            capsys,
+            "calibrate-orientation",
+            str(orientation_dir / "manifest.json"),
+            "--position",
+            str(position_file),
+            flag,
+            value,
+        )
+        self.assert_one_line_error(code, out, err, flag)
+
+
+class TestEvaluateUnevenForceTiming:
+    def test_unbounded_fft_grid_exit_2(self, tmp_path, capsys):
+        demo_dir = simulate_demo(tmp_path, capsys)
+        trace = demo_dir / "trace.csv"
+        header, *rows = trace.read_text().splitlines()
+        # Nanosecond spacing, then one sample a million seconds later: a
+        # uniform grid at the median spacing would need 1e15 points.
+        fields = [row.split(",") for row in rows]
+        for i, row in enumerate(fields):
+            row[0] = repr(1e6 if i == len(fields) - 1 else i * 1e-9)
+        trace.write_text("\n".join([header] + [",".join(row) for row in fields]) + "\n")
+        frame_path = tmp_path / "frame.json"
+        write_json(frame_path, IDENTITY_FRAME)
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            str(trace),
+            "--frame",
+            str(frame_path),
+            "--path",
+            str(demo_dir / "path.json"),
+        )
+        assert code == 2, err
+        assert err.startswith("error: ") and "per sample" in err

@@ -7,12 +7,14 @@ import pytest
 
 from styluskit.errors import (
     EmptyInput,
+    InputError,
     SegmentUncovered,
     ShapeMismatch,
     TooShort,
     WaypointNotReached,
 )
 from styluskit.evaluation import (
+    FFT_GRID_FACTOR,
     IdealPath,
     aggregate,
     epsilon_histogram,
@@ -365,3 +367,19 @@ class TestEvaluateDemonstrations:
         assert len(report.aggregates) == 2
         assert report.config == {"n": 40}
         assert 0.0 <= report.epsilon_fraction <= 1.0
+
+
+class TestForceSpectrumGridCap:
+    def test_long_gap_at_fine_spacing_raises_input_error(self):
+        # Eight samples 1 ns apart but spanning 1e6 s would need a 1e15-point grid.
+        t = np.r_[np.arange(7) * 1e-9, 1e6]
+        with pytest.raises(InputError, match="per sample"):
+            force_spectrum(ForceRecording(t, np.ones(8)))
+
+    def test_grid_up_to_the_cap_is_allowed(self):
+        # 100 evenly spaced samples plus one gap: 62 median spacings per sample.
+        t = np.r_[np.arange(100) * 0.01, 0.99 + 0.01 * (62 * 101 - 100)]
+        result = force_spectrum(ForceRecording(t, np.sin(t)))
+        assert result.sample_count <= FFT_GRID_FACTOR * 101
+        with pytest.raises(InputError):
+            force_spectrum(ForceRecording(np.r_[t[:-1], t[-1] + 3.0], np.sin(t)))
