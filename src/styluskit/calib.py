@@ -27,6 +27,10 @@ so by the triangle inequality the largest pairwise angle lies between the
 largest angle ``m`` from pose 0 and ``2m``.  The test passes when
 ``m >= min_rotation`` and fails when ``2m < min_rotation``.  Only in
 between does it scan all pairs, a block of rows at a time in O(N) memory.
+
+scipy is imported inside the functions that call it (the k-d trees of the
+filter, ``pdist`` and ``minimize``), so importing the package, and every
+command that calibrates nothing, does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -36,11 +40,9 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .errors import (
     AllOutliers,
@@ -66,6 +68,9 @@ from .geometry import (
     vec3,
 )
 from .jsonio import dumps_canonical
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 DEFAULT_MIN_ROTATION = math.radians(30.0)
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -235,6 +240,8 @@ def _box_pairs(box_pts, box_starts, box_cells, r2):
     dropped.  Box corners bound every point difference after rounding, so
     both tests are exact.
     """
+    from scipy.spatial import cKDTree
+
     if box_starts.size == 0:
         none = np.zeros(0, dtype=np.intp)
         return none, none, none, none
@@ -260,6 +267,8 @@ def _connect_units(units, linked_a, linked_b, a, b, box_pts, box_starts, box_siz
     otherwise a k-d tree of the larger box finds each point's nearest
     neighbor in it.
     """
+    from scipy.spatial import cKDTree
+
     parent = list(range(units))
 
     def find(x: int) -> int:
@@ -319,6 +328,8 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
     order, so the result is deterministic.  Raises :class:`AllOutliers`
     when no point has enough neighbors to seed a cluster.
     """
+    from scipy.spatial import cKDTree
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("filter_outliers expects a non-empty (N, d) array")
@@ -480,6 +491,8 @@ def pairwise_objective(ds: PositionDataset, p, cap: int = 2000) -> float:
     O(N^2); refuses datasets larger than ``cap``.  Kept as an independent
     oracle for :func:`calibrate_position`.
     """
+    from scipy.spatial.distance import pdist
+
     if len(ds) > cap:
         raise ValueError(f"pairwise objective is O(N^2); dataset exceeds cap {cap}")
     tips = candidate_tip_points(ds, p)
@@ -518,6 +531,8 @@ def _descend_alignment(
     re-anchored with a fixed 90-degree rotation when iterates approach the
     pitch singularity.
     """
+    from scipy.optimize import minimize
+
     anchors = [
         np.eye(3),
         quat_to_matrix(quat_from_axis_angle([1.0, 0.0, 0.0], math.pi / 2.0)),

@@ -4,9 +4,11 @@ Subcommands: ``calibrate-position``, ``calibrate-orientation``,
 ``identify-frame``, ``evaluate``, ``simulate``, ``snapshot``.
 
 Exit codes: 0 success, 2 input/format errors, 3 numerical/geometric
-degeneracy, 1 unexpected internal error.  Every output is deterministic:
-identical inputs and flags produce byte-identical files, and no report
-ever contains wall-clock time.
+degeneracy, 1 unexpected internal error.  Flag values are checked before
+any file is read.  Each library warning (dropped rows, degenerate axes)
+prints as one ``warning: <message>`` line on stderr.  Every output is
+deterministic: identical inputs and flags produce byte-identical files,
+and no report ever contains wall-clock time.
 """
 
 from __future__ import annotations
@@ -142,6 +144,13 @@ def _filter_params(radius, min_neighbors, radius_flag, count_flag) -> calib.Filt
         ) from None
 
 
+def _check_flag(flag: str, value: float, positive: bool = True) -> None:
+    """Reject a non-finite flag value, or one <= 0 (``positive``) or < 0."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        rule = "positive" if positive else "non-negative"
+        raise InputError(f"{flag} {value}: must be finite and {rule}")
+
+
 def _cmd_calibrate_position(args) -> int:
     params = None
     if not args.no_filter:
@@ -207,17 +216,13 @@ def _cmd_calibrate_orientation(args) -> int:
             f"{args.position}: expected the JSON written by calibrate-position"
         ) from None
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        orientation = calib.calibrate_orientation(
-            dataset,
-            translation,
-            axis_filter=axis_filter,
-            initial_roll=math.radians(args.initial_roll_deg),
-            max_iterations=args.max_iterations,
-        )
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    orientation = calib.calibrate_orientation(
+        dataset,
+        translation,
+        axis_filter=axis_filter,
+        initial_roll=math.radians(args.initial_roll_deg),
+        max_iterations=args.max_iterations,
+    )
 
     calibration = calib.assemble_calibration(
         translation,
@@ -257,6 +262,12 @@ def _sniff_trace(path: str) -> ingest.DemonstrationTrace:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.n < 2:
+        raise InputError(f"--n {args.n}: need at least 2 targets per segment")
+    _check_flag("--epsilon", args.epsilon)
+    _check_flag("--bin-width", args.bin_width)
+    _check_flag("--gate", args.gate)
+    _check_flag("--threshold-ratio", args.threshold_ratio, positive=False)
     frame = framing.load_frame(args.frame)
     path = evaluation.load_path(args.path)
     traces = []
@@ -432,6 +443,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
+    _check_flag("--guard", args.guard, positive=False)
     with open(args.pose_csv, "r", encoding="utf-8") as f:
         recording = ingest.parse_pose_csv(f)
     calibration = calib.load_calibration(args.calibration)
@@ -445,26 +457,33 @@ def _cmd_snapshot(args) -> int:
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except StylusKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception:
-        traceback.print_exc()
-        return EXIT_INTERNAL
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        try:
+            return args.handler(args)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except DegenerateDataError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DEGENERATE
+        except StylusKitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DEGENERATE
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except Exception:
+            traceback.print_exc()
+            return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -25,7 +25,7 @@ from .geometry import (
     Pose,
     TipPoseRecord,
     angle_between,
-    compose,
+    compose_rows,
     invert,
     quat_from_matrix,
     vec3,
@@ -91,13 +91,23 @@ def identify_frame(p1, p2, p3, label: str = "frame") -> DrawingFrame:
 
 
 def to_frame(frame: DrawingFrame, points: list[TipPoseRecord]) -> list[TipPoseRecord]:
-    """Express tip records in the drawing frame (timestamps preserved)."""
+    """Express tip records in the drawing frame (timestamps preserved).
+
+    Every record is mapped through the inverse frame transform as one array
+    expression (:func:`~styluskit.geometry.compose_rows`), bit for bit what
+    :func:`~styluskit.geometry.compose` gives per record.  Raises
+    ``ValueError`` when a record or its result is not finite.
+    """
     inverse = invert(frame.transform)
-    out = []
-    for record in points:
-        local = compose(inverse, record.pose())
-        out.append(TipPoseRecord(record.t, local.translation, local.rotation))
-    return out
+    rotations, positions = compose_rows(
+        inverse.rotation,
+        inverse.translation,
+        np.array([r.orientation for r in points]).reshape(-1, 4),
+        np.array([r.position for r in points]).reshape(-1, 3),
+    )
+    return [
+        TipPoseRecord(r.t, p, q) for r, p, q in zip(points, positions, rotations)
+    ]
 
 
 def box_from_points(p1, p2, p3, p4) -> CollisionBox:

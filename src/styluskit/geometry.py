@@ -7,6 +7,12 @@ Conventions, used consistently across the package:
   componentwise.
 - Euler angles are intrinsic yaw(Z) - pitch(Y) - roll(X).
 - Distances in meters, angles in radians.  Degrees appear only at the CLI.
+- Leading axis: :func:`quat_multiply` and :func:`quat_rotate` take one
+  quaternion ``(4,)`` / vector ``(3,)`` or rows ``(N, 4)`` / ``(N, 3)``,
+  and broadcast one against rows.  Each row of a result has the same bits
+  as the call on that row alone; :func:`quat_normalize_rows` and
+  :func:`compose_rows` keep the same promise for :func:`quat_normalize`
+  and :func:`compose`.
 """
 
 from __future__ import annotations
@@ -50,6 +56,31 @@ def quat_normalize(q) -> np.ndarray:
     return a
 
 
+def quat_normalize_rows(quats) -> np.ndarray:
+    """Row-wise :func:`quat_normalize` of an ``(N, 4)`` array, bit for bit.
+
+    A row whose norm is within 0.5e-12 of 1 only gets the canonical sign,
+    all rows at once.  Its norm here (``einsum``) and in
+    :func:`quat_normalize` (``a @ a``) differ by a few ulp, so
+    :func:`quat_normalize` would also skip the division.  Every other row
+    (off unit, zero or non-finite) goes through :func:`quat_normalize`
+    itself, in row order, so the first (near-)zero row raises
+    :class:`ZeroVector`.  Rows are copied C-contiguous first: ``a @ a``
+    rounds differently on a strided row.
+    """
+    q = np.array(quats, dtype=float, order="C")
+    if q.ndim != 2 or q.shape[1] != 4:
+        raise ValueError(f"expected (N, 4) quaternion rows, got shape {q.shape}")
+    unit = np.abs(np.sqrt(np.einsum("ij,ij->i", q, q)) - 1.0) <= 0.5 * _UNIT_TOL
+    x, y, z, w = q.T
+    lead = np.where(x != 0.0, x, np.where(y != 0.0, y, np.where(z != 0.0, z, 1.0)))
+    flip = unit & ((w < 0.0) | ((w == 0.0) & (lead < 0.0)))
+    q[flip] = -q[flip]
+    for i in np.flatnonzero(~unit):
+        q[i] = quat_normalize(q[i])
+    return q
+
+
 def _leading_component(q: np.ndarray) -> float:
     for x in q[:3]:
         if x != 0.0:
@@ -57,10 +88,17 @@ def _leading_component(q: np.ndarray) -> float:
     return 1.0
 
 
+def _components(x) -> list:
+    """Components of one quaternion or vector as Python floats (exact,
+    and cheaper to combine than numpy scalars), or of rows as columns."""
+    a = np.asarray(x, dtype=float)
+    return a.tolist() if a.ndim == 1 else list(a.T)
+
+
 def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product a * b (apply b first, then a)."""
-    ax, ay, az, aw = a
-    bx, by, bz, bw = b
+    """Hamilton product a * b (apply b first, then a), row-wise over a leading axis."""
+    ax, ay, az, aw = _components(a)
+    bx, by, bz, bw = _components(b)
     return np.array(
         [
             aw * bx + ax * bw + ay * bz - az * by,
@@ -68,7 +106,7 @@ def quat_multiply(a, b) -> np.ndarray:
             aw * bz + ax * by - ay * bx + az * bw,
             aw * bw - ax * bx - ay * by - az * bz,
         ]
-    )
+    ).T
 
 
 def quat_conjugate(q) -> np.ndarray:
@@ -77,12 +115,25 @@ def quat_conjugate(q) -> np.ndarray:
 
 
 def quat_rotate(q, v) -> np.ndarray:
-    """Rotate 3-vector ``v`` by quaternion ``q``."""
-    u = np.asarray(q[:3], dtype=float)
-    w = float(q[3])
-    v = np.asarray(v, dtype=float)
-    t = 2.0 * np.cross(u, v)
-    return v + w * t + np.cross(u, t)
+    """Rotate 3-vector ``v`` by quaternion ``q``, row-wise over a leading axis.
+
+    Computes ``v + w t + u x t`` with ``t = 2 u x v``, where ``u`` is the
+    vector part and ``w`` the scalar part of ``q``.  The cross products are
+    written out in ``np.cross``'s own operation order, so the result has
+    the same bits as the ``np.cross`` form at a fraction of its cost.
+    """
+    ux, uy, uz, w = _components(q)
+    vx, vy, vz = _components(v)
+    tx = 2.0 * (uy * vz - uz * vy)
+    ty = 2.0 * (uz * vx - ux * vz)
+    tz = 2.0 * (ux * vy - uy * vx)
+    return np.array(
+        [
+            vx + w * tx + (uy * tz - uz * ty),
+            vy + w * ty + (uz * tx - ux * tz),
+            vz + w * tz + (ux * ty - uy * tx),
+        ]
+    ).T
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -262,6 +313,27 @@ def compose(a: Pose, b: Pose) -> Pose:
         quat_multiply(a.rotation, b.rotation),
         quat_rotate(a.rotation, b.translation) + a.translation,
     )
+
+
+def compose_rows(qa, ta, qb, tb) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`compose` over rows: rotations and translations of ``a_i * b_i``.
+
+    ``a`` is given by its rotation ``qa`` and translation ``ta``, ``b`` by
+    ``qb`` and ``tb``; either side may be rows or one transform broadcast
+    against the other's rows.  Each row has the bits of :func:`compose` on
+    that row, and the first row that :class:`Pose` would reject raises the
+    same error: :class:`ZeroVector` for a zero rotation, ``ValueError`` for
+    a non-finite one or a non-finite translation.
+    """
+    q = quat_multiply(qa, qb)
+    t = quat_rotate(qa, tb) + ta
+    finite = np.isfinite(q).all(axis=1) & np.isfinite(t).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        # A zero rotation up to that row raises first, as in a per-row loop.
+        quat_normalize_rows(q[: first + 1])
+        raise ValueError("pose has non-finite components")
+    return quat_normalize_rows(q), t
 
 
 def invert(t: Pose) -> Pose:

@@ -28,7 +28,7 @@ from .errors import (
     NonMonotonicTime,
     NoOverlap,
 )
-from .geometry import Pose, TipPoseRecord, compose
+from .geometry import Pose, TipPoseRecord, compose_rows
 from .jsonio import csv_row, dumps_canonical
 
 POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
@@ -348,14 +348,21 @@ def apply_calibration(rec: PoseRecording, calib) -> list[TipPoseRecord]:
     """Map fiducial poses to tip poses through the tip calibration.
 
     ``calib`` may be a :class:`~styluskit.calib.TipCalibration` or a bare
-    :class:`~styluskit.geometry.Pose`.
+    :class:`~styluskit.geometry.Pose`.  All poses are composed with it as
+    one array expression (:func:`~styluskit.geometry.compose_rows`), bit
+    for bit what :func:`~styluskit.geometry.compose` gives per record.
+    Raises ``ValueError`` when a tip pose is not finite.
     """
     transform = calib.transform if hasattr(calib, "transform") else calib
-    out = []
-    for t, pose in rec.samples:
-        tip = compose(pose, transform)
-        out.append(TipPoseRecord(t, tip.translation, tip.rotation))
-    return out
+    rotations, positions = compose_rows(
+        np.array([s.pose.rotation for s in rec.samples]),
+        np.array([s.pose.translation for s in rec.samples]),
+        transform.rotation,
+        transform.translation,
+    )
+    return [
+        TipPoseRecord(s.t, p, q) for s, p, q in zip(rec.samples, positions, rotations)
+    ]
 
 
 def snapshot_waypoints(

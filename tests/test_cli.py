@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import styluskit
 from styluskit.cli import main
 from styluskit.geometry import (
     Pose,
@@ -495,3 +499,96 @@ class TestEvaluateUnevenForceTiming:
         )
         assert code == 2, err
         assert err.startswith("error: ") and "per sample" in err
+
+
+class TestValueFlagErrors:
+    """Bad numeric flags exit 2 with one ``error:`` line naming the flag.
+    The input files do not exist: the flags must be checked first."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n", "1"), ("--n", "0"), ("--n", "-5"),
+         ("--epsilon", "0"), ("--epsilon", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+         ("--bin-width", "0"), ("--bin-width", "-0.001"), ("--bin-width", "nan"),
+         ("--gate", "0"), ("--gate", "-1"), ("--gate", "nan"),
+         ("--threshold-ratio", "-1"), ("--threshold-ratio", "nan"), ("--threshold-ratio", "inf")],
+    )
+    def test_evaluate_bad_flag_exit_2(self, tmp_path, capsys, flag, value):
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            str(tmp_path / "missing_trace.csv"),
+            "--frame",
+            str(tmp_path / "missing_frame.json"),
+            "--path",
+            str(tmp_path / "missing_path.json"),
+            flag,
+            value,
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, flag)
+
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf"])
+    def test_snapshot_bad_guard_exit_2(self, tmp_path, capsys, value):
+        code, out, err = run(
+            capsys,
+            "snapshot",
+            str(tmp_path / "missing_poses.csv"),
+            str(tmp_path / "missing_events.txt"),
+            "--calibration",
+            str(tmp_path / "missing_calibration.json"),
+            "--guard",
+            value,
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "--guard")
+
+    def test_snapshot_zero_guard_accepted(self, tmp_path, capsys):
+        pose_csv, events, calib_path = TestSnapshot()._setup(tmp_path, capsys, "EVT 0.10 BTN 1\n")
+        code, _, err = run(
+            capsys, "snapshot", str(pose_csv), str(events), "--calibration", str(calib_path),
+            "--guard", "0",
+        )
+        assert code == 0, err
+
+
+class TestWarnings:
+    def test_snapshot_dropped_row_is_one_warning_line(self, tmp_path, capsys):
+        pose_csv, events, calib_path = TestSnapshot()._setup(tmp_path, capsys, "EVT 0.10 BTN 1\n")
+        header, *rows = pose_csv.read_text().splitlines()
+        fields = rows[50].split(",")
+        fields[1] = "nan"
+        rows[50] = ",".join(fields)
+        pose_csv.write_text("\n".join([header, *rows]) + "\n")
+        code, out, err = run(
+            capsys, "snapshot", str(pose_csv), str(events), "--calibration", str(calib_path)
+        )
+        assert code == 0, err
+        assert len(json.loads(out)["waypoints"]) == 1
+        assert err == "warning: dropped 1 pose rows with non-finite values\n"
+
+
+class TestStartup:
+    """Only the calibration solvers need scipy; every other command starts
+    without paying for its import."""
+
+    @staticmethod
+    def run_python(*args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(styluskit.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    def test_import_loads_no_scipy(self):
+        proc = self.run_python(
+            "-c",
+            "import sys, styluskit, styluskit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_help_exits_0(self):
+        proc = self.run_python("-m", "styluskit.cli", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "calibrate-position" in proc.stdout

@@ -1,0 +1,349 @@
+"""Row-wise quaternion kernels and whole-array transforms against the
+per-record code they replaced, kept here as oracles.  Results must agree
+bit for bit (``tobytes``), errors by type and message."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from styluskit.errors import ZeroVector
+from styluskit.framing import DrawingFrame, to_frame
+from styluskit.geometry import (
+    Pose,
+    TipPoseRecord,
+    quat_conjugate,
+    quat_multiply,
+    quat_normalize,
+    quat_normalize_rows,
+    quat_rotate,
+)
+from styluskit.ingest import PoseRecording, TimedPose, apply_calibration
+
+ULP = np.finfo(float).eps
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def oracle_quat_multiply(a, b) -> np.ndarray:
+    ax, ay, az, aw = a
+    bx, by, bz, bw = b
+    return np.array(
+        [
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+            aw * bw - ax * bx - ay * by - az * bz,
+        ]
+    )
+
+
+def oracle_quat_rotate(q, v) -> np.ndarray:
+    u = np.asarray(q[:3], dtype=float)
+    w = float(q[3])
+    v = np.asarray(v, dtype=float)
+    t = 2.0 * np.cross(u, v)
+    return v + w * t + np.cross(u, t)
+
+
+def oracle_compose(a: Pose, b: Pose) -> Pose:
+    return Pose(
+        oracle_quat_multiply(a.rotation, b.rotation),
+        oracle_quat_rotate(a.rotation, b.translation) + a.translation,
+    )
+
+
+def oracle_invert(t: Pose) -> Pose:
+    qc = quat_conjugate(t.rotation)
+    return Pose(qc, -oracle_quat_rotate(qc, t.translation))
+
+
+def oracle_apply_calibration(rec: PoseRecording, calib) -> list[TipPoseRecord]:
+    transform = calib.transform if hasattr(calib, "transform") else calib
+    out = []
+    for t, pose in rec.samples:
+        tip = oracle_compose(pose, transform)
+        out.append(TipPoseRecord(t, tip.translation, tip.rotation))
+    return out
+
+
+def oracle_to_frame(frame: DrawingFrame, points: list[TipPoseRecord]) -> list[TipPoseRecord]:
+    inverse = oracle_invert(frame.transform)
+    out = []
+    for record in points:
+        local = oracle_compose(inverse, record.pose())
+        out.append(TipPoseRecord(record.t, local.translation, local.rotation))
+    return out
+
+
+# --------------------------------------------------------------- strategies
+
+finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+vectors = st.lists(finite, min_size=3, max_size=3).map(np.array)
+# Not unit: kernels take any quaternion.
+quats = st.lists(finite, min_size=4, max_size=4).map(np.array)
+
+
+@st.composite
+def unit_quats(draw):
+    q = draw(quats)
+    n = float(np.linalg.norm(q))
+    return np.array([0.0, 0.0, 0.0, 1.0]) if n < 1e-3 else q / n
+
+
+@st.composite
+def sign_rule_quats(draw):
+    """qw = +-0 with zero leading components, so the sign rule decides."""
+    q = np.zeros(4)
+    q[3] = draw(st.sampled_from([0.0, -0.0]))
+    first = draw(st.integers(0, 2))
+    for i in range(first, 3):
+        q[i] = draw(st.sampled_from([0.0, -0.0, 0.5, -0.5, -1.0, 1.0]))
+    if not np.any(q[:3]):
+        q[2] = draw(st.sampled_from([0.6, -0.6]))
+    return q
+
+
+@st.composite
+def near_unit_quats(draw):
+    """Norms within a few ulp of 1 +- 1e-12 and 1 +- 0.5e-12."""
+    q = draw(unit_quats())
+    offset = draw(st.sampled_from([0.0, 0.5e-12, -0.5e-12, 1e-12, -1e-12]))
+    return q * (1.0 + offset + draw(st.integers(-8, 8)) * ULP)
+
+
+any_quat = st.one_of(quats, unit_quats(), sign_rule_quats(), near_unit_quats())
+row_counts = st.integers(1, 8)
+
+
+def rows_of(element, n):
+    return st.lists(element, min_size=n, max_size=n).map(np.array)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def outcome(fn, *args):
+    """Result or ``(exception type, message)`` of ``fn(*args)``; overflow
+    is expected here, so numpy's warnings about it are silenced."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args)
+    except (ValueError, ZeroVector) as exc:
+        return type(exc), str(exc)
+
+
+def records_bits(records) -> list:
+    if isinstance(records, tuple):
+        return records
+    return [(r.t, r.position.tobytes(), r.orientation.tobytes()) for r in records]
+
+
+# ------------------------------------------------------------------ kernels
+
+
+class TestKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(a=any_quat, b=any_quat, v=vectors)
+    def test_scalar_calls_match_oracle(self, a, b, v):
+        assert same_bits(quat_multiply(a, b), oracle_quat_multiply(a, b))
+        assert same_bits(quat_rotate(a, v), oracle_quat_rotate(a, v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=row_counts)
+    def test_rows_match_oracle_per_row(self, data, n):
+        qa = data.draw(rows_of(any_quat, n))
+        qb = data.draw(rows_of(any_quat, n))
+        v = data.draw(rows_of(vectors, n))
+        assert same_bits(
+            quat_multiply(qa, qb),
+            np.array([oracle_quat_multiply(a, b) for a, b in zip(qa, qb)]),
+        )
+        assert same_bits(
+            quat_rotate(qa, v), np.array([oracle_quat_rotate(q, x) for q, x in zip(qa, v)])
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=row_counts)
+    def test_one_side_broadcasts_against_rows(self, data, n):
+        q = data.draw(any_quat)
+        rows = data.draw(rows_of(any_quat, n))
+        v = data.draw(vectors)
+        vrows = data.draw(rows_of(vectors, n))
+        assert same_bits(
+            quat_multiply(q, rows), np.array([oracle_quat_multiply(q, r) for r in rows])
+        )
+        assert same_bits(
+            quat_multiply(rows, q), np.array([oracle_quat_multiply(r, q) for r in rows])
+        )
+        assert same_bits(
+            quat_rotate(q, vrows), np.array([oracle_quat_rotate(q, x) for x in vrows])
+        )
+        assert same_bits(
+            quat_rotate(rows, v), np.array([oracle_quat_rotate(r, v) for r in rows])
+        )
+
+
+class TestNormalizeRows:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=row_counts)
+    def test_matches_quat_normalize_bit_for_bit(self, data, n):
+        nonzero = rows_of(any_quat, n).filter(lambda a: np.all(np.linalg.norm(a, axis=1) > 1e-6))
+        q = data.draw(nonzero)
+        assert same_bits(quat_normalize_rows(q), np.array([quat_normalize(r) for r in q]))
+
+    def test_fixed_edge_rows(self):
+        # qw = +-0 rows, where the sign rule decides, then norms a few ulp
+        # around 1 +- 1e-12 and 1 +- 0.5e-12.
+        signs = [
+            [0.0, 0.0, -1.0, 0.0],
+            [0.0, -0.6, 0.8, -0.0],
+            [-0.0, 0.6, -0.8, 0.0],
+            [-1.0, 0.0, 0.0, -0.0],
+        ]
+        base = np.array([0.1, -0.2, 0.3, 0.9]) / math.sqrt(0.95)
+        scales = [1.0 + s * 1e-12 + k * ULP for s in (-1.0, -0.5, 0.5, 1.0) for k in range(-6, 7)]
+        q = np.array(signs + [base * s for s in scales])
+        assert same_bits(quat_normalize_rows(q), np.array([quat_normalize(r) for r in q]))
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, -1e-13]])
+    def test_zero_norm_raises(self, bad):
+        q = np.array([[0.0, 0.0, 0.0, 1.0], bad, [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(ZeroVector):
+            quat_normalize(np.array(bad))
+        with pytest.raises(ZeroVector):
+            quat_normalize_rows(q)
+
+    def test_input_untouched(self):
+        q = np.array([[0.0, 0.0, 0.0, -2.0]])
+        quat_normalize_rows(q)
+        assert q.tolist() == [[0.0, 0.0, 0.0, -2.0]]
+
+    def test_rejects_non_rows(self):
+        with pytest.raises(ValueError):
+            quat_normalize_rows(np.zeros(4))
+
+
+# -------------------------------------------------------- whole-array transforms
+
+# A quaternion whose norm overflows normalizes to the zero quaternion,
+# which Pose and TipPoseRecord accept; composing with it must then raise
+# ZeroVector.
+OVERFLOWING_QUAT = np.array([1e200, 0.0, 0.0, 1e200])
+with np.errstate(over="ignore"):
+    ZERO_ROTATION = Pose(OVERFLOWING_QUAT, np.zeros(3))
+
+
+@st.composite
+def poses(draw):
+    return Pose(draw(any_quat.filter(lambda q: np.linalg.norm(q) > 1e-6)), draw(vectors))
+
+
+@st.composite
+def recordings(draw, bad_rows=False):
+    n = draw(row_counts)
+    samples = []
+    for i in range(n):
+        pose = draw(poses())
+        if bad_rows:
+            kind = draw(st.sampled_from(["ok", "ok", "zero", "huge"]))
+            if kind == "zero":
+                pose = ZERO_ROTATION
+            elif kind == "huge":
+                pose = Pose(pose.rotation, np.array([1.7e308, -1.7e308, 1.7e308]))
+        samples.append(TimedPose(0.01 * i, pose))
+    return PoseRecording(frame_id="world", samples=samples)
+
+
+class TestApplyCalibration:
+    @settings(max_examples=60, deadline=None)
+    @given(rec=recordings(), calib=poses())
+    def test_matches_per_record_loop(self, rec, calib):
+        assert records_bits(apply_calibration(rec, calib)) == records_bits(
+            oracle_apply_calibration(rec, calib)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(rec=recordings(bad_rows=True), calib=poses(), far=st.booleans())
+    def test_first_bad_row_raises_like_loop(self, rec, calib, far):
+        if far:
+            # Tip offsets this long overflow on the rows placed far away.
+            calib = Pose(calib.rotation, np.full(3, 9e307))
+        assert records_bits(outcome(apply_calibration, rec, calib)) == records_bits(
+            outcome(oracle_apply_calibration, rec, calib)
+        )
+
+    def test_rotations_at_the_skip_threshold(self):
+        # Pose keeps a norm within 1e-12 of 1 as it is, so these products
+        # straddle quat_normalize's skip test, whose ``a @ a`` rounds
+        # differently on strided rows.
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(100, 4))
+        base /= np.linalg.norm(base, axis=1)[:, None]
+        scales = [1.0 + s * 1e-12 + k * ULP for s in (-1.0, 1.0) for k in range(-8, 9)]
+        rows = [q * scale for q in base for scale in scales]
+        rec = PoseRecording(
+            "world", [TimedPose(0.01 * i, Pose(q, np.zeros(3))) for i, q in enumerate(rows)]
+        )
+        calib = Pose.identity()
+        assert records_bits(apply_calibration(rec, calib)) == records_bits(
+            oracle_apply_calibration(rec, calib)
+        )
+
+    def test_zero_norm_raises_zero_vector(self):
+        samples = [TimedPose(0.0, Pose.identity()), TimedPose(0.1, ZERO_ROTATION)]
+        rec = PoseRecording("world", samples)
+        with pytest.raises(ZeroVector):
+            oracle_apply_calibration(rec, Pose.identity())
+        with pytest.raises(ZeroVector):
+            apply_calibration(rec, Pose.identity())
+
+    def test_non_finite_result_raises_value_error(self):
+        far = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.7e308, 0.0, 0.0]))
+        rec = PoseRecording("world", [TimedPose(0.0, Pose.identity()), TimedPose(0.1, far)])
+        calib = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.7e308, 0.0, 0.0]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            oracle_apply_calibration(rec, calib)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            apply_calibration(rec, calib)
+
+
+def tip_records(rec: PoseRecording, nan_row: int | None = None) -> list[TipPoseRecord]:
+    """The recording as tip records, with a NaN position at ``nan_row``."""
+    out = []
+    with np.errstate(over="ignore"):
+        for i, (t, pose) in enumerate(rec.samples):
+            q = OVERFLOWING_QUAT if pose is ZERO_ROTATION else pose.rotation
+            p = [math.nan, 0.0, 0.0] if i == nan_row else pose.translation
+            out.append(TipPoseRecord(t, p, q))
+    return out
+
+
+class TestToFrame:
+    @settings(max_examples=60, deadline=None)
+    @given(rec=recordings(), transform=poses())
+    def test_matches_per_record_loop(self, rec, transform):
+        frame = DrawingFrame("f", transform, np.eye(3))
+        points = tip_records(rec)
+        assert records_bits(to_frame(frame, points)) == records_bits(
+            oracle_to_frame(frame, points)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(rec=recordings(bad_rows=True), transform=poses(), nan_row=st.integers(0, 8))
+    def test_first_bad_row_raises_like_loop(self, rec, transform, nan_row):
+        frame = DrawingFrame("f", transform, np.eye(3))
+        points = tip_records(rec, nan_row)
+        assert records_bits(outcome(to_frame, frame, points)) == records_bits(
+            outcome(oracle_to_frame, frame, points)
+        )
+
+    def test_empty(self):
+        assert to_frame(DrawingFrame("f", Pose.identity(), np.eye(3)), []) == []
