@@ -36,7 +36,6 @@ command that calibrates nothing, does not pay for loading it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -67,7 +66,7 @@ from .geometry import (
     rotation_to_euler,
     vec3,
 )
-from .jsonio import dumps_canonical
+from .jsonio import read_json, write_json
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -722,10 +721,8 @@ def calibration_from_doc(doc: dict) -> TipCalibration:
 
 
 def save_calibration(calib: TipCalibration, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(dumps_canonical(calibration_to_doc(calib)) + "\n")
+    write_json(path, calibration_to_doc(calib))
 
 
 def load_calibration(path) -> TipCalibration:
-    with open(path, "r", encoding="utf-8") as f:
-        return calibration_from_doc(json.load(f))
+    return calibration_from_doc(read_json(path))

@@ -14,7 +14,7 @@ and no report ever contains wall-clock time.
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import math
 import os
 import sys
@@ -26,7 +26,7 @@ import numpy as np
 from . import calib, evaluation, framing, ingest, synth
 from .errors import DegenerateDataError, FormatError, InputError, StylusKitError
 from .geometry import EulerAngles, Pose, euler_to_rotation
-from .jsonio import dumps_canonical, write_json
+from .jsonio import dumps_canonical, open_output, read_json, write_json, write_text
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -123,16 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, output: str | None) -> None:
     print(text)
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as f:
-            f.write(text + "\n")
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
+        write_text(output, text)
 
 
 def _filter_params(radius, min_neighbors, radius_flag, count_flag) -> calib.FilterParams:
@@ -152,6 +143,7 @@ def _check_flag(flag: str, value: float, positive: bool = True) -> None:
 
 
 def _cmd_calibrate_position(args) -> int:
+    _check_flag("--min-rotation-deg", args.min_rotation_deg, positive=False)
     params = None
     if not args.no_filter:
         params = _filter_params(args.radius, args.min_neighbors, "--radius", "--min-neighbors")
@@ -182,7 +174,9 @@ def _cmd_calibrate_orientation(args) -> int:
     axis_filter = _filter_params(
         args.axis_radius, args.axis_min_neighbors, "--axis-radius", "--axis-min-neighbors"
     )
-    manifest = _load_json(args.manifest)
+    if not math.isfinite(args.initial_roll_deg):
+        raise InputError(f"--initial-roll-deg {args.initial_roll_deg}: must be finite")
+    manifest = read_json(args.manifest)
     try:
         hole_entries = list(manifest["holes"])
     except (KeyError, TypeError):
@@ -206,7 +200,7 @@ def _cmd_calibrate_orientation(args) -> int:
         )
     dataset = calib.OrientationDataset(holes=holes)
 
-    position_doc = _load_json(args.position)
+    position_doc = read_json(args.position)
     try:
         translation = np.asarray(position_doc["translation"], dtype=float)
         position_rms = float(position_doc["position_residual_rms"])
@@ -248,12 +242,20 @@ def _cmd_identify_frame(args) -> int:
 
 
 def _sniff_trace(path: str) -> ingest.DemonstrationTrace:
+    """Parse a demo CSV or a pose CSV, told apart by the first non-blank line.
+
+    The head is read through ``ingest._lines`` for its UTF-8 check.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-    with open(path, "r", encoding="utf-8") as f:
-        if header == ingest.DEMO_CSV_HEADER:
-            return ingest.parse_demo_csv(f)
-        recording = ingest.parse_pose_csv(f)
+        head = []
+        for _, text in ingest._lines(f):
+            head.append(text)
+            if text.strip():
+                break
+        lines = itertools.chain(head, f)
+        if head and head[-1].strip() == ingest.DEMO_CSV_HEADER:
+            return ingest.parse_demo_csv(lines)
+        recording = ingest.parse_pose_csv(lines)
         points = [
             ingest.TipPoseRecord(t, pose.translation, pose.rotation)
             for t, pose in recording.samples
@@ -355,7 +357,7 @@ def _force_profile(doc: dict):
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load_json(args.config)
+    doc = read_json(args.config)
     kind = doc.get("kind")
     os.makedirs(args.out_dir, exist_ok=True)
     written: list[str] = []
@@ -373,7 +375,7 @@ def _cmd_simulate(args) -> int:
                 ingest.TimedPose(i / 100.0, pose) for i, pose in enumerate(dataset.poses)
             ],
         )
-        with open(_path("poses.csv"), "w", encoding="utf-8", newline="") as f:
+        with open_output(_path("poses.csv")) as f:
             ingest.write_pose_csv(recording, f)
         write_json(
             _path("truth.json"),
@@ -401,7 +403,7 @@ def _cmd_simulate(args) -> int:
                     ingest.TimedPose(j / 100.0, pose) for j, pose in enumerate(hole.poses)
                 ],
             )
-            with open(_path(name), "w", encoding="utf-8", newline="") as f:
+            with open_output(_path(name)) as f:
                 ingest.write_pose_csv(recording, f)
             manifest["holes"].append(
                 {"reference_axis": hole.reference_axis.tolist(), "recording": name}
@@ -428,7 +430,7 @@ def _cmd_simulate(args) -> int:
             force_profile=_force_profile(doc.get("force_profile", {})),
             seed=int(doc.get("seed", 0)),
         )
-        with open(_path("trace.csv"), "w", encoding="utf-8", newline="") as f:
+        with open_output(_path("trace.csv")) as f:
             ingest.write_demo_csv(trace, f)
         evaluation.save_path(path, _path("path.json"))
         write_json(

@@ -14,7 +14,6 @@ out-of-plane z offset is reported separately.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +29,7 @@ from .errors import (
     WaypointNotReached,
 )
 from .ingest import DemonstrationTrace, ForceRecording
-from .jsonio import csv_row, dumps_canonical
+from .jsonio import csv_row, read_json, write_json, write_text
 
 
 @dataclass
@@ -457,13 +456,11 @@ def path_from_doc(doc: dict) -> IdealPath:
 
 
 def save_path(path_obj: IdealPath, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(dumps_canonical(path_to_doc(path_obj)) + "\n")
+    write_json(path, path_to_doc(path_obj))
 
 
 def load_path(path) -> IdealPath:
-    with open(path, "r", encoding="utf-8") as f:
-        return path_from_doc(json.load(f))
+    return path_from_doc(read_json(path))
 
 
 def report_to_doc(report: EvaluationReport) -> dict:
@@ -518,14 +515,12 @@ def write_report_files(report: EvaluationReport, out_dir) -> list[str]:
     """Write report.json plus the plot-ready CSVs; returns written names."""
     import os
 
-    written = []
+    write_json(os.path.join(out_dir, "report.json"), report_to_doc(report))
+    written = ["report.json"]
 
     def _write(name: str, text: str) -> None:
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        write_text(os.path.join(out_dir, name), text)
         written.append(name)
-
-    _write("report.json", dumps_canonical(report_to_doc(report)) + "\n")
 
     lines = ["segment,idx,mean,std,env_min,env_max"]
     for agg in report.aggregates:
@@ -535,19 +530,19 @@ def write_report_files(report: EvaluationReport, out_dir) -> list[str]:
                     [agg.segment_label, i, agg.mean[i], agg.std[i], agg.env_min[i], agg.env_max[i]]
                 )
             )
-    _write("segments.csv", "\n".join(lines) + "\n")
+    _write("segments.csv", "\n".join(lines))
 
     lines = ["bin_lo,bin_hi,count"]
     hist = report.histogram
     for lo, hi, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
         lines.append(csv_row([lo, hi, int(count)]))
-    _write("histogram.csv", "\n".join(lines) + "\n")
+    _write("histogram.csv", "\n".join(lines))
 
     for i, spectrum in enumerate(report.spectra):
         lines = ["freq_hz,amplitude"]
         freqs = spectrum.frequencies
         for f, amp in zip(freqs, spectrum.amplitudes):
             lines.append(csv_row([f, amp]))
-        _write(f"spectrum_{i:03d}.csv", "\n".join(lines) + "\n")
+        _write(f"spectrum_{i:03d}.csv", "\n".join(lines))
 
     return written

@@ -9,7 +9,6 @@ is kept exact and y is re-orthogonalized.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ from .geometry import (
     quat_from_matrix,
     vec3,
 )
-from .jsonio import dumps_canonical
+from .jsonio import read_json, write_json
 
 _MIN_SEPARATION = 1e-4
 _MIN_ANGLE = math.radians(1.0)
@@ -158,13 +157,11 @@ def frame_from_doc(doc: dict) -> DrawingFrame:
 
 
 def save_frame(frame: DrawingFrame, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(dumps_canonical(frame_to_doc(frame)) + "\n")
+    write_json(path, frame_to_doc(frame))
 
 
 def load_frame(path) -> DrawingFrame:
-    with open(path, "r", encoding="utf-8") as f:
-        return frame_from_doc(json.load(f))
+    return frame_from_doc(read_json(path))
 
 
 def workspace_to_doc(ws: Workspace) -> list:
@@ -196,10 +193,8 @@ def workspace_from_doc(doc: list) -> Workspace:
 
 
 def save_workspace(ws: Workspace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(dumps_canonical(workspace_to_doc(ws)) + "\n")
+    write_json(path, workspace_to_doc(ws))
 
 
 def load_workspace(path) -> Workspace:
-    with open(path, "r", encoding="utf-8") as f:
-        return workspace_from_doc(json.load(f))
+    return workspace_from_doc(read_json(path))

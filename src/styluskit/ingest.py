@@ -10,12 +10,21 @@ File formats (UTF-8, ``\\n`` line endings, ``.`` decimal separator):
 - pen events, one per line: ``EVT <t> BTN 1`` (press), ``EVT <t> BTN 0``
   (release), ``EVT <t> PWR 1`` (power-on).  Unknown lines are skipped and
   counted.
+
+One reader serves the three CSV formats: the header is the first
+non-blank line, blank lines are skipped, and rows with a non-finite value
+are dropped with one warning.  A bad header, field count, field or
+JSON-lines record, text that is not UTF-8 (pen events too) and a stream
+without rows raise :class:`~styluskit.errors.FormatError`, a timestamp
+that does not increase :class:`~styluskit.errors.NonMonotonicTime`.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -29,7 +38,7 @@ from .errors import (
     NoOverlap,
 )
 from .geometry import Pose, TipPoseRecord, compose_rows
-from .jsonio import csv_row, dumps_canonical
+from .jsonio import csv_row, read_json, write_json
 
 POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
 FORCE_CSV_HEADER = "t,Fz"
@@ -141,8 +150,15 @@ class WaypointList:
 
 
 def _lines(stream: Iterable[str]):
-    for number, raw in enumerate(stream, start=1):
-        yield number, raw.rstrip("\r\n")
+    number = 0
+    try:
+        for number, raw in enumerate(stream, start=1):
+            yield number, raw.rstrip("\r\n")
+    except UnicodeDecodeError as exc:
+        # Text is decoded in chunks, so the bad byte may lie further on.
+        raise FormatError(
+            f"text at or after this line is not UTF-8 ({exc.reason})", number + 1
+        ) from None
 
 
 def _parse_float(text: str, line: int, what: str) -> float:
@@ -152,65 +168,63 @@ def _parse_float(text: str, line: int, what: str) -> float:
         raise FormatError(f"cannot parse {what} from {text!r}", line) from None
 
 
-def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecording:
-    """Parse a pose CSV (or JSON-lines) stream into a :class:`PoseRecording`.
+def _read_rows(stream: Iterable[str], header: str, kind: str, jsonl: bool = False):
+    """Yield the rows of a ``header`` CSV stream as float lists, as read.
 
-    Rows containing non-finite values are dropped with a warning; a bad
-    header or unparseable row raises :class:`FormatError`, non-increasing
-    timestamps raise :class:`NonMonotonicTime`.
+    With ``jsonl``, a first line starting with ``{`` begins JSON-lines
+    records keyed by the header's field names.  Iterate from the caller's
+    own frame (``for`` or ``list()``): the warning points one frame above.
     """
-    it = _lines(stream)
-    header = None
-    for number, text in it:
-        if text.strip():
-            header = (number, text.strip())
+    names = header.split(",")
+    lines = _lines(stream)
+    for number, text in lines:
+        first = text.strip()
+        if first:
             break
-    if header is None:
+    else:
         raise FormatError("empty input")
+    jsonl = jsonl and first.startswith("{")
+    if jsonl:
+        lines = itertools.chain([(number, first)], lines)
+    elif first != header:
+        raise FormatError(f"expected header {header!r}, got {first!r}", number)
 
-    jsonl = header[1].startswith("{")
-    if not jsonl and header[1] != POSE_CSV_HEADER:
-        raise FormatError(
-            f"expected header {POSE_CSV_HEADER!r}, got {header[1]!r}", header[0]
-        )
-
-    samples: list[TimedPose] = []
+    last = None
     dropped = 0
-    rows = it if not jsonl else _chain_first(header, it)
-    for number, text in rows:
+    for number, text in lines:
         if not text.strip():
             continue
         if jsonl:
             try:
                 doc = json.loads(text)
-                values = [float(doc[k]) for k in ("t", "x", "y", "z", "qx", "qy", "qz", "qw")]
+                values = [float(doc[k]) for k in names]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                raise FormatError("bad JSON-lines pose record", number) from None
+                raise FormatError(f"bad JSON-lines {kind} record", number) from None
         else:
             fields = text.split(",")
-            if len(fields) != 8:
-                raise FormatError(f"expected 8 fields, got {len(fields)}", number)
-            values = [_parse_float(fields[i], number, POSE_CSV_HEADER.split(",")[i]) for i in range(8)]
-        if not all(np.isfinite(values)):
+            if len(fields) != len(names):
+                raise FormatError(f"expected {len(names)} fields, got {len(fields)}", number)
+            values = [_parse_float(f, number, name) for f, name in zip(fields, names)]
+        if not all(map(math.isfinite, values)):
             dropped += 1
             continue
         t = values[0]
-        if samples and t <= samples[-1].t:
-            raise NonMonotonicTime(
-                f"timestamp {t!r} does not increase past {samples[-1].t!r}", number
-            )
-        samples.append(TimedPose(t, Pose(np.array(values[4:8]), np.array(values[1:4]))))
-
+        if last is not None and t <= last:
+            raise NonMonotonicTime(f"timestamp {t!r} does not increase past {last!r}", number)
+        last = t
+        yield values
     if dropped:
-        warnings.warn(f"dropped {dropped} pose rows with non-finite values", stacklevel=2)
-    if not samples:
+        warnings.warn(f"dropped {dropped} {kind} rows with non-finite values", stacklevel=3)
+    if last is None:
         raise FormatError("no valid data rows")
+
+
+def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecording:
+    """Parse a pose CSV (or JSON-lines) stream into a :class:`PoseRecording`."""
+    samples: list[TimedPose] = []
+    for v in _read_rows(stream, POSE_CSV_HEADER, "pose", jsonl=True):
+        samples.append(TimedPose(v[0], Pose(np.array(v[4:8]), np.array(v[1:4]))))
     return PoseRecording(frame_id=frame_id, samples=samples)
-
-
-def _chain_first(first, rest):
-    yield first
-    yield from rest
 
 
 def write_pose_csv(rec: PoseRecording, stream) -> None:
@@ -221,40 +235,8 @@ def write_pose_csv(rec: PoseRecording, stream) -> None:
 
 def parse_force_csv(stream: Iterable[str]) -> ForceRecording:
     """Parse a ``t,Fz`` CSV stream into a :class:`ForceRecording`."""
-    it = _lines(stream)
-    header = None
-    for number, text in it:
-        if text.strip():
-            header = (number, text.strip())
-            break
-    if header is None:
-        raise FormatError("empty input")
-    if header[1] != FORCE_CSV_HEADER:
-        raise FormatError(f"expected header {FORCE_CSV_HEADER!r}, got {header[1]!r}", header[0])
-
-    ts: list[float] = []
-    fz: list[float] = []
-    dropped = 0
-    for number, text in it:
-        if not text.strip():
-            continue
-        fields = text.split(",")
-        if len(fields) != 2:
-            raise FormatError(f"expected 2 fields, got {len(fields)}", number)
-        t = _parse_float(fields[0], number, "t")
-        f = _parse_float(fields[1], number, "Fz")
-        if not (np.isfinite(t) and np.isfinite(f)):
-            dropped += 1
-            continue
-        if ts and t <= ts[-1]:
-            raise NonMonotonicTime(f"timestamp {t!r} does not increase past {ts[-1]!r}", number)
-        ts.append(t)
-        fz.append(f)
-    if dropped:
-        warnings.warn(f"dropped {dropped} force rows with non-finite values", stacklevel=2)
-    if not ts:
-        raise FormatError("no valid data rows")
-    return ForceRecording(np.array(ts), np.array(fz))
+    rows = np.array(list(_read_rows(stream, FORCE_CSV_HEADER, "force")))
+    return ForceRecording(rows[:, 0].copy(), rows[:, 1].copy())
 
 
 def write_force_csv(rec: ForceRecording, stream) -> None:
@@ -265,40 +247,11 @@ def write_force_csv(rec: ForceRecording, stream) -> None:
 
 def parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> DemonstrationTrace:
     """Parse a ``t,x,y,z,Fz`` CSV stream into a :class:`DemonstrationTrace`."""
-    it = _lines(stream)
-    header = None
-    for number, text in it:
-        if text.strip():
-            header = (number, text.strip())
-            break
-    if header is None:
-        raise FormatError("empty input")
-    if header[1] != DEMO_CSV_HEADER:
-        raise FormatError(f"expected header {DEMO_CSV_HEADER!r}, got {header[1]!r}", header[0])
-
     points: list[TipPoseRecord] = []
     forces: list[float] = []
-    dropped = 0
-    for number, text in it:
-        if not text.strip():
-            continue
-        fields = text.split(",")
-        if len(fields) != 5:
-            raise FormatError(f"expected 5 fields, got {len(fields)}", number)
-        values = [_parse_float(fields[i], number, DEMO_CSV_HEADER.split(",")[i]) for i in range(5)]
-        if not all(np.isfinite(values)):
-            dropped += 1
-            continue
-        if points and values[0] <= points[-1].t:
-            raise NonMonotonicTime(
-                f"timestamp {values[0]!r} does not increase past {points[-1].t!r}", number
-            )
-        points.append(TipPoseRecord(values[0], np.array(values[1:4]), _IDENTITY_QUAT))
-        forces.append(values[4])
-    if dropped:
-        warnings.warn(f"dropped {dropped} trace rows with non-finite values", stacklevel=2)
-    if not points:
-        raise FormatError("no valid data rows")
+    for v in _read_rows(stream, DEMO_CSV_HEADER, "trace"):
+        points.append(TipPoseRecord(v[0], np.array(v[1:4]), _IDENTITY_QUAT))
+        forces.append(v[4])
     return DemonstrationTrace(points=points, forces=np.array(forces), source=source)
 
 
@@ -455,10 +408,8 @@ def waypoint_list_from_doc(doc: dict) -> WaypointList:
 
 
 def save_waypoint_list(wl: WaypointList, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(dumps_canonical(waypoint_list_to_doc(wl)) + "\n")
+    write_json(path, waypoint_list_to_doc(wl))
 
 
 def load_waypoint_list(path) -> WaypointList:
-    with open(path, "r", encoding="utf-8") as f:
-        return waypoint_list_from_doc(json.load(f))
+    return waypoint_list_from_doc(read_json(path))

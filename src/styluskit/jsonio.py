@@ -1,9 +1,14 @@
-"""Deterministic JSON and CSV formatting.
+"""Deterministic JSON and CSV formatting, and the one file path for both.
 
 All files the toolkit writes go through these helpers so that identical
 data always produces identical bytes: dict keys keep insertion order,
 floats are printed with 17 significant digits (lossless for IEEE 754
 doubles), and NaN becomes ``null``.
+
+Every output file is opened by :func:`open_output` (UTF-8, ``\\n``
+endings) and every JSON file read by :func:`read_json`, which raises
+:class:`~styluskit.errors.FormatError` naming the file when its text is
+not UTF-8 or not valid JSON (``OSError`` when it cannot be read).
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import json
 import math
 
 import numpy as np
+
+from .errors import FormatError
 
 
 def format_float(x: float) -> str:
@@ -64,10 +71,31 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(dumps_canonical(obj))
+def open_output(path):
+    """Open ``path`` for writing text: UTF-8, newlines written as ``\\n``."""
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` and a final newline to ``path``."""
+    with open_output(path) as f:
+        f.write(text)
         f.write("\n")
+
+
+def write_json(path, obj) -> None:
+    write_text(path, dumps_canonical(obj))
+
+
+def read_json(path):
+    """Load the JSON document in the UTF-8 file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def csv_row(values) -> str:

@@ -592,3 +592,110 @@ class TestStartup:
         proc = self.run_python("-m", "styluskit.cli", "--help")
         assert proc.returncode == 0, proc.stderr
         assert "calibrate-position" in proc.stdout
+
+
+class TestMalformedInputFiles:
+    """A file that is not valid JSON, or not UTF-8 text, is the user's
+    mistake: exit 2 with one ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def evaluate_files(tmp_path, capsys):
+        demo_dir = simulate_demo(tmp_path, capsys)
+        frame_path = tmp_path / "frame.json"
+        write_json(frame_path, IDENTITY_FRAME)
+        return demo_dir / "trace.csv", frame_path, demo_dir / "path.json"
+
+    def test_identify_frame_bad_json(self, tmp_path, capsys):
+        waypoints = tmp_path / "waypoints.json"
+        waypoints.write_text('{"waypoints": [\n')
+        code, out, err = run(capsys, "identify-frame", str(waypoints))
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, f"{waypoints}: invalid JSON")
+
+    def test_evaluate_bad_frame_json(self, tmp_path, capsys):
+        trace, _, path = self.evaluate_files(tmp_path, capsys)
+        frame = tmp_path / "bad_frame.json"
+        frame.write_text("{label: board}\n")
+        code, out, err = run(
+            capsys, "evaluate", str(trace), "--frame", str(frame), "--path", str(path)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, f"{frame}: invalid JSON")
+
+    def test_evaluate_bad_path_json(self, tmp_path, capsys):
+        trace, frame, _ = self.evaluate_files(tmp_path, capsys)
+        path = tmp_path / "bad_path.json"
+        path.write_text("")
+        code, out, err = run(
+            capsys, "evaluate", str(trace), "--frame", str(frame), "--path", str(path)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, f"{path}: invalid JSON")
+
+    def test_snapshot_bad_calibration_json(self, tmp_path, capsys):
+        pose_csv, events, calib_path = TestSnapshot()._setup(tmp_path, capsys, "EVT 0.10 BTN 1\n")
+        calib_path.write_text('{"translation": [0.01, -0.02, -0.12],}\n')
+        code, out, err = run(
+            capsys, "snapshot", str(pose_csv), str(events), "--calibration", str(calib_path)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, f"{calib_path}: invalid JSON")
+
+    def test_non_utf8_pose_csv(self, tmp_path, capsys):
+        data_dir, _ = simulate_position(tmp_path, capsys)
+        pose_csv = data_dir / "poses.csv"
+        pose_csv.write_bytes(pose_csv.read_bytes().replace(b"\n0.", b"\n\xb0.", 1))
+        code, out, err = run(capsys, "calibrate-position", str(pose_csv))
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "not UTF-8")
+
+    def test_non_utf8_demo_csv(self, tmp_path, capsys):
+        trace, frame, path = self.evaluate_files(tmp_path, capsys)
+        trace.write_bytes(trace.read_bytes() + b"9.5,0.1,0.1,0,\xff\n")
+        code, out, err = run(
+            capsys, "evaluate", str(trace), "--frame", str(frame), "--path", str(path)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "not UTF-8")
+
+    def test_non_utf8_events_file(self, tmp_path, capsys):
+        pose_csv, events, calib_path = TestSnapshot()._setup(tmp_path, capsys, "")
+        events.write_bytes(b"EVT 0.10 BTN 1\nEVT \xe9 BTN 1\n")
+        code, out, err = run(
+            capsys, "snapshot", str(pose_csv), str(events), "--calibration", str(calib_path)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "not UTF-8")
+
+
+class TestTraceSniffing:
+    def test_demo_csv_after_blank_line_is_read_as_demo(self, tmp_path, capsys):
+        trace, frame, path = TestMalformedInputFiles.evaluate_files(tmp_path, capsys)
+        code, expected, err = run(
+            capsys, "evaluate", str(trace), "--frame", str(frame), "--path", str(path)
+        )
+        assert code == 0, err
+        padded = tmp_path / "padded.csv"
+        padded.write_bytes(b"\n" + trace.read_bytes())
+        code, out, err = run(
+            capsys, "evaluate", str(padded), "--frame", str(frame), "--path", str(path)
+        )
+        assert code == 0, err
+        got, want = json.loads(out), json.loads(expected)
+        del got["config"], want["config"]
+        assert got == want
+
+
+class TestCalibrationFlagErrors:
+    """Bad angle flags exit 2 naming the flag; the files do not exist, so
+    the flags must be checked before any is read."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_calibrate_position_bad_min_rotation(self, tmp_path, capsys, value):
+        code, out, err = run(
+            capsys, "calibrate-position", str(tmp_path / "missing.csv"),
+            f"--min-rotation-deg={value}",
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "--min-rotation-deg")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_calibrate_orientation_bad_initial_roll(self, tmp_path, capsys, value):
+        code, out, err = run(
+            capsys, "calibrate-orientation", str(tmp_path / "missing_manifest.json"),
+            "--position", str(tmp_path / "missing_position.json"),
+            f"--initial-roll-deg={value}",
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "--initial-roll-deg")
