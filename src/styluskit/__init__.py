@@ -14,6 +14,7 @@ from .geometry import (
     EulerAngles,
     Pose,
     TipPoseRecord,
+    TipTrack,
     angle_between,
     compose,
     euler_to_rotation,
@@ -58,6 +59,7 @@ __all__ = [
     "StylusKitError",
     "TipCalibration",
     "TipPoseRecord",
+    "TipTrack",
     "WaypointList",
     "Workspace",
     "angle_between",

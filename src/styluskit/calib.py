@@ -95,43 +95,82 @@ class FilterParams:
 AXIS_FILTER_DEFAULT = FilterParams(neighborhood_radius=0.02, min_neighbors=3)
 
 
-@dataclass
-class PositionDataset:
-    """Fiducial poses recorded while the tip pivots on one fixed point."""
+class _PoseRows:
+    """Poses as rows, ``q`` (N, 4) canonical unit quaternions and ``p``
+    (N, 3) translations, read as a list of :class:`Pose` through ``poses``.
 
-    poses: list[Pose]
+    Build from a list (``poses=``) or from rows (``q=``, ``p=``, as the
+    parsers give them).  The list is built on first read; from then on, as
+    when it was given, it is the data: appending to ``poses`` changes ``q``
+    and ``p``.
+    """
 
-    def __post_init__(self):
-        if not self.poses:
-            raise ValueError("position dataset must not be empty")
+    def __init__(self, poses: list[Pose] | None, q, p):
+        self._poses = poses
+        if poses is None:
+            self._q = np.asarray(q, dtype=float).reshape(-1, 4)
+            self._p = np.asarray(p, dtype=float).reshape(-1, 3)
+            if self._q.shape[0] != self._p.shape[0]:
+                raise ValueError("need one translation per rotation")
+
+    @property
+    def poses(self) -> list[Pose]:
+        if self._poses is None:
+            self._poses = [Pose(q, p) for q, p in zip(self._q, self._p)]
+        return self._poses
+
+    @property
+    def q(self) -> np.ndarray:
+        if self._poses is None:
+            return self._q
+        return np.array([x.rotation for x in self._poses]).reshape(-1, 4)
+
+    @property
+    def p(self) -> np.ndarray:
+        if self._poses is None:
+            return self._p
+        return np.array([x.translation for x in self._poses]).reshape(-1, 3)
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self._poses) if self._poses is not None else self._q.shape[0]
+
+
+class PositionDataset(_PoseRows):
+    """Fiducial poses recorded while the tip pivots on one fixed point.
+
+    Rows ``q`` and ``p``, or a list of poses, as in :class:`_PoseRows`.
+    """
+
+    def __init__(self, poses: list[Pose] | None = None, *, q=None, p=None):
+        super().__init__(poses, q, p)
+        if not len(self):
+            raise ValueError("position dataset must not be empty")
 
     def rotation_array(self) -> np.ndarray:
-        return quats_to_matrices(np.array([p.rotation for p in self.poses]))
+        return quats_to_matrices(self.q)
 
     def translation_array(self) -> np.ndarray:
-        return np.array([p.translation for p in self.poses])
+        return self.p
 
     def quaternion_array(self) -> np.ndarray:
-        return np.array([p.rotation for p in self.poses])
+        return self.q
 
 
-@dataclass
-class HoleRecording:
-    """Fiducial poses recorded while the stylus spins in one hole."""
+class HoleRecording(_PoseRows):
+    """Fiducial poses recorded while the stylus spins in one hole.
 
-    reference_axis: np.ndarray
-    poses: list[Pose]
+    Rows ``q`` and ``p``, or a list of poses, as in :class:`_PoseRows`,
+    plus the hole's unit ``reference_axis``.
+    """
 
-    def __post_init__(self):
-        axis = vec3(self.reference_axis)
+    def __init__(self, reference_axis, poses: list[Pose] | None = None, *, q=None, p=None):
+        super().__init__(poses, q, p)
+        axis = vec3(reference_axis)
         n = np.linalg.norm(axis)
         if n < 1e-12:
             raise ValueError("hole reference axis must be nonzero")
         self.reference_axis = axis / n
-        if not self.poses:
+        if not len(self):
             raise ValueError("hole recording must not be empty")
 
 
@@ -604,7 +643,7 @@ def calibrate_orientation(
     measured: list[np.ndarray] = []
     removed = 0
     for hole in ds.holes:
-        rotations = quats_to_matrices(np.array([p.rotation for p in hole.poses]))
+        rotations = quats_to_matrices(hole.q)
         axes = np.einsum("nji,j->ni", rotations, hole.reference_axis)
         if axis_filter is not None and axes.shape[0] >= axis_filter.min_neighbors:
             kept, dropped = filter_outliers(axes, axis_filter)
@@ -646,7 +685,7 @@ def orientation_objective(ds: OrientationDataset, angles: EulerAngles) -> float:
     tip_axis = quat_rotate(euler_to_rotation(angles), _EZ)
     total = 0.0
     for hole in ds.holes:
-        rotations = quats_to_matrices(np.array([p.rotation for p in hole.poses]))
+        rotations = quats_to_matrices(hole.q)
         world_axes = rotations @ tip_axis
         total += float(np.sum(1.0 - world_axes @ hole.reference_axis))
     return total

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import calib, evaluation, framing, ingest, synth
 from .errors import DegenerateDataError, FormatError, InputError, StylusKitError
-from .geometry import EulerAngles, Pose, euler_to_rotation
+from .geometry import EulerAngles, Pose, TipTrack, euler_to_rotation
 from .jsonio import dumps_canonical, open_output, read_json, write_json, write_text
 
 EXIT_OK = 0
@@ -149,7 +149,7 @@ def _cmd_calibrate_position(args) -> int:
         params = _filter_params(args.radius, args.min_neighbors, "--radius", "--min-neighbors")
     with open(args.pose_csv, "r", encoding="utf-8") as f:
         recording = ingest.parse_pose_csv(f)
-    dataset = calib.PositionDataset([s.pose for s in recording.samples])
+    dataset = calib.PositionDataset(q=recording.q, p=recording.p)
     result = calib.calibrate_position(
         dataset, params, min_rotation=math.radians(args.min_rotation_deg)
     )
@@ -176,6 +176,8 @@ def _cmd_calibrate_orientation(args) -> int:
     )
     if not math.isfinite(args.initial_roll_deg):
         raise InputError(f"--initial-roll-deg {args.initial_roll_deg}: must be finite")
+    if args.max_iterations < 1:
+        raise InputError(f"--max-iterations {args.max_iterations}: must be at least 1")
     manifest = read_json(args.manifest)
     try:
         hole_entries = list(manifest["holes"])
@@ -195,9 +197,7 @@ def _cmd_calibrate_orientation(args) -> int:
             recording_path = os.path.join(base, recording_path)
         with open(recording_path, "r", encoding="utf-8") as f:
             recording = ingest.parse_pose_csv(f)
-        holes.append(
-            calib.HoleRecording(reference_axis=axis, poses=[s.pose for s in recording.samples])
-        )
+        holes.append(calib.HoleRecording(axis, q=recording.q, p=recording.p))
     dataset = calib.OrientationDataset(holes=holes)
 
     position_doc = read_json(args.position)
@@ -256,11 +256,7 @@ def _sniff_trace(path: str) -> ingest.DemonstrationTrace:
         if head and head[-1].strip() == ingest.DEMO_CSV_HEADER:
             return ingest.parse_demo_csv(lines)
         recording = ingest.parse_pose_csv(lines)
-        points = [
-            ingest.TipPoseRecord(t, pose.translation, pose.rotation)
-            for t, pose in recording.samples
-        ]
-        return ingest.DemonstrationTrace(points=points)
+        return ingest.DemonstrationTrace(TipTrack(recording.t, recording.p, recording.q))
 
 
 def _cmd_evaluate(args) -> int:
@@ -343,8 +339,14 @@ def _synth_config(doc: dict) -> synth.SynthConfig:
         raise FormatError(f"bad synthesis config: {exc}") from None
 
 
-def _force_profile(doc: dict):
-    kind = doc.get("kind", "constant")
+def _config_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    return value
+
+
+def _force_profile(doc):
+    kind = _config_object(doc, "force_profile").get("kind", "constant")
     if kind == "constant":
         return synth.ConstantForce(float(doc.get("value", 1.0)))
     if kind == "sine":
@@ -356,8 +358,15 @@ def _force_profile(doc: dict):
     raise FormatError(f"unknown force profile kind {kind!r}")
 
 
+def _recording(dataset) -> ingest.PoseRecording:
+    """The poses of a synthetic dataset as a recording sampled at 100 Hz."""
+    return ingest.PoseRecording(
+        "world", t=np.arange(len(dataset)) / 100.0, q=dataset.q, p=dataset.p
+    )
+
+
 def _cmd_simulate(args) -> int:
-    doc = read_json(args.config)
+    doc = _config_object(read_json(args.config), f"{args.config}: synthesis config")
     kind = doc.get("kind")
     os.makedirs(args.out_dir, exist_ok=True)
     written: list[str] = []
@@ -369,14 +378,8 @@ def _cmd_simulate(args) -> int:
     if kind == "position":
         cfg = _synth_config(doc)
         dataset, truth = synth.gen_position_dataset(cfg)
-        recording = ingest.PoseRecording(
-            frame_id="world",
-            samples=[
-                ingest.TimedPose(i / 100.0, pose) for i, pose in enumerate(dataset.poses)
-            ],
-        )
         with open_output(_path("poses.csv")) as f:
-            ingest.write_pose_csv(recording, f)
+            ingest.write_pose_csv(_recording(dataset), f)
         write_json(
             _path("truth.json"),
             {
@@ -392,19 +395,16 @@ def _cmd_simulate(args) -> int:
         axes = doc.get("hole_axes")
         if not axes:
             raise FormatError("orientation config needs 'hole_axes'")
-        poses_per_hole = int(doc.get("poses_per_hole", 50))
-        dataset, truth = synth.gen_orientation_dataset(cfg, axes, poses_per_hole)
+        try:
+            poses_per_hole = int(doc.get("poses_per_hole", 50))
+            dataset, truth = synth.gen_orientation_dataset(cfg, axes, poses_per_hole)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bad synthesis config: {exc}") from None
         manifest = {"holes": []}
         for i, hole in enumerate(dataset.holes):
             name = f"hole_{i:02d}.csv"
-            recording = ingest.PoseRecording(
-                frame_id="world",
-                samples=[
-                    ingest.TimedPose(j / 100.0, pose) for j, pose in enumerate(hole.poses)
-                ],
-            )
             with open_output(_path(name)) as f:
-                ingest.write_pose_csv(recording, f)
+                ingest.write_pose_csv(_recording(hole), f)
             manifest["holes"].append(
                 {"reference_axis": hole.reference_axis.tolist(), "recording": name}
             )
@@ -422,20 +422,23 @@ def _cmd_simulate(args) -> int:
             path = evaluation.path_from_doc(doc["path"])
         except KeyError:
             raise FormatError("demonstration config needs 'path'") from None
-        trace = synth.gen_demonstration(
-            path,
-            lateral_noise_std=float(doc.get("lateral_noise_std", 0.0)),
-            speed=float(doc.get("speed", 0.05)),
-            sample_rate=float(doc.get("sample_rate", 200.0)),
-            force_profile=_force_profile(doc.get("force_profile", {})),
-            seed=int(doc.get("seed", 0)),
-        )
+        try:
+            trace = synth.gen_demonstration(
+                path,
+                lateral_noise_std=float(doc.get("lateral_noise_std", 0.0)),
+                speed=float(doc.get("speed", 0.05)),
+                sample_rate=float(doc.get("sample_rate", 200.0)),
+                force_profile=_force_profile(doc.get("force_profile", {})),
+                seed=int(doc.get("seed", 0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bad demonstration config: {exc}") from None
         with open_output(_path("trace.csv")) as f:
             ingest.write_demo_csv(trace, f)
         evaluation.save_path(path, _path("path.json"))
         write_json(
             _path("truth.json"),
-            {"config": doc, "sample_count": len(trace.points)},
+            {"config": doc, "sample_count": len(trace)},
         )
     else:
         raise FormatError(f"unknown simulation kind {kind!r}")

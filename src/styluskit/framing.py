@@ -10,6 +10,7 @@ is kept exact and y is re-orthogonalized.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
 from .geometry import (
     Pose,
     TipPoseRecord,
+    TipTrack,
     angle_between,
     compose_rows,
     invert,
@@ -89,24 +91,21 @@ def identify_frame(p1, p2, p3, label: str = "frame") -> DrawingFrame:
     return DrawingFrame(label=label, transform=transform, probe_points=np.array([p1, p2, p3]))
 
 
-def to_frame(frame: DrawingFrame, points: list[TipPoseRecord]) -> list[TipPoseRecord]:
-    """Express tip records in the drawing frame (timestamps preserved).
+def to_frame(frame: DrawingFrame, points: Sequence[TipPoseRecord]) -> TipTrack:
+    """Express tip records (a track or a list) in the drawing frame,
+    timestamps preserved.
 
     Every record is mapped through the inverse frame transform as one array
     expression (:func:`~styluskit.geometry.compose_rows`), bit for bit what
     :func:`~styluskit.geometry.compose` gives per record.  Raises
     ``ValueError`` when a record or its result is not finite.
     """
+    track = TipTrack.from_records(points)
     inverse = invert(frame.transform)
     rotations, positions = compose_rows(
-        inverse.rotation,
-        inverse.translation,
-        np.array([r.orientation for r in points]).reshape(-1, 4),
-        np.array([r.position for r in points]).reshape(-1, 3),
+        inverse.rotation, inverse.translation, track.orientation, track.position
     )
-    return [
-        TipPoseRecord(r.t, p, q) for r, p, q in zip(points, positions, rotations)
-    ]
+    return TipTrack(track.t, positions, rotations)
 
 
 def box_from_points(p1, p2, p3, p4) -> CollisionBox:

@@ -13,11 +13,16 @@ Conventions, used consistently across the package:
   as the call on that row alone; :func:`quat_normalize_rows` and
   :func:`compose_rows` keep the same promise for :func:`quat_normalize`
   and :func:`compose`.
+- Columnar tracks: a :class:`TipTrack` holds N tip poses as three arrays,
+  ``t`` (N,), ``position`` (N, 3) and ``orientation`` (N, 4), rows in time
+  order.  It is a sequence of :class:`TipPoseRecord`, but no record exists
+  until one is indexed: whole-track work reads the arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +44,18 @@ def quat_normalize(q) -> np.ndarray:
     """Return the unit quaternion equal to ``q`` with canonical sign.
 
     Normalization is skipped when the norm is already 1 within 1e-12 so
-    that re-normalizing a canonical quaternion is bit-stable.
+    that re-normalizing a canonical quaternion is bit-stable.  The norm is
+    taken on a contiguous copy: ``a @ a`` rounds differently on a strided
+    row, and the skip must not depend on memory layout.
     """
-    a = np.asarray(q, dtype=float)
+    a = np.array(q, dtype=float)
     if a.shape != (4,):
         raise ValueError(f"expected a quaternion (qx,qy,qz,qw), got shape {a.shape}")
     n = math.sqrt(float(a @ a))
     if n < _UNIT_TOL:
         raise ZeroVector("quaternion has (near-)zero norm")
     if abs(n - 1.0) > _UNIT_TOL:
-        a = a / n
-    else:
-        a = a.copy()
+        a /= n
     if a[3] < 0.0 or (a[3] == 0.0 and _leading_component(a) < 0.0):
         a = -a
     return a
@@ -65,8 +70,7 @@ def quat_normalize_rows(quats) -> np.ndarray:
     :func:`quat_normalize` would also skip the division.  Every other row
     (off unit, zero or non-finite) goes through :func:`quat_normalize`
     itself, in row order, so the first (near-)zero row raises
-    :class:`ZeroVector`.  Rows are copied C-contiguous first: ``a @ a``
-    rounds differently on a strided row.
+    :class:`ZeroVector`.  The input is left untouched.
     """
     q = np.array(quats, dtype=float, order="C")
     if q.ndim != 2 or q.shape[1] != 4:
@@ -305,6 +309,68 @@ class TipPoseRecord:
 
     def pose(self) -> Pose:
         return Pose(self.orientation, self.position)
+
+
+def _frozen(values, shape: tuple) -> np.ndarray:
+    """A read-only float view of ``values`` in ``shape`` (copied only if
+    ``values`` is not already a float array)."""
+    view = np.asarray(values, dtype=float).reshape(shape)
+    view.setflags(write=False)
+    return view
+
+
+class TipTrack(Sequence):
+    """Timestamped tip poses as arrays, read as a sequence of :class:`TipPoseRecord`.
+
+    ``t`` is (N,) seconds, ``position`` (N, 3) meters and ``orientation``
+    (N, 4) canonical unit quaternions, as :func:`compose_rows` and
+    :func:`quat_normalize_rows` return them.  The arrays are read-only
+    views of what the track was built from.  Indexing (and so iterating)
+    builds one record per item read; a slice is a track over the same
+    memory.  A track equals another track, or a list of records, holding
+    the same values.
+    """
+
+    __slots__ = ("t", "position", "orientation")
+    __hash__ = None
+
+    def __init__(self, t, position, orientation):
+        self.t = _frozen(t, (-1,))
+        self.position = _frozen(position, (-1, 3))
+        self.orientation = _frozen(orientation, (-1, 4))
+        if not self.t.size == self.position.shape[0] == self.orientation.shape[0]:
+            raise ValueError("a tip track needs one position and one orientation per time")
+
+    @classmethod
+    def from_records(cls, records) -> "TipTrack":
+        """The track of a sequence of records (a track is returned as it is)."""
+        if isinstance(records, TipTrack):
+            return records
+        records = list(records)
+        return cls(
+            [r.t for r in records],
+            np.array([r.position for r in records]).reshape(-1, 3),
+            np.array([r.orientation for r in records]).reshape(-1, 4),
+        )
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TipTrack(self.t[index], self.position[index], self.orientation[index])
+        return TipPoseRecord(float(self.t[index]), self.position[index], self.orientation[index])
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple)) and all(isinstance(r, TipPoseRecord) for r in other):
+            other = TipTrack.from_records(other)
+        if not isinstance(other, TipTrack):
+            return NotImplemented
+        return (
+            np.array_equal(self.t, other.t)
+            and np.array_equal(self.position, other.position)
+            and np.array_equal(self.orientation, other.orientation)
+        )
 
 
 def compose(a: Pose, b: Pose) -> Pose:

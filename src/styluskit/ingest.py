@@ -17,6 +17,19 @@ are dropped with one warning.  A bad header, field count, field or
 JSON-lines record, text that is not UTF-8 (pen events too) and a stream
 without rows raise :class:`~styluskit.errors.FormatError`, a timestamp
 that does not increase :class:`~styluskit.errors.NonMonotonicTime`.
+
+Recordings are columnar.  A parser reads its rows as float lists, stacks
+them into one array and slices out the columns: a :class:`PoseRecording`
+holds ``t`` (N,), ``q`` (N, 4) and ``p`` (N, 3), a
+:class:`DemonstrationTrace` a :class:`~styluskit.geometry.TipTrack` of
+``t``, ``position`` and ``orientation`` plus ``forces`` (N,).  Quaternions
+are canonicalised all at once by
+:func:`~styluskit.geometry.quat_normalize_rows`, bit for bit what
+:class:`~styluskit.geometry.Pose` gives per row.  The per-sample objects
+(``samples``, ``points``) are views built when read;
+:func:`apply_calibration`, :func:`snapshot_waypoints`, :func:`pair_force`
+and the writers work on the arrays, and a snapshot builds records only for
+the captured presses.
 """
 
 from __future__ import annotations
@@ -26,8 +39,9 @@ import itertools
 import json
 import math
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +51,14 @@ from .errors import (
     NonMonotonicTime,
     NoOverlap,
 )
-from .geometry import Pose, TipPoseRecord, compose_rows
+from .geometry import (
+    Pose,
+    TipPoseRecord,
+    TipTrack,
+    compose_rows,
+    quat_normalize,
+    quat_normalize_rows,
+)
 from .jsonio import csv_row, read_json, write_json
 
 POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
@@ -45,6 +66,7 @@ FORCE_CSV_HEADER = "t,Fz"
 DEMO_CSV_HEADER = "t,x,y,z,Fz"
 
 _IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
+_WRITE_BLOCK = 1024
 
 
 class TimedPose(NamedTuple):
@@ -52,23 +74,50 @@ class TimedPose(NamedTuple):
     pose: Pose
 
 
-@dataclass
 class PoseRecording:
-    """Timestamped fiducial-centroid poses measured from one origin frame."""
+    """Timestamped fiducial-centroid poses measured from one origin frame.
 
-    frame_id: str
-    samples: list[TimedPose]
+    Stored as arrays: ``t`` (N,) strictly increasing seconds, ``q`` (N, 4)
+    canonical unit quaternions (as :func:`~styluskit.geometry.quat_normalize_rows`
+    returns them) and ``p`` (N, 3) translations.  Build it from the arrays
+    (``PoseRecording(frame_id, t=..., q=..., p=...)``) or from a list of
+    :class:`TimedPose` (``samples=``).  ``samples`` is that list, or a
+    list built on first use; it is a view to read, not to edit.
+    """
 
-    def __post_init__(self):
-        if not self.samples:
+    def __init__(
+        self, frame_id: str, samples: list[TimedPose] | None = None, *, t=None, q=None, p=None
+    ):
+        self.frame_id = frame_id
+        self._samples = samples
+        if samples is not None:
+            t = [s.t for s in samples]
+            q = np.array([s.pose.rotation for s in samples]).reshape(-1, 4)
+            p = np.array([s.pose.translation for s in samples]).reshape(-1, 3)
+        self.t = np.asarray(t, dtype=float).reshape(-1)
+        self.q = np.asarray(q, dtype=float).reshape(-1, 4)
+        self.p = np.asarray(p, dtype=float).reshape(-1, 3)
+        if not self.t.size:
             raise ValueError("pose recording must not be empty")
-        ts = self.times
-        if np.any(np.diff(ts) <= 0.0):
+        if not self.t.size == self.q.shape[0] == self.p.shape[0]:
+            raise ValueError("pose recording needs one rotation and one translation per time")
+        if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("pose recording timestamps must be strictly increasing")
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    @property
+    def samples(self) -> list[TimedPose]:
+        if self._samples is None:
+            self._samples = [
+                TimedPose(t, Pose(q, p)) for t, q, p in zip(self.t.tolist(), self.q, self.p)
+            ]
+        return self._samples
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return self.t
 
 
 @dataclass
@@ -105,18 +154,21 @@ class PenEvent(NamedTuple):
 class DemonstrationTrace:
     """Tip trajectory with optional per-point contact forces.
 
+    ``points`` may be given as a list of records; it is kept as a
+    :class:`~styluskit.geometry.TipTrack`, whose ``t``, ``position`` and
+    ``orientation`` arrays are what ``times`` and ``positions`` return.
     ``force_extrapolated`` flags points whose force value came from
     clamping outside the force recording span.
     """
 
-    points: list[TipPoseRecord]
+    points: TipTrack
     forces: np.ndarray | None = None
     source: str = "stylus"
     force_extrapolated: np.ndarray | None = None
 
     def __post_init__(self):
-        ts = self.times
-        if ts.size and np.any(np.diff(ts) <= 0.0):
+        self.points = TipTrack.from_records(self.points)
+        if np.any(np.diff(self.points.t) <= 0.0):
             raise ValueError("trace timestamps must be strictly increasing")
         if self.forces is not None:
             self.forces = np.asarray(self.forces, dtype=float)
@@ -125,13 +177,16 @@ class DemonstrationTrace:
         if self.source not in ("stylus", "robot"):
             raise ValueError(f"unknown trace source {self.source!r}")
 
+    def __len__(self) -> int:
+        return len(self.points)
+
     @property
     def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
+        return self.points.t
 
     @property
     def positions(self) -> np.ndarray:
-        return np.array([p.position for p in self.points]).reshape(-1, 3)
+        return self.points.position
 
 
 @dataclass
@@ -220,17 +275,26 @@ def _read_rows(stream: Iterable[str], header: str, kind: str, jsonl: bool = Fals
 
 
 def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecording:
-    """Parse a pose CSV (or JSON-lines) stream into a :class:`PoseRecording`."""
-    samples: list[TimedPose] = []
+    """Parse a pose CSV (or JSON-lines) stream into a :class:`PoseRecording`.
+
+    A (near-)zero quaternion raises :class:`~styluskit.errors.ZeroVector`
+    at its own row, ahead of any later error and of the dropped-rows
+    warning: a row whose squared norm is below 1e-20, far above the 1e-24
+    at which :func:`~styluskit.geometry.quat_normalize` raises, goes
+    through it as it is read.
+    """
+    rows = []
     for v in _read_rows(stream, POSE_CSV_HEADER, "pose", jsonl=True):
-        samples.append(TimedPose(v[0], Pose(np.array(v[4:8]), np.array(v[1:4]))))
-    return PoseRecording(frame_id=frame_id, samples=samples)
-
-
-def write_pose_csv(rec: PoseRecording, stream) -> None:
-    stream.write(POSE_CSV_HEADER + "\n")
-    for t, pose in rec.samples:
-        stream.write(csv_row([t, *pose.translation, *pose.rotation]) + "\n")
+        if v[4] * v[4] + v[5] * v[5] + v[6] * v[6] + v[7] * v[7] < 1e-20:
+            quat_normalize(v[4:8])
+        rows.append(v)
+    data = np.array(rows)
+    return PoseRecording(
+        frame_id,
+        t=data[:, 0].copy(),
+        q=quat_normalize_rows(data[:, 4:8]),
+        p=data[:, 1:4].copy(),
+    )
 
 
 def parse_force_csv(stream: Iterable[str]) -> ForceRecording:
@@ -239,28 +303,39 @@ def parse_force_csv(stream: Iterable[str]) -> ForceRecording:
     return ForceRecording(rows[:, 0].copy(), rows[:, 1].copy())
 
 
-def write_force_csv(rec: ForceRecording, stream) -> None:
-    stream.write(FORCE_CSV_HEADER + "\n")
-    for t, f in zip(rec.t, rec.fz):
-        stream.write(csv_row([t, f]) + "\n")
-
-
 def parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> DemonstrationTrace:
     """Parse a ``t,x,y,z,Fz`` CSV stream into a :class:`DemonstrationTrace`."""
-    points: list[TipPoseRecord] = []
-    forces: list[float] = []
-    for v in _read_rows(stream, DEMO_CSV_HEADER, "trace"):
-        points.append(TipPoseRecord(v[0], np.array(v[1:4]), _IDENTITY_QUAT))
-        forces.append(v[4])
-    return DemonstrationTrace(points=points, forces=np.array(forces), source=source)
+    rows = np.array(list(_read_rows(stream, DEMO_CSV_HEADER, "trace")))
+    track = TipTrack(
+        rows[:, 0].copy(), rows[:, 1:4].copy(), np.tile(_IDENTITY_QUAT, (rows.shape[0], 1))
+    )
+    return DemonstrationTrace(points=track, forces=rows[:, 4].copy(), source=source)
+
+
+def _write_rows(stream, header: str, columns) -> None:
+    """Write ``header``, then one CSV line per row of the stacked ``columns``.
+
+    Rows are stacked and turned into Python floats a block at a time, so
+    no copy of the whole recording is held.
+    """
+    stream.write(header + "\n")
+    for start in range(0, len(columns[0]), _WRITE_BLOCK):
+        block = np.column_stack([c[start : start + _WRITE_BLOCK] for c in columns])
+        stream.writelines(csv_row(row) + "\n" for row in block.tolist())
+
+
+def write_pose_csv(rec: PoseRecording, stream) -> None:
+    _write_rows(stream, POSE_CSV_HEADER, [rec.t, rec.p, rec.q])
+
+
+def write_force_csv(rec: ForceRecording, stream) -> None:
+    _write_rows(stream, FORCE_CSV_HEADER, [rec.t, rec.fz])
 
 
 def write_demo_csv(trace: DemonstrationTrace, stream) -> None:
     if trace.forces is None:
         raise ValueError("demonstration CSV requires per-point forces")
-    stream.write(DEMO_CSV_HEADER + "\n")
-    for p, f in zip(trace.points, trace.forces):
-        stream.write(csv_row([p.t, *p.position, f]) + "\n")
+    _write_rows(stream, DEMO_CSV_HEADER, [trace.times, trace.positions, trace.forces])
 
 
 def parse_pen_events(stream: Iterable[str]) -> tuple[list[PenEvent], int]:
@@ -297,7 +372,7 @@ def parse_pen_events(stream: Iterable[str]) -> tuple[list[PenEvent], int]:
     return events, skipped
 
 
-def apply_calibration(rec: PoseRecording, calib) -> list[TipPoseRecord]:
+def apply_calibration(rec: PoseRecording, calib) -> TipTrack:
     """Map fiducial poses to tip poses through the tip calibration.
 
     ``calib`` may be a :class:`~styluskit.calib.TipCalibration` or a bare
@@ -308,29 +383,26 @@ def apply_calibration(rec: PoseRecording, calib) -> list[TipPoseRecord]:
     """
     transform = calib.transform if hasattr(calib, "transform") else calib
     rotations, positions = compose_rows(
-        np.array([s.pose.rotation for s in rec.samples]),
-        np.array([s.pose.translation for s in rec.samples]),
-        transform.rotation,
-        transform.translation,
+        rec.q, rec.p, transform.rotation, transform.translation
     )
-    return [
-        TipPoseRecord(s.t, p, q) for s, p, q in zip(rec.samples, positions, rotations)
-    ]
+    return TipTrack(rec.t, positions, rotations)
 
 
 def snapshot_waypoints(
-    tips: list[TipPoseRecord],
+    tips: Sequence[TipPoseRecord],
     events: list[PenEvent],
     guard: float = 0.1,
 ) -> WaypointList:
     """Capture the tip record nearest each button press (ties go earlier).
 
-    Presses more than ``guard`` seconds outside the recording span raise
+    ``tips`` is a :class:`~styluskit.geometry.TipTrack` or a list of
+    records; only the captured ones are read as records.  Presses more
+    than ``guard`` seconds outside the recording span raise
     :class:`EventOutsideRecording`.
     """
     if not tips:
         raise ValueError("snapshot requires a non-empty tip recording")
-    times = np.array([p.t for p in tips])
+    times = TipTrack.from_records(tips).t
     captured: list[TipPoseRecord] = []
     for event in events:
         if event.kind is not PenEventKind.BUTTON_PRESS:
@@ -354,11 +426,12 @@ def snapshot_waypoints(
 
 
 def pair_force(
-    tips: list[TipPoseRecord],
+    tips: Sequence[TipPoseRecord],
     force: ForceRecording,
     source: str = "stylus",
 ) -> DemonstrationTrace:
-    """Pair tip records with contact forces interpolated at their timestamps.
+    """Pair tip records (a track or a list) with contact forces
+    interpolated at their timestamps.
 
     Tip points outside the force span receive the nearest endpoint value
     and are flagged in ``force_extrapolated``.  Disjoint time ranges raise
@@ -366,7 +439,8 @@ def pair_force(
     """
     if not tips:
         raise ValueError("cannot pair forces with an empty trace")
-    times = np.array([p.t for p in tips])
+    track = TipTrack.from_records(tips)
+    times = track.t
     if times[-1] < force.t[0] or times[0] > force.t[-1]:
         raise NoOverlap(
             f"trace span [{times[0]!r}, {times[-1]!r}] and force span "
@@ -375,7 +449,7 @@ def pair_force(
     values = np.interp(times, force.t, force.fz)
     flagged = (times < force.t[0]) | (times > force.t[-1])
     return DemonstrationTrace(
-        points=list(tips), forces=values, source=source, force_extrapolated=flagged
+        points=track, forces=values, source=source, force_extrapolated=flagged
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .calib import HoleRecording, OrientationDataset, PositionDataset
 from .geometry import (
     Pose,
-    TipPoseRecord,
+    TipTrack,
     quat_conjugate,
     quat_from_axis_angle,
     quat_multiply,
@@ -152,7 +152,10 @@ def gen_orientation_dataset(
     physically consistent; only the rotations matter to the solver.
     """
     axes = np.asarray(hole_axes, dtype=float).reshape(-1, 3)
-    axes = axes / np.linalg.norm(axes, axis=1, keepdims=True)
+    norms = np.linalg.norm(axes, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms >= 1e-12)):
+        raise ValueError("hole axes must be finite and nonzero")
+    axes = axes / norms
     if poses_per_hole < 1:
         raise ValueError("poses_per_hole must be positive")
     rng = np.random.default_rng(cfg.seed)
@@ -228,8 +231,7 @@ def gen_demonstration(
 
     times = arcs / speed
     forces = force_profile.sample(times)
-    points = [
-        TipPoseRecord(float(times[i]), np.array([xy[i, 0], xy[i, 1], 0.0]), _IDENTITY_QUAT)
-        for i in range(arcs.size)
-    ]
-    return DemonstrationTrace(points=points, forces=forces, source="stylus")
+    track = TipTrack(
+        times, np.column_stack([xy, np.zeros(arcs.size)]), np.tile(_IDENTITY_QUAT, (arcs.size, 1))
+    )
+    return DemonstrationTrace(points=track, forces=forces, source="stylus")

@@ -699,3 +699,148 @@ class TestCalibrationFlagErrors:
             f"--initial-roll-deg={value}",
         )
         TestFilterFlagErrors.assert_one_line_error(code, out, err, "--initial-roll-deg")
+
+
+class TestMaxIterationsFlag:
+    """A budget below one iteration is a bad flag, not data that failed to
+    converge; the files do not exist, so it is checked before any is read."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_calibrate_orientation_max_iterations_below_one(self, tmp_path, capsys, value):
+        code, out, err = run(
+            capsys, "calibrate-orientation", str(tmp_path / "missing_manifest.json"),
+            "--position", str(tmp_path / "missing_position.json"),
+            f"--max-iterations={value}",
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "--max-iterations")
+
+
+ORIENTATION_CONFIG = {
+    "kind": "orientation",
+    "seed": 12,
+    "true_translation": [0.0, 0.0, -0.12],
+    "hole_axes": [[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]],
+    "poses_per_hole": 20,
+}
+
+DEMO_CONFIG = {
+    "kind": "demonstration",
+    "path": {"waypoints": [[0.0, 0.0], [0.1, 0.0]], "visiting_sequence": [0, 1]},
+}
+
+
+class TestSimulateConfigErrors:
+    """A config of the wrong shape exits 2 with one error line, never 1
+    with a traceback."""
+
+    @staticmethod
+    def simulate(tmp_path, capsys, doc):
+        config_path = tmp_path / "config.json"
+        write_json(config_path, doc)
+        out_dir = str(tmp_path / "out")
+        code, out, err = run(capsys, "simulate", str(config_path), "--out-dir", out_dir)
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("doc", [[1, 2], "position", 3, None])
+    def test_config_not_an_object(self, tmp_path, capsys, doc):
+        assert "JSON object" in self.simulate(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("profile", [[1, 2], "sine"])
+    def test_force_profile_not_an_object(self, tmp_path, capsys, profile):
+        err = self.simulate(tmp_path, capsys, {**DEMO_CONFIG, "force_profile": profile})
+        assert "force_profile" in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"poses_per_hole": "many"}, {"poses_per_hole": 0}, {"hole_axes": [[1.0, 2.0]]},
+         {"hole_axes": "z"}, {"hole_axes": [[0.0, 0.0, 0.0]]}],
+    )
+    def test_bad_orientation_fields(self, tmp_path, capsys, overrides):
+        self.simulate(tmp_path, capsys, {**ORIENTATION_CONFIG, **overrides})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"speed": "fast"}, {"speed": 0.0}, {"sample_rate": -1.0}, {"lateral_noise_std": -1.0},
+         {"seed": [1]}, {"force_profile": {"kind": "sine", "amplitude": "big"}}],
+    )
+    def test_bad_demonstration_fields(self, tmp_path, capsys, overrides):
+        self.simulate(tmp_path, capsys, {**DEMO_CONFIG, **overrides})
+
+    def test_valid_orientation_config_still_runs(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        write_json(config_path, ORIENTATION_CONFIG)
+        code, _, err = run(capsys, "simulate", str(config_path), "--out-dir", str(tmp_path / "out"))
+        assert code == 0, err
+
+
+class TestNoPerSampleObjects:
+    """snapshot and evaluate work on whole arrays.  The only poses and
+    records they build are the captured waypoints and the transforms they
+    load: the calibration, the frame and its inverse for each trace."""
+
+    @staticmethod
+    def count_constructions(monkeypatch) -> dict:
+        from styluskit.geometry import TipPoseRecord
+        from styluskit.ingest import TimedPose
+
+        counts = {"n": 0}
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                counts["n"] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Pose, "__post_init__", counting(Pose.__post_init__))
+        monkeypatch.setattr(TipPoseRecord, "__post_init__", counting(TipPoseRecord.__post_init__))
+        monkeypatch.setattr(TimedPose, "__new__", staticmethod(counting(TimedPose.__new__)))
+        return counts
+
+    def test_snapshot_and_evaluate(self, tmp_path, capsys, monkeypatch):
+        data_dir, _ = simulate_position(tmp_path, capsys, sample_count=2500)
+        calib_path = tmp_path / "calibration.json"
+        write_json(
+            calib_path,
+            {
+                "translation": [0.01, -0.02, -0.12],
+                "rotation_quat": [0.0, 0.0, 0.0, 1.0],
+                "position_residual_rms": 0.0,
+                "orientation_residual_rms": 0.0,
+                "filtered_outliers": 0,
+            },
+        )
+        events_path = tmp_path / "events.txt"
+        events_path.write_text("EVT 1.0 BTN 1\nEVT 5.5 BTN 1\nEVT 20.0 BTN 1\nEVT 24.0 BTN 1\n")
+        waypoints = 4
+
+        demo_dir = simulate_demo(tmp_path, capsys, sample_rate=1000.0)
+        demo = np.loadtxt(demo_dir / "trace.csv", delimiter=",", skiprows=1)
+        pose_trace = tmp_path / "pose_trace.csv"
+        rows = np.column_stack([demo[:, :4], np.zeros((len(demo), 3)), np.ones(len(demo))])
+        np.savetxt(pose_trace, rows, delimiter=",", header="t,x,y,z,qx,qy,qz,qw", comments="")
+        assert len(demo) >= 2000
+        frame_path = tmp_path / "frame.json"
+        write_json(frame_path, IDENTITY_FRAME)
+
+        counts = self.count_constructions(monkeypatch)
+        code, out, err = run(
+            capsys, "snapshot", str(data_dir / "poses.csv"), str(events_path),
+            "--calibration", str(calib_path),
+        )
+        assert code == 0, err
+        assert len(json.loads(out)["waypoints"]) == waypoints
+        assert counts["n"] <= waypoints + 1
+
+        counts["n"] = 0
+        traces = [str(demo_dir / "trace.csv"), str(pose_trace)]
+        code, out, err = run(
+            capsys, "evaluate", *traces, "--frame", str(frame_path),
+            "--path", str(demo_dir / "path.json"),
+        )
+        assert code == 0, err
+        assert json.loads(out)["epsilon_fraction"] == 1.0
+        assert counts["n"] <= 1 + len(traces)

@@ -347,3 +347,19 @@ class TestToFrame:
 
     def test_empty(self):
         assert to_frame(DrawingFrame("f", Pose.identity(), np.eye(3)), []) == []
+
+
+def test_strided_row_normalizes_like_its_copy():
+    # ``a @ a`` rounds differently on a strided row (here a row of a
+    # transposed array), so near 1 +- 1e-12 the skip test would depend on
+    # memory layout if quat_normalize took the norm in place.
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(50, 4))
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    scales = [1.0 + s * 1e-12 + k * ULP for s in (-1.0, 1.0) for k in range(-8, 9)]
+    rows = np.array([q * scale for q in base for scale in scales])
+    strided = np.ascontiguousarray(rows.T).T
+    assert not strided[0].flags.c_contiguous
+    for row, copy in zip(strided, rows):
+        assert same_bits(quat_normalize(row), quat_normalize(copy))
+    assert same_bits(quat_normalize_rows(strided), np.array([quat_normalize(r) for r in strided]))

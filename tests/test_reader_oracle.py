@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from styluskit.errors import FormatError, NonMonotonicTime
+from styluskit.errors import FormatError, NonMonotonicTime, ZeroVector
 from styluskit.geometry import Pose, TipPoseRecord
 from styluskit.ingest import (
     DEMO_CSV_HEADER,
@@ -375,3 +375,33 @@ def test_non_utf8_text_is_a_format_error(parse, text):
     with pytest.raises(FormatError, match="not UTF-8") as excinfo:
         parse(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     assert excinfo.value.line is not None
+
+
+_JSON_POSE = '{{"t": {t}, "x": 0, "y": 0, "z": 0, "qx": {qx}, "qy": 0, "qz": 0, "qw": {qw}}}\n'
+
+
+@pytest.mark.parametrize(
+    "lines, raises",
+    [
+        # The zero quaternion follows a dropped row: it raises at its own
+        # row, before the dropped-rows warning is due.
+        ([POSE_CSV_HEADER + "\n", "0.0,0,0,0,0,0,0,1\n", "0.1,nan,0,0,0,0,0,1\n",
+          "0.2,0,0,0,0,0,0,0\n", "0.3,0,0,0,0,0,0,1\n"], True),
+        ([POSE_CSV_HEADER + "\n", "0.0,0,0,0,0,0,0,1\n", "0.1,0,0,0,1e-13,0,0,-1e-13\n",
+          "0.2,x,0,0,0,0,0,1\n"], True),
+        # Tiny but above quat_normalize's threshold: normalized, no error.
+        ([POSE_CSV_HEADER + "\n", "0.0,0,0,0,1e-11,0,0,-1e-11\n", "0.1,inf,0,0,0,0,0,1\n"], False),
+        ([_JSON_POSE.format(t=0.0, qx=0, qw=0)], True),
+        ([_JSON_POSE.format(t=0.0, qx=0, qw=1), _JSON_POSE.format(t=0.1, qx=0, qw=0), "{\n"], True),
+        ([_JSON_POSE.format(t=0.0, qx=-2, qw=-1), _JSON_POSE.format(t=0.1, qx=1e-11, qw=0)], False),
+    ],
+)
+def test_pose_zero_quaternion_cases(lines, raises):
+    """Rows are stacked after reading, yet a zero quaternion still raises
+    :class:`ZeroVector` at its own row, in CSV and JSON-lines alike."""
+    result, caught = outcome(parse_pose_csv, lines)
+    assert (result, caught) == outcome(oracle_parse_pose_csv, lines)
+    if raises:
+        assert result[0] is ZeroVector and caught == []
+    else:
+        assert result[0] == "pose"
