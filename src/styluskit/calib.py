@@ -19,7 +19,9 @@ points with too few neighbors inside a radius are discarded, and only the
 largest cluster is kept.  :func:`filter_outliers` finds the exact DBSCAN
 clusters on a grid, in time and memory near-linear in the number of
 points; its docstring gives the grid rules and how border points are
-assigned.
+assigned.  The grid answers the radius queries too: each occupied cell
+gets one int64 key, and the cells around a point are found by binary
+search in the sorted keys, so the filter needs numpy alone.
 
 Before solving, the position step checks that the poses rotate enough: some
 pair must be at least ``min_rotation`` apart.  Rotation angle is a metric,
@@ -28,18 +30,16 @@ largest angle ``m`` from pose 0 and ``2m``.  The test passes when
 ``m >= min_rotation`` and fails when ``2m < min_rotation``.  Only in
 between does it scan all pairs, a block of rows at a time in O(N) memory.
 
-scipy is imported inside the functions that call it (the k-d trees of the
-filter, ``pdist`` and ``minimize``), so importing the package, and every
-command that calibrates nothing, does not pay for loading it.
+scipy is imported only inside :func:`_descend_alignment`, for
+``minimize``, so importing the package, the position step and every
+command but ``calibrate-orientation`` do not pay for loading it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -67,9 +67,6 @@ from .geometry import (
     vec3,
 )
 from .jsonio import read_json, write_json
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 DEFAULT_MIN_ROTATION = math.radians(30.0)
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -167,8 +164,8 @@ class HoleRecording(_PoseRows):
         super().__init__(poses, q, p)
         axis = vec3(reference_axis)
         n = np.linalg.norm(axis)
-        if n < 1e-12:
-            raise ValueError("hole reference axis must be nonzero")
+        if not (math.isfinite(n) and n >= 1e-12):
+            raise ValueError("hole reference axis must be finite and nonzero")
         self.reference_axis = axis / n
         if not len(self):
             raise ValueError("hole recording must not be empty")
@@ -231,20 +228,26 @@ def _sq_norm(diff: np.ndarray) -> np.ndarray:
     return total
 
 
+_GRID_CAP = 2**20
+_KEY_AXES = 3
+_PAIR_CHUNK = 1 << 17
+
+
 def _grid_cells(pts: np.ndarray, radius: float) -> np.ndarray:
     """Integer cell coordinates on a grid of side about ``radius / sqrt(d)``.
 
     The side is shrunk by a relative 1e-9 so a full cell fits within
     ``radius`` after rounding.  It is widened where the extent would need
-    more than 2**45 cells per axis, which keeps float cell coordinates
-    within 1/64 cell of exact.  Radii below 2**-500 are raised to it: their
-    squares underflow, so the neighbor test reaches further than the radius
-    itself.
+    more than ``_GRID_CAP`` (2**20) cells per axis, so that three cell
+    coordinates pack into one int64 key (:func:`_cell_keys`) and float cell
+    coordinates stay far within 1/64 cell of exact.  Radii below 2**-500
+    are raised to it: their squares underflow, so the neighbor test
+    reaches further than the radius itself.
     """
     lo = pts.min(axis=0)
     side = max(
         max(radius, 2.0**-500) / math.sqrt(pts.shape[1]) * (1.0 - 1e-9),
-        float(np.max(pts.max(axis=0) - lo)) / 2.0**45,
+        float(np.max(pts.max(axis=0) - lo)) / _GRID_CAP,
     )
     if math.isinf(side):  # the extent overflows: one cell for everything
         return np.zeros(pts.shape, dtype=np.int64)
@@ -257,20 +260,165 @@ def _grid_reach(d: int) -> int:
     return math.ceil(math.sqrt(d) * (1.0 + 1e-8) + 2.0**-6)
 
 
-def _neighbor_pairs(tree: cKDTree, idx: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(i, j)`` arrays listing every point ``j`` within ``r`` of each ``i`` in ``idx``."""
-    if idx.size == 0:
-        return idx, idx
-    near = tree.query_ball_point(tree.data[idx], r)
-    return (
-        np.repeat(idx, [len(nb) for nb in near]),
-        np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp),
-    )
+def _cell_keys(grid: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """One int64 key per row of ``grid`` from its first ``_KEY_AXES`` cell
+    coordinates, and the key offsets of the stencil rows.
+
+    The key is mixed-radix, first axis most significant.  Each coordinate
+    is shifted by ``reach`` and its radix leaves ``reach`` spare cells past
+    the largest, so key order is lexicographic cell order and each cell
+    within ``reach`` per axis of an occupied one has a key of its own.
+    Along the last keyed axis such cells form runs of ``2 reach + 1``
+    consecutive keys, the stencil rows; the offsets lead to their middles.
+    """
+    k = min(grid.shape[1], _KEY_AXES)
+    radix = grid[:, :k].max(axis=0) + (2 * reach + 1)
+    strides = np.r_[np.cumprod(radix[:0:-1])[::-1], 1].astype(np.int64)
+    rows = np.zeros(1, dtype=np.int64)
+    for stride in strides[:-1]:
+        rows = (rows[:, None] + np.arange(-reach, reach + 1) * stride).ravel()
+    return (grid[:, :k] + reach) @ strides, rows
 
 
-def _box_pairs(box_pts, box_starts, box_cells, r2):
-    """Pairs ``(a, b)`` of boxes (runs of ``box_pts`` in grid cells
-    ``box_cells``) that may hold points within ``sqrt(r2)`` of each other.
+def _spans(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, i)`` for each ``i`` in ``range(first[k], stop[k])``, in order."""
+    lengths = stop - first
+    k = np.repeat(np.arange(first.size), lengths)
+    return k, np.arange(k.size) + np.repeat(first - np.cumsum(lengths) + lengths, lengths)
+
+
+def _sq_gap(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Squared distance from points ``p`` to boxes ``lo``..``hi``.  Rounding
+    is monotone, so no point of a box is nearer as :func:`_sq_norm` sees it."""
+    return _sq_norm(np.maximum(np.maximum(lo - p, p - hi), 0.0))
+
+
+class _Grid:
+    """Points sorted into the cells of :func:`_grid_cells`, for queries within
+    the radius ``r``.
+
+    Cell ``c`` holds the points ``order[start[c]:start[c] + size[c]]``
+    (coordinates ``columns[:, start[c]:start[c] + size[c]]``), has the
+    bounding box ``lo[c]``..``hi[c]``, and is a clique when that box
+    fits within ``r``.  Cells are sorted by key (:func:`_cell_keys`), then by
+    any further coordinates, so the cells in one stencil row of a cell are
+    one slice of ``keys``, found with two binary searches.
+    """
+
+    def __init__(self, pts: np.ndarray, radius: float):
+        n, d = pts.shape
+        self.pts = pts
+        self.r2 = radius * radius
+        self.reach = _grid_reach(d)
+        grid = _grid_cells(pts, radius)
+        key, self.rows = _cell_keys(grid, self.reach)
+        self.order = np.lexsort(np.vstack([grid[:, _KEY_AXES:].T[::-1], key]))
+        grid = grid[self.order]
+        new = np.r_[True, np.any(grid[1:] != grid[:-1], axis=1)]
+        self.start = np.flatnonzero(new)
+        self.size = np.diff(np.r_[self.start, n])
+        self.cells = grid[new]
+        self.keys = key[self.order[new]]
+        self.cell_of = np.empty(n, dtype=np.intp)
+        self.cell_of[self.order] = np.cumsum(new) - 1
+        grouped = pts[self.order]
+        self.columns = np.ascontiguousarray(grouped.T)
+        self.lo = np.minimum.reduceat(grouped, self.start)
+        self.hi = np.maximum.reduceat(grouped, self.start)
+        self.clique = _sq_norm(self.hi - self.lo) <= self.r2
+
+    def _stencil(self, keys: np.ndarray, centre: np.ndarray):
+        """Blocks of ``(q, i)``: each index ``i`` into the sorted ``keys``
+        within the stencil of ``centre[q]``, a block of centres at a time."""
+        block = max(1, _PAIR_CHUNK // (self.rows.size * (2 * self.reach + 1)))
+        for s in range(0, centre.size, block):
+            middle = centre[s:s + block, None] + self.rows
+            q, i = _spans(
+                np.searchsorted(keys, middle - self.reach).ravel(),
+                np.searchsorted(keys, middle + self.reach, side="right").ravel(),
+            )
+            yield s + q // self.rows.size, i
+
+    def _near_cells(self, idx: np.ndarray):
+        """Blocks of ``(q, c, p, full)``: each cell ``c`` whose box comes
+        within ``r`` of the point ``p = pts[idx[q]]``, ``full`` where all of
+        the box does.  Rounding is monotone, so box corners bound every
+        point difference as :func:`_sq_norm` sees it, and both tests are
+        exact."""
+        for q, c in self._stencil(self.keys, self.keys[self.cell_of[idx]]):
+            p = self.pts[idx[q]]
+            above, below = p - self.lo[c], self.hi[c] - p
+            near = _sq_norm(np.minimum(np.minimum(above, below), 0.0)) <= self.r2
+            full = _sq_norm(np.maximum(above, below)) <= self.r2
+            yield q[near], c[near], p[near], full[near]
+
+    def _within(self, q: np.ndarray, c: np.ndarray, p: np.ndarray):
+        """Blocks of ``(q[k], j)``: each point ``j`` of cell ``c[k]`` within
+        ``r`` of the point ``p[k]``, about ``_PAIR_CHUNK`` candidates at a
+        time."""
+        sizes = self.size[c]
+        ends = np.cumsum(sizes)
+        s = 0
+        while s < c.size:
+            e = max(s + 1, int(np.searchsorted(ends, ends[s] - sizes[s] + _PAIR_CHUNK, "right")))
+            k, j = _spans(self.start[c[s:e]], self.start[c[s:e]] + sizes[s:e])
+            diff = np.empty((self.columns.shape[0], j.size))
+            for axis, column in enumerate(self.columns):
+                np.subtract(column.take(j), np.repeat(p[s:e, axis], sizes[s:e]), out=diff[axis])
+            keep = _sq_norm(diff.T) <= self.r2
+            yield q[s:e][k[keep]], self.order[j[keep]]
+            s = e
+
+    def neighbors(self, idx: np.ndarray, min_count: int, listed: np.ndarray):
+        """Neighbor counts of the points ``idx`` (distance ``<= r``, each
+        point itself included), and ``(i, j)`` arrays listing every neighbor
+        ``j`` of each ``i = idx[k]`` that has fewer than ``min_count``
+        neighbors or ``listed[k]``.
+
+        Cells within ``r`` corner to corner count whole; only the others
+        are compared point by point.  Pairs are dropped as soon as their
+        ``i`` reaches ``min_count``, so memory stays bounded.
+        """
+        counts = np.zeros(idx.size, dtype=np.intp)
+        none = np.zeros(0, dtype=np.intp)
+        owners, others = [none], [none]
+
+        def keep(i, j):
+            mask = (counts[i] < min_count) | listed[i]
+            return i[mask], j[mask]
+
+        for q, c, p, full in self._near_cells(idx):
+            np.add.at(counts, q[full], self.size[c[full]])
+            pairs = []
+            for i, j in self._within(q[~full], c[~full], p[~full]):
+                np.add.at(counts, i, 1)
+                pairs.append(keep(i, j))
+            whole = full & ((counts[q] < min_count) | listed[q])
+            pairs.extend(self._within(q[whole], c[whole], p[whole]))
+            for i, j in pairs:
+                i, j = keep(i, j)
+                owners.append(idx[i])
+                others.append(j)
+        return counts, np.concatenate(owners), np.concatenate(others)
+
+    def cell_pairs(self, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs ``a < b`` of positions in ``subset``, ascending cell numbers,
+        whose cells are at most ``reach`` apart on every axis."""
+        none = np.zeros(0, dtype=np.intp)
+        pairs = [(none, none)]
+        keys = self.keys[subset]
+        for a, b in self._stencil(keys, keys):
+            gap = np.abs(self.cells[subset[a]] - self.cells[subset[b]]).max(axis=1)
+            keep = (b > a) & (gap <= self.reach)
+            pairs.append((a[keep], b[keep]))
+        a, b = zip(*pairs)
+        return np.concatenate(a), np.concatenate(b)
+
+
+def _box_pairs(grid: _Grid, box_cells, lo, hi):
+    """Pairs ``(a, b)`` of boxes (core points of the clique cells
+    ``box_cells``, with bounding boxes ``lo``..``hi``) that may hold points
+    within ``r`` of each other.
 
     Returns the pairs whose bounding boxes fit within the radius end to end
     (surely joined), then those that need a closest-pair test.  Pairs whose
@@ -278,35 +426,24 @@ def _box_pairs(box_pts, box_starts, box_cells, r2):
     dropped.  Box corners bound every point difference after rounding, so
     both tests are exact.
     """
-    from scipy.spatial import cKDTree
-
-    if box_starts.size == 0:
-        none = np.zeros(0, dtype=np.intp)
-        return none, none, none, none
-    lo = np.minimum.reduceat(box_pts, box_starts)
-    hi = np.maximum.reduceat(box_pts, box_starts)
-    pairs = cKDTree(box_cells.astype(float)).query_pairs(
-        _grid_reach(box_cells.shape[1]), p=np.inf, output_type="ndarray"
-    )
-    a, b = pairs[:, 0], pairs[:, 1]
+    a, b = grid.cell_pairs(box_cells)
     gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
-    joined = _sq_norm(np.maximum(hi[b] - lo[a], hi[a] - lo[b])) <= r2
-    unsure = ~joined & (_sq_norm(gap) <= r2)
+    joined = _sq_norm(np.maximum(hi[b] - lo[a], hi[a] - lo[b])) <= grid.r2
+    unsure = ~joined & (_sq_norm(gap) <= grid.r2)
     return a[joined], b[joined], a[unsure], b[unsure]
 
 
-def _connect_units(units, linked_a, linked_b, a, b, box_pts, box_starts, box_sizes, r2):
+def _connect_units(units, linked_a, linked_b, a, b, box_pts, box_starts, box_sizes, lo, hi, r2):
     """Component root of each of ``units`` units, by union-find.
 
     Units ``linked_a[k]`` and ``linked_b[k]`` are known to be connected.
-    Boxes ``a[k]`` and ``b[k]`` (units numbered by box) connect when their
-    closest pair of points is within ``sqrt(r2)``; the test is skipped for
-    pairs already connected.  Small pairs compare every point pair;
-    otherwise a k-d tree of the larger box finds each point's nearest
-    neighbor in it.
+    Boxes ``a[k]`` and ``b[k]`` (units numbered by box, with bounding boxes
+    ``lo``..``hi``) connect when their closest pair of points is within
+    ``sqrt(r2)``; the test is skipped for pairs already connected.  Beyond
+    256 point pairs it first keeps only the points of each box within
+    ``sqrt(r2)`` of the other's bounding box.  It then compares the points
+    pair by pair, a block of rows at a time, until one pair is near enough.
     """
-    from scipy.spatial import cKDTree
-
     parent = list(range(units))
 
     def find(x: int) -> int:
@@ -317,22 +454,19 @@ def _connect_units(units, linked_a, linked_b, a, b, box_pts, box_starts, box_siz
 
     for x, y in zip(linked_a.tolist(), linked_b.tolist()):
         parent[find(x)] = find(y)
-    trees: dict[int, cKDTree] = {}
     for x, y in zip(a.tolist(), b.tolist()):
         root_x, root_y = find(x), find(y)
         if root_x == root_y:
             continue
-        if box_sizes[x] > box_sizes[y]:
-            x, y = y, x
         px = box_pts[box_starts[x]:box_starts[x] + box_sizes[x]]
         py = box_pts[box_starts[y]:box_starts[y] + box_sizes[y]]
-        if px.shape[0] * py.shape[0] <= 256:
-            closest = _sq_norm(px[:, None, :] - py[None, :, :]).min()
-        else:
-            if y not in trees:
-                trees[y] = cKDTree(py)
-            closest = _sq_norm(px - py[trees[y].query(px, k=1)[1]]).min()
-        if closest <= r2:
+        if px.shape[0] * py.shape[0] > 256:
+            px, py = px[_sq_gap(px, lo[y], hi[y]) <= r2], py[_sq_gap(py, lo[x], hi[x]) <= r2]
+        rows = max(1, _PAIR_CHUNK // max(1, py.shape[0]))
+        if py.size and any(
+            _sq_norm(px[s:s + rows, None, :] - py).min() <= r2
+            for s in range(0, px.shape[0], rows)
+        ):
             parent[root_x] = root_y
     return np.array([find(u) for u in range(units)])
 
@@ -341,19 +475,21 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
     """Keep the largest density cluster of ``points`` (exact DBSCAN).
 
     A point is core when at least ``min_neighbors`` points, itself
-    included, lie within ``neighborhood_radius`` ``r`` (distance ``<= r``,
-    as ``cKDTree`` counts it).  Core points within ``r`` of each other share
-    a cluster.  A non-core point within ``r`` of core points joins the
-    adjacent cluster whose lowest core index is smallest; the others are
-    noise.  Clusters rank by lowest core index, and the first of the
-    largest is kept.
+    included, lie within ``neighborhood_radius`` ``r``: distance ``<= r``
+    as ``cKDTree`` counts it, that is, the squared differences summed axis
+    by axis in order (:func:`_sq_norm`) are at most ``r * r``.  Core points
+    within ``r`` of each other share a cluster.  A non-core point within
+    ``r`` of core points joins the adjacent cluster whose lowest core index
+    is smallest; the others are noise.  Clusters rank by lowest core index,
+    and the first of the largest is kept.
 
     Grid DBSCAN (Gunawan 2013; Gan & Tao, SIGMOD 2015; Schubert et al., ACM
-    TODS 2017) computes this in near-linear time.  Points go into cells of
-    side about ``r / sqrt(d)``.  A cell whose bounding box fits within
-    ``r`` is a clique: its core points are connected, and if it holds
-    ``min_neighbors`` points they are all core without being counted.  Only
-    the other points get an exact neighbor count.  Clique cells up to
+    TODS 2017) computes this in near-linear time, with numpy alone.  Points
+    go into cells of side about ``r / sqrt(d)`` (:class:`_Grid`).  A cell
+    whose bounding box fits within ``r`` is a clique: its core points are
+    connected, and if it holds ``min_neighbors`` points they are all core
+    without being counted.  Only the other points get an exact neighbor
+    count, from the cells of their stencil.  Clique cells up to
     ``floor(sqrt(d)) + 1`` cells apart merge when their core bounding boxes
     are within ``r`` end to end, stay apart when the boxes are more than
     ``r`` apart, and otherwise merge when their closest pair of core points
@@ -363,69 +499,63 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
     neighbor lists stay short.
 
     Returns ``(kept_indices, removed_count)``; kept indices stay in input
-    order, so the result is deterministic.  Raises :class:`AllOutliers`
-    when no point has enough neighbors to seed a cluster.
+    order, so the result is deterministic.  Raises ``ValueError`` unless
+    ``points`` is a non-empty (N, d) array of finite values, and
+    :class:`AllOutliers` when no point has enough neighbors to seed a
+    cluster.
     """
-    from scipy.spatial import cKDTree
-
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("filter_outliers expects a non-empty (N, d) array")
+    if not np.isfinite(pts).all():
+        raise ValueError("filter_outliers expects finite points")
     n = pts.shape[0]
-    r = params.neighborhood_radius
-    r2 = r * r
-    tree = cKDTree(pts)
+    grid = _Grid(pts, params.neighborhood_radius)
+    cell_of = grid.cell_of
 
-    # Cells, with the points of each cell contiguous in ``by_cell``.
-    grid = _grid_cells(pts, r)
-    by_cell = np.lexsort(grid.T[::-1])
-    new_cell = np.r_[True, np.any(grid[by_cell[1:]] != grid[by_cell[:-1]], axis=1)]
-    cells = grid[by_cell[new_cell]]
-    cell_of = np.empty(n, dtype=np.intp)
-    cell_of[by_cell] = np.cumsum(new_cell) - 1
-    starts = np.flatnonzero(new_cell)
-    grouped = pts[by_cell]
-    clique = (
-        _sq_norm(np.maximum.reduceat(grouped, starts) - np.minimum.reduceat(grouped, starts))
-        <= r2
+    core = (grid.clique & (grid.size >= params.min_neighbors))[cell_of]
+    counted = grid.order[~core[grid.order]]  # in cell order, for locality
+    counts, owner, other = grid.neighbors(
+        counted, params.min_neighbors, ~grid.clique[cell_of[counted]]
     )
-
-    core = (clique & (np.diff(np.r_[starts, n]) >= params.min_neighbors))[cell_of]
-    counted = np.flatnonzero(~core)
-    core[counted] = (
-        tree.query_ball_point(pts[counted], r, return_length=True) >= params.min_neighbors
-    )
+    core[counted] = counts >= params.min_neighbors
     if not core.any():
         raise AllOutliers("no point has enough neighbors to seed a cluster")
+    # The listed points are the non-core ones and the core points outside
+    # clique cells; keep their pairs that reach a core point.
+    reaching = core[other]
+    owner, other = owner[reaching], other[reaching]
+    links = core[owner]
 
     # Units to connect: the core points of one clique cell (a "box"), or a
     # single core point of any other cell.  ``boxed`` lists boxes in turn.
-    in_box = core & clique[cell_of]
-    boxed = by_cell[in_box[by_cell]]
+    in_box = core & grid.clique[cell_of]
+    boxed = grid.order[in_box[grid.order]]
     box_starts = np.flatnonzero(np.diff(cell_of[boxed], prepend=-1))
     box_sizes = np.diff(np.r_[box_starts, boxed.size])
-    box_pts = pts[boxed]
+    box_pts = lo = hi = pts[boxed]
+    if box_starts.size:
+        lo = np.minimum.reduceat(box_pts, box_starts)
+        hi = np.maximum.reduceat(box_pts, box_starts)
     unit = np.full(n, -1)
     unit[boxed] = np.repeat(np.arange(box_starts.size), box_sizes)
     loose = np.flatnonzero(core & ~in_box)
     unit[loose] = box_starts.size + np.arange(loose.size)
     units = box_starts.size + loose.size
 
-    owner, other = _neighbor_pairs(tree, loose, r)
-    linked = core[other]
-    joined_a, joined_b, a, b = _box_pairs(
-        box_pts, box_starts, cells[cell_of[boxed[box_starts]]], r2
-    )
+    joined_a, joined_b, a, b = _box_pairs(grid, cell_of[boxed[box_starts]], lo, hi)
     comp = _connect_units(
         units,
-        np.concatenate([unit[owner[linked]], joined_a]),
-        np.concatenate([unit[other[linked]], joined_b]),
+        np.concatenate([unit[owner[links]], joined_a]),
+        np.concatenate([unit[other[links]], joined_b]),
         a,
         b,
         box_pts,
         box_starts,
         box_sizes,
-        r2,
+        lo,
+        hi,
+        grid.r2,
     )
 
     # Number clusters by lowest core index, as a scan in index order would.
@@ -437,10 +567,8 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
     labels[core_idx] = rank[cluster_of.reshape(-1)]
 
     border = np.flatnonzero(~core)
-    owner, other = _neighbor_pairs(tree, border, r)
-    touching = core[other]
     best = np.full(n, first.size)
-    np.minimum.at(best, owner[touching], labels[other[touching]])
+    np.minimum.at(best, owner[~links], labels[other[~links]])
     labels[border] = np.where(best[border] < first.size, best[border], -1)
 
     kept = np.flatnonzero(labels == int(np.argmax(np.bincount(labels[labels >= 0]))))
@@ -526,17 +654,18 @@ def calibrate_position(
 def pairwise_objective(ds: PositionDataset, p, cap: int = 2000) -> float:
     """Sum over all ordered pairs of ``||(R_i p + t_i) - (R_j p + t_j)||``.
 
-    O(N^2); refuses datasets larger than ``cap``.  Kept as an independent
-    oracle for :func:`calibrate_position`.
+    O(N^2) time, summed a block of rows at a time in O(N) memory; refuses
+    datasets larger than ``cap``.  Kept as an independent oracle for
+    :func:`calibrate_position`.
     """
-    from scipy.spatial.distance import pdist
-
     if len(ds) > cap:
         raise ValueError(f"pairwise objective is O(N^2); dataset exceeds cap {cap}")
     tips = candidate_tip_points(ds, p)
-    if tips.shape[0] < 2:
-        return 0.0
-    return 2.0 * float(pdist(tips).sum())
+    rows = max(1, _PAIR_CHUNK // tips.shape[0])
+    return sum(
+        float(np.sqrt(_sq_norm(tips[s:s + rows, None, :] - tips)).sum())
+        for s in range(0, tips.shape[0], rows)
+    )
 
 
 def _tip_axis(yaw: float, pitch: float, roll: float) -> np.ndarray:

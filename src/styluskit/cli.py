@@ -25,7 +25,7 @@ import numpy as np
 
 from . import calib, evaluation, framing, ingest, synth
 from .errors import DegenerateDataError, FormatError, InputError, StylusKitError
-from .geometry import EulerAngles, Pose, TipTrack, euler_to_rotation
+from .geometry import EulerAngles, Pose, TipTrack, euler_to_rotation, vec3
 from .jsonio import dumps_canonical, open_output, read_json, write_json, write_text
 
 EXIT_OK = 0
@@ -185,7 +185,7 @@ def _cmd_calibrate_orientation(args) -> int:
         raise FormatError(f"{args.manifest}: manifest needs a 'holes' list") from None
     base = os.path.dirname(os.path.abspath(args.manifest))
     holes = []
-    for entry in hole_entries:
+    for i, entry in enumerate(hole_entries):
         try:
             axis = np.asarray(entry["reference_axis"], dtype=float)
             recording_path = str(entry["recording"])
@@ -197,18 +197,25 @@ def _cmd_calibrate_orientation(args) -> int:
             recording_path = os.path.join(base, recording_path)
         with open(recording_path, "r", encoding="utf-8") as f:
             recording = ingest.parse_pose_csv(f)
-        holes.append(calib.HoleRecording(axis, q=recording.q, p=recording.p))
+        try:
+            holes.append(calib.HoleRecording(axis, q=recording.q, p=recording.p))
+        except ValueError as exc:
+            raise FormatError(f"{args.manifest}: hole {i}: {exc}") from None
     dataset = calib.OrientationDataset(holes=holes)
 
     position_doc = read_json(args.position)
     try:
-        translation = np.asarray(position_doc["translation"], dtype=float)
+        translation = vec3(position_doc["translation"])
         position_rms = float(position_doc["position_residual_rms"])
         position_removed = int(position_doc.get("filtered_outliers", 0))
     except (KeyError, TypeError, ValueError):
         raise FormatError(
             f"{args.position}: expected the JSON written by calibrate-position"
         ) from None
+    if not (np.isfinite(translation).all() and math.isfinite(position_rms)):
+        raise FormatError(
+            f"{args.position}: translation and position_residual_rms must be finite"
+        )
 
     orientation = calib.calibrate_orientation(
         dataset,
@@ -260,8 +267,9 @@ def _sniff_trace(path: str) -> ingest.DemonstrationTrace:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.n < 2:
-        raise InputError(f"--n {args.n}: need at least 2 targets per segment")
+    most = evaluation.MAX_TARGETS_PER_SEGMENT
+    if not 2 <= args.n <= most:
+        raise InputError(f"--n {args.n}: need 2 to {most} targets per segment")
     _check_flag("--epsilon", args.epsilon)
     _check_flag("--bin-width", args.bin_width)
     _check_flag("--gate", args.gate)

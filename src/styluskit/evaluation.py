@@ -188,6 +188,9 @@ def segment_trace(
     return pieces
 
 
+MAX_TARGETS_PER_SEGMENT = 100_000
+
+
 def resample_segment(
     sub: DemonstrationTrace,
     line: tuple[np.ndarray, np.ndarray],
@@ -200,10 +203,16 @@ def resample_segment(
     For each target the demonstrated polyline is linearly interpolated at
     the first crossing of the target's line parameter; targets never
     crossed are marked missing.  More than ``max_missing_fraction``
-    missing raises :class:`SegmentUncovered`.
+    missing raises :class:`SegmentUncovered`.  More than
+    ``MAX_TARGETS_PER_SEGMENT`` (100,000) targets raises
+    :class:`InputError`.
     """
     if n < 2:
         raise ValueError("need at least 2 resampling targets")
+    if n > MAX_TARGETS_PER_SEGMENT:
+        raise InputError(
+            f"{n} resampling targets per segment: at most {MAX_TARGETS_PER_SEGMENT}"
+        )
     if len(sub.points) < 2:
         raise ValueError("need at least 2 demonstration points")
     a, b = np.asarray(line[0], dtype=float), np.asarray(line[1], dtype=float)
@@ -318,10 +327,18 @@ def aggregate(evals: list[list[SampledSegment]]) -> list[SegmentAggregate]:
     return out
 
 
+MAX_HISTOGRAM_BINS = 100_000
+
+
 def epsilon_histogram(
     all_errors, epsilon: float = 0.003, bin_width: float = 0.001
 ) -> EpsilonHistogram:
-    """Histogram of absolute errors plus the fraction inside the epsilon zone."""
+    """Histogram of absolute errors plus the fraction inside the epsilon zone.
+
+    Bins of ``bin_width`` run from 0 past the largest error.  A width that
+    needs more than ``MAX_HISTOGRAM_BINS`` (100,000) bins raises
+    :class:`InputError` instead of allocating them.
+    """
     if epsilon <= 0.0 or bin_width <= 0.0:
         raise ValueError("epsilon and bin_width must be positive")
     errors = np.asarray(all_errors, dtype=float).ravel()
@@ -329,7 +346,13 @@ def epsilon_histogram(
     if errors.size == 0:
         raise EmptyInput("no finite errors to histogram")
     top = float(errors.max())
-    bins = max(1, math.ceil(top / bin_width - 1e-12))
+    span = top / bin_width - 1e-12
+    if span > MAX_HISTOGRAM_BINS:
+        raise InputError(
+            f"bin width {bin_width:g} needs {span:.3g} bins to reach the largest "
+            f"error {top:.3g}, more than {MAX_HISTOGRAM_BINS}"
+        )
+    bins = max(1, math.ceil(span))
     edges = np.arange(bins + 1) * bin_width
     counts, _ = np.histogram(errors, bins=edges)
     fraction = float(np.mean(errors <= epsilon))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from styluskit import calib
 from styluskit.calib import (
     FilterParams,
+    HoleRecording,
     PositionDataset,
     assemble_calibration,
     calibrate_orientation,
@@ -423,3 +425,22 @@ class TestAssembleAndSerialize:
         ]
         back = calibration_from_doc(doc)
         assert np.array_equal(back.transform.rotation, calib.transform.rotation)
+
+
+class TestHoleReferenceAxis:
+    @pytest.mark.parametrize(
+        "axis", [[0.0, 0.0, math.nan], [math.inf, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    )
+    def test_non_finite_or_zero_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            HoleRecording(axis, q=[[0.0, 0.0, 0.0, 1.0]], p=[[0.0, 0.0, 0.0]])
+
+
+class TestPairwiseObjectiveBlocks:
+    def test_matches_double_loop_in_any_block_size(self, monkeypatch):
+        ds, truth = clean_position_dataset(60, seed=14, noise=1e-3)
+        tips = candidate_tip_points(ds, truth.tip_offset)
+        loop = sum(float(np.linalg.norm(a - b)) for a in tips for b in tips)
+        for chunk in (1, 7 * 60, 1 << 20):
+            monkeypatch.setattr(calib, "_PAIR_CHUNK", chunk)
+            assert pairwise_objective(ds, truth.tip_offset) == pytest.approx(loop, rel=1e-12)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -593,6 +594,23 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert "calibrate-position" in proc.stdout
 
+    def test_calibrate_position_loads_no_scipy(self, tmp_path, capsys):
+        # The outlier filter runs on the grid alone; only the orientation
+        # solve may load scipy.
+        data_dir, _ = simulate_position(
+            tmp_path, capsys, outlier_rate=0.05, position_noise_std=1e-4
+        )
+        proc = self.run_python(
+            "-c",
+            "import sys; from styluskit import cli; "
+            f"code = cli.main(['calibrate-position', {str(data_dir / 'poses.csv')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        doc = json.loads("\n".join(proc.stdout.splitlines()[:-1]))
+        assert doc["filtered_outliers"] > 0
+
 
 class TestMalformedInputFiles:
     """A file that is not valid JSON, or not UTF-8 text, is the user's
@@ -844,3 +862,93 @@ class TestNoPerSampleObjects:
         assert code == 0, err
         assert json.loads(out)["epsilon_fraction"] == 1.0
         assert counts["n"] <= 1 + len(traces)
+
+
+class TestOrientationInputErrors:
+    """A bad hole axis or a bad position translation is the user's mistake:
+    exit 2 with one ``error:`` line, never 1 with a traceback."""
+
+    @staticmethod
+    def files(tmp_path, capsys):
+        position_dir, _ = simulate_position(tmp_path, capsys)
+        position_file = tmp_path / "position.json"
+        code, _, err = run(
+            capsys, "calibrate-position", str(position_dir / "poses.csv"), "-o", str(position_file)
+        )
+        assert code == 0, err
+        orientation_dir, _ = simulate_orientation(
+            tmp_path,
+            capsys,
+            hole_axes=[[0.0, 0.0, 1.0], [0.0, 0.6, 0.8], [0.6, 0.0, 0.8]],
+        )
+        return orientation_dir / "manifest.json", position_file
+
+    @pytest.mark.parametrize("axis", [[1, 0], [0, 0, 0], [0, 0, "nan"]])
+    def test_bad_reference_axis_exit_2(self, tmp_path, capsys, axis):
+        manifest, position = self.files(tmp_path, capsys)
+        doc = json.loads(manifest.read_text())
+        doc["holes"][1]["reference_axis"] = axis
+        write_json(manifest, doc)
+        code, out, err = run(
+            capsys, "calibrate-orientation", str(manifest), "--position", str(position)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "hole 1")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("translation", [0.01, -0.02]), ("translation", [math.nan, 0.0, -0.12]),
+         ("position_residual_rms", math.inf)],
+    )
+    def test_bad_position_file_exit_2(self, tmp_path, capsys, field, value):
+        manifest, position = self.files(tmp_path, capsys)
+        doc = json.loads(position.read_text())
+        doc[field] = value
+        position.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "calibrate-orientation", str(manifest), "--position", str(position)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, str(position))
+
+
+class TestEvaluateBounds:
+    """Flag values that would need an unbounded allocation exit 2."""
+
+    def evaluate(self, tmp_path, capsys, *flags):
+        demo_dir = simulate_demo(tmp_path, capsys, lateral_noise_std=0.001)
+        frame_path = tmp_path / "frame.json"
+        write_json(frame_path, IDENTITY_FRAME)
+        return run(
+            capsys,
+            "evaluate",
+            str(demo_dir / "trace.csv"),
+            "--frame",
+            str(frame_path),
+            "--path",
+            str(demo_dir / "path.json"),
+            *flags,
+        )
+
+    @pytest.mark.parametrize("value", ["1e-12", "1e-300", "5e-324"])
+    def test_tiny_bin_width_exit_2(self, tmp_path, capsys, value):
+        code, out, err = self.evaluate(tmp_path, capsys, "--bin-width", value)
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "bins")
+
+    def test_too_many_targets_exit_2_before_reading(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            str(tmp_path / "missing_trace.csv"),
+            "--frame",
+            str(tmp_path / "missing_frame.json"),
+            "--path",
+            str(tmp_path / "missing_path.json"),
+            "--n",
+            "10000000000",
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "--n")
+
+    def test_largest_bounds_accepted(self, tmp_path, capsys):
+        code, out, err = self.evaluate(
+            tmp_path, capsys, "--n", "100000", "--bin-width", "1e-7"
+        )
+        assert code == 0, err

@@ -15,6 +15,8 @@ from styluskit.errors import (
 )
 from styluskit.evaluation import (
     FFT_GRID_FACTOR,
+    MAX_HISTOGRAM_BINS,
+    MAX_TARGETS_PER_SEGMENT,
     IdealPath,
     aggregate,
     epsilon_histogram,
@@ -383,3 +385,27 @@ class TestForceSpectrumGridCap:
         assert result.sample_count <= FFT_GRID_FACTOR * 101
         with pytest.raises(InputError):
             force_spectrum(ForceRecording(np.r_[t[:-1], t[-1] + 3.0], np.sin(t)))
+
+
+class TestAllocationBounds:
+    """Bin counts and target counts are bounded, so no flag value can ask
+    numpy for an unbounded array."""
+
+    @pytest.mark.parametrize("bin_width", [1e-12, 1e-300, 5e-324])
+    def test_too_many_bins_raise(self, bin_width):
+        with pytest.raises(InputError, match="bins"):
+            epsilon_histogram([0.005], bin_width=bin_width)
+
+    def test_bin_bound_is_inclusive(self):
+        result = epsilon_histogram([1.0], bin_width=1.0 / MAX_HISTOGRAM_BINS)
+        assert result.counts.size == MAX_HISTOGRAM_BINS
+        assert result.counts.sum() == 1
+
+    def test_too_many_targets_raise(self):
+        xy = np.column_stack([np.linspace(-0.01, 0.11, 13), np.zeros(13)])
+        line = TestResampleSegment.LINE
+        with pytest.raises(InputError, match="targets"):
+            resample_segment(trace_from_xy(xy), line, n=MAX_TARGETS_PER_SEGMENT + 1)
+        seg = resample_segment(trace_from_xy(xy), line, n=MAX_TARGETS_PER_SEGMENT)
+        assert seg.pair_count == MAX_TARGETS_PER_SEGMENT
+        assert not seg.missing.any()

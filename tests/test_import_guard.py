@@ -1,0 +1,90 @@
+"""scipy loads in one place only: inside ``calib._descend_alignment``, the
+BFGS axis solve of ``calibrate-orientation``.  Every other command starts
+without paying for it, so an import of scipy anywhere else in the package
+fails here."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import styluskit
+
+PACKAGE = pathlib.Path(styluskit.__file__).parent
+ALLOWED = {("calib.py", "_descend_alignment")}
+
+
+def _is_scipy(name: str | None) -> bool:
+    return name is not None and name.split(".")[0] == "scipy"
+
+
+def scipy_imports(source: str) -> list[tuple[str | None, int]]:
+    """``(innermost enclosing function or None, line)`` of each import of
+    scipy, by statement or by ``importlib.import_module`` / ``__import__``."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            names: list[str | None] = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            elif isinstance(child, ast.Call) and child.args:
+                callee = child.func
+                callee_name = getattr(callee, "attr", getattr(callee, "id", None))
+                first = child.args[0]
+                if callee_name in ("import_module", "__import__") and isinstance(
+                    first, ast.Constant
+                ):
+                    names = [str(first.value)]
+            if any(_is_scipy(name) for name in names):
+                found.append((function, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scipy_is_imported_only_by_the_orientation_solver():
+    stray = [
+        f"{path.name}:{line} (in {function or 'module scope'})"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for function, line in scipy_imports(path.read_text(encoding="utf-8"))
+        if (path.name, function) not in ALLOWED
+    ]
+    assert stray == []
+
+
+def test_the_allowed_import_is_still_there():
+    found = scipy_imports((PACKAGE / "calib.py").read_text(encoding="utf-8"))
+    assert [function for function, _ in found] == ["_descend_alignment"]
+
+
+def test_guard_sees_every_form_of_import():
+    source = """
+import scipy
+from scipy.spatial import cKDTree
+import numpy, scipy.optimize as opt
+from . import scipy_free
+
+def solve():
+    from scipy.optimize import minimize
+    importlib.import_module("scipy.spatial")
+    __import__("scipy")
+
+    def inner():
+        import scipy.linalg
+"""
+    assert scipy_imports(source) == [
+        (None, 2),
+        (None, 3),
+        (None, 4),
+        ("solve", 8),
+        ("solve", 9),
+        ("solve", 10),
+        ("inner", 13),
+    ]
