@@ -385,7 +385,10 @@ def _cmd_simulate(args) -> int:
 
     if kind == "position":
         cfg = _synth_config(doc)
-        dataset, truth = synth.gen_position_dataset(cfg)
+        try:
+            dataset, truth = synth.gen_position_dataset(cfg)
+        except ValueError as exc:
+            raise FormatError(f"bad synthesis config: {exc}") from None
         with open_output(_path("poses.csv")) as f:
             ingest.write_pose_csv(_recording(dataset), f)
         write_json(

@@ -9,8 +9,9 @@ Conventions, used consistently across the package:
 - Distances in meters, angles in radians.  Degrees appear only at the CLI.
 - Leading axis: :func:`quat_multiply` and :func:`quat_rotate` take one
   quaternion ``(4,)`` / vector ``(3,)`` or rows ``(N, 4)`` / ``(N, 3)``,
-  and broadcast one against rows.  Each row of a result has the same bits
-  as the call on that row alone; :func:`quat_normalize_rows` and
+  and broadcast one against rows; :func:`quat_from_axis_angle` takes axis
+  rows ``(N, 3)`` with angles ``(N,)``.  Each row of a result has the same
+  bits as the call on that row alone; :func:`quat_normalize_rows` and
   :func:`compose_rows` keep the same promise for :func:`quat_normalize`
   and :func:`compose`.
 - Columnar tracks: a :class:`TipTrack` holds N tip poses as three arrays,
@@ -200,14 +201,42 @@ def quat_from_matrix(m) -> np.ndarray:
     return quat_normalize([x, y, z, w])
 
 
-def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
-    a = vec3(axis)
-    n = np.linalg.norm(a)
-    if n < _UNIT_TOL:
-        raise ZeroVector("rotation axis has (near-)zero norm")
-    a = a / n
-    h = 0.5 * angle
-    return quat_normalize(np.append(a * math.sin(h), math.cos(h)))
+def quat_from_axis_angle(axis, angle) -> np.ndarray:
+    """Unit quaternion of the rotation by ``angle`` about ``axis``.
+
+    Leading axis: ``axis`` rows (N, 3) with ``angle`` (N,) give (N, 4)
+    rows, each with the bits of the call on that row alone.  The one-axis
+    call takes its norm with ``np.linalg.norm``, a BLAS dot product whose
+    rounding ``einsum`` and ``(v * v).sum(1)`` do not reproduce, so the
+    rows take theirs from the same ``r @ r`` on each contiguous row; sine
+    and cosine come from :mod:`math` for the same reason.  The first
+    (near-)zero axis row raises :class:`ZeroVector`, naming the row.
+    """
+    a = np.asarray(axis, dtype=float)
+    if a.ndim == 1:
+        a = vec3(axis)
+        n = np.linalg.norm(a)
+        if n < _UNIT_TOL:
+            raise ZeroVector("rotation axis has (near-)zero norm")
+        a = a / n
+        h = 0.5 * angle
+        return quat_normalize(np.append(a * math.sin(h), math.cos(h)))
+    a = np.array(a, order="C")
+    h = 0.5 * np.asarray(angle, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 3 or h.shape != a.shape[:1]:
+        raise ValueError(
+            f"expected axis rows (N, 3) and angles (N,), got {a.shape} and {h.shape}"
+        )
+    n = np.sqrt([r @ r for r in a])
+    zero = n < _UNIT_TOL
+    if zero.any():
+        row = int(np.argmax(zero))
+        raise ZeroVector(f"rotation axis has (near-)zero norm (row {row})")
+    half = h.tolist()
+    q = np.empty((a.shape[0], 4))
+    q[:, :3] = a / n[:, None] * np.array([math.sin(x) for x in half])[:, None]
+    q[:, 3] = [math.cos(x) for x in half]
+    return quat_normalize_rows(q)
 
 
 def quat_angle(a, b) -> float:

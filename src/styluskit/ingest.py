@@ -59,7 +59,7 @@ from .geometry import (
     quat_normalize,
     quat_normalize_rows,
 )
-from .jsonio import csv_row, read_json, write_json
+from .jsonio import read_json, write_json
 
 POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
 FORCE_CSV_HEADER = "t,Fz"
@@ -316,12 +316,15 @@ def _write_rows(stream, header: str, columns) -> None:
     """Write ``header``, then one CSV line per row of the stacked ``columns``.
 
     Rows are stacked and turned into Python floats a block at a time, so
-    no copy of the whole recording is held.
+    no copy of the whole recording is held.  Each block is one ``%``
+    format of ``%.17g`` fields: the bytes of :func:`~styluskit.jsonio.csv_row`
+    on float rows (``nan`` for either sign of NaN, ``inf``, ``-0``).
     """
     stream.write(header + "\n")
     for start in range(0, len(columns[0]), _WRITE_BLOCK):
         block = np.column_stack([c[start : start + _WRITE_BLOCK] for c in columns])
-        stream.writelines(csv_row(row) + "\n" for row in block.tolist())
+        line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+        stream.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def write_pose_csv(rec: PoseRecording, stream) -> None:

@@ -787,6 +787,64 @@ class TestSimulateConfigErrors:
     def test_bad_demonstration_fields(self, tmp_path, capsys, overrides):
         self.simulate(tmp_path, capsys, {**DEMO_CONFIG, **overrides})
 
+    @staticmethod
+    def simulate_text(tmp_path, capsys, doc):
+        """Like ``simulate``, with NaN and Infinity written as JSON allows them."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", str(config_path), "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"position_noise_std": math.nan}, "position_noise_std"),
+            ({"position_noise_std": math.inf}, "position_noise_std"),
+            ({"orientation_noise_std_deg": math.nan}, "orientation_noise_std"),
+            ({"outlier_rate": 0.1, "outlier_magnitude": math.nan}, "outlier_magnitude"),
+            ({"pivot_point": [0.0, math.inf, 0.0]}, "pivot_point"),
+            ({"rotation_span_deg": math.nan}, "rotation_span"),
+            ({"position_noise_std": 1e308}, "not finite"),
+            ({"seed": -1}, "bad synthesis config"),
+        ],
+    )
+    def test_non_finite_position_fields(self, tmp_path, capsys, overrides, field):
+        doc = {"kind": "position", "sample_count": 50, **overrides}
+        assert field in self.simulate_text(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"position_noise_std": math.nan}, {"orientation_noise_std_deg": math.inf},
+         {"position_noise_std": 1e308}],
+    )
+    def test_non_finite_orientation_fields(self, tmp_path, capsys, overrides):
+        self.simulate_text(tmp_path, capsys, {**ORIENTATION_CONFIG, **overrides})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"sample_rate": math.inf}, {"speed": math.nan}, {"lateral_noise_std": math.inf},
+         {"speed": 1e-300, "sample_rate": 1e100}],
+    )
+    def test_non_finite_demonstration_fields(self, tmp_path, capsys, overrides):
+        self.simulate_text(tmp_path, capsys, {**DEMO_CONFIG, **overrides})
+
+    @pytest.mark.parametrize("over", [1, 10**13])
+    def test_sizes_above_the_cap(self, tmp_path, capsys, over):
+        # Each is refused before anything of that size is allocated.
+        from styluskit.synth import MAX_SYNTH_SAMPLES
+
+        docs = [
+            {"kind": "position", "sample_count": MAX_SYNTH_SAMPLES + over},
+            {**ORIENTATION_CONFIG, "poses_per_hole": MAX_SYNTH_SAMPLES + over},
+            {**ORIENTATION_CONFIG, "poses_per_hole": (MAX_SYNTH_SAMPLES + over) // 2 + 1},
+            {**DEMO_CONFIG, "speed": 0.1, "sample_rate": (MAX_SYNTH_SAMPLES + over) * 1.0},
+        ]
+        for doc in docs:
+            err = self.simulate_text(tmp_path, capsys, doc)
+            assert f"at most {MAX_SYNTH_SAMPLES}" in err
+
     def test_valid_orientation_config_still_runs(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         write_json(config_path, ORIENTATION_CONFIG)
@@ -862,6 +920,25 @@ class TestNoPerSampleObjects:
         assert code == 0, err
         assert json.loads(out)["epsilon_fraction"] == 1.0
         assert counts["n"] <= 1 + len(traces)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "position", "sample_count": 2000, "position_noise_std": 1e-4,
+             "orientation_noise_std_deg": 0.1, "outlier_rate": 0.05},
+            {**ORIENTATION_CONFIG, "poses_per_hole": 1000, "position_noise_std": 1e-4,
+             "orientation_noise_std_deg": 0.1},
+        ],
+        ids=["position", "orientation"],
+    )
+    def test_simulate(self, tmp_path, capsys, monkeypatch, doc):
+        # The only Pose built is the configured true calibration.
+        config_path = tmp_path / "config.json"
+        write_json(config_path, doc)
+        counts = self.count_constructions(monkeypatch)
+        code, _, err = run(capsys, "simulate", str(config_path), "--out-dir", str(tmp_path / "out"))
+        assert code == 0, err
+        assert counts["n"] <= 2
 
 
 class TestOrientationInputErrors:
