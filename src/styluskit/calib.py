@@ -20,8 +20,9 @@ largest cluster is kept.  :func:`filter_outliers` finds the exact DBSCAN
 clusters on a grid, in time and memory near-linear in the number of
 points; its docstring gives the grid rules and how border points are
 assigned.  The grid answers the radius queries too: each occupied cell
-gets one int64 key, and the cells around a point are found by binary
-search in the sorted keys, so the filter needs numpy alone.
+gets one int64 key, and the cells around it are found once, by binary
+search in the sorted keys; the neighbor counts and the cluster merge share
+that one walk over cell pairs, so the filter needs numpy alone.
 
 Before solving, the position step checks that the poses rotate enough: some
 pair must be at least ``min_rotation`` apart.  Rotation angle is a metric,
@@ -287,6 +288,41 @@ def _spans(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return k, np.arange(k.size) + np.repeat(first - np.cumsum(lengths) + lengths, lengths)
 
 
+def _chunks(weights: np.ndarray):
+    """Runs ``(s, e)`` of consecutive items whose ``weights`` add up to about
+    ``_PAIR_CHUNK``, one item at least."""
+    ends = np.cumsum(weights)
+    s = 0
+    while s < weights.size:
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - weights[s] + _PAIR_CHUNK, "right")))
+        yield s, e
+        s = e
+
+
+def _bounds(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Bounding boxes of the runs of ``pts`` from ``starts``, one a column:
+    the ``d`` rows of ``lo`` above the ``d`` rows of ``hi``."""
+    if not starts.size:
+        return np.zeros((2 * pts.shape[1], 0))
+    return np.vstack([np.minimum.reduceat(pts, starts).T, np.maximum.reduceat(pts, starts).T])
+
+
+def _box_reach(a: np.ndarray, b: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whether boxes ``a`` and ``b`` (columns of :func:`_bounds`) come within
+    ``sqrt(r2)`` of each other, and whether they are within it corner to
+    corner, squares summed axis by axis as :func:`_sq_norm` does.  Rounding
+    is monotone, so box corners bound every point difference as
+    :func:`_sq_norm` sees it, and both tests are exact."""
+    gap = span = 0.0
+    d = a.shape[0] // 2
+    for lo_a, hi_a, lo_b, hi_b in zip(a[:d], a[d:], b[:d], b[d:]):
+        apart = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+        across = np.maximum(hi_b - lo_a, hi_a - lo_b)
+        gap = gap + apart * apart
+        span = span + across * across
+    return gap <= r2, span <= r2
+
+
 def _sq_gap(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Squared distance from points ``p`` to boxes ``lo``..``hi``.  Rounding
     is monotone, so no point of a box is nearer as :func:`_sq_norm` sees it."""
@@ -299,10 +335,11 @@ class _Grid:
 
     Cell ``c`` holds the points ``order[start[c]:start[c] + size[c]]``
     (coordinates ``columns[:, start[c]:start[c] + size[c]]``), has the
-    bounding box ``lo[c]``..``hi[c]``, and is a clique when that box
-    fits within ``r``.  Cells are sorted by key (:func:`_cell_keys`), then by
-    any further coordinates, so the cells in one stencil row of a cell are
-    one slice of ``keys``, found with two binary searches.
+    bounding box ``box[:, c]`` (:func:`_bounds`), and is a clique when that
+    box fits within ``r``.  Cells are sorted by key (:func:`_cell_keys`),
+    then by any further coordinates, so the cells in one stencil row of a
+    cell are one slice of ``keys``, found with two binary searches.  Which
+    cells can hold neighbors is decided in :meth:`cell_pairs` alone.
     """
 
     def __init__(self, pts: np.ndarray, radius: float):
@@ -317,57 +354,49 @@ class _Grid:
         new = np.r_[True, np.any(grid[1:] != grid[:-1], axis=1)]
         self.start = np.flatnonzero(new)
         self.size = np.diff(np.r_[self.start, n])
-        self.cells = grid[new]
         self.keys = key[self.order[new]]
         self.cell_of = np.empty(n, dtype=np.intp)
         self.cell_of[self.order] = np.cumsum(new) - 1
         grouped = pts[self.order]
         self.columns = np.ascontiguousarray(grouped.T)
-        self.lo = np.minimum.reduceat(grouped, self.start)
-        self.hi = np.maximum.reduceat(grouped, self.start)
-        self.clique = _sq_norm(self.hi - self.lo) <= self.r2
+        self.box = _bounds(grouped, self.start)
+        self.clique = _sq_norm((self.box[d:] - self.box[:d]).T) <= self.r2
 
-    def _stencil(self, keys: np.ndarray, centre: np.ndarray):
-        """Blocks of ``(q, i)``: each index ``i`` into the sorted ``keys``
-        within the stencil of ``centre[q]``, a block of centres at a time."""
-        block = max(1, _PAIR_CHUNK // (self.rows.size * (2 * self.reach + 1)))
-        for s in range(0, centre.size, block):
-            middle = centre[s:s + block, None] + self.rows
-            q, i = _spans(
-                np.searchsorted(keys, middle - self.reach).ravel(),
-                np.searchsorted(keys, middle + self.reach, side="right").ravel(),
+    def cell_pairs(self, cells: np.ndarray, weights: np.ndarray):
+        """Blocks of ``(k, b, full)``: each cell ``b`` whose box comes within
+        ``r`` of the box of cell ``cells[k]``, ``full`` where the two boxes
+        are within ``r`` corner to corner (:func:`_box_reach`).
+
+        Each cell's stencil is looked up once.  A block holds every pair of
+        a run of consecutive ``k``, ascending, with about ``_PAIR_CHUNK``
+        stencil cells, each counted ``weights[k]`` times.
+        """
+        for s, e in _chunks(weights * (self.rows.size * (2 * self.reach + 1))):
+            middle = self.keys[cells[s:e], None] + self.rows
+            first = np.searchsorted(self.keys, middle - self.reach)
+            stop = np.searchsorted(self.keys, middle + self.reach, side="right")
+            q, b = _spans(first.ravel(), stop.ravel())
+            k = s + q // self.rows.size
+            # Each query box repeats along its candidates, a sequential copy.
+            near, full = _box_reach(
+                np.repeat(self.box[:, cells[s:e]], (stop - first).sum(axis=1), axis=1),
+                self.box[:, b],
+                self.r2,
             )
-            yield s + q // self.rows.size, i
-
-    def _near_cells(self, idx: np.ndarray):
-        """Blocks of ``(q, c, p, full)``: each cell ``c`` whose box comes
-        within ``r`` of the point ``p = pts[idx[q]]``, ``full`` where all of
-        the box does.  Rounding is monotone, so box corners bound every
-        point difference as :func:`_sq_norm` sees it, and both tests are
-        exact."""
-        for q, c in self._stencil(self.keys, self.keys[self.cell_of[idx]]):
-            p = self.pts[idx[q]]
-            above, below = p - self.lo[c], self.hi[c] - p
-            near = _sq_norm(np.minimum(np.minimum(above, below), 0.0)) <= self.r2
-            full = _sq_norm(np.maximum(above, below)) <= self.r2
-            yield q[near], c[near], p[near], full[near]
+            yield k[near], b[near], full[near]
 
     def _within(self, q: np.ndarray, c: np.ndarray, p: np.ndarray):
         """Blocks of ``(q[k], j)``: each point ``j`` of cell ``c[k]`` within
         ``r`` of the point ``p[k]``, about ``_PAIR_CHUNK`` candidates at a
         time."""
         sizes = self.size[c]
-        ends = np.cumsum(sizes)
-        s = 0
-        while s < c.size:
-            e = max(s + 1, int(np.searchsorted(ends, ends[s] - sizes[s] + _PAIR_CHUNK, "right")))
+        for s, e in _chunks(sizes):
             k, j = _spans(self.start[c[s:e]], self.start[c[s:e]] + sizes[s:e])
             diff = np.empty((self.columns.shape[0], j.size))
             for axis, column in enumerate(self.columns):
                 np.subtract(column.take(j), np.repeat(p[s:e, axis], sizes[s:e]), out=diff[axis])
             keep = _sq_norm(diff.T) <= self.r2
             yield q[s:e][k[keep]], self.order[j[keep]]
-            s = e
 
     def neighbors(self, idx: np.ndarray, min_count: int, listed: np.ndarray):
         """Neighbor counts of the points ``idx`` (distance ``<= r``, each
@@ -375,100 +404,38 @@ class _Grid:
         ``j`` of each ``i = idx[k]`` that has fewer than ``min_count``
         neighbors or ``listed[k]``.
 
-        Cells within ``r`` corner to corner count whole; only the others
-        are compared point by point.  Pairs are dropped as soon as their
-        ``i`` reaches ``min_count``, so memory stays bounded.
+        The points are grouped by cell, and each pair of :meth:`cell_pairs`
+        serves every point of its query cell: full pairs count whole, and
+        only the others are compared point by point.  Pairs are dropped as
+        soon as their ``i`` reaches ``min_count``, so memory stays bounded.
         """
         counts = np.zeros(idx.size, dtype=np.intp)
         none = np.zeros(0, dtype=np.intp)
         owners, others = [none], [none]
+        by_cell = np.argsort(self.cell_of[idx], kind="stable")
+        cell = self.cell_of[idx[by_cell]]
+        first = np.r_[np.flatnonzero(np.diff(cell, prepend=-1)), idx.size]
 
         def keep(i, j):
             mask = (counts[i] < min_count) | listed[i]
             return i[mask], j[mask]
 
-        for q, c, p, full in self._near_cells(idx):
-            np.add.at(counts, q[full], self.size[c[full]])
+        for k, b, full in self.cell_pairs(cell[first[:-1]], np.diff(first)):
+            # Each point ``i`` of ``idx`` in a query cell, with its cells ``c``.
+            pair, at = _spans(first[k], first[k + 1])
+            i, c, full = by_cell[at], b[pair], full[pair]
+            np.add.at(counts, i[full], self.size[c[full]])
             pairs = []
-            for i, j in self._within(q[~full], c[~full], p[~full]):
-                np.add.at(counts, i, 1)
-                pairs.append(keep(i, j))
-            whole = full & ((counts[q] < min_count) | listed[q])
-            pairs.extend(self._within(q[whole], c[whole], p[whole]))
-            for i, j in pairs:
-                i, j = keep(i, j)
-                owners.append(idx[i])
+            for q, j in self._within(i[~full], c[~full], self.pts[idx[i[~full]]]):
+                np.add.at(counts, q, 1)
+                pairs.append(keep(q, j))
+            q, c = keep(i[full], c[full])
+            pairs.extend(self._within(q, c, self.pts[idx[q]]))
+            for q, j in pairs:
+                q, j = keep(q, j)
+                owners.append(idx[q])
                 others.append(j)
         return counts, np.concatenate(owners), np.concatenate(others)
-
-    def cell_pairs(self, subset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs ``a < b`` of positions in ``subset``, ascending cell numbers,
-        whose cells are at most ``reach`` apart on every axis."""
-        none = np.zeros(0, dtype=np.intp)
-        pairs = [(none, none)]
-        keys = self.keys[subset]
-        for a, b in self._stencil(keys, keys):
-            gap = np.abs(self.cells[subset[a]] - self.cells[subset[b]]).max(axis=1)
-            keep = (b > a) & (gap <= self.reach)
-            pairs.append((a[keep], b[keep]))
-        a, b = zip(*pairs)
-        return np.concatenate(a), np.concatenate(b)
-
-
-def _box_pairs(grid: _Grid, box_cells, lo, hi):
-    """Pairs ``(a, b)`` of boxes (core points of the clique cells
-    ``box_cells``, with bounding boxes ``lo``..``hi``) that may hold points
-    within ``r`` of each other.
-
-    Returns the pairs whose bounding boxes fit within the radius end to end
-    (surely joined), then those that need a closest-pair test.  Pairs whose
-    boxes are farther apart, or whose cells are beyond the grid reach, are
-    dropped.  Box corners bound every point difference after rounding, so
-    both tests are exact.
-    """
-    a, b = grid.cell_pairs(box_cells)
-    gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
-    joined = _sq_norm(np.maximum(hi[b] - lo[a], hi[a] - lo[b])) <= grid.r2
-    unsure = ~joined & (_sq_norm(gap) <= grid.r2)
-    return a[joined], b[joined], a[unsure], b[unsure]
-
-
-def _connect_units(units, linked_a, linked_b, a, b, box_pts, box_starts, box_sizes, lo, hi, r2):
-    """Component root of each of ``units`` units, by union-find.
-
-    Units ``linked_a[k]`` and ``linked_b[k]`` are known to be connected.
-    Boxes ``a[k]`` and ``b[k]`` (units numbered by box, with bounding boxes
-    ``lo``..``hi``) connect when their closest pair of points is within
-    ``sqrt(r2)``; the test is skipped for pairs already connected.  Beyond
-    256 point pairs it first keeps only the points of each box within
-    ``sqrt(r2)`` of the other's bounding box.  It then compares the points
-    pair by pair, a block of rows at a time, until one pair is near enough.
-    """
-    parent = list(range(units))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in zip(linked_a.tolist(), linked_b.tolist()):
-        parent[find(x)] = find(y)
-    for x, y in zip(a.tolist(), b.tolist()):
-        root_x, root_y = find(x), find(y)
-        if root_x == root_y:
-            continue
-        px = box_pts[box_starts[x]:box_starts[x] + box_sizes[x]]
-        py = box_pts[box_starts[y]:box_starts[y] + box_sizes[y]]
-        if px.shape[0] * py.shape[0] > 256:
-            px, py = px[_sq_gap(px, lo[y], hi[y]) <= r2], py[_sq_gap(py, lo[x], hi[x]) <= r2]
-        rows = max(1, _PAIR_CHUNK // max(1, py.shape[0]))
-        if py.size and any(
-            _sq_norm(px[s:s + rows, None, :] - py).min() <= r2
-            for s in range(0, px.shape[0], rows)
-        ):
-            parent[root_x] = root_y
-    return np.array([find(u) for u in range(units)])
 
 
 def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
@@ -489,12 +456,15 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
     whose bounding box fits within ``r`` is a clique: its core points are
     connected, and if it holds ``min_neighbors`` points they are all core
     without being counted.  Only the other points get an exact neighbor
-    count, from the cells of their stencil.  Clique cells up to
-    ``floor(sqrt(d)) + 1`` cells apart merge when their core bounding boxes
-    are within ``r`` end to end, stay apart when the boxes are more than
-    ``r`` apart, and otherwise merge when their closest pair of core points
-    is within ``r``.  Core points of the other cells, which occur only for
-    extreme extents or radii, link through their neighbor lists.
+    count.  The counts and the merge of clique cells take their cell pairs
+    from one walk, :meth:`_Grid.cell_pairs`: a pair of cells whose boxes are
+    within ``r`` corner to corner counts whole, and only the points of the
+    other pairs are compared.  Clique cells merge when their core bounding
+    boxes are within ``r`` end to end, stay apart when the boxes are more
+    than ``r`` apart, and otherwise merge (by union-find) when their closest
+    pair of core points is within ``r``.  Core points of the other cells,
+    which occur only for extreme extents or radii, link through their
+    neighbor lists.
     Non-core points have fewer than ``min_neighbors`` neighbors, so their
     neighbor lists stay short.
 
@@ -509,9 +479,9 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
         raise ValueError("filter_outliers expects a non-empty (N, d) array")
     if not np.isfinite(pts).all():
         raise ValueError("filter_outliers expects finite points")
-    n = pts.shape[0]
+    n, d = pts.shape
     grid = _Grid(pts, params.neighborhood_radius)
-    cell_of = grid.cell_of
+    cell_of, r2 = grid.cell_of, grid.r2
 
     core = (grid.clique & (grid.size >= params.min_neighbors))[cell_of]
     counted = grid.order[~core[grid.order]]  # in cell order, for locality
@@ -533,30 +503,58 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
     boxed = grid.order[in_box[grid.order]]
     box_starts = np.flatnonzero(np.diff(cell_of[boxed], prepend=-1))
     box_sizes = np.diff(np.r_[box_starts, boxed.size])
-    box_pts = lo = hi = pts[boxed]
-    if box_starts.size:
-        lo = np.minimum.reduceat(box_pts, box_starts)
-        hi = np.maximum.reduceat(box_pts, box_starts)
+    box_pts = pts[boxed]
+    bounds = _bounds(box_pts, box_starts)
+    lo, hi = bounds[:d].T, bounds[d:].T
     unit = np.full(n, -1)
     unit[boxed] = np.repeat(np.arange(box_starts.size), box_sizes)
     loose = np.flatnonzero(core & ~in_box)
     unit[loose] = box_starts.size + np.arange(loose.size)
     units = box_starts.size + loose.size
 
-    joined_a, joined_b, a, b = _box_pairs(grid, cell_of[boxed[box_starts]], lo, hi)
-    comp = _connect_units(
-        units,
-        np.concatenate([unit[owner[links]], joined_a]),
-        np.concatenate([unit[other[links]], joined_b]),
-        a,
-        b,
-        box_pts,
-        box_starts,
-        box_sizes,
-        lo,
-        hi,
-        grid.r2,
-    )
+    # Box pairs in reach, each once, from the cell pairs of the box cells.
+    box_cells = cell_of[boxed[box_starts]]
+    box_of = np.full(grid.size.size, -1)
+    box_of[box_cells] = np.arange(box_cells.size)
+    a, b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for k, c, _ in grid.cell_pairs(box_cells, np.ones(box_cells.size, dtype=np.intp)):
+        later = box_of[c] > k
+        a.append(k[later])
+        b.append(box_of[c[later]])
+    a, b = np.concatenate(a), np.concatenate(b)
+    near, joined = _box_reach(bounds[:, a], bounds[:, b], r2)
+
+    # Union-find over the units.  Linked units and joined boxes connect
+    # first; the other boxes in reach connect when their closest pair of
+    # points is within ``r``, tested only while they are apart.  Beyond 256
+    # point pairs, only the points of each box within ``r`` of the other's
+    # box are compared, a block of rows at a time, until one is near enough.
+    parent = list(range(units))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    linked_a, linked_b = np.r_[unit[owner[links]], a[joined]], np.r_[unit[other[links]], b[joined]]
+    for x, y in zip(linked_a.tolist(), linked_b.tolist()):
+        parent[find(x)] = find(y)
+    for x, y in zip(a[near & ~joined].tolist(), b[near & ~joined].tolist()):
+        root_x, root_y = find(x), find(y)
+        if root_x == root_y:
+            continue
+        px = box_pts[box_starts[x]:box_starts[x] + box_sizes[x]]
+        py = box_pts[box_starts[y]:box_starts[y] + box_sizes[y]]
+        if px.shape[0] * py.shape[0] > 256:
+            px, py = px[_sq_gap(px, lo[y], hi[y]) <= r2], py[_sq_gap(py, lo[x], hi[x]) <= r2]
+        rows = max(1, _PAIR_CHUNK // max(1, py.shape[0]))
+        if py.size and any(
+            _sq_norm(px[s:s + rows, None, :] - py).min() <= r2
+            for s in range(0, px.shape[0], rows)
+        ):
+            parent[root_x] = root_y
+    comp = np.array([find(u) for u in range(units)])
 
     # Number clusters by lowest core index, as a scan in index order would.
     core_idx = np.flatnonzero(core)

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import calib, evaluation, framing, ingest, synth
-from .errors import DegenerateDataError, FormatError, InputError, StylusKitError
+from .errors import FormatError, InputError, StylusKitError
 from .geometry import EulerAngles, Pose, TipTrack, euler_to_rotation, vec3
 from .jsonio import dumps_canonical, open_output, read_json, write_json, write_text
 
@@ -488,9 +488,6 @@ def main(argv=None) -> int:
         except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        except DegenerateDataError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
         except StylusKitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE

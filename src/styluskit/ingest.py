@@ -345,7 +345,8 @@ def parse_pen_events(stream: Iterable[str]) -> tuple[list[PenEvent], int]:
     """Parse the pen-event line protocol.
 
     Returns the events plus the number of skipped (unknown or garbage)
-    lines.  Only a malformed timestamp on an ``EVT`` line is fatal.
+    lines.  Only a malformed or non-finite timestamp on an ``EVT`` line is
+    fatal.
     """
     events: list[PenEvent] = []
     skipped = 0
@@ -358,6 +359,8 @@ def parse_pen_events(stream: Iterable[str]) -> tuple[list[PenEvent], int]:
             skipped += 1
             continue
         t = _parse_float(tokens[1], number, "event timestamp")
+        if not math.isfinite(t):
+            raise FormatError(f"event timestamp {tokens[1]!r} is not finite", number)
         subtype = tokens[2]
         arg = tokens[3] if len(tokens) > 3 else None
         if subtype == "BTN" and arg == "1":
@@ -413,7 +416,7 @@ def snapshot_waypoints(
         if event.t < times[0] - guard or event.t > times[-1] + guard:
             raise EventOutsideRecording(
                 f"button press at t={event.t!r} is outside the recording span "
-                f"[{times[0]!r}, {times[-1]!r}] by more than {guard!r} s"
+                f"[{float(times[0])!r}, {float(times[-1])!r}] by more than {guard!r} s"
             )
         i = int(np.searchsorted(times, event.t))
         if i <= 0:
@@ -446,8 +449,8 @@ def pair_force(
     times = track.t
     if times[-1] < force.t[0] or times[0] > force.t[-1]:
         raise NoOverlap(
-            f"trace span [{times[0]!r}, {times[-1]!r}] and force span "
-            f"[{force.t[0]!r}, {force.t[-1]!r}] do not overlap"
+            f"trace span [{float(times[0])!r}, {float(times[-1])!r}] and force span "
+            f"[{float(force.t[0])!r}, {float(force.t[-1])!r}] do not overlap"
         )
     values = np.interp(times, force.t, force.fz)
     flagged = (times < force.t[0]) | (times > force.t[-1])

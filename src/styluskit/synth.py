@@ -274,7 +274,10 @@ def gen_demonstration(
     right = np.clip(np.searchsorted(cumulative, grid), 1, len(cumulative) - 1)
     gap = np.minimum(np.abs(grid - cumulative[right - 1]), np.abs(grid - cumulative[right]))
     near_corner = gap < tol
-    arcs = np.unique(np.concatenate([grid[~near_corner], cumulative]))
+    # Sorted distinct values as np.unique gives them, without the numpy.ma
+    # import that np.unique pays for on its first call in a process
+    arcs = np.sort(np.concatenate([grid[~near_corner], cumulative]))
+    arcs = arcs[np.r_[True, arcs[1:] != arcs[:-1]]]
     arcs = np.clip(arcs, 0.0, total)
 
     segment_of = np.clip(np.searchsorted(cumulative, arcs, side="right") - 1, 0, len(lengths) - 1)

@@ -1029,3 +1029,46 @@ class TestEvaluateBounds:
             tmp_path, capsys, "--n", "100000", "--bin-width", "1e-7"
         )
         assert code == 0, err
+
+
+class TestNonFinitePressTime:
+    """A press time that is not finite is an input error (exit 2), never a
+    silent capture of the last pose (NaN) or a degenerate-data exit."""
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "1e400"])
+    def test_exit_2_one_error_line(self, tmp_path, capsys, stamp):
+        pose_csv, events, calib_path = TestSnapshot()._setup(
+            tmp_path, capsys, f"EVT 0.10 BTN 1\nEVT {stamp} BTN 1\n"
+        )
+        code, out, err = run(
+            capsys, "snapshot", str(pose_csv), str(events), "--calibration", str(calib_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: line 2: event timestamp '{stamp}' is not finite"]
+
+    def test_span_message_names_plain_floats(self, tmp_path, capsys):
+        pose_csv, events, calib_path = TestSnapshot()._setup(tmp_path, capsys, "EVT 99.0 BTN 1\n")
+        code, _, err = run(
+            capsys, "snapshot", str(pose_csv), str(events), "--calibration", str(calib_path)
+        )
+        assert code == 3
+        assert "outside the recording span [0.0, " in err
+        assert "np.float64" not in err
+
+
+class TestDemonstrationStartup:
+    def test_simulate_demonstration_loads_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on its first call; the demonstration
+        # generator sorts and compares neighbours itself.
+        config_path = tmp_path / "demo_config.json"
+        write_json(config_path, {**DEMO_CONFIG, "seed": 5})
+        proc = TestStartup.run_python(
+            "-c",
+            "import sys; from styluskit import cli; "
+            f"code = cli.main(['simulate', {str(config_path)!r}, "
+            f"'--out-dir', {str(tmp_path / 'out')!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"

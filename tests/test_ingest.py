@@ -306,3 +306,22 @@ class TestTraceInvariants:
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
             DemonstrationTrace(points=tips_at([0.0]), source="wand")
+
+
+class TestSpanMessagesShowPlainFloats:
+    def test_disjoint_force_span(self):
+        # The spans print as Python floats, not numpy reprs.
+        force = ForceRecording(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        with pytest.raises(NoOverlap) as exc:
+            pair_force(tips_at([10.0, 11.0]), force)
+        assert str(exc.value) == (
+            "trace span [10.0, 11.0] and force span [0.0, 1.0] do not overlap"
+        )
+
+
+class TestNonFiniteEventTimestamps:
+    def test_rejected_on_any_event_line(self):
+        # A timestamp that cannot be used is fatal even where the event
+        # itself would be skipped, as a malformed one is.
+        with pytest.raises(FormatError, match="line 1"):
+            parse_pen_events(io.StringIO("EVT nan XYZ 1\n"))
