@@ -10,7 +10,10 @@ in :func:`pairwise_objective`.
 Step two (orientation): with the stylus rotating in holes of known world
 inclination, the rotation of the tip frame is chosen so its z axis (the
 approach vector) aligns with every hole's reference axis, by minimizing
-``sum (1 - cos theta)`` over all measurements.  Roll about the tip axis is
+``sum (1 - cos theta)`` over all measurements.  Over unit axes this cost
+has a closed-form minimum, the normalized sum of the measured axes (the
+von Mises-Fisher mean direction; Mardia & Jupp, *Directional Statistics*,
+2000), so no iterative solver is needed.  Roll about the tip axis is
 unobservable here (the tip is axially symmetric) and is fixed separately
 against the button direction by :func:`fix_roll_to_button`.
 
@@ -30,10 +33,6 @@ so by the triangle inequality the largest pairwise angle lies between the
 largest angle ``m`` from pose 0 and ``2m``.  The test passes when
 ``m >= min_rotation`` and fails when ``2m < min_rotation``.  Only in
 between does it scan all pairs, a block of rows at a time in O(N) memory.
-
-scipy is imported only inside :func:`_descend_alignment`, for
-``minimize``, so importing the package, the position step and every
-command but ``calibrate-orientation`` do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -55,13 +54,10 @@ from .errors import (
 from .geometry import (
     EulerAngles,
     Pose,
-    angle_between,
     euler_to_rotation,
     quat_from_axis_angle,
-    quat_from_matrix,
     quat_multiply,
     quat_rotate,
-    quat_to_matrix,
     quats_to_matrices,
     rotation_between,
     rotation_to_euler,
@@ -666,96 +662,24 @@ def pairwise_objective(ds: PositionDataset, p, cap: int = 2000) -> float:
     )
 
 
-def _tip_axis(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cr, sr = math.cos(roll), math.sin(roll)
-    return np.array([cy * sp * cr + sy * sr, sy * sp * cr - cy * sr, cp * cr])
-
-
-def _tip_axis_jacobian(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cr, sr = math.cos(roll), math.sin(roll)
-    d_yaw = np.array([-sy * sp * cr + cy * sr, cy * sp * cr + sy * sr, 0.0])
-    d_pitch = np.array([cy * cp * cr, sy * cp * cr, -sp * cr])
-    d_roll = np.array([-cy * sp * sr + sy * cr, -sy * sp * sr - cy * cr, -cp * sr])
-    return np.column_stack([d_yaw, d_pitch, d_roll])
-
-
-def _euler_of_matrix(m: np.ndarray) -> EulerAngles:
-    return rotation_to_euler(quat_from_matrix(m))
-
-
-def _descend_alignment(
-    s: np.ndarray, count: int, seed: np.ndarray, max_iterations: int
-) -> np.ndarray:
-    """Minimize ``count - s . (R e_z)`` over Euler angles of R.
-
-    ``seed`` is the starting rotation matrix.  The Euler chart is
-    re-anchored with a fixed 90-degree rotation when iterates approach the
-    pitch singularity.
-    """
-    from scipy.optimize import minimize
-
-    anchors = [
-        np.eye(3),
-        quat_to_matrix(quat_from_axis_angle([1.0, 0.0, 0.0], math.pi / 2.0)),
-        quat_to_matrix(quat_from_axis_angle([0.0, 1.0, 0.0], math.pi / 2.0)),
-    ]
-    band = math.pi / 2.0 - 0.01
-    gradient_tol = 1e-9 * max(1.0, float(count))
-    last_error = None
-    for anchor in anchors:
-        left_seed = anchor.T @ seed
-        angles0 = _euler_of_matrix(left_seed)
-        if abs(angles0.pitch) > band:
-            continue
-        s_local = anchor.T @ s
-
-        def objective(x, s_local=s_local):
-            value = float(count) - float(s_local @ _tip_axis(*x))
-            grad = -(_tip_axis_jacobian(*x).T @ s_local)
-            return value, grad
-
-        result = minimize(
-            objective,
-            x0=np.array([angles0.yaw, angles0.pitch, angles0.roll]),
-            jac=True,
-            method="BFGS",
-            options={"maxiter": max_iterations, "gtol": gradient_tol},
-        )
-        gradient_norm = float(np.linalg.norm(result.jac))
-        pitch_ok = abs(float(result.x[1])) <= band
-        if (result.success or gradient_norm <= gradient_tol) and pitch_ok:
-            left = quat_to_matrix(
-                euler_to_rotation(EulerAngles(*[float(v) for v in result.x]))
-            )
-            return anchor @ left
-        last_error = f"gradient norm {gradient_norm:.3e} after {result.nit} iterations"
-    raise NoConvergence(
-        f"axis alignment did not converge within {max_iterations} iterations"
-        + (f" ({last_error})" if last_error else "")
-    )
-
-
 def calibrate_orientation(
     ds: OrientationDataset,
     tip_offset,
     axis_filter: FilterParams | None = AXIS_FILTER_DEFAULT,
     initial_roll: float = 0.0,
-    max_iterations: int = 200,
 ) -> OrientationCalibration:
     """Recover the tip-frame rotation that aligns the approach axis.
 
     Each pose in hole ``i`` measures the tip axis in the fiducial body
-    frame as ``R_j^T z_ref_i``; those measurements are outlier-filtered
-    per hole, a closed-form alignment of hole 1's mean measurement seeds
-    the solve, and local descent refines the Euler angles minimizing
-    ``sum (1 - cos theta)``.  ``tip_offset`` is accepted for interface
-    symmetry with the assembled calibration; the axis solve does not
-    depend on it.  ``initial_roll`` spins the seed about its own z axis
-    (the recovered approach axis must not depend on it).
+    frame as ``m_j = R_j^T z_ref_i``; those measurements are
+    outlier-filtered per hole, and over unit vectors ``a`` the cost
+    ``sum (1 - a . m_j)`` is smallest at ``a = s / |s|``, ``s = sum m_j``
+    (the von Mises-Fisher mean direction).  The result is the minimal
+    rotation taking z onto ``s``, spun by ``initial_roll`` about z first,
+    so ``initial_roll`` sets the unobservable roll about the recovered
+    axis and leaves the axis alone.  ``tip_offset`` is accepted for
+    interface symmetry with the assembled calibration and is unused.
+    Raises :class:`NoConvergence` when the measured axes cancel out.
     """
     vec3(tip_offset)
     refs = np.array([h.reference_axis for h in ds.holes])
@@ -778,25 +702,17 @@ def calibrate_orientation(
             removed += dropped
         measured.append(axes)
 
-    total = sum(a.shape[0] for a in measured)
-    s = np.sum(np.concatenate(measured, axis=0), axis=0)
+    m = np.concatenate(measured, axis=0)
+    s = np.sum(m, axis=0)
     if np.linalg.norm(s) < 1e-9:
         raise NoConvergence("measured axes cancel out; alignment target vanishes")
 
-    mean_first = measured[0].mean(axis=0)
-    seed_quat = quat_multiply(
-        rotation_between(_EZ, mean_first),
-        quat_from_axis_angle(_EZ, initial_roll),
-    )
-    solution = _descend_alignment(s, total, quat_to_matrix(seed_quat), max_iterations)
-
-    tip_axis = solution @ _EZ
-    residuals = [
-        angle_between(a, tip_axis) for axes in measured for a in axes
-    ]
-    rms = float(np.sqrt(np.mean(np.square(residuals)))) if residuals else 0.0
+    solution = quat_multiply(rotation_between(_EZ, s), quat_from_axis_angle(_EZ, initial_roll))
+    tip_axis = quat_rotate(solution, _EZ)
+    residuals = np.arctan2(np.linalg.norm(np.cross(m, tip_axis), axis=1), m @ tip_axis)
+    rms = float(np.sqrt(np.mean(np.square(residuals))))
     return OrientationCalibration(
-        angles=_euler_of_matrix(solution), residual_rms=rms, removed_outliers=removed
+        angles=rotation_to_euler(solution), residual_rms=rms, removed_outliers=removed
     )
 
 

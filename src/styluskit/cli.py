@@ -64,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--position", required=True, help="output JSON of calibrate-position")
     p.add_argument("--axis-radius", type=float, default=0.02, help="axis outlier filter radius")
     p.add_argument("--axis-min-neighbors", type=int, default=3, help="axis outlier filter minimum neighbors")
-    p.add_argument("--initial-roll-deg", type=float, default=0.0, help="roll applied to the descent seed (deg)")
-    p.add_argument("--max-iterations", type=int, default=200, help="refinement iteration budget")
+    p.add_argument("--initial-roll-deg", type=float, default=0.0, help="roll about the recovered tip axis (deg)")
     p.add_argument("-o", "--output", default=None, help="also write the calibration JSON here")
     p.set_defaults(handler=_cmd_calibrate_orientation)
 
@@ -176,8 +175,6 @@ def _cmd_calibrate_orientation(args) -> int:
     )
     if not math.isfinite(args.initial_roll_deg):
         raise InputError(f"--initial-roll-deg {args.initial_roll_deg}: must be finite")
-    if args.max_iterations < 1:
-        raise InputError(f"--max-iterations {args.max_iterations}: must be at least 1")
     manifest = read_json(args.manifest)
     try:
         hole_entries = list(manifest["holes"])
@@ -201,7 +198,10 @@ def _cmd_calibrate_orientation(args) -> int:
             holes.append(calib.HoleRecording(axis, q=recording.q, p=recording.p))
         except ValueError as exc:
             raise FormatError(f"{args.manifest}: hole {i}: {exc}") from None
-    dataset = calib.OrientationDataset(holes=holes)
+    try:
+        dataset = calib.OrientationDataset(holes=holes)
+    except ValueError as exc:
+        raise FormatError(f"{args.manifest}: {exc}") from None
 
     position_doc = read_json(args.position)
     try:
@@ -222,7 +222,6 @@ def _cmd_calibrate_orientation(args) -> int:
         translation,
         axis_filter=axis_filter,
         initial_roll=math.radians(args.initial_roll_deg),
-        max_iterations=args.max_iterations,
     )
 
     calibration = calib.assemble_calibration(

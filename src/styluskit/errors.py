@@ -69,7 +69,7 @@ class DegenerateDirection(DegenerateDataError):
 
 
 class NoConvergence(DegenerateDataError):
-    """Iterative refinement did not converge within its iteration budget."""
+    """The measured tip axes cancel out, so the axis solve has no target."""
 
 
 class ColinearPoints(DegenerateDataError):

@@ -414,7 +414,7 @@ class TestHelp:
         "command,expected_default",
         [
             ("calibrate-position", "0.005"),
-            ("calibrate-orientation", "200"),
+            ("calibrate-orientation", "0.02"),
             ("identify-frame", "frame"),
             ("evaluate", "0.003"),
             ("snapshot", "0.1"),
@@ -568,8 +568,8 @@ class TestWarnings:
 
 
 class TestStartup:
-    """Only the calibration solvers need scipy; every other command starts
-    without paying for its import."""
+    """No command loads scipy: the outlier filter runs on the grid and the
+    axis solve is closed-form, both on numpy alone."""
 
     @staticmethod
     def run_python(*args):
@@ -610,6 +610,20 @@ class TestStartup:
         assert proc.stdout.splitlines()[-1] == "0 []"
         doc = json.loads("\n".join(proc.stdout.splitlines()[:-1]))
         assert doc["filtered_outliers"] > 0
+
+    def test_calibrate_orientation_loads_no_scipy(self, tmp_path, capsys):
+        manifest, position = TestOrientationInputErrors.files(tmp_path, capsys)
+        proc = self.run_python(
+            "-c",
+            "import sys; from styluskit import cli; "
+            f"code = cli.main(['calibrate-orientation', {str(manifest)!r}, "
+            f"'--position', {str(position)!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        doc = json.loads("\n".join(proc.stdout.splitlines()[:-1]))
+        assert doc["orientation_residual_rms"] < 1e-9
 
 
 class TestMalformedInputFiles:
@@ -717,20 +731,6 @@ class TestCalibrationFlagErrors:
             f"--initial-roll-deg={value}",
         )
         TestFilterFlagErrors.assert_one_line_error(code, out, err, "--initial-roll-deg")
-
-
-class TestMaxIterationsFlag:
-    """A budget below one iteration is a bad flag, not data that failed to
-    converge; the files do not exist, so it is checked before any is read."""
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_calibrate_orientation_max_iterations_below_one(self, tmp_path, capsys, value):
-        code, out, err = run(
-            capsys, "calibrate-orientation", str(tmp_path / "missing_manifest.json"),
-            "--position", str(tmp_path / "missing_position.json"),
-            f"--max-iterations={value}",
-        )
-        TestFilterFlagErrors.assert_one_line_error(code, out, err, "--max-iterations")
 
 
 ORIENTATION_CONFIG = {
@@ -970,6 +970,15 @@ class TestOrientationInputErrors:
             capsys, "calibrate-orientation", str(manifest), "--position", str(position)
         )
         TestFilterFlagErrors.assert_one_line_error(code, out, err, "hole 1")
+
+    def test_no_holes_exit_2(self, tmp_path, capsys):
+        manifest, position = tmp_path / "manifest.json", tmp_path / "position.json"
+        write_json(manifest, {"holes": []})
+        write_json(position, {"translation": [0, 0, 0], "position_residual_rms": 0.0})
+        code, out, err = run(
+            capsys, "calibrate-orientation", str(manifest), "--position", str(position)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, str(manifest))
 
     @pytest.mark.parametrize(
         "field, value",
