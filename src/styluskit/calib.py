@@ -20,12 +20,13 @@ against the button direction by :func:`fix_roll_to_button`.
 Both steps drop occlusion glitches with density clustering (DBSCAN):
 points with too few neighbors inside a radius are discarded, and only the
 largest cluster is kept.  :func:`filter_outliers` finds the exact DBSCAN
-clusters on a grid, in time and memory near-linear in the number of
-points; its docstring gives the grid rules and how border points are
-assigned.  The grid answers the radius queries too: each occupied cell
-gets one int64 key, and the cells around it are found once, by binary
-search in the sorted keys; the neighbor counts and the cluster merge share
-that one walk over cell pairs, so the filter needs numpy alone.
+clusters on a grid whose every cell is a clique, in time and memory
+near-linear in the number of points, whatever their extent; its docstring
+gives the grid rules and how border points are assigned.  The grid answers
+the radius queries too: each occupied cell gets one int64 key, and the
+cells around it are found once, by binary search in the sorted keys; the
+neighbor counts and the cluster merge share that one walk over cell pairs,
+so the filter needs numpy alone.
 
 Before solving, the position step checks that the poses rotate enough: some
 pair must be at least ``min_rotation`` apart.  Rotation angle is a metric,
@@ -80,8 +81,8 @@ class FilterParams:
 
     def __post_init__(self):
         radius = self.neighborhood_radius
-        if not (radius > 0.0 and math.isfinite(radius * radius)):
-            raise ValueError("neighborhood_radius must be positive with a finite square")
+        if not (radius > 0.0 and 2.0**-1022 <= radius * radius < math.inf):
+            raise ValueError("neighborhood_radius must be positive with a finite square >= 2**-1022")
         if self.min_neighbors < 1:
             raise ValueError("min_neighbors must be at least 1")
 
@@ -225,41 +226,46 @@ def _sq_norm(diff: np.ndarray) -> np.ndarray:
     return total
 
 
-_GRID_CAP = 2**20
-_KEY_AXES = 3
+_KEY_BITS = 63
 _PAIR_CHUNK = 1 << 17
 
 
-def _grid_cells(pts: np.ndarray, radius: float) -> np.ndarray:
-    """Integer cell coordinates on a grid of side about ``radius / sqrt(d)``.
+def _grid_cells(pts: np.ndarray, r2: float, reach: int) -> np.ndarray:
+    """Integer cell coordinates on a grid of side about ``r / sqrt(d)``, with
+    ``r2 = r * r``, on which every cell fits within ``r``.
 
-    The side is shrunk by a relative 1e-9 so a full cell fits within
-    ``radius`` after rounding.  It is widened where the extent would need
-    more than ``_GRID_CAP`` (2**20) cells per axis, so that three cell
-    coordinates pack into one int64 key (:func:`_cell_keys`) and float cell
-    coordinates stay far within 1/64 cell of exact.  Radii below 2**-500
-    are raised to it: their squares underflow, so the neighbor test
-    reaches further than the radius itself.
+    Along each axis the sorted coordinates split into runs at each gap
+    whose square exceeds ``r2``; rounding is monotone, so no pair across
+    such a gap is within ``r`` as :func:`_sq_norm` counts it.  Each point is
+    measured from its run's lowest value, and each run starts ``reach + 1``
+    cells past the previous run's last cell.  So coordinates stay below
+    about ``(reach + 1) N`` per axis, and exact well within 1/64 cell,
+    whatever the extent.  The side is shrunk by a relative 1e-6 so a full
+    cell fits within ``r`` after that rounding.
     """
-    lo = pts.min(axis=0)
-    side = max(
-        max(radius, 2.0**-500) / math.sqrt(pts.shape[1]) * (1.0 - 1e-9),
-        float(np.max(pts.max(axis=0) - lo)) / _GRID_CAP,
-    )
-    if math.isinf(side):  # the extent overflows: one cell for everything
-        return np.zeros(pts.shape, dtype=np.int64)
-    return np.floor((pts - lo) / side).astype(np.int64)
+    side = math.sqrt(r2) / math.sqrt(pts.shape[1]) * (1.0 - 1e-6)
+    cells = np.empty(pts.shape, dtype=np.int64)
+    for axis, column in enumerate(pts.T):
+        x = np.sort(column)
+        gap = np.diff(x)
+        first = np.flatnonzero(np.r_[True, gap * gap > r2])
+        lo = x[first]
+        offset = np.cumsum(np.r_[0, np.floor((x[first[1:] - 1] - lo[:-1]) / side) + reach + 1])
+        run = np.searchsorted(lo, column, side="right") - 1
+        cells[:, axis] = np.floor((column - lo[run]) / side) + offset[run]
+    return cells
 
 
 def _grid_reach(d: int) -> int:
     """How many cells apart, per axis, two neighbors can land: floor(sqrt(d))
-    + 1, with room for the 1/64-cell rounding of the cell coordinates."""
-    return math.ceil(math.sqrt(d) * (1.0 + 1e-8) + 2.0**-6)
+    + 1, with room for the side's 1e-6 shrink and the 1/64-cell rounding."""
+    return math.ceil(math.sqrt(d) * (1.0 + 2e-6) + 2.0**-6)
 
 
-def _cell_keys(grid: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
-    """One int64 key per row of ``grid`` from its first ``_KEY_AXES`` cell
-    coordinates, and the key offsets of the stencil rows.
+def _cell_keys(grid: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One int64 key per row of ``grid`` from its first ``k`` cell
+    coordinates, the key offsets of the stencil rows, and ``k``: as many
+    leading axes, at most three, as keep every key below ``2**_KEY_BITS``.
 
     The key is mixed-radix, first axis most significant.  Each coordinate
     is shifted by ``reach`` and its radix leaves ``reach`` spare cells past
@@ -268,13 +274,15 @@ def _cell_keys(grid: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
     Along the last keyed axis such cells form runs of ``2 reach + 1``
     consecutive keys, the stencil rows; the offsets lead to their middles.
     """
-    k = min(grid.shape[1], _KEY_AXES)
-    radix = grid[:, :k].max(axis=0) + (2 * reach + 1)
-    strides = np.r_[np.cumprod(radix[:0:-1])[::-1], 1].astype(np.int64)
+    radix = [int(top) + 2 * reach + 1 for top in grid.max(axis=0)[:3]]
+    k = 1
+    while k < len(radix) and math.prod(radix[:k + 1]) <= 2**_KEY_BITS:
+        k += 1
+    strides = np.array([math.prod(radix[a + 1:k]) for a in range(k)], dtype=np.int64)
     rows = np.zeros(1, dtype=np.int64)
     for stride in strides[:-1]:
         rows = (rows[:, None] + np.arange(-reach, reach + 1) * stride).ravel()
-    return (grid[:, :k] + reach) @ strides, rows
+    return (grid[:, :k] + reach) @ strides, rows, k
 
 
 def _spans(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,8 +306,6 @@ def _chunks(weights: np.ndarray):
 def _bounds(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Bounding boxes of the runs of ``pts`` from ``starts``, one a column:
     the ``d`` rows of ``lo`` above the ``d`` rows of ``hi``."""
-    if not starts.size:
-        return np.zeros((2 * pts.shape[1], 0))
     return np.vstack([np.minimum.reduceat(pts, starts).T, np.maximum.reduceat(pts, starts).T])
 
 
@@ -330,9 +336,9 @@ class _Grid:
     the radius ``r``.
 
     Cell ``c`` holds the points ``order[start[c]:start[c] + size[c]]``
-    (coordinates ``columns[:, start[c]:start[c] + size[c]]``), has the
-    bounding box ``box[:, c]`` (:func:`_bounds`), and is a clique when that
-    box fits within ``r``.  Cells are sorted by key (:func:`_cell_keys`),
+    (coordinates ``columns[:, start[c]:start[c] + size[c]]``) and has the
+    bounding box ``box[:, c]`` (:func:`_bounds`).  Every cell fits within
+    ``r``, so it is a clique.  Cells are sorted by key (:func:`_cell_keys`),
     then by any further coordinates, so the cells in one stencil row of a
     cell are one slice of ``keys``, found with two binary searches.  Which
     cells can hold neighbors is decided in :meth:`cell_pairs` alone.
@@ -343,9 +349,9 @@ class _Grid:
         self.pts = pts
         self.r2 = radius * radius
         self.reach = _grid_reach(d)
-        grid = _grid_cells(pts, radius)
-        key, self.rows = _cell_keys(grid, self.reach)
-        self.order = np.lexsort(np.vstack([grid[:, _KEY_AXES:].T[::-1], key]))
+        grid = _grid_cells(pts, self.r2, self.reach)
+        key, self.rows, k = _cell_keys(grid, self.reach)
+        self.order = np.lexsort(np.vstack([grid[:, k:].T[::-1], key]))
         grid = grid[self.order]
         new = np.r_[True, np.any(grid[1:] != grid[:-1], axis=1)]
         self.start = np.flatnonzero(new)
@@ -356,7 +362,6 @@ class _Grid:
         grouped = pts[self.order]
         self.columns = np.ascontiguousarray(grouped.T)
         self.box = _bounds(grouped, self.start)
-        self.clique = _sq_norm((self.box[d:] - self.box[:d]).T) <= self.r2
 
     def cell_pairs(self, cells: np.ndarray, weights: np.ndarray):
         """Blocks of ``(k, b, full)``: each cell ``b`` whose box comes within
@@ -394,11 +399,11 @@ class _Grid:
             keep = _sq_norm(diff.T) <= self.r2
             yield q[s:e][k[keep]], self.order[j[keep]]
 
-    def neighbors(self, idx: np.ndarray, min_count: int, listed: np.ndarray):
+    def neighbors(self, idx: np.ndarray, min_count: int):
         """Neighbor counts of the points ``idx`` (distance ``<= r``, each
         point itself included), and ``(i, j)`` arrays listing every neighbor
-        ``j`` of each ``i = idx[k]`` that has fewer than ``min_count``
-        neighbors or ``listed[k]``.
+        ``j`` of each ``i`` in ``idx`` that has fewer than ``min_count``
+        neighbors.
 
         The points are grouped by cell, and each pair of :meth:`cell_pairs`
         serves every point of its query cell: full pairs count whole, and
@@ -413,7 +418,7 @@ class _Grid:
         first = np.r_[np.flatnonzero(np.diff(cell, prepend=-1)), idx.size]
 
         def keep(i, j):
-            mask = (counts[i] < min_count) | listed[i]
+            mask = counts[i] < min_count
             return i[mask], j[mask]
 
         for k, b, full in self.cell_pairs(cell[first[:-1]], np.diff(first)):
@@ -447,22 +452,21 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
     and the first of the largest is kept.
 
     Grid DBSCAN (Gunawan 2013; Gan & Tao, SIGMOD 2015; Schubert et al., ACM
-    TODS 2017) computes this in near-linear time, with numpy alone.  Points
-    go into cells of side about ``r / sqrt(d)`` (:class:`_Grid`).  A cell
-    whose bounding box fits within ``r`` is a clique: its core points are
-    connected, and if it holds ``min_neighbors`` points they are all core
-    without being counted.  Only the other points get an exact neighbor
-    count.  The counts and the merge of clique cells take their cell pairs
-    from one walk, :meth:`_Grid.cell_pairs`: a pair of cells whose boxes are
-    within ``r`` corner to corner counts whole, and only the points of the
-    other pairs are compared.  Clique cells merge when their core bounding
-    boxes are within ``r`` end to end, stay apart when the boxes are more
-    than ``r`` apart, and otherwise merge (by union-find) when their closest
-    pair of core points is within ``r``.  Core points of the other cells,
-    which occur only for extreme extents or radii, link through their
-    neighbor lists.
-    Non-core points have fewer than ``min_neighbors`` neighbors, so their
-    neighbor lists stay short.
+    TODS 2017) computes this in near-linear time, with numpy alone, for any
+    extent.  Points go into cells of side about ``r / sqrt(d)``
+    (:class:`_Grid`), split at gaps wider than ``r`` so far points cannot
+    widen them.  Each cell fits within ``r``, so it is a clique: its core
+    points are connected, and if it holds ``min_neighbors`` points they are
+    all core without being counted.  Only the points of smaller cells get an
+    exact neighbor count.  The counts and the merge of cells take their cell
+    pairs from one walk, :meth:`_Grid.cell_pairs`: a pair of cells whose
+    boxes are within ``r`` corner to corner counts whole, and only the
+    points of the other pairs are compared.  Cells merge when their core
+    bounding boxes are within ``r`` end to end, stay apart when the boxes
+    are more than ``r`` apart, and otherwise merge (by union-find) when
+    their closest pair of core points is within ``r``.  Non-core points
+    have fewer than ``min_neighbors`` neighbors, so their neighbor lists
+    stay short.
 
     Returns ``(kept_indices, removed_count)``; kept indices stay in input
     order, so the result is deterministic.  Raises ``ValueError`` unless
@@ -479,34 +483,23 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
     grid = _Grid(pts, params.neighborhood_radius)
     cell_of, r2 = grid.cell_of, grid.r2
 
-    core = (grid.clique & (grid.size >= params.min_neighbors))[cell_of]
+    core = (grid.size >= params.min_neighbors)[cell_of]
     counted = grid.order[~core[grid.order]]  # in cell order, for locality
-    counts, owner, other = grid.neighbors(
-        counted, params.min_neighbors, ~grid.clique[cell_of[counted]]
-    )
+    counts, owner, other = grid.neighbors(counted, params.min_neighbors)
     core[counted] = counts >= params.min_neighbors
     if not core.any():
         raise AllOutliers("no point has enough neighbors to seed a cluster")
-    # The listed points are the non-core ones and the core points outside
-    # clique cells; keep their pairs that reach a core point.
+    # Keep the pairs of the listed (non-core) points that reach a core point.
     reaching = core[other]
     owner, other = owner[reaching], other[reaching]
-    links = core[owner]
 
-    # Units to connect: the core points of one clique cell (a "box"), or a
-    # single core point of any other cell.  ``boxed`` lists boxes in turn.
-    in_box = core & grid.clique[cell_of]
-    boxed = grid.order[in_box[grid.order]]
+    # The core points of each cell form a box; ``boxed`` lists boxes in turn.
+    boxed = grid.order[core[grid.order]]
     box_starts = np.flatnonzero(np.diff(cell_of[boxed], prepend=-1))
     box_sizes = np.diff(np.r_[box_starts, boxed.size])
     box_pts = pts[boxed]
     bounds = _bounds(box_pts, box_starts)
     lo, hi = bounds[:d].T, bounds[d:].T
-    unit = np.full(n, -1)
-    unit[boxed] = np.repeat(np.arange(box_starts.size), box_sizes)
-    loose = np.flatnonzero(core & ~in_box)
-    unit[loose] = box_starts.size + np.arange(loose.size)
-    units = box_starts.size + loose.size
 
     # Box pairs in reach, each once, from the cell pairs of the box cells.
     box_cells = cell_of[boxed[box_starts]]
@@ -520,12 +513,12 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
     a, b = np.concatenate(a), np.concatenate(b)
     near, joined = _box_reach(bounds[:, a], bounds[:, b], r2)
 
-    # Union-find over the units.  Linked units and joined boxes connect
-    # first; the other boxes in reach connect when their closest pair of
-    # points is within ``r``, tested only while they are apart.  Beyond 256
-    # point pairs, only the points of each box within ``r`` of the other's
-    # box are compared, a block of rows at a time, until one is near enough.
-    parent = list(range(units))
+    # Union-find over the boxes.  Joined boxes connect first; the other
+    # boxes in reach connect when their closest pair of points is within
+    # ``r``, tested only while they are apart.  Beyond 256 point pairs, only
+    # the points of each box within ``r`` of the other's box are compared, a
+    # block of rows at a time, until one is near enough.
+    parent = list(range(box_starts.size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -533,8 +526,7 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
             x = parent[x]
         return x
 
-    linked_a, linked_b = np.r_[unit[owner[links]], a[joined]], np.r_[unit[other[links]], b[joined]]
-    for x, y in zip(linked_a.tolist(), linked_b.tolist()):
+    for x, y in zip(a[joined].tolist(), b[joined].tolist()):
         parent[find(x)] = find(y)
     for x, y in zip(a[near & ~joined].tolist(), b[near & ~joined].tolist()):
         root_x, root_y = find(x), find(y)
@@ -550,11 +542,11 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
             for s in range(0, px.shape[0], rows)
         ):
             parent[root_x] = root_y
-    comp = np.array([find(u) for u in range(units)])
 
     # Number clusters by lowest core index, as a scan in index order would.
     core_idx = np.flatnonzero(core)
-    _, first, cluster_of = np.unique(comp[unit[core_idx]], return_index=True, return_inverse=True)
+    roots = np.array([find(u) for u in range(box_starts.size)])[box_of[cell_of[core_idx]]]
+    _, first, cluster_of = np.unique(roots, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.intp)
     rank[np.argsort(first)] = np.arange(first.size)
     labels = np.full(n, -1)
@@ -562,7 +554,7 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
 
     border = np.flatnonzero(~core)
     best = np.full(n, first.size)
-    np.minimum.at(best, owner[~links], labels[other[~links]])
+    np.minimum.at(best, owner, labels[other])
     labels[border] = np.where(best[border] < first.size, best[border], -1)
 
     kept = np.flatnonzero(labels == int(np.argmax(np.bincount(labels[labels >= 0]))))

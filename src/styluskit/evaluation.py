@@ -41,6 +41,10 @@ class IdealPath:
 
     def __post_init__(self):
         self.waypoints = np.asarray(self.waypoints, dtype=float).reshape(-1, 2)
+        if not np.isfinite(self.waypoints).all():
+            raise ValueError("waypoints must be finite")
+        if not all(float(i).is_integer() for i in self.visiting_sequence):
+            raise ValueError("visiting sequence indices must be integers")
         self.visiting_sequence = tuple(int(i) for i in self.visiting_sequence)
         if len(self.visiting_sequence) < 2:
             raise ValueError("visiting sequence needs at least 2 entries")
@@ -474,7 +478,7 @@ def path_from_doc(doc: dict) -> IdealPath:
             waypoints=np.asarray(doc["waypoints"], dtype=float),
             visiting_sequence=tuple(doc["visiting_sequence"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad ideal path document: {exc}") from None
 
 

@@ -474,17 +474,19 @@ def waypoint_list_to_doc(wl: WaypointList) -> dict:
 
 def waypoint_list_from_doc(doc: dict) -> WaypointList:
     try:
-        waypoints = [
-            TipPoseRecord(
+        rows = [
+            (
                 float(w["t"]),
                 np.asarray(w["position"], dtype=float),
                 np.asarray(w["orientation_quat"], dtype=float),
             )
             for w in doc["waypoints"]
         ]
+        if not all(np.isfinite(np.r_[t, p.ravel(), q.ravel()]).all() for t, p, q in rows):
+            raise ValueError("waypoint times, positions and quaternions must be finite")
+        return WaypointList(waypoints=[TipPoseRecord(*row) for row in rows])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad waypoint list document: {exc}") from None
-    return WaypointList(waypoints=waypoints)
 
 
 def save_waypoint_list(wl: WaypointList, path) -> None:

@@ -444,7 +444,7 @@ class TestFilterFlagErrors:
     @pytest.mark.parametrize(
         "flag, value",
         [("--radius", "0"), ("--radius", "-1"), ("--radius", "nan"), ("--radius", "inf"),
-         ("--min-neighbors", "0"), ("--min-neighbors", "-3")],
+         ("--radius", "1e-200"), ("--min-neighbors", "0"), ("--min-neighbors", "-3")],
     )
     def test_calibrate_position_bad_filter_flag_exit_2(self, tmp_path, capsys, flag, value):
         data_dir, _ = simulate_position(tmp_path, capsys)
@@ -454,7 +454,7 @@ class TestFilterFlagErrors:
     @pytest.mark.parametrize(
         "flag, value",
         [("--axis-radius", "0"), ("--axis-radius", "-1"), ("--axis-radius", "nan"),
-         ("--axis-min-neighbors", "0")],
+         ("--axis-radius", "1e-200"), ("--axis-min-neighbors", "0")],
     )
     def test_calibrate_orientation_bad_filter_flag_exit_2(self, tmp_path, capsys, flag, value):
         position_dir, _ = simulate_position(tmp_path, capsys)
@@ -1081,3 +1081,74 @@ class TestDemonstrationStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+class TestBadWaypointDocuments:
+    """A waypoint list or an ideal path that cannot describe real points is
+    an input error: exit 2 with one ``error:`` line, never a traceback, a
+    NaN distance or a silently truncated index."""
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("t", [2.0, 1.0, 3.0]),
+            ("t", [0.0, math.nan, 2.0]),
+            ("position", [[1, 0, 0], [math.nan, 0, 0], [0, 1, 0]]),
+            ("orientation_quat", [[0, 0, 0, 1], [0, 0, 0, math.inf], [0, 0, 0, 1]]),
+        ],
+    )
+    def test_identify_frame_exit_2(self, tmp_path, capsys, field, values):
+        doc = {
+            "waypoints": [
+                {"t": float(i), "position": p, "orientation_quat": [0, 0, 0, 1]}
+                for i, p in enumerate([[1, 0, 0], [0, 0, 0], [0, 1, 0]])
+            ]
+        }
+        for waypoint, value in zip(doc["waypoints"], values):
+            waypoint[field] = value
+        path = tmp_path / "waypoints.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+        code, out, err = run(capsys, "identify-frame", str(path))
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "bad waypoint list document")
+
+    L_WAYPOINTS = [[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]]
+    BAD_PATHS = [
+        {"waypoints": [[0.0, 0.0], [math.nan, 0.0], [0.1, 0.1]], "visiting_sequence": [0, 1, 2]},
+        {"waypoints": L_WAYPOINTS, "visiting_sequence": [0, 1.5, 2]},
+        {"waypoints": L_WAYPOINTS, "visiting_sequence": [0, 1, math.inf]},
+        {"waypoints": L_WAYPOINTS, "visiting_sequence": [0, 1, 10**400]},  # no float holds it
+    ]
+
+    @pytest.mark.parametrize("bad", BAD_PATHS)
+    def test_evaluate_exit_2(self, tmp_path, capsys, bad):
+        trace, frame, _ = TestMalformedInputFiles.evaluate_files(tmp_path, capsys)
+        path = tmp_path / "bad_path.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(
+            capsys, "evaluate", str(trace), "--frame", str(frame), "--path", str(path)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "bad ideal path document")
+
+    @pytest.mark.parametrize("bad", BAD_PATHS)
+    def test_simulate_exit_2(self, tmp_path, capsys, bad):
+        config_path = tmp_path / "demo_config.json"
+        config_path.write_text(json.dumps({**DEMO_CONFIG, "path": bad}))
+        code, out, err = run(
+            capsys, "simulate", str(config_path), "--out-dir", str(tmp_path / "out")
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "bad ideal path document")
+
+    def test_integral_float_indices_still_work(self, tmp_path, capsys):
+        trace, frame, path = TestMalformedInputFiles.evaluate_files(tmp_path, capsys)
+        code, expected, err = run(
+            capsys, "evaluate", str(trace), "--frame", str(frame), "--path", str(path)
+        )
+        assert code == 0, err
+        doc = json.loads(path.read_text())
+        doc["visiting_sequence"] = [float(i) for i in doc["visiting_sequence"]]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "evaluate", str(trace), "--frame", str(frame), "--path", str(path)
+        )
+        assert code == 0, err
+        assert out == expected

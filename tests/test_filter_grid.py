@@ -377,7 +377,7 @@ def test_lattice_has_exact_radius_ties():
     [
         (0.005, 1e12),  # extent / cell side beyond 2**45: the grid coarsens
         (0.005, 1e17),  # uncoarsened cell indices would overflow int64
-        (1e-200, 1e-190),  # radius squared underflows to zero
+        (2**-511, 1e-150),  # the smallest radius accepted
         (1e150, 1e140),  # radius squared near the top of the float range
         (1e-9, 1.0),
     ],
@@ -428,7 +428,7 @@ def test_errors_match_oracle():
         filter_outliers(far, FilterParams(min_neighbors=2))
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e160])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e160, 1e-200])
 def test_filter_params_reject_bad_radius(radius):
     with pytest.raises(ValueError, match="positive with a finite square"):
         FilterParams(neighborhood_radius=radius)
@@ -546,7 +546,7 @@ def test_grid_filter_matches_kdtree_oracle(seed, n, d, layout, params):
         (0.005, 1e4),  # beyond 2**20 cells per axis: the grid coarsens
         (0.005, 1e12),
         (0.005, 1e17),
-        (1e-200, 1e-190),  # radius squared underflows to zero
+        (2**-511, 1e-150),  # the smallest radius accepted
         (1e150, 1e140),  # radius squared near the top of the float range
         (1e-9, 1.0),
     ],
@@ -593,12 +593,12 @@ def test_stencil_neighbors_match_kdtree(seed, n, d, layout, radius):
     grid = calib._Grid(points, radius)
     tree = cKDTree(points)
 
-    counts, owner, _ = grid.neighbors(idx, 0, np.zeros(idx.size, dtype=bool))
+    counts, owner, _ = grid.neighbors(idx, 0)
     expected = tree.query_ball_point(points[idx], radius, return_length=True)
     assert counts.tolist() == expected.tolist()
     assert owner.size == 0
 
-    _, owner, other = grid.neighbors(idx, 0, np.ones(idx.size, dtype=bool))
+    _, owner, other = grid.neighbors(idx, n + 1)
     lists = tree.query_ball_point(points[idx], radius)
     expected = [(int(i), j) for i, near in zip(idx, lists) for j in near]
     assert sorted(zip(owner.tolist(), other.tolist())) == sorted(expected)
@@ -613,7 +613,7 @@ def test_stencil_counts_exact_radius_ties():
     inside = tree.query_ball_point(points, np.nextafter(radius, 0.0), return_length=True)
     assert np.sum(exact - inside) > 0
     idx = np.arange(points.shape[0])
-    counts, _, _ = calib._Grid(points, radius).neighbors(idx, 0, np.zeros(idx.size, dtype=bool))
+    counts, _, _ = calib._Grid(points, radius).neighbors(idx, 0)
     assert counts.tolist() == exact.tolist()
 
 
