@@ -10,6 +10,10 @@ spectrum of the contact force.
 
 Signed errors are positive to the left of the travel direction; the
 out-of-plane z offset is reported separately.
+
+Each stage works on whole arrays: resampling takes first crossings from
+running extrema of the line parameter, and the report CSVs go through the
+block writer of the recording CSVs (``ingest._write_rows``).
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .errors import (
     TooShort,
     WaypointNotReached,
 )
-from .ingest import DemonstrationTrace, ForceRecording
-from .jsonio import csv_row, read_json, write_json, write_text
+from .ingest import DemonstrationTrace, ForceRecording, _write_rows
+from .jsonio import open_output, read_json, write_json
 
 
 @dataclass
@@ -208,8 +212,16 @@ def resample_segment(
     the first crossing of the target's line parameter; targets never
     crossed are marked missing.  More than ``max_missing_fraction``
     missing raises :class:`SegmentUncovered`.  More than
-    ``MAX_TARGETS_PER_SEGMENT`` (100,000) targets raises
-    :class:`InputError`.
+    ``MAX_TARGETS_PER_SEGMENT`` (100,000) targets, or a point whose line
+    parameter or lateral offset is not finite, raises :class:`InputError`.
+
+    Step k, from ``u[k]`` to ``u[k+1]``, crosses target i when
+    ``ceil(lo*(n-1) - 1e-9) <= i <= floor(hi*(n-1) + 1e-9)``.  The path is
+    continuous, so the first step that does is the first by which it has
+    reached i from both sides: the later of the first steps where the
+    running maximum of ``u*(n-1) + 1e-9`` reaches i and the running
+    minimum of ``u*(n-1) - 1e-9`` falls to i.  ``searchsorted`` on those
+    extrema takes O((m + n) log m) time and O(m + n) memory for m points.
     """
     if n < 2:
         raise ValueError("need at least 2 resampling targets")
@@ -229,28 +241,23 @@ def resample_segment(
 
     positions = sub.positions
     xy = positions[:, :2]
-    u = (xy - a) @ unit / length
-    lateral = (xy - a) @ normal
+    scale = n - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (xy - a) @ unit / length
+        lateral = (xy - a) @ normal
+        upper = np.maximum.accumulate(u * scale + 1e-9)[1:]
+        lower = np.minimum.accumulate(u * scale - 1e-9)[1:]
+    if not (np.isfinite(u).all() and np.isfinite(lateral).all()):
+        raise InputError(
+            f"segment {label}: a demonstration point is too far from the ideal line "
+            "to project (non-finite line offset)"
+        )
     z = positions[:, 2]
 
     targets = np.linspace(0.0, 1.0, n)
-    seg_index = np.full(n, -1, dtype=int)
-    seg_alpha = np.zeros(n)
-    scale = n - 1
-    for k in range(u.size - 1):
-        u0, u1 = u[k], u[k + 1]
-        lo, hi = (u0, u1) if u0 <= u1 else (u1, u0)
-        i0 = max(0, math.ceil(lo * scale - 1e-9))
-        i1 = min(n - 1, math.floor(hi * scale + 1e-9))
-        for i in range(i0, i1 + 1):
-            if seg_index[i] != -1:
-                continue
-            denom = u1 - u0
-            alpha = 0.5 if denom == 0.0 else (targets[i] - u0) / denom
-            seg_index[i] = k
-            seg_alpha[i] = min(1.0, max(0.0, alpha))
-
-    missing = seg_index < 0
+    index = np.arange(n, dtype=float)
+    step = np.maximum(np.searchsorted(upper, index), np.searchsorted(-lower, -index))
+    missing = step >= u.size - 1
     if float(missing.mean()) > max_missing_fraction:
         raise SegmentUncovered(
             f"segment {label}: {int(missing.sum())} of {n} targets never crossed"
@@ -262,8 +269,12 @@ def resample_segment(
     z_offset = np.full(n, np.nan)
     force = None if sub.forces is None else np.full(n, np.nan)
     hit = ~missing
-    k_idx = seg_index[hit]
-    alpha = seg_alpha[hit]
+    k_idx = step[hit]
+    u0 = u[k_idx]
+    denom = u[k_idx + 1] - u0
+    alpha = np.divide(targets[hit] - u0, denom, out=np.full(k_idx.size, 0.5), where=denom != 0.0)
+    # np.maximum may keep -0.0 on a tie; + 0.0 gives 0.0, as Python's max(0.0, -0.0).
+    alpha = np.minimum(1.0, np.maximum(alpha, 0.0)) + 0.0
     demo[hit] = xy[k_idx] + alpha[:, None] * (xy[k_idx + 1] - xy[k_idx])
     signed[hit] = lateral[k_idx] + alpha * (lateral[k_idx + 1] - lateral[k_idx])
     z_offset[hit] = z[k_idx] + alpha * (z[k_idx + 1] - z[k_idx])
@@ -545,31 +556,19 @@ def write_report_files(report: EvaluationReport, out_dir) -> list[str]:
     write_json(os.path.join(out_dir, "report.json"), report_to_doc(report))
     written = ["report.json"]
 
-    def _write(name: str, text: str) -> None:
-        write_text(os.path.join(out_dir, name), text)
+    def _write(name: str, header: str, *blocks) -> None:  # blocks: (leading text, columns)
+        with open_output(os.path.join(out_dir, name)) as stream:
+            stream.write(header + "\n")
+            for lead, columns in blocks:
+                _write_rows(stream, None, columns, lead)
         written.append(name)
 
-    lines = ["segment,idx,mean,std,env_min,env_max"]
-    for agg in report.aggregates:
-        for i in range(agg.mean.size):
-            lines.append(
-                csv_row(
-                    [agg.segment_label, i, agg.mean[i], agg.std[i], agg.env_min[i], agg.env_max[i]]
-                )
-            )
-    _write("segments.csv", "\n".join(lines))
-
-    lines = ["bin_lo,bin_hi,count"]
-    hist = report.histogram
-    for lo, hi, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-        lines.append(csv_row([lo, hi, int(count)]))
-    _write("histogram.csv", "\n".join(lines))
-
-    for i, spectrum in enumerate(report.spectra):
-        lines = ["freq_hz,amplitude"]
-        freqs = spectrum.frequencies
-        for f, amp in zip(freqs, spectrum.amplitudes):
-            lines.append(csv_row([f, amp]))
-        _write(f"spectrum_{i:03d}.csv", "\n".join(lines))
-
+    _write("segments.csv", "segment,idx,mean,std,env_min,env_max", *[
+        (f"{a.segment_label},", [np.arange(a.mean.size), a.mean, a.std, a.env_min, a.env_max])
+        for a in report.aggregates
+    ])
+    edges, counts = report.histogram.bin_edges, report.histogram.counts
+    _write("histogram.csv", "bin_lo,bin_hi,count", ("", [edges[:-1], edges[1:], counts]))
+    for i, s in enumerate(report.spectra):
+        _write(f"spectrum_{i:03d}.csv", "freq_hz,amplitude", ("", [s.frequencies, s.amplitudes]))
     return written

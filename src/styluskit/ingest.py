@@ -281,12 +281,18 @@ def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecord
     at its own row, ahead of any later error and of the dropped-rows
     warning: a row whose squared norm is below 1e-20, far above the 1e-24
     at which :func:`~styluskit.geometry.quat_normalize` raises, goes
-    through it as it is read.
+    through it as it is read.  A row whose squared norm is above 1e300
+    raises :class:`~styluskit.errors.FormatError` there in the same way:
+    near 1.8e308 the square overflows, and ``quat_normalize`` would
+    return the zero quaternion.
     """
     rows = []
     for v in _read_rows(stream, POSE_CSV_HEADER, "pose", jsonl=True):
-        if v[4] * v[4] + v[5] * v[5] + v[6] * v[6] + v[7] * v[7] < 1e-20:
+        norm2 = v[4] * v[4] + v[5] * v[5] + v[6] * v[6] + v[7] * v[7]
+        if norm2 < 1e-20:
             quat_normalize(v[4:8])
+        elif norm2 > 1e300:
+            raise FormatError(f"quaternion {tuple(v[4:8])} is too large to normalize")
         rows.append(v)
     data = np.array(rows)
     return PoseRecording(
@@ -312,18 +318,22 @@ def parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> Demonstrati
     return DemonstrationTrace(points=track, forces=rows[:, 4].copy(), source=source)
 
 
-def _write_rows(stream, header: str, columns) -> None:
-    """Write ``header``, then one CSV line per row of the stacked ``columns``.
+def _write_rows(stream, header: str | None, columns, lead: str = "") -> None:
+    """Write ``header`` (unless None), then one CSV line per row of the
+    stacked ``columns``, each line starting with the text ``lead``.
 
     Rows are stacked and turned into Python floats a block at a time, so
     no copy of the whole recording is held.  Each block is one ``%``
     format of ``%.17g`` fields: the bytes of :func:`~styluskit.jsonio.csv_row`
-    on float rows (``nan`` for either sign of NaN, ``inf``, ``-0``).
+    on float rows (``nan`` for either sign of NaN, ``inf``, ``-0``), and on
+    integers below 2**53, which print the digits of ``str(int)``.
     """
-    stream.write(header + "\n")
+    if header is not None:
+        stream.write(header + "\n")
+    lead = lead.replace("%", "%%")
     for start in range(0, len(columns[0]), _WRITE_BLOCK):
         block = np.column_stack([c[start : start + _WRITE_BLOCK] for c in columns])
-        line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+        line = lead + ",".join(["%.17g"] * block.shape[1]) + "\n"
         stream.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 

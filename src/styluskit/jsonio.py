@@ -99,6 +99,12 @@ def read_json(path):
 
 
 def csv_row(values) -> str:
+    """One CSV line (no newline) from strings, integers and floats.
+
+    The package writes no CSV through it: ``ingest._write_rows`` formats
+    whole blocks of rows.  It stays as the per-value oracle those bytes
+    are tested against (``nan`` for NaN, 17 significant digits otherwise).
+    """
     parts = []
     for v in values:
         if isinstance(v, str):

@@ -1,0 +1,89 @@
+"""Finite inputs whose arithmetic overflows are input errors.
+
+A pose row whose quaternion's squared norm overflows would normalize to
+zeros, and a demonstration point far enough from the ideal line has no
+finite line parameter.  Both are the user's data: the library raises, and
+the CLI exits 2 with one ``error:`` line, never a traceback or a silent
+zero.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from styluskit.cli import main
+from styluskit.errors import FormatError
+from styluskit.ingest import parse_pose_csv
+
+IDENTITY_FRAME = {
+    "label": "board",
+    "translation": [0.0, 0.0, 0.0],
+    "rotation_quat": [0.0, 0.0, 0.0, 1.0],
+    "probe_points": [[0.1, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.1, 0.0]],
+}
+LINE_PATH = {"waypoints": [[0.0, 0.0], [0.1, 0.0]], "visiting_sequence": [0, 1]}
+
+
+def pose_lines(quat_row: str, later: str = "") -> list[str]:
+    rows = ["t,x,y,z,qx,qy,qz,qw"]
+    rows += [f"{i * 0.01},{i * 0.01},0.0,0.0,0,0,0,1" for i in range(11)]
+    rows[5] = f"0.04,0.04,0.0,0.0,{quat_row}"
+    if later:
+        rows.append(later)
+    return [r + "\n" for r in rows]
+
+
+@pytest.mark.parametrize("quat_row", ["1e200,0,0,1", "0,0,1.1e150,0", "-1e155,0,0,-1e155"])
+def test_parser_rejects_an_overflowing_quaternion_at_its_row(quat_row):
+    # The later row would be dropped with a warning, and the one after
+    # that is malformed: the quaternion's row is reported first.
+    lines = pose_lines(quat_row, later="0.5,nan,0,0,0,0,0,1\n0.6,bad,0,0,0,0,0,1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="too large to normalize"):
+            parse_pose_csv(io.StringIO("".join(lines)))
+
+
+def test_parser_keeps_a_large_finite_quaternion():
+    rec = parse_pose_csv(io.StringIO("".join(pose_lines("1e140,0,0,1e140"))))
+    assert np.allclose(rec.q[4], [math.sqrt(0.5), 0.0, 0.0, math.sqrt(0.5)])
+
+
+def run_evaluate(tmp_path, capsys, trace_text: str, *flags):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(trace_text)
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(IDENTITY_FRAME))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(LINE_PATH))
+    code = main(["evaluate", str(trace), "--frame", str(frame), "--path", str(path), *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_one_line_error(code, out, err, text):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert text in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [(), ("--in-frame",)])
+def test_evaluate_pose_trace_with_overflowing_quaternion_exit_2(tmp_path, capsys, flags):
+    text = "".join(pose_lines("1e200,0,0,1"))
+    code, out, err = run_evaluate(tmp_path, capsys, text, *flags)
+    assert_one_line_error(code, out, err, "too large to normalize")
+
+
+@pytest.mark.parametrize("x", ["1e308", "-1e308"])
+def test_evaluate_point_with_overflowing_line_offset_exit_2(tmp_path, capsys, x):
+    rows = ["t,x,y,z,Fz"] + [f"{i * 0.01},{i * 0.01},0.0,0.0,1.0" for i in range(11)]
+    rows[5] = f"0.04,{x},0.0,0.0,1.0"
+    code, out, err = run_evaluate(tmp_path, capsys, "\n".join(rows) + "\n", "--in-frame")
+    assert_one_line_error(code, out, err, "non-finite line offset")
