@@ -28,6 +28,9 @@ cells around it are found once, by binary search in the sorted keys; the
 neighbor counts and the cluster merge share that one walk over cell pairs,
 so the filter needs numpy alone.
 
+Both datasets are :class:`~styluskit.geometry.PoseRows`: the fiducial poses
+as rows ``q`` (N, 4) and ``p`` (N, 3), which the solvers read whole.
+
 Before solving, the position step checks that the poses rotate enough: some
 pair must be at least ``min_rotation`` apart.  Rotation angle is a metric,
 so by the triangle inequality the largest pairwise angle lies between the
@@ -55,8 +58,10 @@ from .errors import (
 from .geometry import (
     EulerAngles,
     Pose,
+    PoseRows,
     euler_to_rotation,
     quat_from_axis_angle,
+    quat_from_json,
     quat_multiply,
     quat_rotate,
     quats_to_matrices,
@@ -90,83 +95,24 @@ class FilterParams:
 AXIS_FILTER_DEFAULT = FilterParams(neighborhood_radius=0.02, min_neighbors=3)
 
 
-class _PoseRows:
-    """Poses as rows, ``q`` (N, 4) canonical unit quaternions and ``p``
-    (N, 3) translations, read as a list of :class:`Pose` through ``poses``.
-
-    Build from a list (``poses=``) or from rows (``q=``, ``p=``, as the
-    parsers give them).  The list is built on first read; from then on, as
-    when it was given, it is the data: appending to ``poses`` changes ``q``
-    and ``p``.
-    """
-
-    def __init__(self, poses: list[Pose] | None, q, p):
-        self._poses = poses
-        if poses is None:
-            self._q = np.asarray(q, dtype=float).reshape(-1, 4)
-            self._p = np.asarray(p, dtype=float).reshape(-1, 3)
-            if self._q.shape[0] != self._p.shape[0]:
-                raise ValueError("need one translation per rotation")
-
-    @property
-    def poses(self) -> list[Pose]:
-        if self._poses is None:
-            self._poses = [Pose(q, p) for q, p in zip(self._q, self._p)]
-        return self._poses
-
-    @property
-    def q(self) -> np.ndarray:
-        if self._poses is None:
-            return self._q
-        return np.array([x.rotation for x in self._poses]).reshape(-1, 4)
-
-    @property
-    def p(self) -> np.ndarray:
-        if self._poses is None:
-            return self._p
-        return np.array([x.translation for x in self._poses]).reshape(-1, 3)
-
-    def __len__(self) -> int:
-        return len(self._poses) if self._poses is not None else self._q.shape[0]
+class PositionDataset(PoseRows):
+    """Fiducial poses recorded while the tip pivots on one fixed point,
+    as the rows of :class:`~styluskit.geometry.PoseRows`."""
 
 
-class PositionDataset(_PoseRows):
-    """Fiducial poses recorded while the tip pivots on one fixed point.
-
-    Rows ``q`` and ``p``, or a list of poses, as in :class:`_PoseRows`.
-    """
-
-    def __init__(self, poses: list[Pose] | None = None, *, q=None, p=None):
-        super().__init__(poses, q, p)
-        if not len(self):
-            raise ValueError("position dataset must not be empty")
-
-    def rotation_array(self) -> np.ndarray:
-        return quats_to_matrices(self.q)
-
-    def translation_array(self) -> np.ndarray:
-        return self.p
-
-    def quaternion_array(self) -> np.ndarray:
-        return self.q
-
-
-class HoleRecording(_PoseRows):
-    """Fiducial poses recorded while the stylus spins in one hole.
-
-    Rows ``q`` and ``p``, or a list of poses, as in :class:`_PoseRows`,
-    plus the hole's unit ``reference_axis``.
+class HoleRecording(PoseRows):
+    """Fiducial poses recorded while the stylus spins in one hole, as the
+    rows of :class:`~styluskit.geometry.PoseRows`, plus the hole's unit
+    ``reference_axis``.
     """
 
     def __init__(self, reference_axis, poses: list[Pose] | None = None, *, q=None, p=None):
-        super().__init__(poses, q, p)
+        super().__init__(poses, q=q, p=p)
         axis = vec3(reference_axis)
         n = np.linalg.norm(axis)
         if not (math.isfinite(n) and n >= 1e-12):
             raise ValueError("hole reference axis must be finite and nonzero")
         self.reference_axis = axis / n
-        if not len(self):
-            raise ValueError("hole recording must not be empty")
 
 
 @dataclass
@@ -214,7 +160,7 @@ class TipCalibration:
 def candidate_tip_points(ds: PositionDataset, p) -> np.ndarray:
     """World tip positions ``R_i p + t_i`` implied by a candidate offset."""
     p = vec3(p)
-    return ds.rotation_array() @ p + ds.translation_array()
+    return quats_to_matrices(ds.q) @ p + ds.p
 
 
 def _sq_norm(diff: np.ndarray) -> np.ndarray:
@@ -614,13 +560,13 @@ def calibrate_position(
     """
     if len(ds) < 3:
         raise DegenerateRotations(f"need at least 3 poses, got {len(ds)}")
-    if not _rotation_spread_reaches(ds.quaternion_array(), min_rotation):
+    if not _rotation_spread_reaches(ds.q, min_rotation):
         raise DegenerateRotations(
             "largest pairwise rotation is below the required minimum "
             f"({math.degrees(min_rotation):.1f} deg)"
         )
-    rotations = ds.rotation_array()
-    translations = ds.translation_array()
+    rotations = quats_to_matrices(ds.q)
+    translations = ds.p
     offset, pivot = _solve_pivot(rotations, translations)
     removed = 0
     if params is not None:
@@ -782,10 +728,7 @@ def calibration_to_doc(calib: TipCalibration) -> dict:
 def calibration_from_doc(doc: dict) -> TipCalibration:
     try:
         return TipCalibration(
-            transform=Pose(
-                np.asarray(doc["rotation_quat"], dtype=float),
-                np.asarray(doc["translation"], dtype=float),
-            ),
+            transform=Pose(quat_from_json(doc["rotation_quat"]), doc["translation"]),
             position_residual_rms=float(doc["position_residual_rms"]),
             orientation_residual_rms=float(doc["orientation_residual_rms"]),
             filtered_outliers=int(doc["filtered_outliers"]),

@@ -241,7 +241,7 @@ def _cmd_identify_frame(args) -> int:
         raise FormatError(
             f"{args.waypoints}: need at least 3 waypoints, got {len(waypoint_list)}"
         )
-    p1, p2, p3 = (waypoint_list.waypoints[i].position for i in range(3))
+    p1, p2, p3 = waypoint_list.waypoints.position[:3]
     frame = framing.identify_frame(p1, p2, p3, label=args.label)
     _emit(dumps_canonical(framing.frame_to_doc(frame)), args.output)
     return EXIT_OK

@@ -20,24 +20,23 @@ class DegenerateDataError(StylusKitError):
     """Input is well-formed but geometrically/numerically degenerate."""
 
 
-class FormatError(InputError):
+class _AtLine:
+    """Keeps the input ``line`` an error was found on (or None) and
+    prefixes the message with ``line N: ``."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class FormatError(_AtLine, InputError):
     """A stream violates its declared format (bad header, row, or field)."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class NonMonotonicTime(InputError):
+class NonMonotonicTime(_AtLine, InputError):
     """Timestamps are not increasing where the format requires it."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class EmptyInput(InputError):

@@ -28,6 +28,7 @@ from .geometry import (
     angle_between,
     compose_rows,
     invert,
+    quat_from_json,
     quat_from_matrix,
     vec3,
 )
@@ -145,11 +146,8 @@ def frame_from_doc(doc: dict) -> DrawingFrame:
     try:
         return DrawingFrame(
             label=str(doc["label"]),
-            transform=Pose(
-                np.asarray(doc["rotation_quat"], dtype=float),
-                np.asarray(doc["translation"], dtype=float),
-            ),
-            probe_points=np.asarray(doc["probe_points"], dtype=float),
+            transform=Pose(quat_from_json(doc["rotation_quat"]), doc["translation"]),
+            probe_points=doc["probe_points"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad drawing frame document: {exc}") from None
@@ -178,11 +176,8 @@ def workspace_from_doc(doc: list) -> Workspace:
     try:
         boxes = [
             CollisionBox(
-                frame=Pose(
-                    np.asarray(item["rotation_quat"], dtype=float),
-                    np.asarray(item["center"], dtype=float),
-                ),
-                extents=np.asarray(item["extents"], dtype=float),
+                frame=Pose(quat_from_json(item["rotation_quat"]), item["center"]),
+                extents=item["extents"],
             )
             for item in doc
         ]

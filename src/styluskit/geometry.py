@@ -14,15 +14,16 @@ Conventions, used consistently across the package:
   bits as the call on that row alone; :func:`quat_normalize_rows` and
   :func:`compose_rows` keep the same promise for :func:`quat_normalize`
   and :func:`compose`.
-- Columnar tracks: a :class:`TipTrack` holds N tip poses as three arrays,
-  ``t`` (N,), ``position`` (N, 3) and ``orientation`` (N, 4), rows in time
-  order.  It is a sequence of :class:`TipPoseRecord`, but no record exists
-  until one is indexed: whole-track work reads the arrays.
+- Rows are the data: :class:`PoseRows` holds N poses as ``q`` (N, 4) and
+  ``p`` (N, 3), a :class:`TipTrack` N tip poses as ``t`` (N,), ``position``
+  (N, 3) and ``orientation`` (N, 4).  A list of poses or records given to
+  either is stacked once; the objects are views built when read.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import ZeroVector
 
 _UNIT_TOL = 1e-12
+MAX_QUAT_NORM2 = 1e300  # largest squared norm of a quaternion read from a file
 
 
 def vec3(v) -> np.ndarray:
@@ -59,6 +61,23 @@ def quat_normalize(q) -> np.ndarray:
         a /= n
     if a[3] < 0.0 or (a[3] == 0.0 and _leading_component(a) < 0.0):
         a = -a
+    return a
+
+
+def quat_from_json(value) -> np.ndarray:
+    """A quaternion read from a JSON document, as a float (4,) array, not normalized.
+
+    Raises ``ValueError`` for a wrong shape, a non-finite component, or a
+    squared norm above ``MAX_QUAT_NORM2``, which :func:`quat_normalize`
+    would square to ``inf`` and turn into zeros.  The norm is summed in
+    Python floats, which overflow without a warning.  A zero quaternion
+    passes, for :func:`quat_normalize` to reject.
+    """
+    a = np.asarray(value, dtype=float)
+    if a.shape != (4,):
+        raise ValueError(f"expected a quaternion (qx,qy,qz,qw), got shape {a.shape}")
+    if not sum(x * x for x in a.tolist()) <= MAX_QUAT_NORM2:
+        raise ValueError(f"quaternion {a.tolist()} is not finite or too large to normalize")
     return a
 
 
@@ -142,19 +161,12 @@ def quat_rotate(q, v) -> np.ndarray:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion."""
-    x, y, z, w = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrix of a unit quaternion: :func:`quats_to_matrices` on one row."""
+    return quats_to_matrices(np.reshape(q, (1, 4)))[0]
 
 
 def quats_to_matrices(quats: np.ndarray) -> np.ndarray:
-    """Vectorized ``quat_to_matrix`` for an (N, 4) array."""
+    """Rotation matrices (N, 3, 3) of an (N, 4) array of unit quaternions."""
     q = np.asarray(quats, dtype=float)
     x, y, z, w = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     m = np.empty((q.shape[0], 3, 3))
@@ -205,22 +217,16 @@ def quat_from_axis_angle(axis, angle) -> np.ndarray:
     """Unit quaternion of the rotation by ``angle`` about ``axis``.
 
     Leading axis: ``axis`` rows (N, 3) with ``angle`` (N,) give (N, 4)
-    rows, each with the bits of the call on that row alone.  The one-axis
-    call takes its norm with ``np.linalg.norm``, a BLAS dot product whose
-    rounding ``einsum`` and ``(v * v).sum(1)`` do not reproduce, so the
-    rows take theirs from the same ``r @ r`` on each contiguous row; sine
-    and cosine come from :mod:`math` for the same reason.  The first
-    (near-)zero axis row raises :class:`ZeroVector`, naming the row.
+    rows; one axis (3,) with one angle is the same formula on one row.
+    Each row takes its norm from ``r @ r`` on its contiguous copy and its
+    sine and cosine from :mod:`math`: ``einsum``, ``(v * v).sum(1)`` and
+    numpy's ``sin`` round differently, and the bytes ``simulate`` writes
+    depend on these.  The first (near-)zero axis row raises
+    :class:`ZeroVector`, naming the row.
     """
     a = np.asarray(axis, dtype=float)
     if a.ndim == 1:
-        a = vec3(axis)
-        n = np.linalg.norm(a)
-        if n < _UNIT_TOL:
-            raise ZeroVector("rotation axis has (near-)zero norm")
-        a = a / n
-        h = 0.5 * angle
-        return quat_normalize(np.append(a * math.sin(h), math.cos(h)))
+        return quat_from_axis_angle(vec3(a)[None], [angle])[0]
     a = np.array(a, order="C")
     h = 0.5 * np.asarray(angle, dtype=float)
     if a.ndim != 2 or a.shape[1] != 3 or h.shape != a.shape[:1]:
@@ -311,6 +317,40 @@ class Pose:
         return m
 
 
+class PoseRows:
+    """One or more poses as rows: ``q`` (N, 4) canonical unit quaternions
+    and ``p`` (N, 3) translations, as :func:`quat_normalize_rows` and the
+    parsers give them.  The rows are the data.
+
+    Build from the rows (``q=``, ``p=``) or from a list of :class:`Pose`,
+    stacked once here.  ``poses`` is a tuple of :class:`Pose`: the given
+    poses, or built from the rows on first read.  It is a view; reading it
+    leaves ``q`` and ``p`` as they are.
+    """
+
+    def __init__(self, poses: Sequence[Pose] | None = None, *, q=None, p=None):
+        if poses is not None:
+            poses = tuple(poses)
+            q = [x.rotation for x in poses]
+            p = [x.translation for x in poses]
+        self._poses = poses
+        self.q = np.asarray(q, dtype=float).reshape(-1, 4)
+        self.p = np.asarray(p, dtype=float).reshape(-1, 3)
+        if self.q.shape[0] != self.p.shape[0]:
+            raise ValueError("need one translation per rotation")
+        if not len(self):
+            raise ValueError(f"{type(self).__name__} must not be empty")
+
+    @property
+    def poses(self) -> tuple[Pose, ...]:
+        if self._poses is None:
+            self._poses = tuple(map(Pose, self.q, self.p))
+        return self._poses
+
+    def __len__(self) -> int:
+        return self.q.shape[0]
+
+
 @dataclass(frozen=True)
 class EulerAngles:
     """Intrinsic yaw(Z)-pitch(Y)-roll(X) angles in radians."""
@@ -356,8 +396,8 @@ class TipTrack(Sequence):
     :func:`quat_normalize_rows` return them.  The arrays are read-only
     views of what the track was built from.  Indexing (and so iterating)
     builds one record per item read; a slice is a track over the same
-    memory.  A track equals another track, or a list of records, holding
-    the same values.
+    memory, and an integer array a track of the rows it picks.  A track
+    equals another track, or a list of records, holding the same values.
     """
 
     __slots__ = ("t", "position", "orientation")
@@ -386,9 +426,9 @@ class TipTrack(Sequence):
         return self.t.size
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TipTrack(self.t[index], self.position[index], self.orientation[index])
-        return TipPoseRecord(float(self.t[index]), self.position[index], self.orientation[index])
+        if isinstance(index, numbers.Integral):
+            return TipPoseRecord(float(self.t[index]), self.position[index], self.orientation[index])
+        return TipTrack(self.t[index], self.position[index], self.orientation[index])
 
     def __eq__(self, other):
         if isinstance(other, (list, tuple)) and all(isinstance(r, TipPoseRecord) for r in other):

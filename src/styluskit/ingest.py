@@ -20,16 +20,17 @@ that does not increase :class:`~styluskit.errors.NonMonotonicTime`.
 
 Recordings are columnar.  A parser reads its rows as float lists, stacks
 them into one array and slices out the columns: a :class:`PoseRecording`
-holds ``t`` (N,), ``q`` (N, 4) and ``p`` (N, 3), a
-:class:`DemonstrationTrace` a :class:`~styluskit.geometry.TipTrack` of
-``t``, ``position`` and ``orientation`` plus ``forces`` (N,).  Quaternions
+holds ``t`` (N,) and the ``q`` (N, 4) and ``p`` (N, 3) of
+:class:`~styluskit.geometry.PoseRows`, a :class:`DemonstrationTrace` a
+:class:`~styluskit.geometry.TipTrack` of ``t``, ``position`` and
+``orientation`` plus ``forces`` (N,), and a :class:`WaypointList` a
+:class:`~styluskit.geometry.TipTrack` of the captured poses.  Quaternions
 are canonicalised all at once by
 :func:`~styluskit.geometry.quat_normalize_rows`, bit for bit what
 :class:`~styluskit.geometry.Pose` gives per row.  The per-sample objects
-(``samples``, ``points``) are views built when read;
+(``samples``, ``points``, ``waypoints`` items) are views built when read;
 :func:`apply_calibration`, :func:`snapshot_waypoints`, :func:`pair_force`
-and the writers work on the arrays, and a snapshot builds records only for
-the captured presses.
+and the writers work on the arrays, and a snapshot builds no record.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import json
 import math
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,10 +53,13 @@ from .errors import (
     NoOverlap,
 )
 from .geometry import (
+    MAX_QUAT_NORM2,
     Pose,
+    PoseRows,
     TipPoseRecord,
     TipTrack,
     compose_rows,
+    quat_from_json,
     quat_normalize,
     quat_normalize_rows,
 )
@@ -74,50 +78,38 @@ class TimedPose(NamedTuple):
     pose: Pose
 
 
-class PoseRecording:
+class PoseRecording(PoseRows):
     """Timestamped fiducial-centroid poses measured from one origin frame.
 
-    Stored as arrays: ``t`` (N,) strictly increasing seconds, ``q`` (N, 4)
-    canonical unit quaternions (as :func:`~styluskit.geometry.quat_normalize_rows`
-    returns them) and ``p`` (N, 3) translations.  Build it from the arrays
+    The rows of :class:`~styluskit.geometry.PoseRows` plus ``t`` (N,),
+    strictly increasing seconds.  Build it from the arrays
     (``PoseRecording(frame_id, t=..., q=..., p=...)``) or from a list of
-    :class:`TimedPose` (``samples=``).  ``samples`` is that list, or a
-    list built on first use; it is a view to read, not to edit.
+    :class:`TimedPose` (``samples=``), stacked once.  ``samples`` is that
+    list, or a tuple built on first read from ``t`` and ``poses``; it is a
+    view to read, not to edit.
     """
 
     def __init__(
         self, frame_id: str, samples: list[TimedPose] | None = None, *, t=None, q=None, p=None
     ):
-        self.frame_id = frame_id
-        self._samples = samples
+        poses = None
         if samples is not None:
             t = [s.t for s in samples]
-            q = np.array([s.pose.rotation for s in samples]).reshape(-1, 4)
-            p = np.array([s.pose.translation for s in samples]).reshape(-1, 3)
+            poses = [s.pose for s in samples]
+        super().__init__(poses, q=q, p=p)
+        self.frame_id = frame_id
+        self._samples = samples
         self.t = np.asarray(t, dtype=float).reshape(-1)
-        self.q = np.asarray(q, dtype=float).reshape(-1, 4)
-        self.p = np.asarray(p, dtype=float).reshape(-1, 3)
-        if not self.t.size:
-            raise ValueError("pose recording must not be empty")
-        if not self.t.size == self.q.shape[0] == self.p.shape[0]:
+        if self.t.size != len(self):
             raise ValueError("pose recording needs one rotation and one translation per time")
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("pose recording timestamps must be strictly increasing")
 
-    def __len__(self) -> int:
-        return self.t.size
-
     @property
-    def samples(self) -> list[TimedPose]:
+    def samples(self) -> Sequence[TimedPose]:
         if self._samples is None:
-            self._samples = [
-                TimedPose(t, Pose(q, p)) for t, q, p in zip(self.t.tolist(), self.q, self.p)
-            ]
+            self._samples = tuple(map(TimedPose, self.t.tolist(), self.poses))
         return self._samples
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t
 
 
 @dataclass
@@ -191,13 +183,17 @@ class DemonstrationTrace:
 
 @dataclass
 class WaypointList:
-    """Tip poses captured with the snapshot button, in capture order."""
+    """Tip poses captured with the snapshot button, in capture order.
 
-    waypoints: list[TipPoseRecord] = field(default_factory=list)
+    ``waypoints`` may be given as a list of records; it is kept as a
+    :class:`~styluskit.geometry.TipTrack`, stacked once.
+    """
+
+    waypoints: TipTrack = ()
 
     def __post_init__(self):
-        ts = [w.t for w in self.waypoints]
-        if any(b < a for a, b in zip(ts, ts[1:])):
+        self.waypoints = TipTrack.from_records(self.waypoints)
+        if np.any(np.diff(self.waypoints.t) < 0.0):
             raise ValueError("waypoints must be ordered by capture time")
 
     def __len__(self) -> int:
@@ -281,17 +277,19 @@ def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecord
     at its own row, ahead of any later error and of the dropped-rows
     warning: a row whose squared norm is below 1e-20, far above the 1e-24
     at which :func:`~styluskit.geometry.quat_normalize` raises, goes
-    through it as it is read.  A row whose squared norm is above 1e300
-    raises :class:`~styluskit.errors.FormatError` there in the same way:
-    near 1.8e308 the square overflows, and ``quat_normalize`` would
-    return the zero quaternion.
+    through it as it is read.  A row whose squared norm is above
+    ``MAX_QUAT_NORM2`` (1e300, shared with
+    :func:`~styluskit.geometry.quat_from_json`) raises
+    :class:`~styluskit.errors.FormatError` there in the same way: near
+    1.8e308 the square overflows, and ``quat_normalize`` would return the
+    zero quaternion.
     """
     rows = []
     for v in _read_rows(stream, POSE_CSV_HEADER, "pose", jsonl=True):
         norm2 = v[4] * v[4] + v[5] * v[5] + v[6] * v[6] + v[7] * v[7]
         if norm2 < 1e-20:
             quat_normalize(v[4:8])
-        elif norm2 > 1e300:
+        elif norm2 > MAX_QUAT_NORM2:
             raise FormatError(f"quaternion {tuple(v[4:8])} is too large to normalize")
         rows.append(v)
     data = np.array(rows)
@@ -409,36 +407,30 @@ def snapshot_waypoints(
     events: list[PenEvent],
     guard: float = 0.1,
 ) -> WaypointList:
-    """Capture the tip record nearest each button press (ties go earlier).
+    """Capture the tip pose nearest each button press (ties go earlier).
 
     ``tips`` is a :class:`~styluskit.geometry.TipTrack` or a list of
-    records; only the captured ones are read as records.  Presses more
-    than ``guard`` seconds outside the recording span raise
-    :class:`EventOutsideRecording`.
+    records.  All presses are found with one ``searchsorted`` and the
+    waypoints are the track's rows at them, so no record is built.  A press
+    more than ``guard`` seconds outside the recording span raises
+    :class:`EventOutsideRecording`, naming the first such press.
     """
     if not tips:
         raise ValueError("snapshot requires a non-empty tip recording")
-    times = TipTrack.from_records(tips).t
-    captured: list[TipPoseRecord] = []
-    for event in events:
-        if event.kind is not PenEventKind.BUTTON_PRESS:
-            continue
-        if event.t < times[0] - guard or event.t > times[-1] + guard:
-            raise EventOutsideRecording(
-                f"button press at t={event.t!r} is outside the recording span "
-                f"[{float(times[0])!r}, {float(times[-1])!r}] by more than {guard!r} s"
-            )
-        i = int(np.searchsorted(times, event.t))
-        if i <= 0:
-            pick = 0
-        elif i >= times.size:
-            pick = times.size - 1
-        else:
-            left = event.t - times[i - 1]
-            right = times[i] - event.t
-            pick = i - 1 if left <= right else i
-        captured.append(tips[pick])
-    return WaypointList(waypoints=captured)
+    track = TipTrack.from_records(tips)
+    times = track.t
+    presses = [e.t for e in events if e.kind is PenEventKind.BUTTON_PRESS]
+    at = np.array(presses, dtype=float)
+    outside = (at < times[0] - guard) | (at > times[-1] + guard)
+    if outside.any():
+        raise EventOutsideRecording(
+            f"button press at t={presses[int(np.argmax(outside))]!r} is outside the recording "
+            f"span [{float(times[0])!r}, {float(times[-1])!r}] by more than {guard!r} s"
+        )
+    i = np.searchsorted(times, at)
+    left, right = np.maximum(i - 1, 0), np.minimum(i, times.size - 1)
+    pick = np.where(at - times[left] <= times[right] - at, left, right)
+    return WaypointList(waypoints=track[pick])
 
 
 def pair_force(
@@ -470,14 +462,13 @@ def pair_force(
 
 
 def waypoint_list_to_doc(wl: WaypointList) -> dict:
+    track = wl.waypoints
     return {
         "waypoints": [
-            {
-                "t": w.t,
-                "position": w.position.tolist(),
-                "orientation_quat": w.orientation.tolist(),
-            }
-            for w in wl.waypoints
+            {"t": t, "position": p, "orientation_quat": q}
+            for t, p, q in zip(
+                track.t.tolist(), track.position.tolist(), track.orientation.tolist()
+            )
         ]
     }
 
@@ -494,7 +485,7 @@ def waypoint_list_from_doc(doc: dict) -> WaypointList:
         ]
         if not all(np.isfinite(np.r_[t, p.ravel(), q.ravel()]).all() for t, p, q in rows):
             raise ValueError("waypoint times, positions and quaternions must be finite")
-        return WaypointList(waypoints=[TipPoseRecord(*row) for row in rows])
+        return WaypointList([TipPoseRecord(t, p, quat_from_json(q)) for t, p, q in rows])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad waypoint list document: {exc}") from None
 

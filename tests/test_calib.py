@@ -66,7 +66,7 @@ class TestCandidateTipPoints:
     def test_zero_offset_returns_translations(self):
         ds, _ = clean_position_dataset(10, seed=1)
         tips = candidate_tip_points(ds, np.zeros(3))
-        assert np.allclose(tips, ds.translation_array())
+        assert np.allclose(tips, ds.p)
 
     def test_single_identity_pose(self):
         ds = PositionDataset([Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))])
@@ -299,13 +299,15 @@ class TestCalibrateOrientation:
         true_q = quat_from_axis_angle([1, 0, 0], 0.2)
         ds, truth = orientation_dataset(true_q, noise=math.radians(0.05), seed=21)
         rng = np.random.default_rng(22)
-        for hole in ds.holes:
-            for _ in range(3):
-                bad = Pose(
+        for i, hole in enumerate(ds.holes):
+            bad = [
+                Pose(
                     quat_from_axis_angle(rng.normal(size=3), rng.uniform(0.5, 2.0)),
                     rng.normal(size=3),
                 )
-                hole.poses.append(bad)
+                for _ in range(3)
+            ]
+            ds.holes[i] = HoleRecording(hole.reference_axis, [*hole.poses, *bad])
         result = calibrate_orientation(ds, TRUE_OFFSET)
         assert result.removed_outliers >= 6
         recovered_axis = quat_rotate(euler_to_rotation(result.angles), EZ)

@@ -16,7 +16,13 @@ import pytest
 from styluskit.calib import HoleRecording, PositionDataset, calibrate_position
 from styluskit.evaluation import IdealPath, segment_trace
 from styluskit.framing import DrawingFrame, to_frame
-from styluskit.geometry import Pose, TipPoseRecord, TipTrack, quat_from_axis_angle
+from styluskit.geometry import (
+    Pose,
+    TipPoseRecord,
+    TipTrack,
+    quat_from_axis_angle,
+    quat_normalize_rows,
+)
 from styluskit.ingest import (
     DemonstrationTrace,
     ForceRecording,
@@ -24,6 +30,7 @@ from styluskit.ingest import (
     PenEventKind,
     PoseRecording,
     TimedPose,
+    WaypointList,
     apply_calibration,
     pair_force,
     parse_pose_csv,
@@ -49,6 +56,47 @@ def records(n: int = 6) -> list[TipPoseRecord]:
 
 def bits(items) -> list:
     return [(type(r.t), r.t, r.position.tobytes(), r.orientation.tobytes()) for r in items]
+
+
+ROW_CONTAINERS = ["PositionDataset", "HoleRecording", "PoseRecording", "WaypointList"]
+
+
+def built_both_ways(kind: str, n: int = 5):
+    """A ``kind`` built from a list of poses (or samples, or records) and one
+    built from rows normalized all at once, and the name of its list view."""
+    rng = np.random.default_rng(4)
+    raw_q, p = rng.normal(size=(n, 4)), rng.normal(size=(n, 3))
+    q, t = quat_normalize_rows(raw_q), np.arange(n) / 100.0
+    poses = [Pose(a, b) for a, b in zip(raw_q, p)]
+    if kind == "PositionDataset":
+        return PositionDataset(poses), PositionDataset(q=q, p=p), "poses"
+    if kind == "HoleRecording":
+        axis = [0.0, 0.0, 1.0]
+        return HoleRecording(axis, poses), HoleRecording(axis, q=q, p=p), "poses"
+    if kind == "PoseRecording":
+        samples = [TimedPose(s, pose) for s, pose in zip(t.tolist(), poses)]
+        return PoseRecording("world", samples), PoseRecording("world", t=t, q=q, p=p), "samples"
+    recs = [TipPoseRecord(s, pose.translation, pose.rotation) for s, pose in zip(t.tolist(), poses)]
+    return WaypointList(recs), WaypointList(TipTrack(t, p, q)), "waypoints"
+
+
+def data(container) -> list:
+    """The arrays that are a container's data."""
+    if isinstance(container, WaypointList):
+        track = container.waypoints
+        return [track.t, track.position, track.orientation]
+    return [getattr(container, name) for name in ("t", "q", "p") if hasattr(container, name)]
+
+
+def view_bits(items) -> list:
+    """The bits of each pose, sample or record of a list view."""
+    out = []
+    for item in items:
+        t, pose = item if isinstance(item, TimedPose) else (getattr(item, "t", None), item)
+        if isinstance(pose, TipPoseRecord):
+            pose = pose.pose()
+        out.append((t, pose.rotation.tobytes(), pose.translation.tobytes()))
+    return out
 
 
 class TestTipTrack:
@@ -154,14 +202,30 @@ class TestCalibrationDatasets:
             p.rotation.tobytes() for p in poses
         ]
 
-    def test_the_built_list_becomes_the_data(self):
-        poses = random_poses(4)
-        rows = PositionDataset(poses)
-        hole = HoleRecording([0.0, 0.0, 2.0], q=rows.q, p=rows.p)
-        assert len(hole) == 4 and hole.reference_axis.tolist() == [0.0, 0.0, 1.0]
-        hole.poses.append(poses[0])
-        assert len(hole) == 5 and hole.q.shape == (5, 4) and hole.p.shape == (5, 3)
-        assert hole.q[4].tobytes() == poses[0].rotation.tobytes()
+    @pytest.mark.parametrize("kind", ROW_CONTAINERS)
+    def test_list_and_rows_hold_the_same_bytes(self, kind):
+        from_list, from_rows, view = built_both_ways(kind)
+        assert len(from_list) == len(from_rows) == 5
+        assert [(a.shape, a.tobytes()) for a in data(from_list)] == [
+            (a.shape, a.tobytes()) for a in data(from_rows)
+        ]
+        assert view_bits(getattr(from_list, view)) == view_bits(getattr(from_rows, view))
+
+    @pytest.mark.parametrize("kind", ROW_CONTAINERS)
+    @pytest.mark.parametrize("form", [0, 1], ids=["from_list", "from_rows"])
+    def test_reading_the_view_leaves_the_rows(self, kind, form):
+        built = built_both_ways(kind)
+        container, view = built[form], built[2]
+        before = data(container)
+        items = getattr(container, view)
+        assert len(list(items)) == len(container)
+        assert all(a is b for a, b in zip(data(container), before, strict=True))
+        if view != "waypoints":
+            assert isinstance(items, (list, tuple)) and getattr(container, view) is items
+
+    def test_hole_axis_is_normalized(self):
+        hole = HoleRecording([0.0, 0.0, 2.0], q=[[0.0, 0.0, 0.0, 1.0]], p=[[0.0, 0.0, 0.0]])
+        assert len(hole) == 1 and hole.reference_axis.tolist() == [0.0, 0.0, 1.0]
 
     def test_rejects_empty_rows(self):
         with pytest.raises(ValueError):
