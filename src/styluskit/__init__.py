@@ -7,72 +7,71 @@ recordings into tip-space demonstrations and button-snapshot waypoints,
 expresses them in drawing frames probed from three points, and scores
 them against ideal waypoint paths.  A seeded synthetic generator provides
 ground truth for end-to-end verification.
+
+The names below are re-exported lazily (PEP 562): ``import styluskit``
+loads no submodule and no numpy, and ``styluskit.X`` imports the one
+module that defines ``X`` on first use.  Each access reads the defining
+module's attribute, so the two never disagree.
 """
 
-from .errors import StylusKitError
-from .geometry import (
-    EulerAngles,
-    Pose,
-    TipPoseRecord,
-    TipTrack,
-    angle_between,
-    compose,
-    euler_to_rotation,
-    invert,
-    rotation_to_euler,
-    transform_point,
-)
-from .calib import (
-    FilterParams,
-    OrientationDataset,
-    PositionDataset,
-    TipCalibration,
-    calibrate_orientation,
-    calibrate_position,
-)
-from .framing import CollisionBox, DrawingFrame, Workspace, box_from_points, identify_frame, to_frame
-from .ingest import (
-    DemonstrationTrace,
-    ForceRecording,
-    PenEvent,
-    PoseRecording,
-    WaypointList,
-)
-from .evaluation import EvaluationReport, IdealPath, evaluate_demonstrations
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CollisionBox",
-    "DemonstrationTrace",
-    "DrawingFrame",
-    "EulerAngles",
-    "EvaluationReport",
-    "FilterParams",
-    "ForceRecording",
-    "IdealPath",
-    "OrientationDataset",
-    "PenEvent",
-    "Pose",
-    "PoseRecording",
-    "PositionDataset",
-    "StylusKitError",
-    "TipCalibration",
-    "TipPoseRecord",
-    "TipTrack",
-    "WaypointList",
-    "Workspace",
-    "angle_between",
-    "box_from_points",
-    "calibrate_orientation",
-    "calibrate_position",
-    "compose",
-    "euler_to_rotation",
-    "evaluate_demonstrations",
-    "identify_frame",
-    "invert",
-    "rotation_to_euler",
-    "to_frame",
-    "transform_point",
-    "__version__",
-]
+# The submodule that defines each public name.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "errors": ["StylusKitError"],
+        "geometry": [
+            "EulerAngles",
+            "Pose",
+            "TipPoseRecord",
+            "TipTrack",
+            "angle_between",
+            "compose",
+            "euler_to_rotation",
+            "invert",
+            "rotation_to_euler",
+            "transform_point",
+        ],
+        "calib": [
+            "FilterParams",
+            "OrientationDataset",
+            "PositionDataset",
+            "TipCalibration",
+            "calibrate_orientation",
+            "calibrate_position",
+        ],
+        "framing": [
+            "CollisionBox",
+            "DrawingFrame",
+            "Workspace",
+            "box_from_points",
+            "identify_frame",
+            "to_frame",
+        ],
+        "ingest": [
+            "DemonstrationTrace",
+            "ForceRecording",
+            "PenEvent",
+            "PoseRecording",
+            "WaypointList",
+        ],
+        "evaluation": ["EvaluationReport", "IdealPath", "evaluate_demonstrations"],
+    }.items()
+    for name in names
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,12 @@ any file is read.  Each library warning (dropped rows, degenerate axes)
 prints as one ``warning: <message>`` line on stderr.  Every output is
 deterministic: identical inputs and flags produce byte-identical files,
 and no report ever contains wall-clock time.
+
+Start-up loads only what a command uses.  At module scope this file
+imports the standard library and ``errors`` alone, so ``--help`` and
+usage errors never load numpy; each handler imports its own modules when
+it runs.  ``dumps_canonical`` and the other ``jsonio`` writers stay
+readable as attributes of this module, forwarded to ``jsonio`` on use.
 """
 
 from __future__ import annotations
@@ -18,20 +24,29 @@ import itertools
 import math
 import os
 import sys
-import traceback
 import warnings
 
-import numpy as np
-
-from . import calib, evaluation, framing, ingest, synth
 from .errors import FormatError, InputError, StylusKitError
-from .geometry import EulerAngles, Pose, TipTrack, euler_to_rotation, vec3
-from .jsonio import dumps_canonical, open_output, read_json, write_json, write_text
+
+TYPE_CHECKING = False  # read as True by type checkers; spares importing typing
+if TYPE_CHECKING:
+    from . import calib, ingest, synth
+    from .geometry import Pose
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
+
+_JSONIO_NAMES = ("dumps_canonical", "open_output", "read_json", "write_json", "write_text")
+
+
+def __getattr__(name: str):
+    if name in _JSONIO_NAMES:
+        from . import jsonio
+
+        return getattr(jsonio, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,14 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
+    from .jsonio import write_text
+
     print(text)
     if output:
         write_text(output, text)
 
 
 def _filter_params(radius, min_neighbors, radius_flag, count_flag) -> calib.FilterParams:
+    from .calib import FilterParams
+
     try:
-        return calib.FilterParams(radius, min_neighbors)
+        return FilterParams(radius, min_neighbors)
     except ValueError as exc:
         raise InputError(
             f"{radius_flag} {radius} / {count_flag} {min_neighbors}: {exc}"
@@ -142,6 +161,9 @@ def _check_flag(flag: str, value: float, positive: bool = True) -> None:
 
 
 def _cmd_calibrate_position(args) -> int:
+    from . import calib, ingest
+    from .jsonio import dumps_canonical
+
     _check_flag("--min-rotation-deg", args.min_rotation_deg, positive=False)
     params = None
     if not args.no_filter:
@@ -170,6 +192,12 @@ def _cmd_calibrate_position(args) -> int:
 
 
 def _cmd_calibrate_orientation(args) -> int:
+    import numpy as np
+
+    from . import calib, ingest
+    from .geometry import vec3
+    from .jsonio import dumps_canonical, read_json
+
     axis_filter = _filter_params(
         args.axis_radius, args.axis_min_neighbors, "--axis-radius", "--axis-min-neighbors"
     )
@@ -208,7 +236,7 @@ def _cmd_calibrate_orientation(args) -> int:
         translation = vec3(position_doc["translation"])
         position_rms = float(position_doc["position_residual_rms"])
         position_removed = int(position_doc.get("filtered_outliers", 0))
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise FormatError(
             f"{args.position}: expected the JSON written by calibrate-position"
         ) from None
@@ -216,6 +244,8 @@ def _cmd_calibrate_orientation(args) -> int:
         raise FormatError(
             f"{args.position}: translation and position_residual_rms must be finite"
         )
+    if position_removed < 0:
+        raise FormatError(f"{args.position}: filtered_outliers must not be negative")
 
     orientation = calib.calibrate_orientation(
         dataset,
@@ -236,6 +266,9 @@ def _cmd_calibrate_orientation(args) -> int:
 
 
 def _cmd_identify_frame(args) -> int:
+    from . import framing, ingest
+    from .jsonio import dumps_canonical
+
     waypoint_list = ingest.load_waypoint_list(args.waypoints)
     if len(waypoint_list) < 3:
         raise FormatError(
@@ -252,6 +285,9 @@ def _sniff_trace(path: str) -> ingest.DemonstrationTrace:
 
     The head is read through ``ingest._lines`` for its UTF-8 check.
     """
+    from . import ingest
+    from .geometry import TipTrack
+
     with open(path, "r", encoding="utf-8") as f:
         head = []
         for _, text in ingest._lines(f):
@@ -266,6 +302,9 @@ def _sniff_trace(path: str) -> ingest.DemonstrationTrace:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import evaluation, framing, ingest
+    from .jsonio import dumps_canonical
+
     most = evaluation.MAX_TARGETS_PER_SEGMENT
     if not 2 <= args.n <= most:
         raise InputError(f"--n {args.n}: need 2 to {most} targets per segment")
@@ -322,12 +361,20 @@ def _cmd_evaluate(args) -> int:
 
 
 def _pose_from_config(doc: dict) -> Pose:
+    import numpy as np
+
+    from .geometry import EulerAngles, Pose, euler_to_rotation
+
     translation = np.asarray(doc.get("true_translation", [0.0, 0.0, 0.0]), dtype=float)
     ypr = [math.radians(v) for v in doc.get("true_rotation_ypr_deg", [0.0, 0.0, 0.0])]
     return Pose(euler_to_rotation(EulerAngles(*ypr)), translation)
 
 
 def _synth_config(doc: dict) -> synth.SynthConfig:
+    import numpy as np
+
+    from . import synth
+
     try:
         return synth.SynthConfig(
             true_calibration=_pose_from_config(doc),
@@ -342,7 +389,7 @@ def _synth_config(doc: dict) -> synth.SynthConfig:
             outlier_magnitude=float(doc.get("outlier_magnitude", 0.1)),
             seed=int(doc.get("seed", 0)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad synthesis config: {exc}") from None
 
 
@@ -353,6 +400,8 @@ def _config_object(value, what: str) -> dict:
 
 
 def _force_profile(doc):
+    from . import synth
+
     kind = _config_object(doc, "force_profile").get("kind", "constant")
     if kind == "constant":
         return synth.ConstantForce(float(doc.get("value", 1.0)))
@@ -367,12 +416,19 @@ def _force_profile(doc):
 
 def _recording(dataset) -> ingest.PoseRecording:
     """The poses of a synthetic dataset as a recording sampled at 100 Hz."""
+    import numpy as np
+
+    from . import ingest
+
     return ingest.PoseRecording(
         "world", t=np.arange(len(dataset)) / 100.0, q=dataset.q, p=dataset.p
     )
 
 
 def _cmd_simulate(args) -> int:
+    from . import evaluation, ingest, synth
+    from .jsonio import dumps_canonical, open_output, read_json, write_json
+
     doc = _config_object(read_json(args.config), f"{args.config}: synthesis config")
     kind = doc.get("kind")
     os.makedirs(args.out_dir, exist_ok=True)
@@ -408,7 +464,7 @@ def _cmd_simulate(args) -> int:
         try:
             poses_per_hole = int(doc.get("poses_per_hole", 50))
             dataset, truth = synth.gen_orientation_dataset(cfg, axes, poses_per_hole)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad synthesis config: {exc}") from None
         manifest = {"holes": []}
         for i, hole in enumerate(dataset.holes):
@@ -441,7 +497,7 @@ def _cmd_simulate(args) -> int:
                 force_profile=_force_profile(doc.get("force_profile", {})),
                 seed=int(doc.get("seed", 0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad demonstration config: {exc}") from None
         with open_output(_path("trace.csv")) as f:
             ingest.write_demo_csv(trace, f)
@@ -458,6 +514,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
+    from . import calib, ingest
+    from .jsonio import dumps_canonical
+
     _check_flag("--guard", args.guard, positive=False)
     with open(args.pose_csv, "r", encoding="utf-8") as f:
         recording = ingest.parse_pose_csv(f)
@@ -494,6 +553,8 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except Exception:
+            import traceback
+
             traceback.print_exc()
             return EXIT_INTERNAL
 

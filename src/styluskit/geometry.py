@@ -49,11 +49,18 @@ def quat_normalize(q) -> np.ndarray:
     Normalization is skipped when the norm is already 1 within 1e-12 so
     that re-normalizing a canonical quaternion is bit-stable.  The norm is
     taken on a contiguous copy: ``a @ a`` rounds differently on a strided
-    row, and the skip must not depend on memory layout.
+    row, and the skip must not depend on memory layout.  A quaternion
+    whose largest component squared exceeds ``MAX_QUAT_NORM2`` is first
+    divided by that component's magnitude, because ``a @ a`` could
+    overflow to ``inf`` and turn it into zeros; every quaternion the file
+    readers accept takes the path without that division.
     """
     a = np.array(q, dtype=float)
     if a.shape != (4,):
         raise ValueError(f"expected a quaternion (qx,qy,qz,qw), got shape {a.shape}")
+    big = max(map(abs, a.tolist()))
+    if big * big > MAX_QUAT_NORM2:
+        a /= big
     n = math.sqrt(float(a @ a))
     if n < _UNIT_TOL:
         raise ZeroVector("quaternion has (near-)zero norm")
@@ -68,10 +75,11 @@ def quat_from_json(value) -> np.ndarray:
     """A quaternion read from a JSON document, as a float (4,) array, not normalized.
 
     Raises ``ValueError`` for a wrong shape, a non-finite component, or a
-    squared norm above ``MAX_QUAT_NORM2``, which :func:`quat_normalize`
-    would square to ``inf`` and turn into zeros.  The norm is summed in
-    Python floats, which overflow without a warning.  A zero quaternion
-    passes, for :func:`quat_normalize` to reject.
+    squared norm above ``MAX_QUAT_NORM2``: no stylus file holds such a
+    quaternion, so it is reported as an input error rather than rescaled
+    by :func:`quat_normalize`.  The norm is summed in Python floats, which
+    overflow without a warning.  A zero quaternion passes, for
+    :func:`quat_normalize` to reject.
     """
     a = np.asarray(value, dtype=float)
     if a.shape != (4,):

@@ -280,9 +280,8 @@ def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecord
     through it as it is read.  A row whose squared norm is above
     ``MAX_QUAT_NORM2`` (1e300, shared with
     :func:`~styluskit.geometry.quat_from_json`) raises
-    :class:`~styluskit.errors.FormatError` there in the same way: near
-    1.8e308 the square overflows, and ``quat_normalize`` would return the
-    zero quaternion.
+    :class:`~styluskit.errors.FormatError` there in the same way, as an
+    input error rather than a quaternion to rescale.
     """
     rows = []
     for v in _read_rows(stream, POSE_CSV_HEADER, "pose", jsonl=True):

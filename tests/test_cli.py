@@ -808,6 +808,8 @@ class TestSimulateConfigErrors:
             ({"rotation_span_deg": math.nan}, "rotation_span"),
             ({"position_noise_std": 1e308}, "not finite"),
             ({"seed": -1}, "bad synthesis config"),
+            ({"sample_count": math.inf}, "bad synthesis config"),
+            ({"seed": math.inf}, "bad synthesis config"),
         ],
     )
     def test_non_finite_position_fields(self, tmp_path, capsys, overrides, field):
@@ -817,7 +819,7 @@ class TestSimulateConfigErrors:
     @pytest.mark.parametrize(
         "overrides",
         [{"position_noise_std": math.nan}, {"orientation_noise_std_deg": math.inf},
-         {"position_noise_std": 1e308}],
+         {"position_noise_std": 1e308}, {"poses_per_hole": math.inf}],
     )
     def test_non_finite_orientation_fields(self, tmp_path, capsys, overrides):
         self.simulate_text(tmp_path, capsys, {**ORIENTATION_CONFIG, **overrides})
@@ -825,7 +827,7 @@ class TestSimulateConfigErrors:
     @pytest.mark.parametrize(
         "overrides",
         [{"sample_rate": math.inf}, {"speed": math.nan}, {"lateral_noise_std": math.inf},
-         {"speed": 1e-300, "sample_rate": 1e100}],
+         {"speed": 1e-300, "sample_rate": 1e100}, {"seed": math.inf}],
     )
     def test_non_finite_demonstration_fields(self, tmp_path, capsys, overrides):
         self.simulate_text(tmp_path, capsys, {**DEMO_CONFIG, **overrides})
@@ -983,7 +985,8 @@ class TestOrientationInputErrors:
     @pytest.mark.parametrize(
         "field, value",
         [("translation", [0.01, -0.02]), ("translation", [math.nan, 0.0, -0.12]),
-         ("position_residual_rms", math.inf)],
+         ("position_residual_rms", math.inf), ("filtered_outliers", math.inf),
+         ("filtered_outliers", -1)],
     )
     def test_bad_position_file_exit_2(self, tmp_path, capsys, field, value):
         manifest, position = self.files(tmp_path, capsys)

@@ -5,6 +5,7 @@ bit for bit (``tobytes``), errors by type and message."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,30 @@ class TestNormalizeRows:
         with pytest.raises(ZeroVector):
             quat_normalize_rows(q)
 
+    @pytest.mark.parametrize(
+        "big, unit",
+        [
+            ([1e200, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1e-200]),
+            ([1e200, 0.0, 0.0, 1e200], [math.sqrt(0.5), 0.0, 0.0, math.sqrt(0.5)]),
+            ([0.0, 0.0, -1.1e155, 0.0], [0.0, 0.0, 1.0, 0.0]),
+            ([-1.7e308, 1.7e308, 1.7e308, -1.7e308], [0.5, -0.5, -0.5, 0.5]),
+            ([1e-300, 3e160, 0.0, 4e160], [0.0, 0.6, 0.0, 0.8]),
+        ],
+    )
+    def test_overflowing_norm_gives_the_unit_quaternion(self, big, unit):
+        # The squared norm of each overflows; it used to divide to zeros.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [
+                quat_normalize(big),
+                quat_normalize_rows(np.array([[0.0, 0.0, 0.0, 1.0], big]))[1],
+                Pose(big, np.zeros(3)).rotation,
+                TipPoseRecord(0.0, np.zeros(3), big).orientation,
+            ]
+        for q in results:
+            assert np.allclose(q, unit, rtol=1e-15, atol=0.0)
+            assert math.isclose(q @ q, 1.0, rel_tol=1e-15)
+
     def test_input_untouched(self):
         q = np.array([[0.0, 0.0, 0.0, -2.0]])
         quat_normalize_rows(q)
@@ -233,12 +258,13 @@ class TestNormalizeRows:
 
 # -------------------------------------------------------- whole-array transforms
 
-# A quaternion whose norm overflows normalizes to the zero quaternion,
-# which Pose and TipPoseRecord accept; composing with it must then raise
-# ZeroVector.
-OVERFLOWING_QUAT = np.array([1e200, 0.0, 0.0, 1e200])
-with np.errstate(over="ignore"):
-    ZERO_ROTATION = Pose(OVERFLOWING_QUAT, np.zeros(3))
+# A pose whose rotation is the zero quaternion; composing with it must
+# raise ZeroVector.  No constructor builds one, so the frozen field is set
+# on a built pose.
+ZERO_QUAT = np.zeros(4)
+ZERO_QUAT.setflags(write=False)
+ZERO_ROTATION = Pose.identity()
+object.__setattr__(ZERO_ROTATION, "rotation", ZERO_QUAT)
 
 
 @st.composite
@@ -318,11 +344,14 @@ class TestApplyCalibration:
 def tip_records(rec: PoseRecording, nan_row: int | None = None) -> list[TipPoseRecord]:
     """The recording as tip records, with a NaN position at ``nan_row``."""
     out = []
-    with np.errstate(over="ignore"):
-        for i, (t, pose) in enumerate(rec.samples):
-            q = OVERFLOWING_QUAT if pose is ZERO_ROTATION else pose.rotation
-            p = [math.nan, 0.0, 0.0] if i == nan_row else pose.translation
-            out.append(TipPoseRecord(t, p, q))
+    for i, (t, pose) in enumerate(rec.samples):
+        p = [math.nan, 0.0, 0.0] if i == nan_row else pose.translation
+        if pose is ZERO_ROTATION:
+            record = TipPoseRecord(t, p, [0.0, 0.0, 0.0, 1.0])
+            object.__setattr__(record, "orientation", ZERO_QUAT)
+        else:
+            record = TipPoseRecord(t, p, pose.rotation)
+        out.append(record)
     return out
 
 
