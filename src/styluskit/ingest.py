@@ -17,9 +17,13 @@ are dropped with one warning.  A bad header, field count, field or
 JSON-lines record, text that is not UTF-8 (pen events too) and a stream
 without rows raise :class:`~styluskit.errors.FormatError`, a timestamp
 that does not increase :class:`~styluskit.errors.NonMonotonicTime`.
+The body of a CSV file is parsed by one ``np.loadtxt`` call; only when
+that fails, or a row would be dropped or raise, is it read again one row
+at a time, so the errors, their lines and order, and the warning are
+those of reading row by row.  JSON-lines records are always read that way.
 
-Recordings are columnar.  A parser reads its rows as float lists, stacks
-them into one array and slices out the columns: a :class:`PoseRecording`
+Recordings are columnar.  A parser reads its rows into one array and
+slices out the columns: a :class:`PoseRecording`
 holds ``t`` (N,) and the ``q`` (N, 4) and ``p`` (N, 3) of
 :class:`~styluskit.geometry.PoseRows`, a :class:`DemonstrationTrace` a
 :class:`~styluskit.geometry.TipTrack` of ``t``, ``position`` and
@@ -219,12 +223,24 @@ def _parse_float(text: str, line: int, what: str) -> float:
         raise FormatError(f"cannot parse {what} from {text!r}", line) from None
 
 
-def _read_rows(stream: Iterable[str], header: str, kind: str, jsonl: bool = False):
-    """Yield the rows of a ``header`` CSV stream as float lists, as read.
+def _then_raise(items, error: Exception):
+    yield from items
+    raise error
+
+
+def _read_block(
+    stream: Iterable[str], header: str, kind: str, jsonl: bool = False, quat: slice | None = None
+) -> np.ndarray:
+    """The rows of a ``header`` CSV stream, as read, in one ``(N, fields)`` array.
 
     With ``jsonl``, a first line starting with ``{`` begins JSON-lines
-    records keyed by the header's field names.  Iterate from the caller's
-    own frame (``for`` or ``list()``): the warning points one frame above.
+    records keyed by the header's field names, read by :func:`_parse_rows`.
+    A CSV body is parsed by one ``np.loadtxt`` call (:func:`_bulk`), and
+    only when that parse or one of its checks fails does :func:`_parse_rows`
+    read the same numbered lines again, one row at a time, so every error
+    and the dropped-rows warning are those of reading row by row.  ``quat``
+    names the quaternion's columns of a pose row.  Call it from the
+    parser: the warning points one frame above it.
     """
     names = header.split(",")
     lines = _lines(stream)
@@ -234,12 +250,79 @@ def _read_rows(stream: Iterable[str], header: str, kind: str, jsonl: bool = Fals
             break
     else:
         raise FormatError("empty input")
-    jsonl = jsonl and first.startswith("{")
-    if jsonl:
-        lines = itertools.chain([(number, first)], lines)
-    elif first != header:
+    if jsonl and first.startswith("{"):
+        return _parse_rows(itertools.chain([(number, first)], lines), names, kind, True, quat)
+    if first != header:
         raise FormatError(f"expected header {header!r}, got {first!r}", number)
 
+    body: list[str] = []
+    try:
+        for _, text in lines:
+            body.append(text)
+    except FormatError as exc:
+        # Text that is not UTF-8: the rows read before it come first.
+        numbered = _then_raise(enumerate(body, number + 1), exc)
+        return _parse_rows(numbered, names, kind, False, quat)
+    block = _bulk(body, len(names), quat)
+    if block is None:
+        block = _parse_rows(enumerate(body, number + 1), names, kind, False, quat)
+    return block
+
+
+# ``loadtxt`` strips these around a field as whitespace; ``float`` rejects them.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _bulk(body: list[str], width: int, quat: slice | None) -> np.ndarray | None:
+    """``body`` parsed by one ``np.loadtxt`` call, or None unless the
+    result is what the row loop would return without an error or warning.
+
+    ``loadtxt`` reads fields with the same conversion as ``float``, so
+    their bits agree.  It rejects some fields ``float`` accepts (``1_0``,
+    non-ASCII digits), whitespace-only lines and lines holding a line
+    break, which the row loop then reads; it skips empty lines as the row
+    loop does.  It takes ``body`` as a list of lines, so the text is never
+    copied whole.
+    """
+    count = len(body) - body.count("")
+    if count == 0:
+        return None
+    for start in range(0, len(body), 4096):
+        # A few thousand lines at a time: one string of the whole body would
+        # cost its size again, and once freed it leaves glibc placing later
+        # arrays of up to that size on the heap, which raises the peak RSS.
+        text = "".join(body[start : start + 4096])
+        if any(c in text for c in _LOADTXT_ONLY_SPACE):
+            return None
+    try:
+        block = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if block.shape != (count, width) or not np.isfinite(block).all():
+        return None
+    t = block[:, 0]
+    if not (t[1:] > t[:-1]).all():
+        return None
+    if quat is not None:
+        qx, qy, qz, qw = block[:, quat].T
+        with np.errstate(over="ignore"):
+            norm2 = qx * qx + qy * qy + qz * qz + qw * qw
+        if not ((norm2 >= 1e-20) & (norm2 <= MAX_QUAT_NORM2)).all():
+            return None
+    return block
+
+
+def _parse_rows(lines, names: list[str], kind: str, jsonl: bool, quat: slice | None) -> np.ndarray:
+    """The body rows of numbered ``lines``, read one at a time, stacked.
+
+    Each error is raised at its own row, in reading order: a bad field or
+    JSON-lines record, a wrong field count, a timestamp that does not
+    increase and, with ``quat``, a pose row's (near-)zero or too large
+    quaternion.  Rows with a non-finite value are dropped with one warning,
+    which points at the caller of the parser that called
+    :func:`_read_block`.
+    """
+    rows = []
     last = None
     dropped = 0
     for number, text in lines:
@@ -263,11 +346,19 @@ def _read_rows(stream: Iterable[str], header: str, kind: str, jsonl: bool = Fals
         if last is not None and t <= last:
             raise NonMonotonicTime(f"timestamp {t!r} does not increase past {last!r}", number)
         last = t
-        yield values
+        if quat is not None:
+            q = values[quat]
+            norm2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
+            if norm2 < 1e-20:
+                quat_normalize(q)
+            elif norm2 > MAX_QUAT_NORM2:
+                raise FormatError(f"quaternion {tuple(q)} is too large to normalize")
+        rows.append(values)
     if dropped:
-        warnings.warn(f"dropped {dropped} {kind} rows with non-finite values", stacklevel=3)
+        warnings.warn(f"dropped {dropped} {kind} rows with non-finite values", stacklevel=4)
     if last is None:
         raise FormatError("no valid data rows")
+    return np.array(rows)
 
 
 def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecording:
@@ -283,15 +374,7 @@ def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecord
     :class:`~styluskit.errors.FormatError` there in the same way, as an
     input error rather than a quaternion to rescale.
     """
-    rows = []
-    for v in _read_rows(stream, POSE_CSV_HEADER, "pose", jsonl=True):
-        norm2 = v[4] * v[4] + v[5] * v[5] + v[6] * v[6] + v[7] * v[7]
-        if norm2 < 1e-20:
-            quat_normalize(v[4:8])
-        elif norm2 > MAX_QUAT_NORM2:
-            raise FormatError(f"quaternion {tuple(v[4:8])} is too large to normalize")
-        rows.append(v)
-    data = np.array(rows)
+    data = _read_block(stream, POSE_CSV_HEADER, "pose", jsonl=True, quat=slice(4, 8))
     return PoseRecording(
         frame_id,
         t=data[:, 0].copy(),
@@ -302,13 +385,13 @@ def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecord
 
 def parse_force_csv(stream: Iterable[str]) -> ForceRecording:
     """Parse a ``t,Fz`` CSV stream into a :class:`ForceRecording`."""
-    rows = np.array(list(_read_rows(stream, FORCE_CSV_HEADER, "force")))
+    rows = _read_block(stream, FORCE_CSV_HEADER, "force")
     return ForceRecording(rows[:, 0].copy(), rows[:, 1].copy())
 
 
 def parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> DemonstrationTrace:
     """Parse a ``t,x,y,z,Fz`` CSV stream into a :class:`DemonstrationTrace`."""
-    rows = np.array(list(_read_rows(stream, DEMO_CSV_HEADER, "trace")))
+    rows = _read_block(stream, DEMO_CSV_HEADER, "trace")
     track = TipTrack(
         rows[:, 0].copy(), rows[:, 1:4].copy(), np.tile(_IDENTITY_QUAT, (rows.shape[0], 1))
     )

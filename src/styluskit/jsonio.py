@@ -64,6 +64,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         seq = [x.tolist() if isinstance(x, np.ndarray) else x for x in obj]
+        if all(type(x) is float for x in seq):
+            # One format for the whole list, the bytes of format_float on
+            # each: only a NaN prints as ``nan``, and that becomes ``null``.
+            text = ", ".join(["%.17g"] * len(seq)) % tuple(seq)
+            return "[" + text.replace("nan", "null") + "]"
         if all(_is_scalar(x) for x in seq):
             return "[" + ", ".join(_format_scalar(x) for x in seq) + "]"
         items = [f"{inner}{dumps_canonical(v, indent + 1)}" for v in seq]

@@ -119,6 +119,26 @@ def near_unit_quats(draw):
 
 
 any_quat = st.one_of(quats, unit_quats(), sign_rule_quats(), near_unit_quats())
+
+
+@st.composite
+def six_decimal_quats(draw):
+    """Unit quaternions as a tracker exports them, rounded to 6 decimals."""
+    return np.round(draw(unit_quats()), 6)
+
+
+odd_quats = st.one_of(
+    st.lists(st.floats(), min_size=4, max_size=4).map(np.array),
+    st.sampled_from(
+        [[0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, -1e-13], [1e-11, 0.0, 0.0, -1e-11],
+         [1e200, 0.0, 0.0, 1.0], [0.0, -1.1e155, 0.0, 0.0], [math.inf, 0.0, 0.0, -1.0],
+         [0.0, 0.0, math.nan, -1.0], [5e-324, 0.0, 0.0, -5e-324],
+         # Squared norm finite but the largest component squared above
+         # 1e300: rescaled first, which rounds otherwise than r / |r|.
+         [1.3020117523436276e151, 1.9589930613224998e150, -8.744766979838217e150,
+          1.4813338984325945e151]]
+    ).map(np.array),
+)
 row_counts = st.integers(1, 8)
 
 
@@ -245,6 +265,28 @@ class TestNormalizeRows:
         for q in results:
             assert np.allclose(q, unit, rtol=1e-15, atol=0.0)
             assert math.isclose(q @ q, 1.0, rel_tol=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.one_of(six_decimal_quats(), any_quat, odd_quats), max_size=8))
+    def test_any_rows_match_the_per_row_kernel(self, rows):
+        """Off-unit rows (6-decimal exports), zero, tiny, too large and
+        non-finite rows among unit ones: the bytes, or the first error,
+        and the warnings of :func:`quat_normalize` row by row."""
+        q = np.array(rows, dtype=float).reshape(-1, 4)
+
+        def per_row(q):
+            return np.array([quat_normalize(r) for r in q]).reshape(-1, 4)
+
+        def seen(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = fn(q).tobytes()
+                except ZeroVector as exc:
+                    result = (ZeroVector, str(exc))
+            return result, sorted({(w.category.__name__, str(w.message)) for w in caught})
+
+        assert seen(quat_normalize_rows) == seen(per_row)
 
     def test_input_untouched(self):
         q = np.array([[0.0, 0.0, 0.0, -2.0]])

@@ -181,3 +181,30 @@ def test_cli_forwards_the_jsonio_writers():
     with pytest.raises(AttributeError, match="'np'"):
         cli.np  # noqa: B018
     assert json.loads(cli.dumps_canonical({"a": 1})) == {"a": 1}
+
+
+def test_bulk_parse_loads_no_further_module(inputs):
+    """The commands' clean inputs are read by the one ``np.loadtxt`` call,
+    not the row loop, and that call loads no module that importing
+    ``ingest`` did not (no lazy numpy submodule such as ``numpy.ma``)."""
+    code = "\n".join([
+        "import sys",
+        "from styluskit import ingest",
+        "def no_row_loop(*args):",
+        "    raise AssertionError('the row loop ran')",
+        "ingest._parse_rows = no_row_loop",
+        "before = set(sys.modules)",
+        "with open('pos/poses.csv', encoding='utf-8') as f:",
+        "    ingest.parse_pose_csv(f)",
+        "with open('demo/trace.csv', encoding='utf-8') as f:",
+        "    ingest.parse_demo_csv(f)",
+        "print(sorted(set(sys.modules) - before))",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=inputs, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
