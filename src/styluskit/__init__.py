@@ -26,7 +26,6 @@ _EXPORTS = {
         "geometry": [
             "EulerAngles",
             "Pose",
-            "TipPoseRecord",
             "TipTrack",
             "angle_between",
             "compose",
@@ -43,14 +42,7 @@ _EXPORTS = {
             "calibrate_orientation",
             "calibrate_position",
         ],
-        "framing": [
-            "CollisionBox",
-            "DrawingFrame",
-            "Workspace",
-            "box_from_points",
-            "identify_frame",
-            "to_frame",
-        ],
+        "framing": ["DrawingFrame", "identify_frame", "to_frame"],
         "ingest": [
             "DemonstrationTrace",
             "ForceRecording",

@@ -14,8 +14,8 @@ approach vector) aligns with every hole's reference axis, by minimizing
 has a closed-form minimum, the normalized sum of the measured axes (the
 von Mises-Fisher mean direction; Mardia & Jupp, *Directional Statistics*,
 2000), so no iterative solver is needed.  Roll about the tip axis is
-unobservable here (the tip is axially symmetric) and is fixed separately
-against the button direction by :func:`fix_roll_to_button`.
+unobservable here (the tip is axially symmetric), so it is taken as given
+(``initial_roll``); evaluation reads only tip positions and forces.
 
 Both steps drop occlusion glitches with density clustering (DBSCAN):
 points with too few neighbors inside a radius are discarded, and only the
@@ -50,7 +50,6 @@ import numpy as np
 from .errors import (
     AllOutliers,
     DegenerateAxesWarning,
-    DegenerateDirection,
     DegenerateRotations,
     FormatError,
     NoConvergence,
@@ -670,33 +669,6 @@ def orientation_objective(ds: OrientationDataset, angles: EulerAngles) -> float:
         world_axes = rotations @ tip_axis
         total += float(np.sum(1.0 - world_axes @ hole.reference_axis))
     return total
-
-
-def fix_roll_to_button(calib: Pose, button_sample: Pose, world_button_direction) -> Pose:
-    """Spin the calibration about its own z axis so the tip-frame y axis
-    points toward the button in the given sample pose.
-
-    ``world_button_direction`` is projected onto the plane normal to the
-    tip axis; a (near-)zero projection raises :class:`DegenerateDirection`.
-    """
-    direction = vec3(world_button_direction)
-    n = np.linalg.norm(direction)
-    if n < 1e-12:
-        raise DegenerateDirection("button direction has (near-)zero norm")
-    direction = direction / n
-
-    tip_rotation = quat_multiply(button_sample.rotation, calib.rotation)
-    z_world = quat_rotate(tip_rotation, _EZ)
-    y_world = quat_rotate(tip_rotation, np.array([0.0, 1.0, 0.0]))
-    projected = direction - float(direction @ z_world) * z_world
-    if np.linalg.norm(projected) < 1e-6:
-        raise DegenerateDirection(
-            "button direction is (near-)parallel to the tip axis"
-        )
-    target = projected / np.linalg.norm(projected)
-    angle = math.atan2(float(np.cross(y_world, target) @ z_world), float(y_world @ target))
-    spin = quat_from_axis_angle(_EZ, angle)
-    return Pose(quat_multiply(calib.rotation, spin), calib.translation)
 
 
 def assemble_calibration(

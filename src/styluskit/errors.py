@@ -51,6 +51,11 @@ class ShapeMismatch(InputError):
     """Aggregation inputs do not share one sampling structure."""
 
 
+class NonFinitePose(InputError, ValueError):
+    """A pose, given or computed from the input, has a non-finite component:
+    the input holds one, or transforming it overflowed."""
+
+
 class ZeroVector(DegenerateDataError):
     """A direction was requested from a (near-)zero vector."""
 
@@ -63,10 +68,6 @@ class DegenerateRotations(DegenerateDataError):
     """Pose set lacks the rotation diversity needed to observe the tip."""
 
 
-class DegenerateDirection(DegenerateDataError):
-    """A reference direction is (near-)parallel to the tool axis."""
-
-
 class NoConvergence(DegenerateDataError):
     """The measured tip axes cancel out, so the axis solve has no target."""
 
@@ -77,10 +78,6 @@ class ColinearPoints(DegenerateDataError):
 
 class CoincidentPoints(DegenerateDataError):
     """Probed points are too close together to define directions."""
-
-
-class DegenerateHeight(DegenerateDataError):
-    """The height probe point lies in the base plane."""
 
 
 class EventOutsideRecording(DegenerateDataError):

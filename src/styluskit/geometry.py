@@ -16,20 +16,19 @@ Conventions, used consistently across the package:
   and :func:`compose`.
 - Rows are the data: :class:`PoseRows` holds N poses as ``q`` (N, 4) and
   ``p`` (N, 3), a :class:`TipTrack` N tip poses as ``t`` (N,), ``position``
-  (N, 3) and ``orientation`` (N, 4).  A list of poses or records given to
-  either is stacked once; the objects are views built when read.
+  (N, 3) and ``orientation`` (N, 4).  A list of :class:`Pose` given to
+  :class:`PoseRows` is stacked once; its ``poses`` is the one per-sample
+  view, built when read.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroVector
+from .errors import NonFinitePose, ZeroVector
 
 _UNIT_TOL = 1e-12
 MAX_QUAT_NORM2 = 1e300  # largest squared norm of a quaternion read from a file
@@ -300,7 +299,7 @@ class Pose:
         q = quat_normalize(self.rotation)
         t = vec3(self.translation).copy()
         if not np.all(np.isfinite(q)) or not np.all(np.isfinite(t)):
-            raise ValueError("pose has non-finite components")
+            raise NonFinitePose("pose has non-finite components")
         q.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", q)
@@ -336,7 +335,7 @@ class PoseRows:
     leaves ``q`` and ``p`` as they are.
     """
 
-    def __init__(self, poses: Sequence[Pose] | None = None, *, q=None, p=None):
+    def __init__(self, poses: list[Pose] | None = None, *, q=None, p=None):
         if poses is not None:
             poses = tuple(poses)
             q = [x.rotation for x in poses]
@@ -368,26 +367,6 @@ class EulerAngles:
     roll: float
 
 
-@dataclass(frozen=True, eq=False)
-class TipPoseRecord:
-    """One timestamped tip pose: ``t`` seconds, position meters, unit quaternion."""
-
-    t: float
-    position: np.ndarray
-    orientation: np.ndarray
-
-    def __post_init__(self):
-        p = vec3(self.position).copy()
-        q = quat_normalize(self.orientation)
-        p.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "orientation", q)
-
-    def pose(self) -> Pose:
-        return Pose(self.orientation, self.position)
-
-
 def _frozen(values, shape: tuple) -> np.ndarray:
     """A read-only float view of ``values`` in ``shape`` (copied only if
     ``values`` is not already a float array)."""
@@ -396,16 +375,15 @@ def _frozen(values, shape: tuple) -> np.ndarray:
     return view
 
 
-class TipTrack(Sequence):
-    """Timestamped tip poses as arrays, read as a sequence of :class:`TipPoseRecord`.
+class TipTrack:
+    """Timestamped tip poses as rows: ``t`` (N,) seconds, ``position``
+    (N, 3) meters and ``orientation`` (N, 4) canonical unit quaternions,
+    as :func:`compose_rows` and :func:`quat_normalize_rows` return them.
 
-    ``t`` is (N,) seconds, ``position`` (N, 3) meters and ``orientation``
-    (N, 4) canonical unit quaternions, as :func:`compose_rows` and
-    :func:`quat_normalize_rows` return them.  The arrays are read-only
-    views of what the track was built from.  Indexing (and so iterating)
-    builds one record per item read; a slice is a track over the same
-    memory, and an integer array a track of the rows it picks.  A track
-    equals another track, or a list of records, holding the same values.
+    The arrays are read-only views of what the track was built from.
+    ``track[index]`` selects rows as numpy does and is again a track: a
+    slice over the same memory, a one-row track for an integer, the picked
+    rows for an integer array.  Tracks holding the same values are equal.
     """
 
     __slots__ = ("t", "position", "orientation")
@@ -418,29 +396,13 @@ class TipTrack(Sequence):
         if not self.t.size == self.position.shape[0] == self.orientation.shape[0]:
             raise ValueError("a tip track needs one position and one orientation per time")
 
-    @classmethod
-    def from_records(cls, records) -> "TipTrack":
-        """The track of a sequence of records (a track is returned as it is)."""
-        if isinstance(records, TipTrack):
-            return records
-        records = list(records)
-        return cls(
-            [r.t for r in records],
-            np.array([r.position for r in records]).reshape(-1, 3),
-            np.array([r.orientation for r in records]).reshape(-1, 4),
-        )
-
     def __len__(self) -> int:
         return self.t.size
 
-    def __getitem__(self, index):
-        if isinstance(index, numbers.Integral):
-            return TipPoseRecord(float(self.t[index]), self.position[index], self.orientation[index])
+    def __getitem__(self, index) -> "TipTrack":
         return TipTrack(self.t[index], self.position[index], self.orientation[index])
 
     def __eq__(self, other):
-        if isinstance(other, (list, tuple)) and all(isinstance(r, TipPoseRecord) for r in other):
-            other = TipTrack.from_records(other)
         if not isinstance(other, TipTrack):
             return NotImplemented
         return (
@@ -465,17 +427,20 @@ def compose_rows(qa, ta, qb, tb) -> tuple[np.ndarray, np.ndarray]:
     ``qb`` and ``tb``; either side may be rows or one transform broadcast
     against the other's rows.  Each row has the bits of :func:`compose` on
     that row, and the first row that :class:`Pose` would reject raises the
-    same error: :class:`ZeroVector` for a zero rotation, ``ValueError`` for
-    a non-finite one or a non-finite translation.
+    same error: :class:`ZeroVector` for a zero rotation,
+    :class:`~styluskit.errors.NonFinitePose` for a non-finite one or a
+    non-finite translation.  Rows that overflow are reported that way, so
+    numpy's overflow warnings are silenced.
     """
-    q = quat_multiply(qa, qb)
-    t = quat_rotate(qa, tb) + ta
-    finite = np.isfinite(q).all(axis=1) & np.isfinite(t).all(axis=1)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        # A zero rotation up to that row raises first, as in a per-row loop.
-        quat_normalize_rows(q[: first + 1])
-        raise ValueError("pose has non-finite components")
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = quat_multiply(qa, qb)
+        t = quat_rotate(qa, tb) + ta
+        finite = np.isfinite(q).all(axis=1) & np.isfinite(t).all(axis=1)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            # A zero rotation up to that row raises first, as in a per-row loop.
+            quat_normalize_rows(q[: first + 1])
+            raise NonFinitePose("pose has non-finite components")
     return quat_normalize_rows(q), t
 
 

@@ -31,10 +31,8 @@ holds ``t`` (N,) and the ``q`` (N, 4) and ``p`` (N, 3) of
 :class:`~styluskit.geometry.TipTrack` of the captured poses.  Quaternions
 are canonicalised all at once by
 :func:`~styluskit.geometry.quat_normalize_rows`, bit for bit what
-:class:`~styluskit.geometry.Pose` gives per row.  The per-sample objects
-(``samples``, ``points``, ``waypoints`` items) are views built when read;
-:func:`apply_calibration`, :func:`snapshot_waypoints`, :func:`pair_force`
-and the writers work on the arrays, and a snapshot builds no record.
+:class:`~styluskit.geometry.Pose` gives per row.  The functions below
+and the writers work on those arrays, with no object per sample.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import itertools
 import json
 import math
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,14 +56,13 @@ from .errors import (
 )
 from .geometry import (
     MAX_QUAT_NORM2,
-    Pose,
     PoseRows,
-    TipPoseRecord,
     TipTrack,
     compose_rows,
     quat_from_json,
     quat_normalize,
     quat_normalize_rows,
+    vec3,
 )
 from .jsonio import read_json, write_json
 
@@ -77,43 +74,20 @@ _IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
 _WRITE_BLOCK = 1024
 
 
-class TimedPose(NamedTuple):
-    t: float
-    pose: Pose
-
-
 class PoseRecording(PoseRows):
-    """Timestamped fiducial-centroid poses measured from one origin frame.
-
-    The rows of :class:`~styluskit.geometry.PoseRows` plus ``t`` (N,),
-    strictly increasing seconds.  Build it from the arrays
-    (``PoseRecording(frame_id, t=..., q=..., p=...)``) or from a list of
-    :class:`TimedPose` (``samples=``), stacked once.  ``samples`` is that
-    list, or a tuple built on first read from ``t`` and ``poses``; it is a
-    view to read, not to edit.
+    """Timestamped fiducial-centroid poses measured from one origin frame:
+    the rows of :class:`~styluskit.geometry.PoseRows` plus ``t`` (N,),
+    strictly increasing seconds (``PoseRecording(frame_id, t=, q=, p=)``).
     """
 
-    def __init__(
-        self, frame_id: str, samples: list[TimedPose] | None = None, *, t=None, q=None, p=None
-    ):
-        poses = None
-        if samples is not None:
-            t = [s.t for s in samples]
-            poses = [s.pose for s in samples]
-        super().__init__(poses, q=q, p=p)
+    def __init__(self, frame_id: str, *, t, q, p):
+        super().__init__(q=q, p=p)
         self.frame_id = frame_id
-        self._samples = samples
         self.t = np.asarray(t, dtype=float).reshape(-1)
         if self.t.size != len(self):
             raise ValueError("pose recording needs one rotation and one translation per time")
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("pose recording timestamps must be strictly increasing")
-
-    @property
-    def samples(self) -> Sequence[TimedPose]:
-        if self._samples is None:
-            self._samples = tuple(map(TimedPose, self.t.tolist(), self.poses))
-        return self._samples
 
 
 @dataclass
@@ -150,9 +124,8 @@ class PenEvent(NamedTuple):
 class DemonstrationTrace:
     """Tip trajectory with optional per-point contact forces.
 
-    ``points`` may be given as a list of records; it is kept as a
-    :class:`~styluskit.geometry.TipTrack`, whose ``t``, ``position`` and
-    ``orientation`` arrays are what ``times`` and ``positions`` return.
+    ``points`` is a :class:`~styluskit.geometry.TipTrack`, whose ``t`` and
+    ``position`` arrays are what ``times`` and ``positions`` return.
     ``force_extrapolated`` flags points whose force value came from
     clamping outside the force recording span.
     """
@@ -163,7 +136,6 @@ class DemonstrationTrace:
     force_extrapolated: np.ndarray | None = None
 
     def __post_init__(self):
-        self.points = TipTrack.from_records(self.points)
         if np.any(np.diff(self.points.t) <= 0.0):
             raise ValueError("trace timestamps must be strictly increasing")
         if self.forces is not None:
@@ -187,16 +159,12 @@ class DemonstrationTrace:
 
 @dataclass
 class WaypointList:
-    """Tip poses captured with the snapshot button, in capture order.
+    """Tip poses captured with the snapshot button, in capture order, as a
+    :class:`~styluskit.geometry.TipTrack`."""
 
-    ``waypoints`` may be given as a list of records; it is kept as a
-    :class:`~styluskit.geometry.TipTrack`, stacked once.
-    """
-
-    waypoints: TipTrack = ()
+    waypoints: TipTrack
 
     def __post_init__(self):
-        self.waypoints = TipTrack.from_records(self.waypoints)
         if np.any(np.diff(self.waypoints.t) < 0.0):
             raise ValueError("waypoints must be ordered by capture time")
 
@@ -485,22 +453,20 @@ def apply_calibration(rec: PoseRecording, calib) -> TipTrack:
 
 
 def snapshot_waypoints(
-    tips: Sequence[TipPoseRecord],
+    tips: TipTrack,
     events: list[PenEvent],
     guard: float = 0.1,
 ) -> WaypointList:
     """Capture the tip pose nearest each button press (ties go earlier).
 
-    ``tips`` is a :class:`~styluskit.geometry.TipTrack` or a list of
-    records.  All presses are found with one ``searchsorted`` and the
-    waypoints are the track's rows at them, so no record is built.  A press
-    more than ``guard`` seconds outside the recording span raises
-    :class:`EventOutsideRecording`, naming the first such press.
+    All presses are found with one ``searchsorted`` and the waypoints are
+    the track's rows at them.  A press more than ``guard`` seconds outside
+    the recording span raises :class:`EventOutsideRecording`, naming the
+    first such press.
     """
     if not tips:
         raise ValueError("snapshot requires a non-empty tip recording")
-    track = TipTrack.from_records(tips)
-    times = track.t
+    times = tips.t
     presses = [e.t for e in events if e.kind is PenEventKind.BUTTON_PRESS]
     at = np.array(presses, dtype=float)
     outside = (at < times[0] - guard) | (at > times[-1] + guard)
@@ -512,16 +478,15 @@ def snapshot_waypoints(
     i = np.searchsorted(times, at)
     left, right = np.maximum(i - 1, 0), np.minimum(i, times.size - 1)
     pick = np.where(at - times[left] <= times[right] - at, left, right)
-    return WaypointList(waypoints=track[pick])
+    return WaypointList(waypoints=tips[pick])
 
 
 def pair_force(
-    tips: Sequence[TipPoseRecord],
+    tips: TipTrack,
     force: ForceRecording,
     source: str = "stylus",
 ) -> DemonstrationTrace:
-    """Pair tip records (a track or a list) with contact forces
-    interpolated at their timestamps.
+    """Pair a tip track with contact forces interpolated at its timestamps.
 
     Tip points outside the force span receive the nearest endpoint value
     and are flagged in ``force_extrapolated``.  Disjoint time ranges raise
@@ -529,8 +494,7 @@ def pair_force(
     """
     if not tips:
         raise ValueError("cannot pair forces with an empty trace")
-    track = TipTrack.from_records(tips)
-    times = track.t
+    times = tips.t
     if times[-1] < force.t[0] or times[0] > force.t[-1]:
         raise NoOverlap(
             f"trace span [{float(times[0])!r}, {float(times[-1])!r}] and force span "
@@ -539,7 +503,7 @@ def pair_force(
     values = np.interp(times, force.t, force.fz)
     flagged = (times < force.t[0]) | (times > force.t[-1])
     return DemonstrationTrace(
-        points=track, forces=values, source=source, force_extrapolated=flagged
+        points=tips, forces=values, source=source, force_extrapolated=flagged
     )
 
 
@@ -556,6 +520,12 @@ def waypoint_list_to_doc(wl: WaypointList) -> dict:
 
 
 def waypoint_list_from_doc(doc: dict) -> WaypointList:
+    """The waypoint list of a JSON document.
+
+    The first faulty waypoint in document order decides the error: a bad
+    quaternion or position is an input error (:class:`FormatError`), a zero
+    quaternion degenerate data (:class:`~styluskit.errors.ZeroVector`).
+    """
     try:
         rows = [
             (
@@ -567,7 +537,21 @@ def waypoint_list_from_doc(doc: dict) -> WaypointList:
         ]
         if not all(np.isfinite(np.r_[t, p.ravel(), q.ravel()]).all() for t, p, q in rows):
             raise ValueError("waypoint times, positions and quaternions must be finite")
-        return WaypointList([TipPoseRecord(t, p, quat_from_json(q)) for t, p, q in rows])
+        quats, positions = [], []
+        for i, (_, p, q) in enumerate(rows):
+            try:
+                quats.append(quat_from_json(q))
+                positions.append(vec3(p))
+            except ValueError:
+                # A zero quaternion in an earlier waypoint is reported first.
+                quat_normalize_rows(np.reshape(quats[:i], (-1, 4)))
+                raise
+        track = TipTrack(
+            [t for t, _, _ in rows],
+            np.reshape(positions, (-1, 3)),
+            quat_normalize_rows(np.reshape(quats, (-1, 4))),
+        )
+        return WaypointList(track)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad waypoint list document: {exc}") from None
 

@@ -29,7 +29,7 @@ from styluskit.evaluation import (
 from styluskit.framing import identify_frame, to_frame
 from styluskit.geometry import (
     Pose,
-    TipPoseRecord,
+    TipTrack,
     angle_between,
     compose,
     euler_to_rotation,
@@ -194,14 +194,14 @@ def test_criterion_5_frame_identification():
 
     probes = [np.array([0.9, 0.1, 0.3]), np.array([0.1, 0.2, 0.3]), np.array([0.2, 0.9, 0.35])]
     frame = identify_frame(*probes)
-    local = to_frame(frame, [TipPoseRecord(float(i), p, IDENTITY_Q) for i, p in enumerate(probes)])
+    local = to_frame(frame, TipTrack([0.0, 1.0, 2.0], probes, np.tile(IDENTITY_Q, (3, 1))))
     canonical_coords_ok = (
-        np.linalg.norm(local[1].position) < 1e-9
-        and abs(local[0].position[1]) < 1e-9
-        and abs(local[0].position[2]) < 1e-9
-        and local[0].position[0] > 0
-        and local[2].position[1] > 0
-        and abs(local[2].position[2]) < 1e-9
+        np.linalg.norm(local.position[1]) < 1e-9
+        and abs(local.position[0][1]) < 1e-9
+        and abs(local.position[0][2]) < 1e-9
+        and local.position[0][0] > 0
+        and local.position[2][1] > 0
+        and abs(local.position[2][2]) < 1e-9
     )
 
     rng = np.random.default_rng(105)
@@ -251,10 +251,11 @@ def test_criterion_6_evaluation_pipeline():
     line = (np.array([0.0, 0.0]), np.array([0.1, 0.0]))
     u = np.linspace(0.0, 1.0, 500)
     offset_xy = np.column_stack([0.1 * u, np.full(u.size, 0.002)])
-    offset_points = [
-        TipPoseRecord(i * 0.01, np.array([x, y, 0.0]), IDENTITY_Q)
-        for i, (x, y) in enumerate(offset_xy)
-    ]
+    offset_points = TipTrack(
+        [i * 0.01 for i in range(len(offset_xy))],
+        np.column_stack([offset_xy, np.zeros(len(offset_xy))]),
+        np.tile(IDENTITY_Q, (len(offset_xy), 1)),
+    )
     offset_seg = resample_segment(DemonstrationTrace(points=offset_points), line, n=100)
     offset_ok = (
         not offset_seg.missing.any()

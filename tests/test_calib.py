@@ -18,7 +18,6 @@ from styluskit.calib import (
     calibration_to_doc,
     candidate_tip_points,
     filter_outliers,
-    fix_roll_to_button,
     load_calibration,
     orientation_objective,
     pairwise_objective,
@@ -27,7 +26,6 @@ from styluskit.calib import (
 from styluskit.errors import (
     AllOutliers,
     DegenerateAxesWarning,
-    DegenerateDirection,
     DegenerateRotations,
 )
 from styluskit.geometry import (
@@ -324,50 +322,6 @@ class TestCalibrateOrientation:
         recovered_axis = quat_rotate(euler_to_rotation(result.angles), EZ)
         true_axis = quat_rotate(truth.rotation, EZ)
         assert angle_between(recovered_axis, true_axis) < 1e-6
-
-
-class TestFixRollToButton:
-    def test_aligned_is_unchanged(self):
-        calib = Pose(np.array([0.0, 0.0, 0.0, 1.0]), TRUE_OFFSET)
-        sample = Pose.identity()
-        fixed = fix_roll_to_button(calib, sample, [0.0, 1.0, 0.0])
-        assert angle_between(quat_rotate(fixed.rotation, [0, 1, 0]), [0, 1, 0]) < 1e-12
-        assert np.allclose(fixed.translation, calib.translation)
-
-    def test_ninety_degree_spin(self):
-        calib = Pose(np.array([0.0, 0.0, 0.0, 1.0]), TRUE_OFFSET)
-        sample = Pose.identity()
-        fixed = fix_roll_to_button(calib, sample, [1.0, 0.0, 0.0])
-        # y now points along world x; z unchanged
-        assert angle_between(quat_rotate(fixed.rotation, [0, 1, 0]), [1, 0, 0]) < 1e-9
-        assert angle_between(quat_rotate(fixed.rotation, EZ), EZ) < 1e-12
-
-    def test_random_setup_geometry(self):
-        rng = np.random.default_rng(25)
-        for _ in range(20):
-            calib = Pose(
-                quat_from_axis_angle(rng.normal(size=3), rng.uniform(-1, 1)),
-                rng.normal(size=3),
-            )
-            sample = Pose(
-                quat_from_axis_angle(rng.normal(size=3), rng.uniform(-1, 1)),
-                rng.normal(size=3),
-            )
-            direction = rng.normal(size=3)
-            fixed = fix_roll_to_button(calib, sample, direction)
-            tip_in_world = compose(sample, fixed)
-            y_world = quat_rotate(tip_in_world.rotation, [0, 1, 0])
-            z_world = quat_rotate(tip_in_world.rotation, EZ)
-            z_before = quat_rotate(compose(sample, calib).rotation, EZ)
-            # z axis untouched, y orthogonal to it and coplanar with the request
-            assert angle_between(z_world, z_before) < 1e-9
-            assert abs(float(y_world @ z_world)) < 1e-9
-            assert abs(float(np.cross(y_world, direction) @ z_world)) < 1e-9 * np.linalg.norm(direction)
-
-    def test_parallel_direction_raises(self):
-        calib = Pose(np.array([0.0, 0.0, 0.0, 1.0]), TRUE_OFFSET)
-        with pytest.raises(DegenerateDirection):
-            fix_roll_to_button(calib, Pose.identity(), [0.0, 0.0, 1.0])
 
 
 GOLDEN_CALIBRATION = (

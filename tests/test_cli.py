@@ -346,7 +346,7 @@ class TestSimulate:
         position_dir, _ = simulate_position(tmp_path, capsys, position_noise_std=0.0002)
         with open(position_dir / "poses.csv", "r", encoding="utf-8") as f:
             rec = parse_pose_csv(f)
-        assert len(rec.samples) == 400
+        assert len(rec) == 400
 
         demo_dir = simulate_demo(tmp_path, capsys, lateral_noise_std=0.0005)
         with open(demo_dir / "trace.csv", "r", encoding="utf-8") as f:
@@ -855,15 +855,12 @@ class TestSimulateConfigErrors:
 
 
 class TestNoPerSampleObjects:
-    """snapshot and evaluate work on whole arrays.  The only poses and
-    records they build are the captured waypoints and the transforms they
-    load: the calibration, the frame and its inverse for each trace."""
+    """snapshot and evaluate work on whole arrays.  The only poses they
+    build are the transforms they load: the calibration, the frame and its
+    inverse for each trace."""
 
     @staticmethod
     def count_constructions(monkeypatch) -> dict:
-        from styluskit.geometry import TipPoseRecord
-        from styluskit.ingest import TimedPose
-
         counts = {"n": 0}
 
         def counting(original):
@@ -874,8 +871,6 @@ class TestNoPerSampleObjects:
             return wrapper
 
         monkeypatch.setattr(Pose, "__post_init__", counting(Pose.__post_init__))
-        monkeypatch.setattr(TipPoseRecord, "__post_init__", counting(TipPoseRecord.__post_init__))
-        monkeypatch.setattr(TimedPose, "__new__", staticmethod(counting(TimedPose.__new__)))
         return counts
 
     def test_snapshot_and_evaluate(self, tmp_path, capsys, monkeypatch):
@@ -911,7 +906,7 @@ class TestNoPerSampleObjects:
         )
         assert code == 0, err
         assert len(json.loads(out)["waypoints"]) == waypoints
-        assert counts["n"] <= waypoints + 1
+        assert counts["n"] <= 1
 
         counts["n"] = 0
         traces = [str(demo_dir / "trace.csv"), str(pose_trace)]
@@ -1113,6 +1108,51 @@ class TestBadWaypointDocuments:
         path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
         code, out, err = run(capsys, "identify-frame", str(path))
         TestFilterFlagErrors.assert_one_line_error(code, out, err, "bad waypoint list document")
+
+    @pytest.mark.parametrize(
+        "faults, expected_code, text",
+        [
+            ([(1, "position", [1.0, 0.0]), (2, "orientation_quat", [0, 0, 0, 0])], 2,
+             "bad waypoint list document: expected a 3-vector"),
+            ([(0, "orientation_quat", [0, 0, 0, 0]), (1, "position", [1.0, 0.0])], 3,
+             "zero norm"),
+            ([(0, "orientation_quat", [0, 0, 0, 0]), (2, "orientation_quat", [0, 0, 1])], 3,
+             "zero norm"),
+            ([(1, "orientation_quat", [0, 0, 1]), (2, "orientation_quat", [0, 0, 0, 0])], 2,
+             "bad waypoint list document: expected a quaternion"),
+            ([(1, "orientation_quat", [0, 0, 0, 0]), (1, "position", [1.0, 0.0])], 2,
+             "bad waypoint list document: expected a 3-vector"),
+        ],
+    )
+    def test_first_faulty_waypoint_decides_the_error(
+        self, tmp_path, capsys, faults, expected_code, text
+    ):
+        doc = {
+            "waypoints": [
+                {"t": float(i), "position": p, "orientation_quat": [0, 0, 0, 1]}
+                for i, p in enumerate([[1, 0, 0], [0, 0, 0], [0, 1, 0]])
+            ]
+        }
+        for index, field, value in faults:
+            doc["waypoints"][index][field] = value
+        path = tmp_path / "waypoints.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "identify-frame", str(path))
+        assert (code, out) == (expected_code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert text in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_evaluate_frame_with_non_finite_probe_points_exit_2(self, tmp_path, capsys, bad):
+        trace, frame, path = TestMalformedInputFiles.evaluate_files(tmp_path, capsys)
+        probes = [[0.1, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.1, 0.0]]
+        frame.write_text(json.dumps({**IDENTITY_FRAME, "probe_points": probes}))
+        code, out, err = run(
+            capsys, "evaluate", str(trace), "--frame", str(frame), "--path", str(path)
+        )
+        TestFilterFlagErrors.assert_one_line_error(
+            code, out, err, "bad drawing frame document: probe points must be finite"
+        )
 
     L_WAYPOINTS = [[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]]
     BAD_PATHS = [

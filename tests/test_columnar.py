@@ -1,8 +1,8 @@
-"""Columnar recordings and tip tracks against their per-sample views.
+"""Columnar recordings and tip tracks.
 
-The data types hold arrays; lists of poses and records are views built on
-access.  Whatever form a value is built from, the arrays, the views and
-every function's result must carry the same bits.
+The data types hold arrays.  Rows normalized one :class:`Pose` at a time
+and rows normalized all at once must carry the same bits, and so must the
+``poses`` view built from them and every function's result.
 """
 
 from __future__ import annotations
@@ -15,26 +15,12 @@ import pytest
 
 from styluskit.calib import HoleRecording, PositionDataset, calibrate_position
 from styluskit.evaluation import IdealPath, segment_trace
-from styluskit.framing import DrawingFrame, to_frame
-from styluskit.geometry import (
-    Pose,
-    TipPoseRecord,
-    TipTrack,
-    quat_from_axis_angle,
-    quat_normalize_rows,
-)
+from styluskit.geometry import Pose, TipTrack, quat_from_axis_angle, quat_normalize_rows
 from styluskit.ingest import (
     DemonstrationTrace,
-    ForceRecording,
-    PenEvent,
-    PenEventKind,
     PoseRecording,
-    TimedPose,
     WaypointList,
-    apply_calibration,
-    pair_force,
     parse_pose_csv,
-    snapshot_waypoints,
     write_pose_csv,
 )
 
@@ -47,23 +33,26 @@ def random_poses(n: int, seed: int = 1) -> list[Pose]:
     ]
 
 
-def records(n: int = 6) -> list[TipPoseRecord]:
-    return [
-        TipPoseRecord(0.1 * i, pose.translation, pose.rotation)
-        for i, pose in enumerate(random_poses(n))
-    ]
+def random_track(n: int = 6) -> TipTrack:
+    poses = random_poses(n)
+    return TipTrack(
+        [0.1 * i for i in range(n)],
+        [pose.translation for pose in poses],
+        [pose.rotation for pose in poses],
+    )
 
 
-def bits(items) -> list:
-    return [(type(r.t), r.t, r.position.tobytes(), r.orientation.tobytes()) for r in items]
+def bits(track: TipTrack) -> list:
+    return [(a.shape, a.tobytes()) for a in (track.t, track.position, track.orientation)]
 
 
 ROW_CONTAINERS = ["PositionDataset", "HoleRecording", "PoseRecording", "WaypointList"]
 
 
 def built_both_ways(kind: str, n: int = 5):
-    """A ``kind`` built from a list of poses (or samples, or records) and one
-    built from rows normalized all at once, and the name of its list view."""
+    """A ``kind`` built from a list of poses (for a recording or a waypoint
+    list, their rows stacked) and one built from rows normalized all at
+    once, and the name of its view."""
     rng = np.random.default_rng(4)
     raw_q, p = rng.normal(size=(n, 4)), rng.normal(size=(n, 3))
     q, t = quat_normalize_rows(raw_q), np.arange(n) / 100.0
@@ -73,11 +62,15 @@ def built_both_ways(kind: str, n: int = 5):
     if kind == "HoleRecording":
         axis = [0.0, 0.0, 1.0]
         return HoleRecording(axis, poses), HoleRecording(axis, q=q, p=p), "poses"
+    stacked_q = [pose.rotation for pose in poses]
+    stacked_p = [pose.translation for pose in poses]
     if kind == "PoseRecording":
-        samples = [TimedPose(s, pose) for s, pose in zip(t.tolist(), poses)]
-        return PoseRecording("world", samples), PoseRecording("world", t=t, q=q, p=p), "samples"
-    recs = [TipPoseRecord(s, pose.translation, pose.rotation) for s, pose in zip(t.tolist(), poses)]
-    return WaypointList(recs), WaypointList(TipTrack(t, p, q)), "waypoints"
+        return (
+            PoseRecording("world", t=t, q=stacked_q, p=stacked_p),
+            PoseRecording("world", t=t, q=q, p=p),
+            "poses",
+        )
+    return WaypointList(TipTrack(t, stacked_p, stacked_q)), WaypointList(TipTrack(t, p, q)), "waypoints"
 
 
 def data(container) -> list:
@@ -88,98 +81,65 @@ def data(container) -> list:
     return [getattr(container, name) for name in ("t", "q", "p") if hasattr(container, name)]
 
 
-def view_bits(items) -> list:
-    """The bits of each pose, sample or record of a list view."""
-    out = []
-    for item in items:
-        t, pose = item if isinstance(item, TimedPose) else (getattr(item, "t", None), item)
-        if isinstance(pose, TipPoseRecord):
-            pose = pose.pose()
-        out.append((t, pose.rotation.tobytes(), pose.translation.tobytes()))
-    return out
+def view_bits(view) -> list:
+    """The bits of each pose of a ``poses`` view, or of a track's rows."""
+    if isinstance(view, TipTrack):
+        return bits(view)
+    return [(pose.rotation.tobytes(), pose.translation.tobytes()) for pose in view]
 
 
 class TestTipTrack:
     def test_items_are_the_records_it_was_built_from(self):
-        recs = records()
-        track = TipTrack.from_records(recs)
-        assert len(track) == len(recs)
-        assert bits(track) == bits(recs)
-        assert bits([track[i] for i in range(len(recs))]) == bits(recs)
-        assert bits([track[-1]]) == bits(recs[-1:])
-        assert type(track[0].t) is float
+        track = random_track()
+        assert len(track) == 6
+        for i in range(6):
+            row = track[i]
+            assert isinstance(row, TipTrack) and len(row) == 1
+            expected = TipTrack(track.t[i : i + 1], track.position[i], track.orientation[i])
+            assert bits(row) == bits(expected)
+        assert bits(track[-1]) == bits(track[5:])
 
     def test_slice_is_a_track_over_the_same_memory(self):
-        track = TipTrack.from_records(records())
+        track = random_track()
         piece = track[2:5]
         assert isinstance(piece, TipTrack) and len(piece) == 3
         assert np.shares_memory(piece.position, track.position)
-        assert bits(piece) == bits(list(track)[2:5])
+        assert bits(piece) == bits(track[np.arange(2, 5)])
 
     def test_arrays_are_read_only(self):
-        track = TipTrack.from_records(records())
+        track = random_track()
         with pytest.raises(ValueError):
             track.position[0, 0] = 1.0
 
     def test_equality(self):
-        recs = records()
-        track = TipTrack.from_records(recs)
-        assert track == recs
+        track = random_track()
         assert track == TipTrack(track.t, track.position, track.orientation)
-        assert track != recs[:-1]
-        assert TipTrack.from_records([]) == []
+        assert track != track[:-1]
+        assert track[:0] == TipTrack([], np.zeros((0, 3)), np.zeros((0, 4)))
         assert track != "track"
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             TipTrack([0.0, 1.0], np.zeros((2, 3)), np.zeros((1, 4)))
 
-    def test_to_frame_takes_a_list_or_a_track(self):
-        frame = DrawingFrame("f", random_poses(1, seed=7)[0], np.eye(3))
-        recs = records()
-        local = to_frame(frame, recs)
-        assert isinstance(local, TipTrack)
-        assert bits(local) == bits(to_frame(frame, TipTrack.from_records(recs)))
-
-    def test_pair_force_and_snapshot_take_a_list_or_a_track(self):
-        recs = records()
-        track = TipTrack.from_records(recs)
-        force = ForceRecording(np.array([0.0, 0.2, 0.4]), np.array([1.0, 2.0, 3.0]))
-        from_list, from_track = pair_force(recs, force), pair_force(track, force)
-        assert bits(from_list.points) == bits(from_track.points)
-        assert from_list.forces.tobytes() == from_track.forces.tobytes()
-        presses = [PenEvent(t, PenEventKind.BUTTON_PRESS) for t in (0.04, 0.26, 0.5)]
-        assert bits(snapshot_waypoints(recs, presses).waypoints) == bits(
-            snapshot_waypoints(track, presses).waypoints
-        )
-
 
 class TestPoseRecording:
-    def test_arrays_and_samples_agree(self):
-        poses = random_poses(5)
-        samples = [TimedPose(0.01 * i, pose) for i, pose in enumerate(poses)]
-        from_list = PoseRecording("world", samples)
-        from_arrays = PoseRecording("world", t=from_list.t, q=from_list.q, p=from_list.p)
-        assert len(from_arrays) == 5 and from_list.samples is samples
-        for a, b in zip(from_arrays.samples, samples):
-            assert type(a.t) is float and a.t == b.t
-            assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
-            assert a.pose.translation.tobytes() == b.pose.translation.tobytes()
-        assert bits(apply_calibration(from_list, poses[0])) == bits(
-            apply_calibration(from_arrays, poses[0])
-        )
-
     def test_written_bytes_do_not_depend_on_the_form(self):
-        poses = random_poses(5)
-        from_list = PoseRecording("world", [TimedPose(i / 100.0, p) for i, p in enumerate(poses)])
-        from_arrays = PoseRecording("world", t=np.arange(5) / 100.0, q=from_list.q, p=from_list.p)
+        rng = np.random.default_rng(6)
+        raw_q, p = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        t = np.arange(5) / 100.0
+        poses = [Pose(a, b) for a, b in zip(raw_q, p)]
+        from_poses = PoseRecording(
+            "world", t=t, q=[x.rotation for x in poses], p=[x.translation for x in poses]
+        )
+        from_rows = PoseRecording("world", t=t, q=quat_normalize_rows(raw_q), p=p)
         texts = []
-        for rec in (from_list, from_arrays):
+        for rec in (from_poses, from_rows):
             out = io.StringIO()
             write_pose_csv(rec, out)
             texts.append(out.getvalue())
         assert texts[0] == texts[1]
-        assert parse_pose_csv(io.StringIO(texts[0])).q.tobytes() == from_list.q.tobytes()
+        assert parse_pose_csv(io.StringIO(texts[0])).q.tobytes() == from_poses.q.tobytes()
 
     @pytest.mark.parametrize("t", [[], [0.0, 0.0], [1.0, 0.5]])
     def test_rejects_empty_or_unordered_times(self, t):
@@ -235,20 +195,14 @@ class TestCalibrationDatasets:
 
 
 class TestDemonstrationTrace:
-    def test_list_and_track_build_the_same_trace(self):
-        recs = records()
-        trace = DemonstrationTrace(points=recs, forces=np.arange(6.0))
-        assert isinstance(trace.points, TipTrack) and len(trace) == 6
-        assert trace.times.tolist() == [r.t for r in recs]
-        same = DemonstrationTrace(points=TipTrack.from_records(recs), forces=np.arange(6.0))
-        assert trace.points == same.points
-
     def test_segments_are_tracks(self):
         xy = [[0.01 * i, 0.0] for i in range(11)] + [[0.1, 0.01 * i] for i in range(1, 11)]
-        points = [
-            TipPoseRecord(0.01 * i, [x, y, 0.0], [0.0, 0.0, 0.0, 1.0])
-            for i, (x, y) in enumerate(xy)
-        ]
+        n = len(xy)
+        points = TipTrack(
+            [0.01 * i for i in range(n)],
+            [[x, y, 0.0] for x, y in xy],
+            np.tile([0.0, 0.0, 0.0, 1.0], (n, 1)),
+        )
         path = IdealPath(np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]]), (0, 1, 2))
         pieces = segment_trace(DemonstrationTrace(points=points), path)
         assert [len(p) for p in pieces] == [11, 11]

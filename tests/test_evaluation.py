@@ -25,7 +25,7 @@ from styluskit.evaluation import (
     resample_segment,
     segment_trace,
 )
-from styluskit.geometry import TipPoseRecord
+from styluskit.geometry import TipTrack
 from styluskit.ingest import DemonstrationTrace, ForceRecording
 
 IDENTITY_Q = np.array([0.0, 0.0, 0.0, 1.0])
@@ -34,10 +34,11 @@ IDENTITY_Q = np.array([0.0, 0.0, 0.0, 1.0])
 def trace_from_xy(xy, dt=0.01, forces=None, z=None):
     xy = np.asarray(xy, dtype=float)
     zs = np.zeros(len(xy)) if z is None else np.asarray(z, dtype=float)
-    points = [
-        TipPoseRecord(i * dt, np.array([x, y, zz]), IDENTITY_Q)
-        for i, ((x, y), zz) in enumerate(zip(xy, zs))
-    ]
+    points = TipTrack(
+        [i * dt for i in range(len(xy))],
+        np.column_stack([xy, zs]),
+        np.tile(IDENTITY_Q, (len(xy), 1)),
+    )
     return DemonstrationTrace(points=points, forces=forces)
 
 
@@ -60,7 +61,7 @@ class TestSegmentTrace:
         assert len(pieces) == 2
         assert len(pieces[0].points) == 11
         assert len(pieces[1].points) == 11
-        assert np.allclose(pieces[0].points[-1].position[:2], [0.1, 0.0])
+        assert np.allclose(pieces[0].points.position[-1, :2], [0.1, 0.0])
 
     def test_single_segment_is_whole_trace(self):
         xy = segment_samples([0, 0], [0.1, 0], np.linspace(0, 1, 20))
@@ -90,7 +91,7 @@ class TestSegmentTrace:
         pieces = segment_trace(trace_from_xy(xy), path)
         assert len(pieces) == 3
         # the second split is the *return* to the start, not the departure
-        assert np.allclose(pieces[1].points[-1].position[:2], [0.0, 0.0], atol=1e-12)
+        assert np.allclose(pieces[1].points.position[-1, :2], [0.0, 0.0], atol=1e-12)
         assert len(pieces[1].points) == 11
 
     def test_forces_sliced_with_points(self):

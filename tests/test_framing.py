@@ -5,22 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from styluskit.errors import CoincidentPoints, ColinearPoints, DegenerateHeight
+from styluskit.errors import CoincidentPoints, ColinearPoints
 from styluskit.framing import (
-    Workspace,
-    box_from_points,
     frame_from_doc,
     frame_to_doc,
     identify_frame,
     load_frame,
-    load_workspace,
     save_frame,
-    save_workspace,
     to_frame,
 )
 from styluskit.geometry import (
     Pose,
-    TipPoseRecord,
+    TipTrack,
     compose,
     quat_angle,
     quat_from_axis_angle,
@@ -28,6 +24,10 @@ from styluskit.geometry import (
 )
 
 IDENTITY_Q = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def track_at(times, positions) -> TipTrack:
+    return TipTrack(times, positions, np.tile(IDENTITY_Q, (len(times), 1)))
 
 
 def random_rigid(rng: np.random.Generator) -> Pose:
@@ -79,81 +79,37 @@ class TestIdentifyFrame:
 class TestToFrame:
     def test_origin_maps_to_zero(self):
         frame = identify_frame([1.5, 0.2, 0.1], [0.5, 0.2, 0.1], [0.5, 1.2, 0.1])
-        records = [TipPoseRecord(0.0, [0.5, 0.2, 0.1], IDENTITY_Q)]
-        local = to_frame(frame, records)
-        assert np.allclose(local[0].position, 0.0, atol=1e-12)
-        assert local[0].t == 0.0
+        local = to_frame(frame, track_at([0.0], [[0.5, 0.2, 0.1]]))
+        assert np.allclose(local.position[0], 0.0, atol=1e-12)
+        assert local.t[0] == 0.0
 
     def test_identity_frame_is_noop(self):
         frame = identify_frame([1, 0, 0], [0, 0, 0], [0, 1, 0])
-        records = [TipPoseRecord(0.3, [0.2, 0.4, 0.6], IDENTITY_Q)]
-        local = to_frame(frame, records)
-        assert np.allclose(local[0].position, [0.2, 0.4, 0.6], atol=1e-12)
+        local = to_frame(frame, track_at([0.3], [[0.2, 0.4, 0.6]]))
+        assert np.allclose(local.position[0], [0.2, 0.4, 0.6], atol=1e-12)
 
     def test_round_trip_through_frame(self):
         rng = np.random.default_rng(31)
         frame = identify_frame([0.9, 0.1, 0.3], [0.1, 0.2, 0.3], [0.2, 0.9, 0.35])
-        records = [
-            TipPoseRecord(
-                i * 0.1,
-                rng.uniform(-1, 1, 3),
-                quat_from_axis_angle(rng.normal(size=3), rng.uniform(-1, 1)),
-            )
-            for i in range(10)
-        ]
-        local = to_frame(frame, records)
-        for original, mapped in zip(records, local):
-            back = compose(frame.transform, mapped.pose())
-            assert np.linalg.norm(back.translation - original.position) < 1e-9
-            assert quat_angle(back.rotation, original.orientation) < 1e-9
+        positions, rotations = [], []
+        for _ in range(10):
+            positions.append(rng.uniform(-1, 1, 3))
+            rotations.append(quat_from_axis_angle(rng.normal(size=3), rng.uniform(-1, 1)))
+        track = TipTrack([i * 0.1 for i in range(10)], positions, rotations)
+        local = to_frame(frame, track)
+        for i in range(10):
+            back = compose(frame.transform, Pose(local.orientation[i], local.position[i]))
+            assert np.linalg.norm(back.translation - track.position[i]) < 1e-9
+            assert quat_angle(back.rotation, track.orientation[i]) < 1e-9
 
     def test_probe_points_land_canonically(self):
         p1, p2, p3 = np.array([0.9, 0.1, 0.3]), np.array([0.1, 0.2, 0.3]), np.array([0.2, 0.9, 0.35])
         frame = identify_frame(p1, p2, p3)
-        records = [TipPoseRecord(float(i), p, IDENTITY_Q) for i, p in enumerate((p1, p2, p3))]
-        local = to_frame(frame, records)
-        x_local = local[0].position
-        origin_local = local[1].position
-        y_local = local[2].position
+        local = to_frame(frame, track_at([0.0, 1.0, 2.0], [p1, p2, p3]))
+        x_local, origin_local, y_local = local.position
         assert np.allclose(origin_local, 0.0, atol=1e-9)
         assert abs(x_local[1]) < 1e-9 and abs(x_local[2]) < 1e-9 and x_local[0] > 0
         assert y_local[1] > 0 and abs(y_local[2]) < 1e-9
-
-
-class TestBoxFromPoints:
-    def test_unit_cube(self):
-        box = box_from_points([1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1])
-        assert np.allclose(box.extents, [1, 1, 1])
-        assert np.allclose(box.frame.translation, [0.5, 0.5, 0.5])
-
-    def test_height_below_plane(self):
-        box = box_from_points([1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, -0.5])
-        assert np.allclose(box.extents, [1, 1, 0.5])
-        assert np.allclose(box.frame.translation, [0.5, 0.5, -0.25])
-
-    def test_point_in_plane_raises(self):
-        with pytest.raises(DegenerateHeight):
-            box_from_points([1, 0, 0], [0, 0, 0], [0, 1, 0], [0.2, 0.3, 0.0])
-
-    def test_colinear_base_raises(self):
-        with pytest.raises(ColinearPoints):
-            box_from_points([1, 0, 0], [0, 0, 0], [2, 0, 0], [0, 0, 1])
-
-    def test_extents_invariant_under_rigid_motion(self):
-        rng = np.random.default_rng(32)
-        corners = [
-            np.array([0.4, 0.0, 0.0]),
-            np.zeros(3),
-            np.array([0.05, 0.3, 0.0]),
-            np.array([0.0, 0.02, 0.25]),
-        ]
-        base = box_from_points(*corners)
-        for _ in range(50):
-            g = random_rigid(rng)
-            moved = box_from_points(*(transform_point(g, c) for c in corners))
-            assert np.allclose(moved.extents, base.extents, atol=1e-9)
-            expected_center = transform_point(g, base.frame.translation)
-            assert np.linalg.norm(moved.frame.translation - expected_center) < 1e-9
 
 
 class TestSerialization:
@@ -173,18 +129,3 @@ class TestSerialization:
         doc = frame_to_doc(frame)
         assert set(doc) == {"label", "translation", "rotation_quat", "probe_points"}
         assert frame_from_doc(doc).label == "f"
-
-    def test_workspace_round_trip(self, tmp_path):
-        boxes = [
-            box_from_points([1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]),
-            box_from_points([0.4, 0.2, 0.0], [0.1, 0.2, 0.0], [0.1, 0.5, 0.0], [0.1, 0.2, 0.2]),
-        ]
-        ws = Workspace(boxes=boxes)
-        path = tmp_path / "workspace.json"
-        save_workspace(ws, path)
-        first = path.read_text()
-        loaded = load_workspace(path)
-        assert len(loaded.boxes) == 2
-        assert np.array_equal(loaded.boxes[0].extents, boxes[0].extents)
-        save_workspace(loaded, path)
-        assert path.read_text() == first

@@ -11,7 +11,6 @@ from styluskit.errors import ZeroVector
 from styluskit.geometry import (
     EulerAngles,
     Pose,
-    TipPoseRecord,
     angle_between,
     compose,
     euler_to_rotation,
@@ -233,10 +232,6 @@ class TestQuaternionHelpers:
         q = quat_normalize(np.array([0.3, -0.4, 0.5, 0.7]))
         again = quat_normalize(q)
         assert np.array_equal(q, again)
-
-    def test_tip_pose_record_normalizes(self):
-        record = TipPoseRecord(0.0, np.zeros(3), np.array([0.0, 0.0, 0.0, 3.0]))
-        assert abs(np.linalg.norm(record.orientation) - 1.0) < 1e-9
 
 
 @settings(max_examples=100, deadline=None)

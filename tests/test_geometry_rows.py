@@ -16,14 +16,14 @@ from styluskit.errors import ZeroVector
 from styluskit.framing import DrawingFrame, to_frame
 from styluskit.geometry import (
     Pose,
-    TipPoseRecord,
+    TipTrack,
     quat_conjugate,
     quat_multiply,
     quat_normalize,
     quat_normalize_rows,
     quat_rotate,
 )
-from styluskit.ingest import PoseRecording, TimedPose, apply_calibration
+from styluskit.ingest import PoseRecording, apply_calibration
 
 ULP = np.finfo(float).eps
 
@@ -64,22 +64,28 @@ def oracle_invert(t: Pose) -> Pose:
     return Pose(qc, -oracle_quat_rotate(qc, t.translation))
 
 
-def oracle_apply_calibration(rec: PoseRecording, calib) -> list[TipPoseRecord]:
+def track_of(times, poses: list[Pose]) -> TipTrack:
+    return TipTrack(
+        times,
+        np.reshape([p.translation for p in poses], (-1, 3)),
+        np.reshape([p.rotation for p in poses], (-1, 4)),
+    )
+
+
+def oracle_apply_calibration(rec: PoseRecording, calib) -> TipTrack:
     transform = calib.transform if hasattr(calib, "transform") else calib
-    out = []
-    for t, pose in rec.samples:
-        tip = oracle_compose(pose, transform)
-        out.append(TipPoseRecord(t, tip.translation, tip.rotation))
-    return out
+    tips = []
+    for q, p in zip(rec.q, rec.p):
+        tips.append(oracle_compose(Pose(q, p), transform))
+    return track_of(rec.t, tips)
 
 
-def oracle_to_frame(frame: DrawingFrame, points: list[TipPoseRecord]) -> list[TipPoseRecord]:
+def oracle_to_frame(frame: DrawingFrame, points: TipTrack) -> TipTrack:
     inverse = oracle_invert(frame.transform)
-    out = []
-    for record in points:
-        local = oracle_compose(inverse, record.pose())
-        out.append(TipPoseRecord(record.t, local.translation, local.rotation))
-    return out
+    local = []
+    for q, p in zip(points.orientation, points.position):
+        local.append(oracle_compose(inverse, Pose(q, p)))
+    return track_of(points.t, local)
 
 
 # --------------------------------------------------------------- strategies
@@ -161,10 +167,10 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def records_bits(records) -> list:
-    if isinstance(records, tuple):
-        return records
-    return [(r.t, r.position.tobytes(), r.orientation.tobytes()) for r in records]
+def track_bits(track) -> list:
+    if isinstance(track, tuple):
+        return track
+    return [(a.shape, a.tobytes()) for a in (track.t, track.position, track.orientation)]
 
 
 # ------------------------------------------------------------------ kernels
@@ -260,7 +266,6 @@ class TestNormalizeRows:
                 quat_normalize(big),
                 quat_normalize_rows(np.array([[0.0, 0.0, 0.0, 1.0], big]))[1],
                 Pose(big, np.zeros(3)).rotation,
-                TipPoseRecord(0.0, np.zeros(3), big).orientation,
             ]
         for q in results:
             assert np.allclose(q, unit, rtol=1e-15, atol=0.0)
@@ -300,41 +305,38 @@ class TestNormalizeRows:
 
 # -------------------------------------------------------- whole-array transforms
 
-# A pose whose rotation is the zero quaternion; composing with it must
-# raise ZeroVector.  No constructor builds one, so the frozen field is set
-# on a built pose.
-ZERO_QUAT = np.zeros(4)
-ZERO_QUAT.setflags(write=False)
-ZERO_ROTATION = Pose.identity()
-object.__setattr__(ZERO_ROTATION, "rotation", ZERO_QUAT)
-
-
 @st.composite
 def poses(draw):
     return Pose(draw(any_quat.filter(lambda q: np.linalg.norm(q) > 1e-6)), draw(vectors))
 
 
+def recording_of(rows: list[Pose] | list[tuple]) -> PoseRecording:
+    """A recording at 100 Hz of poses, or of ``(q, p)`` rows kept as given
+    (a zero rotation among them too)."""
+    q, p = zip(*((r.rotation, r.translation) if isinstance(r, Pose) else r for r in rows))
+    return PoseRecording("world", t=0.01 * np.arange(len(rows)), q=q, p=p)
+
+
 @st.composite
 def recordings(draw, bad_rows=False):
-    n = draw(row_counts)
-    samples = []
-    for i in range(n):
+    rows = []
+    for _ in range(draw(row_counts)):
         pose = draw(poses())
-        if bad_rows:
-            kind = draw(st.sampled_from(["ok", "ok", "zero", "huge"]))
-            if kind == "zero":
-                pose = ZERO_ROTATION
-            elif kind == "huge":
-                pose = Pose(pose.rotation, np.array([1.7e308, -1.7e308, 1.7e308]))
-        samples.append(TimedPose(0.01 * i, pose))
-    return PoseRecording(frame_id="world", samples=samples)
+        kind = draw(st.sampled_from(["ok", "ok", "zero", "huge"])) if bad_rows else "ok"
+        if kind == "zero":
+            rows.append((np.zeros(4), np.zeros(3)))
+        elif kind == "huge":
+            rows.append((pose.rotation, np.array([1.7e308, -1.7e308, 1.7e308])))
+        else:
+            rows.append(pose)
+    return recording_of(rows)
 
 
 class TestApplyCalibration:
     @settings(max_examples=60, deadline=None)
     @given(rec=recordings(), calib=poses())
     def test_matches_per_record_loop(self, rec, calib):
-        assert records_bits(apply_calibration(rec, calib)) == records_bits(
+        assert track_bits(apply_calibration(rec, calib)) == track_bits(
             oracle_apply_calibration(rec, calib)
         )
 
@@ -344,7 +346,7 @@ class TestApplyCalibration:
         if far:
             # Tip offsets this long overflow on the rows placed far away.
             calib = Pose(calib.rotation, np.full(3, 9e307))
-        assert records_bits(outcome(apply_calibration, rec, calib)) == records_bits(
+        assert track_bits(outcome(apply_calibration, rec, calib)) == track_bits(
             outcome(oracle_apply_calibration, rec, calib)
         )
 
@@ -357,17 +359,14 @@ class TestApplyCalibration:
         base /= np.linalg.norm(base, axis=1)[:, None]
         scales = [1.0 + s * 1e-12 + k * ULP for s in (-1.0, 1.0) for k in range(-8, 9)]
         rows = [q * scale for q in base for scale in scales]
-        rec = PoseRecording(
-            "world", [TimedPose(0.01 * i, Pose(q, np.zeros(3))) for i, q in enumerate(rows)]
-        )
+        rec = recording_of([Pose(q, np.zeros(3)) for q in rows])
         calib = Pose.identity()
-        assert records_bits(apply_calibration(rec, calib)) == records_bits(
+        assert track_bits(apply_calibration(rec, calib)) == track_bits(
             oracle_apply_calibration(rec, calib)
         )
 
     def test_zero_norm_raises_zero_vector(self):
-        samples = [TimedPose(0.0, Pose.identity()), TimedPose(0.1, ZERO_ROTATION)]
-        rec = PoseRecording("world", samples)
+        rec = recording_of([Pose.identity(), (np.zeros(4), np.zeros(3))])
         with pytest.raises(ZeroVector):
             oracle_apply_calibration(rec, Pose.identity())
         with pytest.raises(ZeroVector):
@@ -375,7 +374,7 @@ class TestApplyCalibration:
 
     def test_non_finite_result_raises_value_error(self):
         far = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.7e308, 0.0, 0.0]))
-        rec = PoseRecording("world", [TimedPose(0.0, Pose.identity()), TimedPose(0.1, far)])
+        rec = recording_of([Pose.identity(), far])
         calib = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.7e308, 0.0, 0.0]))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             oracle_apply_calibration(rec, calib)
@@ -383,18 +382,12 @@ class TestApplyCalibration:
             apply_calibration(rec, calib)
 
 
-def tip_records(rec: PoseRecording, nan_row: int | None = None) -> list[TipPoseRecord]:
-    """The recording as tip records, with a NaN position at ``nan_row``."""
-    out = []
-    for i, (t, pose) in enumerate(rec.samples):
-        p = [math.nan, 0.0, 0.0] if i == nan_row else pose.translation
-        if pose is ZERO_ROTATION:
-            record = TipPoseRecord(t, p, [0.0, 0.0, 0.0, 1.0])
-            object.__setattr__(record, "orientation", ZERO_QUAT)
-        else:
-            record = TipPoseRecord(t, p, pose.rotation)
-        out.append(record)
-    return out
+def tip_track(rec: PoseRecording, nan_row: int | None = None) -> TipTrack:
+    """The recording's rows as a tip track, with a NaN position at ``nan_row``."""
+    position = rec.p.copy()
+    if nan_row is not None and nan_row < len(rec):
+        position[nan_row] = [math.nan, 0.0, 0.0]
+    return TipTrack(rec.t, position, rec.q)
 
 
 class TestToFrame:
@@ -402,8 +395,8 @@ class TestToFrame:
     @given(rec=recordings(), transform=poses())
     def test_matches_per_record_loop(self, rec, transform):
         frame = DrawingFrame("f", transform, np.eye(3))
-        points = tip_records(rec)
-        assert records_bits(to_frame(frame, points)) == records_bits(
+        points = tip_track(rec)
+        assert track_bits(to_frame(frame, points)) == track_bits(
             oracle_to_frame(frame, points)
         )
 
@@ -411,13 +404,14 @@ class TestToFrame:
     @given(rec=recordings(bad_rows=True), transform=poses(), nan_row=st.integers(0, 8))
     def test_first_bad_row_raises_like_loop(self, rec, transform, nan_row):
         frame = DrawingFrame("f", transform, np.eye(3))
-        points = tip_records(rec, nan_row)
-        assert records_bits(outcome(to_frame, frame, points)) == records_bits(
+        points = tip_track(rec, nan_row)
+        assert track_bits(outcome(to_frame, frame, points)) == track_bits(
             outcome(oracle_to_frame, frame, points)
         )
 
     def test_empty(self):
-        assert to_frame(DrawingFrame("f", Pose.identity(), np.eye(3)), []) == []
+        empty = TipTrack([], np.zeros((0, 3)), np.zeros((0, 4)))
+        assert to_frame(DrawingFrame("f", Pose.identity(), np.eye(3)), empty) == empty
 
 
 def test_strided_row_normalizes_like_its_copy():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -11,11 +12,19 @@ from styluskit.errors import (
     NonMonotonicTime,
     NoOverlap,
 )
-from styluskit.geometry import Pose, TipPoseRecord, quat_from_axis_angle
+from styluskit.geometry import (
+    Pose,
+    TipTrack,
+    quat_from_axis_angle,
+    quat_normalize,
+    quat_normalize_rows,
+)
 from styluskit.ingest import (
     DemonstrationTrace,
     ForceRecording,
     PenEventKind,
+    PoseRecording,
+    WaypointList,
     apply_calibration,
     pair_force,
     parse_demo_csv,
@@ -23,6 +32,8 @@ from styluskit.ingest import (
     parse_pen_events,
     parse_pose_csv,
     snapshot_waypoints,
+    waypoint_list_from_doc,
+    waypoint_list_to_doc,
     write_demo_csv,
     write_force_csv,
     write_pose_csv,
@@ -33,18 +44,23 @@ IDENTITY_Q = np.array([0.0, 0.0, 0.0, 1.0])
 
 def tips_at(times, positions=None):
     if positions is None:
-        positions = [np.zeros(3)] * len(times)
-    return [TipPoseRecord(t, p, IDENTITY_Q) for t, p in zip(times, positions)]
+        positions = np.zeros((len(times), 3))
+    return TipTrack(times, positions, np.tile(IDENTITY_Q, (len(times), 1)))
+
+
+def recording_of(times, poses) -> PoseRecording:
+    return PoseRecording(
+        "world", t=times, q=[p.rotation for p in poses], p=[p.translation for p in poses]
+    )
 
 
 class TestParsePoseCsv:
     def test_single_identity_row(self):
         rec = parse_pose_csv(io.StringIO("t,x,y,z,qx,qy,qz,qw\n0.0,0,0,0,0,0,0,1\n"))
-        assert len(rec.samples) == 1
-        t, pose = rec.samples[0]
-        assert t == 0.0
-        assert np.allclose(pose.translation, 0.0)
-        assert np.allclose(pose.rotation, [0, 0, 0, 1])
+        assert len(rec) == 1
+        assert rec.t[0] == 0.0
+        assert np.allclose(rec.p[0], 0.0)
+        assert np.allclose(rec.q[0], [0, 0, 0, 1])
 
     def test_empty_body_raises(self):
         with pytest.raises(FormatError):
@@ -74,16 +90,16 @@ class TestParsePoseCsv:
         text = "t,x,y,z,qx,qy,qz,qw\n0.0,0,0,0,0,0,0,1\n0.1,nan,0,0,0,0,0,1\n0.2,1,0,0,0,0,0,1\n"
         with pytest.warns(UserWarning, match="non-finite"):
             rec = parse_pose_csv(io.StringIO(text))
-        assert len(rec.samples) == 2
+        assert len(rec) == 2
 
     def test_jsonl_variant(self):
         text = '{"t": 0.0, "x": 1, "y": 2, "z": 3, "qx": 0, "qy": 0, "qz": 0, "qw": 1}\n'
         rec = parse_pose_csv(io.StringIO(text))
-        assert np.allclose(rec.samples[0].pose.translation, [1, 2, 3])
+        assert np.allclose(rec.p[0], [1, 2, 3])
 
     def test_quaternions_normalized(self):
         rec = parse_pose_csv(io.StringIO("t,x,y,z,qx,qy,qz,qw\n0.0,0,0,0,0,0,0,2\n"))
-        assert abs(np.linalg.norm(rec.samples[0].pose.rotation) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(rec.q[0]) - 1.0) < 1e-12
 
     def test_round_trip_is_fixed_point(self):
         rng = np.random.default_rng(11)
@@ -176,46 +192,34 @@ class TestParsePenEvents:
 
 class TestApplyCalibration:
     def test_identity_calibration_is_identity(self):
-        from styluskit.ingest import PoseRecording, TimedPose
-
         rng = np.random.default_rng(12)
-        samples = [
-            TimedPose(
-                i * 0.1,
-                Pose(quat_from_axis_angle(rng.normal(size=3), rng.uniform(-1, 1)), rng.normal(size=3)),
-            )
-            for i in range(5)
+        times = [i * 0.1 for i in range(5)]
+        poses = [
+            Pose(quat_from_axis_angle(rng.normal(size=3), rng.uniform(-1, 1)), rng.normal(size=3))
+            for _ in times
         ]
-        rec = PoseRecording("world", samples)
-        tips = apply_calibration(rec, Pose.identity())
-        for (t, pose), tip in zip(samples, tips):
-            assert tip.t == t
-            assert np.allclose(tip.position, pose.translation, atol=1e-12)
-            assert np.allclose(tip.orientation, pose.rotation, atol=1e-12)
+        tips = apply_calibration(recording_of(times, poses), Pose.identity())
+        for i, (t, pose) in enumerate(zip(times, poses)):
+            assert tips.t[i] == t
+            assert np.allclose(tips.position[i], pose.translation, atol=1e-12)
+            assert np.allclose(tips.orientation[i], pose.rotation, atol=1e-12)
 
     def test_pure_tip_offset(self):
-        from styluskit.ingest import PoseRecording, TimedPose
-
-        rec = PoseRecording(
-            "world",
-            [TimedPose(0.0, Pose(IDENTITY_Q, np.array([1.0, 1.0, 1.0])))],
-        )
+        rec = recording_of([0.0], [Pose(IDENTITY_Q, np.array([1.0, 1.0, 1.0]))])
         offset = Pose(IDENTITY_Q, np.array([0.0, 0.0, -0.1]))
         tips = apply_calibration(rec, offset)
-        assert np.allclose(tips[0].position, [1.0, 1.0, 0.9], atol=1e-12)
+        assert np.allclose(tips.position[0], [1.0, 1.0, 0.9], atol=1e-12)
 
     def test_rotating_fiducial_about_fixed_tip(self):
         # all tip positions coincide when the true calibration is applied
         from styluskit.synth import SynthConfig, gen_position_dataset
-        from styluskit.ingest import PoseRecording, TimedPose
 
         true = Pose(quat_from_axis_angle([1, 0, 0], 0.2), np.array([0.01, -0.02, -0.12]))
         cfg = SynthConfig(true_calibration=true, pivot_point=np.array([0.4, 0.1, 0.0]), sample_count=50, seed=5)
         dataset, truth = gen_position_dataset(cfg)
-        rec = PoseRecording("world", [TimedPose(i * 0.01, p) for i, p in enumerate(dataset.poses)])
+        rec = recording_of([i * 0.01 for i in range(len(dataset))], dataset.poses)
         tips = apply_calibration(rec, true)
-        positions = np.array([t.position for t in tips])
-        assert np.max(np.linalg.norm(positions - truth.pivot_point, axis=1)) < 1e-9
+        assert np.max(np.linalg.norm(tips.position - truth.pivot_point, axis=1)) < 1e-9
 
 
 class TestSnapshotWaypoints:
@@ -225,7 +229,7 @@ class TestSnapshotWaypoints:
 
         wl = snapshot_waypoints(tips, [PenEvent(0.1, PenEventKind.BUTTON_PRESS)])
         assert len(wl) == 1
-        assert wl.waypoints[0].t == 0.1
+        assert wl.waypoints.t[0] == 0.1
 
     def test_no_events_gives_empty_list(self):
         wl = snapshot_waypoints(tips_at([0.0, 0.1]), [])
@@ -236,7 +240,7 @@ class TestSnapshotWaypoints:
 
         tips = tips_at([0.0, 0.25, 0.5, 0.75])
         wl = snapshot_waypoints(tips, [PenEvent(0.375, PenEventKind.BUTTON_PRESS)])
-        assert wl.waypoints[0].t == 0.25
+        assert wl.waypoints.t[0] == 0.25
 
     def test_release_ignored(self):
         from styluskit.ingest import PenEvent
@@ -260,7 +264,7 @@ class TestSnapshotWaypoints:
         wl = snapshot_waypoints(
             tips_at([1.0, 1.1]), [PenEvent(0.95, PenEventKind.BUTTON_PRESS)]
         )
-        assert wl.waypoints[0].t == 1.0
+        assert wl.waypoints.t[0] == 1.0
 
     def test_count_matches_presses_inside_span(self):
         from styluskit.ingest import PenEvent
@@ -325,3 +329,39 @@ class TestNonFiniteEventTimestamps:
         # itself would be skipped, as a malformed one is.
         with pytest.raises(FormatError, match="line 1"):
             parse_pen_events(io.StringIO("EVT nan XYZ 1\n"))
+
+
+class TestWaypointDocuments:
+    def test_round_trip_keeps_the_bits(self):
+        from styluskit.jsonio import dumps_canonical
+
+        rng = np.random.default_rng(21)
+        track = TipTrack(
+            np.sort(rng.uniform(0.0, 9.0, 7)),
+            rng.normal(size=(7, 3)),
+            quat_normalize_rows(rng.normal(size=(7, 4))),
+        )
+        text = dumps_canonical(waypoint_list_to_doc(WaypointList(track)))
+        back = waypoint_list_from_doc(json.loads(text)).waypoints
+        for name in ("t", "position", "orientation"):
+            a, b = getattr(back, name), getattr(track, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert dumps_canonical(waypoint_list_to_doc(WaypointList(back))) == text
+
+    def test_quaternions_normalize_as_row_by_row(self):
+        # Hand-written documents hold off-unit quaternions (6 decimals,
+        # a scaled identity, qw < 0); each row gets quat_normalize's bits.
+        rng = np.random.default_rng(22)
+        quats = [np.round(quat_normalize(q), 6).tolist() for q in rng.normal(size=(5, 4))]
+        quats += [[0.0, 0.0, 0.0, 2.0], [0.1, -0.2, 0.3, -0.9], [0.0, 0.0, -1.0, 0.0]]
+        doc = {
+            "waypoints": [
+                {"t": float(i), "position": [0.0, 0.0, float(i)], "orientation_quat": q}
+                for i, q in enumerate(quats)
+            ]
+        }
+        got = waypoint_list_from_doc(doc).waypoints.orientation
+        assert got.tobytes() == np.array([quat_normalize(q) for q in quats]).tobytes()
+
+    def test_empty_list(self):
+        assert len(waypoint_list_from_doc({"waypoints": []})) == 0

@@ -1,7 +1,7 @@
 """Quaternions read from JSON documents: one decoder for every loader.
 
 A quaternion whose squared norm overflows would normalize to zeros, so a
-calibration, frame, workspace or waypoint-list document holding one is an
+calibration, frame or waypoint-list document holding one is an
 input error (exit 2, one ``error:`` line, no numpy warning).  A zero
 quaternion stays degenerate data (exit 3).
 """
@@ -16,7 +16,7 @@ import pytest
 from styluskit.calib import calibration_from_doc
 from styluskit.cli import main
 from styluskit.errors import FormatError, ZeroVector
-from styluskit.framing import frame_from_doc, workspace_from_doc
+from styluskit.framing import frame_from_doc
 from styluskit.geometry import MAX_QUAT_NORM2, quat_from_json
 from styluskit.ingest import waypoint_list_from_doc
 
@@ -34,7 +34,6 @@ FRAME = {
     "rotation_quat": [0.0, 0.0, 0.0, 1.0],
     "probe_points": [[0.1, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.1, 0.0]],
 }
-BOX = {"center": [0.0, 0.0, 0.0], "rotation_quat": [0.0, 0.0, 0.0, 1.0], "extents": [1.0, 1.0, 1.0]}
 PATH = {"waypoints": [[0.0, 0.0], [0.1, 0.0]], "visiting_sequence": [0, 1]}
 
 
@@ -55,7 +54,6 @@ def with_quat(doc: dict, key: str, quat) -> dict:
 LOADERS = {
     "calibration": lambda q: calibration_from_doc(with_quat(CALIBRATION, "rotation_quat", q)),
     "frame": lambda q: frame_from_doc(with_quat(FRAME, "rotation_quat", q)),
-    "workspace": lambda q: workspace_from_doc([BOX, with_quat(BOX, "rotation_quat", q)]),
     "waypoints": lambda q: waypoint_list_from_doc(waypoints(q)),
 }
 

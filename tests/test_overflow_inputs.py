@@ -1,10 +1,10 @@
 """Finite inputs whose arithmetic overflows are input errors.
 
 A pose row whose quaternion's squared norm overflows would normalize to
-zeros, and a demonstration point far enough from the ideal line has no
-finite line parameter.  Both are the user's data: the library raises, and
-the CLI exits 2 with one ``error:`` line, never a traceback or a silent
-zero.
+zeros, a demonstration point far enough from the ideal line has no finite
+line parameter, and a tip or frame pose can overflow when it is computed.
+All are the user's data: the library raises, and the CLI exits 2 with one
+``error:`` line, never a traceback, a numpy warning or a silent zero.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from styluskit.cli import main
-from styluskit.errors import FormatError
+from styluskit.errors import FormatError, InputError, NonFinitePose
 from styluskit.ingest import parse_pose_csv
 
 IDENTITY_FRAME = {
@@ -87,3 +87,67 @@ def test_evaluate_point_with_overflowing_line_offset_exit_2(tmp_path, capsys, x)
     rows[5] = f"0.04,{x},0.0,0.0,1.0"
     code, out, err = run_evaluate(tmp_path, capsys, "\n".join(rows) + "\n", "--in-frame")
     assert_one_line_error(code, out, err, "non-finite line offset")
+
+
+def run_cli(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def far_pose_csv(tmp_path):
+    path = tmp_path / "far.csv"
+    rows = [f"{i * 0.01},1e308,0.0,0.0,0,0,0,1" for i in range(11)]
+    path.write_text("t,x,y,z,qx,qy,qz,qw\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_non_finite_pose_is_an_input_error_and_a_value_error():
+    assert issubclass(NonFinitePose, InputError) and issubclass(NonFinitePose, ValueError)
+
+
+def test_snapshot_with_overflowing_tip_pose_exit_2(tmp_path, capsys):
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(json.dumps({
+        "translation": [1e308, 0.0, 0.0],
+        "rotation_quat": [0.0, 0.0, 0.0, 1.0],
+        "position_residual_rms": 0.0,
+        "orientation_residual_rms": 0.0,
+        "filtered_outliers": 0,
+    }))
+    events = tmp_path / "events.txt"
+    events.write_text("EVT 0.05 BTN 1\n")
+    code, out, err = run_cli(
+        capsys, "snapshot", far_pose_csv(tmp_path), events, "--calibration", calibration
+    )
+    assert_one_line_error(code, out, err, "pose has non-finite components")
+
+
+def test_evaluate_with_overflowing_frame_pose_exit_2(tmp_path, capsys):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({**IDENTITY_FRAME, "translation": [-1e308, 0.0, 0.0]}))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(LINE_PATH))
+    code, out, err = run_cli(
+        capsys, "evaluate", far_pose_csv(tmp_path), "--frame", frame, "--path", path
+    )
+    assert_one_line_error(code, out, err, "pose has non-finite components")
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[1e200, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1e200, 0.0]],
+        [[1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0], [0.0, 1.7e308, 0.0]],
+    ],
+)
+def test_identify_frame_with_overflowing_axes_exit_2(tmp_path, capsys, points):
+    waypoints = tmp_path / "waypoints.json"
+    waypoints.write_text(json.dumps({
+        "waypoints": [
+            {"t": float(i), "position": p, "orientation_quat": [0, 0, 0, 1]}
+            for i, p in enumerate(points)
+        ]
+    }))
+    code, out, err = run_cli(capsys, "identify-frame", waypoints)
+    assert_one_line_error(code, out, err, "pose has non-finite components")

@@ -26,7 +26,6 @@ from styluskit.errors import FormatError, NonMonotonicTime, ZeroVector
 from styluskit.geometry import (
     MAX_QUAT_NORM2,
     Pose,
-    TipPoseRecord,
     TipTrack,
     quat_normalize,
     quat_normalize_rows,
@@ -38,7 +37,6 @@ from styluskit.ingest import (
     DemonstrationTrace,
     ForceRecording,
     PoseRecording,
-    TimedPose,
     parse_demo_csv,
     parse_force_csv,
     parse_pen_events,
@@ -84,7 +82,8 @@ def oracle_parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> Pos
             f"expected header {POSE_CSV_HEADER!r}, got {header[1]!r}", header[0]
         )
 
-    samples: list[TimedPose] = []
+    times: list[float] = []
+    poses: list[Pose] = []
     dropped = 0
     rows = it if not jsonl else _chain_first(header, it)
     for number, text in rows:
@@ -105,17 +104,23 @@ def oracle_parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> Pos
             dropped += 1
             continue
         t = values[0]
-        if samples and t <= samples[-1].t:
+        if times and t <= times[-1]:
             raise NonMonotonicTime(
-                f"timestamp {t!r} does not increase past {samples[-1].t!r}", number
+                f"timestamp {t!r} does not increase past {times[-1]!r}", number
             )
-        samples.append(TimedPose(t, Pose(np.array(values[4:8]), np.array(values[1:4]))))
+        times.append(t)
+        poses.append(Pose(np.array(values[4:8]), np.array(values[1:4])))
 
     if dropped:
         warnings.warn(f"dropped {dropped} pose rows with non-finite values", stacklevel=2)
-    if not samples:
+    if not poses:
         raise FormatError("no valid data rows")
-    return PoseRecording(frame_id=frame_id, samples=samples)
+    return PoseRecording(
+        frame_id,
+        t=times,
+        q=[pose.rotation for pose in poses],
+        p=[pose.translation for pose in poses],
+    )
 
 
 def oracle_parse_force_csv(stream: Iterable[str]) -> ForceRecording:
@@ -167,7 +172,8 @@ def oracle_parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> Demo
     if header[1] != DEMO_CSV_HEADER:
         raise FormatError(f"expected header {DEMO_CSV_HEADER!r}, got {header[1]!r}", header[0])
 
-    points: list[TipPoseRecord] = []
+    times: list[float] = []
+    positions: list[list[float]] = []
     forces: list[float] = []
     dropped = 0
     for number, text in it:
@@ -180,16 +186,18 @@ def oracle_parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> Demo
         if not all(np.isfinite(values)):
             dropped += 1
             continue
-        if points and values[0] <= points[-1].t:
+        if times and values[0] <= times[-1]:
             raise NonMonotonicTime(
-                f"timestamp {values[0]!r} does not increase past {points[-1].t!r}", number
+                f"timestamp {values[0]!r} does not increase past {times[-1]!r}", number
             )
-        points.append(TipPoseRecord(values[0], np.array(values[1:4]), _IDENTITY_QUAT))
+        times.append(values[0])
+        positions.append(values[1:4])
         forces.append(values[4])
     if dropped:
         warnings.warn(f"dropped {dropped} trace rows with non-finite values", stacklevel=2)
-    if not points:
+    if not times:
         raise FormatError("no valid data rows")
+    points = TipTrack(times, positions, np.tile(_IDENTITY_QUAT, (len(times), 1)))
     return DemonstrationTrace(points=points, forces=np.array(forces), source=source)
 
 
@@ -278,22 +286,14 @@ def oracle_rows_parse_demo_csv(
 # ------------------------------------------------------------------ comparison
 
 
-def _bytes(arrays) -> bytes:
-    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+def _bytes(*arrays) -> list:
+    return [(a.shape, a.dtype.str, np.ascontiguousarray(a).tobytes()) for a in arrays]
 
 
 def describe(result):
     """Everything a caller can see of a parsed recording, as comparable values."""
     if isinstance(result, PoseRecording):
-        samples = result.samples
-        return (
-            "pose",
-            result.frame_id,
-            [type(s.t) for s in samples],
-            _bytes([s.t for s in samples]),
-            _bytes([s.pose.rotation for s in samples]),
-            _bytes([s.pose.translation for s in samples]),
-        )
+        return ("pose", result.frame_id, _bytes(result.t, result.q, result.p))
     if isinstance(result, ForceRecording):
         return (
             "force",
@@ -305,10 +305,7 @@ def describe(result):
     return (
         "trace",
         result.source,
-        [type(p.t) for p in points],
-        _bytes([p.t for p in points]),
-        _bytes([p.position for p in points]),
-        _bytes([p.orientation for p in points]),
+        _bytes(points.t, points.position, points.orientation),
         result.forces.tobytes(),
         result.force_extrapolated,
     )

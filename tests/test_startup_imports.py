@@ -132,12 +132,13 @@ def test_each_command_loads_only_its_modules(inputs, argv, expected):
 
 # ------------------------------------------------------------ lazy namespace
 
-# The names the package exported when it imported every module eagerly.
+# The names the package exported when it imported every module eagerly,
+# less the workspace boxes and the per-sample record, which are gone.
 EXPORTED = [
-    "CollisionBox", "DemonstrationTrace", "DrawingFrame", "EulerAngles", "EvaluationReport",
+    "DemonstrationTrace", "DrawingFrame", "EulerAngles", "EvaluationReport",
     "FilterParams", "ForceRecording", "IdealPath", "OrientationDataset", "PenEvent", "Pose",
-    "PoseRecording", "PositionDataset", "StylusKitError", "TipCalibration", "TipPoseRecord",
-    "TipTrack", "WaypointList", "Workspace", "angle_between", "box_from_points",
+    "PoseRecording", "PositionDataset", "StylusKitError", "TipCalibration",
+    "TipTrack", "WaypointList", "angle_between",
     "calibrate_orientation", "calibrate_position", "compose", "euler_to_rotation",
     "evaluate_demonstrations", "identify_frame", "invert", "rotation_to_euler", "to_frame",
     "transform_point", "__version__",

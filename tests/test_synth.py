@@ -18,7 +18,6 @@ from styluskit.geometry import (
 from styluskit.ingest import (
     ForceRecording,
     PoseRecording,
-    TimedPose,
     parse_demo_csv,
     parse_pose_csv,
     write_demo_csv,
@@ -179,16 +178,13 @@ class TestDemonstrationGenerator:
 class TestCsvRoundTrip:
     def test_position_dataset_round_trips_through_pose_csv(self):
         ds, _ = gen_position_dataset(config(sample_count=20, position_noise_std=1e-4))
-        recording = PoseRecording(
-            "world", [TimedPose(i / 100.0, p) for i, p in enumerate(ds.poses)]
-        )
+        recording = PoseRecording("world", t=np.arange(len(ds)) / 100.0, q=ds.q, p=ds.p)
         out = io.StringIO()
         write_pose_csv(recording, out)
         back = parse_pose_csv(io.StringIO(out.getvalue()))
-        for (t1, p1), (t2, p2) in zip(recording.samples, back.samples):
-            assert t1 == t2
-            assert np.array_equal(p1.translation, p2.translation)
-            assert np.array_equal(p1.rotation, p2.rotation)
+        assert np.array_equal(recording.t, back.t)
+        assert np.array_equal(recording.p, back.p)
+        assert np.array_equal(recording.q, back.q)
 
     def test_demonstration_round_trips_through_demo_csv(self):
         trace = gen_demonstration(SQUARE, lateral_noise_std=0.0005, seed=9)
