@@ -15,7 +15,10 @@ has a closed-form minimum, the normalized sum of the measured axes (the
 von Mises-Fisher mean direction; Mardia & Jupp, *Directional Statistics*,
 2000), so no iterative solver is needed.  Roll about the tip axis is
 unobservable here (the tip is axially symmetric), so it is taken as given
-(``initial_roll``); evaluation reads only tip positions and forces.
+(``initial_roll``); evaluation reads only tip positions and forces.  The
+solve's unit quaternion goes unchanged into the calibration file, so the
+axis stays exact where yaw-pitch-roll angles are singular (pitch +-90
+degrees).
 
 Both steps drop occlusion glitches with density clustering (DBSCAN):
 points with too few neighbors inside a radius are discarded, and only the
@@ -53,22 +56,21 @@ from .errors import (
     DegenerateRotations,
     FormatError,
     NoConvergence,
+    NonFinitePose,
 )
 from .geometry import (
-    EulerAngles,
     Pose,
     PoseRows,
-    euler_to_rotation,
     quat_from_axis_angle,
     quat_from_json,
     quat_multiply,
+    quat_normalize,
     quat_rotate,
     quats_to_matrices,
     rotation_between,
-    rotation_to_euler,
     vec3,
 )
-from .jsonio import read_json, write_json
+from .jsonio import json_int, read_json, write_json
 
 DEFAULT_MIN_ROTATION = math.radians(30.0)
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -135,7 +137,7 @@ class PositionCalibration:
 
 @dataclass
 class OrientationCalibration:
-    angles: EulerAngles
+    rotation: np.ndarray  # canonical unit quaternion, as Pose stores it
     residual_rms: float
     removed_outliers: int
 
@@ -545,6 +547,20 @@ def _solve_pivot(rotations: np.ndarray, translations: np.ndarray) -> tuple[np.nd
     return solution[:3], solution[3:]
 
 
+def _residual_squares(rotations, translations, offset, pivot) -> np.ndarray:
+    """Squared distance of each tip ``R_i p + t_i`` from the pivot.
+
+    Raises :class:`NonFinitePose` when their sum overflows: the rows are
+    finite, but too far out for the solve's arithmetic.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = rotations @ offset + translations - pivot
+        squares = np.sum(residuals * residuals, axis=1)
+        if not np.isfinite(np.sum(squares)):
+            raise NonFinitePose("pivot residuals overflow: pose translations are too large")
+    return squares
+
+
 def calibrate_position(
     ds: PositionDataset,
     params: FilterParams | None = FilterParams(),
@@ -555,7 +571,9 @@ def calibrate_position(
     A first least-squares pass estimates the offset, occlusion outliers
     are removed by density clustering on the induced tip points, and the
     solve is repeated on the kept set.  Pass ``params=None`` to skip
-    filtering (useful to quantify how much the filter helps).
+    filtering (useful to quantify how much the filter helps).  Finite rows
+    whose residuals overflow raise :class:`NonFinitePose` after the first
+    pass, before the filter sees their tip points.
     """
     if len(ds) < 3:
         raise DegenerateRotations(f"need at least 3 poses, got {len(ds)}")
@@ -567,6 +585,7 @@ def calibrate_position(
     rotations = quats_to_matrices(ds.q)
     translations = ds.p
     offset, pivot = _solve_pivot(rotations, translations)
+    squares = _residual_squares(rotations, translations, offset, pivot)
     removed = 0
     if params is not None:
         tips = rotations @ offset + translations
@@ -575,8 +594,8 @@ def calibrate_position(
             rotations = rotations[kept]
             translations = translations[kept]
             offset, pivot = _solve_pivot(rotations, translations)
-    residuals = rotations @ offset + translations - pivot
-    rms = float(np.sqrt(np.mean(np.sum(residuals * residuals, axis=1))))
+            squares = _residual_squares(rotations, translations, offset, pivot)
+    rms = float(np.sqrt(np.mean(squares)))
     return PositionCalibration(
         tip_offset=offset, pivot=pivot, residual_rms=rms, removed_outliers=removed
     )
@@ -644,13 +663,13 @@ def calibrate_orientation(
     if np.linalg.norm(s) < 1e-9:
         raise NoConvergence("measured axes cancel out; alignment target vanishes")
 
-    solution = quat_multiply(rotation_between(_EZ, s), quat_from_axis_angle(_EZ, initial_roll))
-    tip_axis = quat_rotate(solution, _EZ)
+    rotation = quat_normalize(
+        quat_multiply(rotation_between(_EZ, s), quat_from_axis_angle(_EZ, initial_roll))
+    )
+    tip_axis = quat_rotate(rotation, _EZ)
     residuals = np.arctan2(np.linalg.norm(np.cross(m, tip_axis), axis=1), m @ tip_axis)
     rms = float(np.sqrt(np.mean(np.square(residuals))))
-    return OrientationCalibration(
-        angles=rotation_to_euler(solution), residual_rms=rms, removed_outliers=removed
-    )
+    return OrientationCalibration(rotation=rotation, residual_rms=rms, removed_outliers=removed)
 
 
 def _max_pairwise_angle(axes: np.ndarray) -> float:
@@ -660,9 +679,10 @@ def _max_pairwise_angle(axes: np.ndarray) -> float:
     return float(np.arccos(dots.min()))
 
 
-def orientation_objective(ds: OrientationDataset, angles: EulerAngles) -> float:
-    """The alignment cost ``sum (1 - cos theta)`` at candidate angles."""
-    tip_axis = quat_rotate(euler_to_rotation(angles), _EZ)
+def orientation_objective(ds: OrientationDataset, rotation) -> float:
+    """The alignment cost ``sum (1 - cos theta)`` at a candidate rotation
+    (a unit quaternion)."""
+    tip_axis = quat_rotate(rotation, _EZ)
     total = 0.0
     for hole in ds.holes:
         rotations = quats_to_matrices(hole.q)
@@ -673,14 +693,14 @@ def orientation_objective(ds: OrientationDataset, angles: EulerAngles) -> float:
 
 def assemble_calibration(
     tip_offset,
-    angles: EulerAngles,
+    rotation,
     position_residual_rms: float,
     orientation_residual_rms: float,
     filtered_outliers: int,
 ) -> TipCalibration:
     """Package the two calibration steps into one tip transform."""
     return TipCalibration(
-        transform=Pose(euler_to_rotation(angles), vec3(tip_offset)),
+        transform=Pose(rotation, vec3(tip_offset)),
         position_residual_rms=float(position_residual_rms),
         orientation_residual_rms=float(orientation_residual_rms),
         filtered_outliers=int(filtered_outliers),
@@ -703,7 +723,7 @@ def calibration_from_doc(doc: dict) -> TipCalibration:
             transform=Pose(quat_from_json(doc["rotation_quat"]), doc["translation"]),
             position_residual_rms=float(doc["position_residual_rms"]),
             orientation_residual_rms=float(doc["orientation_residual_rms"]),
-            filtered_outliers=int(doc["filtered_outliers"]),
+            filtered_outliers=json_int(doc["filtered_outliers"], "filtered_outliers"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad calibration document: {exc}") from None

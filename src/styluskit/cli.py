@@ -196,7 +196,7 @@ def _cmd_calibrate_orientation(args) -> int:
 
     from . import calib, ingest
     from .geometry import vec3
-    from .jsonio import dumps_canonical, read_json
+    from .jsonio import dumps_canonical, json_int, read_json
 
     axis_filter = _filter_params(
         args.axis_radius, args.axis_min_neighbors, "--axis-radius", "--axis-min-neighbors"
@@ -235,11 +235,15 @@ def _cmd_calibrate_orientation(args) -> int:
     try:
         translation = vec3(position_doc["translation"])
         position_rms = float(position_doc["position_residual_rms"])
-        position_removed = int(position_doc.get("filtered_outliers", 0))
+        position_removed = position_doc.get("filtered_outliers", 0)
     except (KeyError, TypeError, ValueError, OverflowError):
         raise FormatError(
             f"{args.position}: expected the JSON written by calibrate-position"
         ) from None
+    try:
+        position_removed = json_int(position_removed, "filtered_outliers")
+    except ValueError as exc:
+        raise FormatError(f"{args.position}: {exc}") from None
     if not (np.isfinite(translation).all() and math.isfinite(position_rms)):
         raise FormatError(
             f"{args.position}: translation and position_residual_rms must be finite"
@@ -256,7 +260,7 @@ def _cmd_calibrate_orientation(args) -> int:
 
     calibration = calib.assemble_calibration(
         translation,
-        orientation.angles,
+        orientation.rotation,
         position_rms,
         orientation.residual_rms,
         position_removed + orientation.removed_outliers,
@@ -374,12 +378,13 @@ def _synth_config(doc: dict) -> synth.SynthConfig:
     import numpy as np
 
     from . import synth
+    from .jsonio import json_int
 
     try:
         return synth.SynthConfig(
             true_calibration=_pose_from_config(doc),
             pivot_point=np.asarray(doc.get("pivot_point", [0.0, 0.0, 0.0]), dtype=float),
-            sample_count=int(doc.get("sample_count", 200)),
+            sample_count=json_int(doc.get("sample_count", 200), "sample_count"),
             rotation_span=math.radians(float(doc.get("rotation_span_deg", 120.0))),
             position_noise_std=float(doc.get("position_noise_std", 0.0)),
             orientation_noise_std=math.radians(
@@ -387,7 +392,7 @@ def _synth_config(doc: dict) -> synth.SynthConfig:
             ),
             outlier_rate=float(doc.get("outlier_rate", 0.0)),
             outlier_magnitude=float(doc.get("outlier_magnitude", 0.1)),
-            seed=int(doc.get("seed", 0)),
+            seed=json_int(doc.get("seed", 0), "seed"),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad synthesis config: {exc}") from None
@@ -427,7 +432,7 @@ def _recording(dataset) -> ingest.PoseRecording:
 
 def _cmd_simulate(args) -> int:
     from . import evaluation, ingest, synth
-    from .jsonio import dumps_canonical, open_output, read_json, write_json
+    from .jsonio import dumps_canonical, json_int, open_output, read_json, write_json
 
     doc = _config_object(read_json(args.config), f"{args.config}: synthesis config")
     kind = doc.get("kind")
@@ -462,7 +467,7 @@ def _cmd_simulate(args) -> int:
         if not axes:
             raise FormatError("orientation config needs 'hole_axes'")
         try:
-            poses_per_hole = int(doc.get("poses_per_hole", 50))
+            poses_per_hole = json_int(doc.get("poses_per_hole", 50), "poses_per_hole")
             dataset, truth = synth.gen_orientation_dataset(cfg, axes, poses_per_hole)
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad synthesis config: {exc}") from None
@@ -495,7 +500,7 @@ def _cmd_simulate(args) -> int:
                 speed=float(doc.get("speed", 0.05)),
                 sample_rate=float(doc.get("sample_rate", 200.0)),
                 force_profile=_force_profile(doc.get("force_profile", {})),
-                seed=int(doc.get("seed", 0)),
+                seed=json_int(doc.get("seed", 0), "seed"),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad demonstration config: {exc}") from None

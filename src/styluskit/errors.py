@@ -53,7 +53,7 @@ class ShapeMismatch(InputError):
 
 class NonFinitePose(InputError, ValueError):
     """A pose, given or computed from the input, has a non-finite component:
-    the input holds one, or transforming it overflowed."""
+    the input holds one, or transforming or solving with it overflowed."""
 
 
 class ZeroVector(DegenerateDataError):

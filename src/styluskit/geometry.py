@@ -5,7 +5,9 @@ Conventions, used consistently across the package:
 - Quaternions are Hamilton, stored ``(qx, qy, qz, qw)``, unit norm, with a
   canonical sign (``qw >= 0``) so that equal rotations compare equal
   componentwise.
-- Euler angles are intrinsic yaw(Z) - pitch(Y) - roll(X).
+- Euler angles are intrinsic yaw(Z) - pitch(Y) - roll(X).  They are used
+  only at the edges: ``simulate``'s ``true_rotation_ypr_deg`` and the public
+  API.  Rotations computed inside the package stay quaternions.
 - Distances in meters, angles in radians.  Degrees appear only at the CLI.
 - Leading axis: :func:`quat_multiply` and :func:`quat_rotate` take one
   quaternion ``(4,)`` / vector ``(3,)`` or rows ``(N, 4)`` / ``(N, 3)``,
@@ -308,11 +310,6 @@ class Pose:
     @classmethod
     def identity(cls) -> "Pose":
         return cls(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
-
-    @classmethod
-    def from_matrix(cls, m) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return cls(quat_from_matrix(m[:3, :3]), m[:3, 3])
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.rotation)

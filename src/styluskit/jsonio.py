@@ -8,7 +8,8 @@ doubles), and NaN becomes ``null``.
 Every output file is opened by :func:`open_output` (UTF-8, ``\\n``
 endings) and every JSON file read by :func:`read_json`, which raises
 :class:`~styluskit.errors.FormatError` naming the file when its text is
-not UTF-8 or not valid JSON (``OSError`` when it cannot be read).
+not UTF-8 or not valid JSON (``OSError`` when it cannot be read).  A
+count or seed in a JSON input is read by :func:`json_int`.
 """
 
 from __future__ import annotations
@@ -101,6 +102,18 @@ def read_json(path):
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
+
+
+def json_int(value, name: str) -> int:
+    """An integer field of a JSON document: a number with an integral
+    value, so ``3`` and ``3.0`` both read as 3.  Raises ``ValueError``
+    naming the field for anything else, ``2.7``, ``true`` and ``"3"``
+    included, where ``int()`` would truncate or convert them."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
 
 
 def csv_row(values) -> str:

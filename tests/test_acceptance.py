@@ -32,7 +32,6 @@ from styluskit.geometry import (
     TipTrack,
     angle_between,
     compose,
-    euler_to_rotation,
     quat_angle,
     quat_from_axis_angle,
     quat_rotate,
@@ -92,7 +91,7 @@ def _recover(cfg, poses_per_hole=1000):
     translation_error = float(
         np.linalg.norm(position.tip_offset - position_truth.tip_offset)
     )
-    recovered_axis = quat_rotate(euler_to_rotation(orientation.angles), EZ)
+    recovered_axis = quat_rotate(orientation.rotation, EZ)
     true_axis = quat_rotate(orientation_truth.rotation, EZ)
     axis_error = angle_between(recovered_axis, true_axis)
     return translation_error, axis_error

@@ -230,7 +230,7 @@ class TestCalibrateOrientation:
     def test_identity_when_axes_already_aligned(self):
         ds, _ = orientation_dataset(np.array([0.0, 0.0, 0.0, 1.0]), seed=14)
         result = calibrate_orientation(ds, TRUE_OFFSET)
-        recovered = quat_rotate(euler_to_rotation(result.angles), EZ)
+        recovered = quat_rotate(result.rotation, EZ)
         assert angle_between(recovered, EZ) < 1e-9
         assert result.residual_rms < 1e-9
 
@@ -238,7 +238,7 @@ class TestCalibrateOrientation:
         true_q = quat_from_axis_angle([1.0, 0.0, 0.0], math.radians(10.0))
         ds, truth = orientation_dataset(true_q, seed=15)
         result = calibrate_orientation(ds, TRUE_OFFSET)
-        recovered_axis = quat_rotate(euler_to_rotation(result.angles), EZ)
+        recovered_axis = quat_rotate(result.rotation, EZ)
         true_axis = quat_rotate(truth.rotation, EZ)
         assert angle_between(recovered_axis, true_axis) < 1e-6
 
@@ -246,7 +246,7 @@ class TestCalibrateOrientation:
         true_q = quat_from_axis_angle([0.2, -0.3, 0.9], 0.15)
         ds, truth = orientation_dataset(true_q, noise=math.radians(0.2), poses_per_hole=100, seed=16)
         result = calibrate_orientation(ds, TRUE_OFFSET)
-        recovered_axis = quat_rotate(euler_to_rotation(result.angles), EZ)
+        recovered_axis = quat_rotate(result.rotation, EZ)
         true_axis = quat_rotate(truth.rotation, EZ)
         assert angle_between(recovered_axis, true_axis) < math.radians(1.0)
 
@@ -255,18 +255,16 @@ class TestCalibrateOrientation:
         ds, _ = orientation_dataset(true_q, noise=math.radians(0.1), seed=17)
         a = calibrate_orientation(ds, TRUE_OFFSET, initial_roll=0.0)
         b = calibrate_orientation(ds, TRUE_OFFSET, initial_roll=2.0)
-        axis_a = quat_rotate(euler_to_rotation(a.angles), EZ)
-        axis_b = quat_rotate(euler_to_rotation(b.angles), EZ)
+        axis_a = quat_rotate(a.rotation, EZ)
+        axis_b = quat_rotate(b.rotation, EZ)
         assert angle_between(axis_a, axis_b) < 1e-6
 
     def test_objective_at_solution_beats_truth(self):
         true_q = quat_from_axis_angle([0.5, 0.5, 0.7], 0.25)
         ds, truth = orientation_dataset(true_q, seed=18)
         result = calibrate_orientation(ds, TRUE_OFFSET)
-        from styluskit.geometry import rotation_to_euler
-
-        at_solution = orientation_objective(ds, result.angles)
-        at_truth = orientation_objective(ds, rotation_to_euler(truth.rotation))
+        at_solution = orientation_objective(ds, result.rotation)
+        at_truth = orientation_objective(ds, truth.rotation)
         assert at_solution <= at_truth + 1e-12
 
     def test_parallel_axes_warn_but_solve(self):
@@ -277,7 +275,7 @@ class TestCalibrateOrientation:
         )
         with pytest.warns(DegenerateAxesWarning):
             result = calibrate_orientation(ds, TRUE_OFFSET)
-        recovered_axis = quat_rotate(euler_to_rotation(result.angles), EZ)
+        recovered_axis = quat_rotate(result.rotation, EZ)
         true_axis = quat_rotate(truth.rotation, EZ)
         assert angle_between(recovered_axis, true_axis) < 1e-6
 
@@ -289,7 +287,7 @@ class TestCalibrateOrientation:
         )
         with pytest.warns(DegenerateAxesWarning):
             result = calibrate_orientation(ds, TRUE_OFFSET)
-        recovered_axis = quat_rotate(euler_to_rotation(result.angles), EZ)
+        recovered_axis = quat_rotate(result.rotation, EZ)
         true_axis = quat_rotate(truth.rotation, EZ)
         assert angle_between(recovered_axis, true_axis) < 1e-6
 
@@ -308,7 +306,7 @@ class TestCalibrateOrientation:
             ds.holes[i] = HoleRecording(hole.reference_axis, [*hole.poses, *bad])
         result = calibrate_orientation(ds, TRUE_OFFSET)
         assert result.removed_outliers >= 6
-        recovered_axis = quat_rotate(euler_to_rotation(result.angles), EZ)
+        recovered_axis = quat_rotate(result.rotation, EZ)
         true_axis = quat_rotate(truth.rotation, EZ)
         assert angle_between(recovered_axis, true_axis) < math.radians(0.5)
 
@@ -319,7 +317,7 @@ class TestCalibrateOrientation:
             true_q, axes=[[1.0, 0.0, 0.0], [math.cos(0.3), 0.0, math.sin(0.3)]], seed=24
         )
         result = calibrate_orientation(ds, TRUE_OFFSET)
-        recovered_axis = quat_rotate(euler_to_rotation(result.angles), EZ)
+        recovered_axis = quat_rotate(result.rotation, EZ)
         true_axis = quat_rotate(truth.rotation, EZ)
         assert angle_between(recovered_axis, true_axis) < 1e-6
 
@@ -338,17 +336,21 @@ GOLDEN_CALIBRATION = (
 
 class TestAssembleAndSerialize:
     def test_zero_is_identity(self):
-        calib = assemble_calibration(np.zeros(3), EulerAngles(0, 0, 0), 0.0, 0.0, 0)
+        calib = assemble_calibration(
+            np.zeros(3), euler_to_rotation(EulerAngles(0, 0, 0)), 0.0, 0.0, 0
+        )
         assert np.allclose(calib.transform.rotation, [0, 0, 0, 1])
         assert np.allclose(calib.transform.translation, 0.0)
 
     def test_pure_translation(self):
-        calib = assemble_calibration([0.0, 0.0, -0.1], EulerAngles(0, 0, 0), 0.0, 0.0, 0)
+        calib = assemble_calibration(
+            [0.0, 0.0, -0.1], euler_to_rotation(EulerAngles(0, 0, 0)), 0.0, 0.0, 0
+        )
         assert np.allclose(calib.transform.translation, [0, 0, -0.1])
 
     def test_golden_file_round_trip(self, tmp_path):
         calib = assemble_calibration(
-            [0.01, -0.02, -0.12], EulerAngles(0.1, -0.05, 0.2), 1.5e-4, 2.5e-3, 7
+            [0.01, -0.02, -0.12], euler_to_rotation(EulerAngles(0.1, -0.05, 0.2)), 1.5e-4, 2.5e-3, 7
         )
         path = tmp_path / "calibration.json"
         save_calibration(calib, path)
@@ -363,7 +365,9 @@ class TestAssembleAndSerialize:
         assert (tmp_path / "again.json").read_text() == GOLDEN_CALIBRATION
 
     def test_doc_round_trip(self):
-        calib = assemble_calibration([1e-3, 2e-3, -0.5], EulerAngles(0.7, 0.2, -0.4), 0.1, 0.2, 3)
+        calib = assemble_calibration(
+            [1e-3, 2e-3, -0.5], euler_to_rotation(EulerAngles(0.7, 0.2, -0.4)), 0.1, 0.2, 3
+        )
         doc = calibration_to_doc(calib)
         assert list(doc.keys()) == [
             "translation",

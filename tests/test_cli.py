@@ -1195,3 +1195,79 @@ class TestBadWaypointDocuments:
         )
         assert code == 0, err
         assert out == expected
+
+
+class TestJsonCounts:
+    """A count or a seed read from JSON is a number with an integral value.
+    ``2.7``, ``true`` and ``"3"`` exit 2 with one error line naming the
+    field instead of being truncated or converted by ``int()``; ``3.0``
+    reads as ``3``."""
+
+    BAD = [2.7, True, "3"]
+    SIMULATE_FIELDS = [
+        pytest.param({"kind": "position", "sample_count": 40}, field, id=f"position-{field}")
+        for field in ("sample_count", "seed")
+    ] + [
+        pytest.param(ORIENTATION_CONFIG, "poses_per_hole", id="orientation-poses_per_hole"),
+        pytest.param(ORIENTATION_CONFIG, "seed", id="orientation-seed"),
+        pytest.param(DEMO_CONFIG, "seed", id="demonstration-seed"),
+    ]
+
+    @staticmethod
+    def simulate(tmp_path, capsys, doc, name):
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / name
+        code, out, err = run(capsys, "simulate", str(config_path), "--out-dir", str(out_dir))
+        return code, out, err, out_dir
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("base, field", SIMULATE_FIELDS)
+    def test_simulate_config_exit_2(self, tmp_path, capsys, base, field, value):
+        code, out, err, _ = self.simulate(tmp_path, capsys, {**base, field: value}, "bad")
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, f"{field} must be an integer")
+
+    @pytest.mark.parametrize("base, field", SIMULATE_FIELDS)
+    def test_simulate_integral_float_reads_as_int(self, tmp_path, capsys, base, field):
+        written = []
+        for name, value in (("int", 3), ("float", 3.0)):
+            code, _, err, out_dir = self.simulate(tmp_path, capsys, {**base, field: value}, name)
+            assert code == 0, err
+            # truth.json echoes the config as written, so it is left out.
+            files = sorted(p for p in out_dir.iterdir() if p.name != "truth.json")
+            written.append({p.name: p.read_bytes() for p in files})
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("value", [*BAD, 3.0])
+    def test_calibrate_orientation_position_file(self, tmp_path, capsys, value):
+        manifest, position = TestOrientationInputErrors.files(tmp_path, capsys)
+        doc = json.loads(position.read_text())
+        removed = doc["filtered_outliers"]
+        doc["filtered_outliers"] = value
+        position.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "calibrate-orientation", str(manifest), "--position", str(position)
+        )
+        if value == 3.0:
+            assert code == 0, err
+            assert json.loads(out)["filtered_outliers"] == removed + 3
+        else:
+            TestFilterFlagErrors.assert_one_line_error(
+                code, out, err, f"{position}: filtered_outliers must be an integer"
+            )
+
+    @pytest.mark.parametrize("value", [*BAD, 3.0])
+    def test_snapshot_calibration_file(self, tmp_path, capsys, value):
+        pose_csv, events, calib_path = TestSnapshot()._setup(tmp_path, capsys, "EVT 0.10 BTN 1\n")
+        doc = json.loads(calib_path.read_text())
+        doc["filtered_outliers"] = value
+        calib_path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "snapshot", str(pose_csv), str(events), "--calibration", str(calib_path)
+        )
+        if value == 3.0:
+            assert code == 0, err
+        else:
+            TestFilterFlagErrors.assert_one_line_error(
+                code, out, err, "filtered_outliers must be an integer"
+            )

@@ -13,9 +13,13 @@ every measurement counts.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -45,6 +49,8 @@ from styluskit.geometry import (
     rotation_between,
     rotation_to_euler,
 )
+from styluskit.ingest import PoseRecording, parse_pose_csv, write_pose_csv
+from styluskit.jsonio import read_json, write_json
 from styluskit.synth import SynthConfig, gen_orientation_dataset
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -183,7 +189,7 @@ def solve(ds: OrientationDataset, initial_roll: float):
 
 
 def result_axis(result) -> np.ndarray:
-    return quat_rotate(euler_to_rotation(result.angles), EZ)
+    return quat_rotate(result.rotation, EZ)
 
 
 def resultant(ds: OrientationDataset) -> tuple[np.ndarray, int]:
@@ -233,8 +239,8 @@ def test_cost_no_higher_than_bfgs_or_random_axes(case, seed):
 def test_objective_no_higher_than_at_the_truth(case):
     ds, true_q, roll = case
     count = sum(len(hole) for hole in ds.holes)
-    at_result = orientation_objective(ds, solve(ds, roll).angles)
-    at_truth = orientation_objective(ds, rotation_to_euler(true_q))
+    at_result = orientation_objective(ds, solve(ds, roll).rotation)
+    at_truth = orientation_objective(ds, true_q)
     assert at_result <= at_truth + 1e-12 * count
 
 
@@ -267,3 +273,122 @@ def test_cancelling_first_hole_solves():
     assert np.linalg.norm(measured_axes(cancelling).sum(axis=0)) < 1e-12
     result = calibrate_orientation(ds, TIP_OFFSET)
     assert angle_between(result_axis(result), quat_rotate(true_q, EZ)) < 1e-9
+
+
+# ------------------------------------------------- near pitch +-90 degrees
+#
+# A tip axis in the xy-plane is pitch +-90 degrees in yaw-pitch-roll, where
+# the angles are singular.  The solve's quaternion goes to the calibration
+# file as it is, so the axis stays exact there too.
+
+NEAR_HORIZONTAL = math.sin(1e-3)  # |s_z| / |s| within 1e-3 rad of the xy-plane
+
+
+@st.composite
+def near_horizontal_cases(draw):
+    """``(dataset, initial roll in degrees)`` whose resultant is drawn
+    within 1e-3 rad of the xy-plane, at any azimuth, tip spin and roll."""
+    azimuth = draw(st.floats(-math.pi, math.pi))
+    elevation = draw(st.floats(-0.9e-3, 0.9e-3))
+    spin = draw(st.floats(-math.pi, math.pi))
+    holes = draw(st.integers(1, 3))
+    per_hole = draw(st.integers(1, 60))
+    noise = draw(st.floats(0.0, 1e-4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    roll_deg = draw(st.floats(-720.0, 720.0))
+    axis = [math.cos(elevation) * math.cos(azimuth), math.cos(elevation) * math.sin(azimuth),
+            math.sin(elevation)]
+    true_q = quat_multiply(rotation_between(EZ, axis), quat_from_axis_angle(EZ, spin))
+    cfg = SynthConfig(
+        true_calibration=Pose(true_q, TIP_OFFSET),
+        pivot_point=np.zeros(3),
+        orientation_noise_std=noise,
+        seed=seed,
+    )
+    rng = np.random.default_rng(seed)
+    ds, _ = gen_orientation_dataset(cfg, rng.normal(size=(holes, 3)), per_hole)
+    return ds, roll_deg
+
+
+def near_horizontal_resultant(ds: OrientationDataset) -> np.ndarray:
+    s, _ = resultant(ds)
+    assume(abs(s[2]) <= NEAR_HORIZONTAL * np.linalg.norm(s))
+    return s
+
+
+def write_inputs(directory: str, ds: OrientationDataset) -> tuple[str, str]:
+    """The hole recordings, manifest and position file ``calibrate-orientation`` reads."""
+    manifest = {"holes": []}
+    for i, hole in enumerate(ds.holes):
+        name = f"hole_{i}.csv"
+        recording = PoseRecording("world", t=np.arange(len(hole)) / 100.0, q=hole.q, p=hole.p)
+        with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as f:
+            write_pose_csv(recording, f)
+        manifest["holes"].append({"reference_axis": hole.reference_axis.tolist(), "recording": name})
+    manifest_path = os.path.join(directory, "manifest.json")
+    position_path = os.path.join(directory, "position.json")
+    write_json(manifest_path, manifest)
+    write_json(position_path, {"translation": TIP_OFFSET.tolist(), "position_residual_rms": 0.0})
+    return manifest_path, position_path
+
+
+def read_inputs(manifest_path: str) -> OrientationDataset:
+    """The dataset as ``calibrate-orientation`` builds it from the files."""
+    holes = []
+    for entry in read_json(manifest_path)["holes"]:
+        path = os.path.join(os.path.dirname(manifest_path), entry["recording"])
+        with open(path, encoding="utf-8") as f:
+            recording = parse_pose_csv(f)
+        holes.append(HoleRecording(entry["reference_axis"], q=recording.q, p=recording.p))
+    return OrientationDataset(holes)
+
+
+def written_rotation(ds: OrientationDataset, roll_deg: float) -> tuple[list, OrientationDataset]:
+    """``rotation_quat`` as ``calibrate-orientation`` writes it for ``ds``,
+    and the dataset it read."""
+    with tempfile.TemporaryDirectory() as directory:
+        manifest, position = write_inputs(directory, ds)
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+            warnings.simplefilter("ignore", DegenerateAxesWarning)
+            code = main(["calibrate-orientation", manifest, "--position", position,
+                         f"--initial-roll-deg={roll_deg!r}"])
+        assert code == 0
+        return json.loads(out.getvalue())["rotation_quat"], read_inputs(manifest)
+
+
+@PROPERTY
+@given(near_horizontal_cases())
+def test_axis_is_exact_near_pitch_90(case):
+    ds, roll_deg = case
+    s = near_horizontal_resultant(ds)
+    rotation = solve(ds, math.radians(roll_deg)).rotation
+    assert angle_between(quat_rotate(rotation, EZ), s) <= 2e-15
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(near_horizontal_cases())
+def test_written_axis_is_exact_near_pitch_90(case):
+    ds, roll_deg = case
+    written, read = written_rotation(ds, roll_deg)
+    s = near_horizontal_resultant(read)
+    assert angle_between(quat_rotate(written, EZ), s) <= 2e-15
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_written_quaternion_is_the_solvers(seed):
+    rng = np.random.default_rng(seed)
+    azimuth, elevation = rng.uniform(-math.pi, math.pi), rng.uniform(-1e-3, 1e-3)
+    axis = [math.cos(elevation) * math.cos(azimuth), math.cos(elevation) * math.sin(azimuth),
+            math.sin(elevation)]
+    cfg = SynthConfig(
+        true_calibration=Pose(rotation_between(EZ, axis), TIP_OFFSET),
+        pivot_point=np.zeros(3),
+        orientation_noise_std=math.radians(0.05),
+        seed=seed,
+    )
+    ds, _ = gen_orientation_dataset(cfg, rng.normal(size=(3, 3)), 40)
+    roll_deg = float(rng.uniform(-180.0, 180.0))
+    written, read = written_rotation(ds, roll_deg)
+    result = calibrate_orientation(read, TIP_OFFSET, initial_roll=math.radians(roll_deg))
+    assert written == result.rotation.tolist()

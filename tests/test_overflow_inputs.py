@@ -151,3 +151,21 @@ def test_identify_frame_with_overflowing_axes_exit_2(tmp_path, capsys, points):
     }))
     code, out, err = run_cli(capsys, "identify-frame", waypoints)
     assert_one_line_error(code, out, err, "pose has non-finite components")
+
+
+@pytest.mark.parametrize("flags", [(), ("--no-filter",)])
+@pytest.mark.parametrize("magnitude", [1e154, 1e200, 1e250, 1e308])
+def test_calibrate_position_with_overflowing_residuals_exit_2(tmp_path, capsys, flags, magnitude):
+    # Finite rows whose pivot residuals overflow: one error line, before
+    # the filter would print numpy's overflow warnings or blame the data.
+    rng = np.random.default_rng(7)
+    q = rng.normal(size=(200, 4))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    x = rng.choice([-magnitude, magnitude], size=200).tolist()
+    rows = [
+        ",".join(map(repr, [i * 0.01, x[i], 0.0, 0.0, *q[i].tolist()])) for i in range(200)
+    ]
+    path = tmp_path / "far_pivot.csv"
+    path.write_text("t,x,y,z,qx,qy,qz,qw\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "calibrate-position", path, *flags)
+    assert_one_line_error(code, out, err, "pivot residuals overflow")

@@ -11,7 +11,6 @@ from styluskit.evaluation import IdealPath, evaluate_demonstrations, force_spect
 from styluskit.geometry import (
     Pose,
     angle_between,
-    euler_to_rotation,
     quat_from_axis_angle,
     quat_rotate,
 )
@@ -92,7 +91,7 @@ class TestOrientationGenerator:
             cfg, [[0.0, 0.0, 1.0], [0.0, math.sin(0.8), math.cos(0.8)]], poses_per_hole=40
         )
         result = calibrate_orientation(ds, np.zeros(3))
-        recovered = quat_rotate(euler_to_rotation(result.angles), EZ)
+        recovered = quat_rotate(result.rotation, EZ)
         assert angle_between(recovered, quat_rotate(truth.rotation, EZ)) < 1e-6
 
     def test_generator_solver_closure_with_tiny_noise(self):
@@ -111,7 +110,7 @@ class TestOrientationGenerator:
             cfg, [[0.0, 0.0, 1.0], [math.sin(0.6), 0.0, math.cos(0.6)]], poses_per_hole=60
         )
         orientation = calibrate_orientation(orientation_ds, position.tip_offset)
-        recovered = quat_rotate(euler_to_rotation(orientation.angles), EZ)
+        recovered = quat_rotate(orientation.rotation, EZ)
         true_axis = quat_rotate(orientation_truth.rotation, EZ)
         assert angle_between(recovered, true_axis) < 1e-6
 
