@@ -31,7 +31,6 @@ _EXPORTS = {
             "compose",
             "euler_to_rotation",
             "invert",
-            "rotation_to_euler",
             "transform_point",
         ],
         "calib": [

@@ -5,7 +5,7 @@ offset ``p`` and the contact point ``c`` jointly minimize
 ``sum_i ||R_i p + t_i - c||^2`` -- a linear least-squares problem over the
 stacked fiducial poses.  The O(N^2) sum of pairwise tip-point distances,
 which has the same noise-free minimizer, is kept as a verification oracle
-in :func:`pairwise_objective`.
+in ``tests/oracles.py``.
 
 Step two (orientation): with the stylus rotating in holes of known world
 inclination, the rotation of the tip frame is chosen so its z axis (the
@@ -156,12 +156,6 @@ class TipCalibration:
             raise ValueError("residuals must be non-negative")
         if self.filtered_outliers < 0:
             raise ValueError("filtered_outliers must be non-negative")
-
-
-def candidate_tip_points(ds: PositionDataset, p) -> np.ndarray:
-    """World tip positions ``R_i p + t_i`` implied by a candidate offset."""
-    p = vec3(p)
-    return quats_to_matrices(ds.q) @ p + ds.p
 
 
 def _sq_norm(diff: np.ndarray) -> np.ndarray:
@@ -601,23 +595,6 @@ def calibrate_position(
     )
 
 
-def pairwise_objective(ds: PositionDataset, p, cap: int = 2000) -> float:
-    """Sum over all ordered pairs of ``||(R_i p + t_i) - (R_j p + t_j)||``.
-
-    O(N^2) time, summed a block of rows at a time in O(N) memory; refuses
-    datasets larger than ``cap``.  Kept as an independent oracle for
-    :func:`calibrate_position`.
-    """
-    if len(ds) > cap:
-        raise ValueError(f"pairwise objective is O(N^2); dataset exceeds cap {cap}")
-    tips = candidate_tip_points(ds, p)
-    rows = max(1, _PAIR_CHUNK // tips.shape[0])
-    return sum(
-        float(np.sqrt(_sq_norm(tips[s:s + rows, None, :] - tips)).sum())
-        for s in range(0, tips.shape[0], rows)
-    )
-
-
 def calibrate_orientation(
     ds: OrientationDataset,
     tip_offset,
@@ -677,18 +654,6 @@ def _max_pairwise_angle(axes: np.ndarray) -> float:
         return 0.0
     dots = np.clip(axes @ axes.T, -1.0, 1.0)
     return float(np.arccos(dots.min()))
-
-
-def orientation_objective(ds: OrientationDataset, rotation) -> float:
-    """The alignment cost ``sum (1 - cos theta)`` at a candidate rotation
-    (a unit quaternion)."""
-    tip_axis = quat_rotate(rotation, _EZ)
-    total = 0.0
-    for hole in ds.holes:
-        rotations = quats_to_matrices(hole.q)
-        world_axes = rotations @ tip_axis
-        total += float(np.sum(1.0 - world_axes @ hole.reference_axis))
-    return total
 
 
 def assemble_calibration(

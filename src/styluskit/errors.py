@@ -84,10 +84,6 @@ class EventOutsideRecording(DegenerateDataError):
     """A button event falls outside the pose recording span."""
 
 
-class NoOverlap(DegenerateDataError):
-    """Two time series share no common time range."""
-
-
 class WaypointNotReached(DegenerateDataError):
     """A trace never comes within the gate distance of a waypoint."""
 

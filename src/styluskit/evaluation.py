@@ -33,7 +33,7 @@ from .errors import (
     WaypointNotReached,
 )
 from .ingest import DemonstrationTrace, ForceRecording, _write_rows
-from .jsonio import open_output, read_json, write_json
+from .jsonio import json_int, open_output, read_json, write_json
 
 
 @dataclass
@@ -487,7 +487,9 @@ def path_from_doc(doc: dict) -> IdealPath:
     try:
         return IdealPath(
             waypoints=np.asarray(doc["waypoints"], dtype=float),
-            visiting_sequence=tuple(doc["visiting_sequence"]),
+            visiting_sequence=tuple(
+                json_int(i, "visiting_sequence") for i in doc["visiting_sequence"]
+            ),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad ideal path document: {exc}") from None

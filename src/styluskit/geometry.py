@@ -254,16 +254,6 @@ def quat_from_axis_angle(axis, angle) -> np.ndarray:
     return quat_normalize_rows(q)
 
 
-def quat_angle(a, b) -> float:
-    """Angle of the relative rotation between two unit quaternions.
-
-    Stable near zero: uses atan2 on the relative quaternion instead of
-    acos on the dot product.
-    """
-    r = quat_multiply(a, quat_conjugate(b))
-    return 2.0 * math.atan2(float(np.linalg.norm(r[:3])), abs(float(r[3])))
-
-
 def rotation_between(u, v) -> np.ndarray:
     """Minimal rotation (quaternion) taking direction ``u`` onto ``v``."""
     a = vec3(u)
@@ -456,26 +446,6 @@ def euler_to_rotation(angles: EulerAngles) -> np.ndarray:
     qy = quat_from_axis_angle([0.0, 1.0, 0.0], angles.pitch)
     qx = quat_from_axis_angle([1.0, 0.0, 0.0], angles.roll)
     return quat_multiply(quat_multiply(qz, qy), qx)
-
-
-def rotation_to_euler(q) -> EulerAngles:
-    """Euler angles (yaw-pitch-roll) of a unit quaternion.
-
-    At the pitch singularity (|pitch| = pi/2) the split between yaw and
-    roll is not unique; roll is set to zero there.
-    """
-    r = quat_to_matrix(quat_normalize(q))
-    sp = -r[2, 0]
-    sp = min(1.0, max(-1.0, sp))
-    cp = math.sqrt(max(0.0, 1.0 - sp * sp))
-    pitch = math.atan2(sp, cp)
-    if cp > 1e-9:
-        roll = math.atan2(r[2, 1], r[2, 2])
-        yaw = math.atan2(r[1, 0], r[0, 0])
-    else:
-        roll = 0.0
-        yaw = math.atan2(-r[0, 1], r[1, 1])
-    return EulerAngles(yaw=yaw, pitch=pitch, roll=roll)
 
 
 def angle_between(u, v) -> float:

@@ -1,19 +1,18 @@
-"""Recording parsers, stream pairing, and waypoint snapshots.
+"""Recording parsers and waypoint snapshots.
 
 File formats (UTF-8, ``\\n`` line endings, ``.`` decimal separator):
 
 - pose CSV: header ``t,x,y,z,qx,qy,qz,qw``; a JSON-lines variant with the
   same field names is accepted transparently.
-- force CSV: header ``t,Fz``.
 - demonstration CSV: header ``t,x,y,z,Fz`` (tip position paired with the
   contact force; orientation is identity).
 - pen events, one per line: ``EVT <t> BTN 1`` (press), ``EVT <t> BTN 0``
   (release), ``EVT <t> PWR 1`` (power-on).  Unknown lines are skipped and
   counted.
 
-One reader serves the three CSV formats: the header is the first
-non-blank line, blank lines are skipped, and rows with a non-finite value
-are dropped with one warning.  A bad header, field count, field or
+One reader serves both CSV formats: the header is the first non-blank
+line, blank lines are skipped, and rows with a non-finite value are
+dropped with one warning.  A bad header, field count, field or
 JSON-lines record, text that is not UTF-8 (pen events too) and a stream
 without rows raise :class:`~styluskit.errors.FormatError`, a timestamp
 that does not increase :class:`~styluskit.errors.NonMonotonicTime`.
@@ -52,7 +51,6 @@ from .errors import (
     EventOutsideRecording,
     FormatError,
     NonMonotonicTime,
-    NoOverlap,
 )
 from .geometry import (
     MAX_QUAT_NORM2,
@@ -64,10 +62,9 @@ from .geometry import (
     quat_normalize_rows,
     vec3,
 )
-from .jsonio import read_json, write_json
+from .jsonio import read_json
 
 POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
-FORCE_CSV_HEADER = "t,Fz"
 DEMO_CSV_HEADER = "t,x,y,z,Fz"
 
 _IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
@@ -126,14 +123,11 @@ class DemonstrationTrace:
 
     ``points`` is a :class:`~styluskit.geometry.TipTrack`, whose ``t`` and
     ``position`` arrays are what ``times`` and ``positions`` return.
-    ``force_extrapolated`` flags points whose force value came from
-    clamping outside the force recording span.
     """
 
     points: TipTrack
     forces: np.ndarray | None = None
     source: str = "stylus"
-    force_extrapolated: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.points.t) <= 0.0):
@@ -351,12 +345,6 @@ def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecord
     )
 
 
-def parse_force_csv(stream: Iterable[str]) -> ForceRecording:
-    """Parse a ``t,Fz`` CSV stream into a :class:`ForceRecording`."""
-    rows = _read_block(stream, FORCE_CSV_HEADER, "force")
-    return ForceRecording(rows[:, 0].copy(), rows[:, 1].copy())
-
-
 def parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> DemonstrationTrace:
     """Parse a ``t,x,y,z,Fz`` CSV stream into a :class:`DemonstrationTrace`."""
     rows = _read_block(stream, DEMO_CSV_HEADER, "trace")
@@ -372,9 +360,10 @@ def _write_rows(stream, header: str | None, columns, lead: str = "") -> None:
 
     Rows are stacked and turned into Python floats a block at a time, so
     no copy of the whole recording is held.  Each block is one ``%``
-    format of ``%.17g`` fields: the bytes of :func:`~styluskit.jsonio.csv_row`
-    on float rows (``nan`` for either sign of NaN, ``inf``, ``-0``), and on
-    integers below 2**53, which print the digits of ``str(int)``.
+    format of ``%.17g`` fields: the bytes of the per-value CSV oracle in
+    ``tests/oracles.py`` on float rows (``nan`` for either sign of NaN,
+    ``inf``, ``-0``), and on integers below 2**53, which print the digits
+    of ``str(int)``.
     """
     if header is not None:
         stream.write(header + "\n")
@@ -387,10 +376,6 @@ def _write_rows(stream, header: str | None, columns, lead: str = "") -> None:
 
 def write_pose_csv(rec: PoseRecording, stream) -> None:
     _write_rows(stream, POSE_CSV_HEADER, [rec.t, rec.p, rec.q])
-
-
-def write_force_csv(rec: ForceRecording, stream) -> None:
-    _write_rows(stream, FORCE_CSV_HEADER, [rec.t, rec.fz])
 
 
 def write_demo_csv(trace: DemonstrationTrace, stream) -> None:
@@ -481,32 +466,6 @@ def snapshot_waypoints(
     return WaypointList(waypoints=tips[pick])
 
 
-def pair_force(
-    tips: TipTrack,
-    force: ForceRecording,
-    source: str = "stylus",
-) -> DemonstrationTrace:
-    """Pair a tip track with contact forces interpolated at its timestamps.
-
-    Tip points outside the force span receive the nearest endpoint value
-    and are flagged in ``force_extrapolated``.  Disjoint time ranges raise
-    :class:`NoOverlap`.
-    """
-    if not tips:
-        raise ValueError("cannot pair forces with an empty trace")
-    times = tips.t
-    if times[-1] < force.t[0] or times[0] > force.t[-1]:
-        raise NoOverlap(
-            f"trace span [{float(times[0])!r}, {float(times[-1])!r}] and force span "
-            f"[{float(force.t[0])!r}, {float(force.t[-1])!r}] do not overlap"
-        )
-    values = np.interp(times, force.t, force.fz)
-    flagged = (times < force.t[0]) | (times > force.t[-1])
-    return DemonstrationTrace(
-        points=tips, forces=values, source=source, force_extrapolated=flagged
-    )
-
-
 def waypoint_list_to_doc(wl: WaypointList) -> dict:
     track = wl.waypoints
     return {
@@ -554,10 +513,6 @@ def waypoint_list_from_doc(doc: dict) -> WaypointList:
         return WaypointList(track)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad waypoint list document: {exc}") from None
-
-
-def save_waypoint_list(wl: WaypointList, path) -> None:
-    write_json(path, waypoint_list_to_doc(wl))
 
 
 def load_waypoint_list(path) -> WaypointList:

@@ -1,4 +1,4 @@
-"""Deterministic JSON and CSV formatting, and the one file path for both.
+"""Deterministic JSON formatting, and the one file path for JSON and CSV.
 
 All files the toolkit writes go through these helpers so that identical
 data always produces identical bytes: dict keys keep insertion order,
@@ -9,7 +9,7 @@ Every output file is opened by :func:`open_output` (UTF-8, ``\\n``
 endings) and every JSON file read by :func:`read_json`, which raises
 :class:`~styluskit.errors.FormatError` naming the file when its text is
 not UTF-8 or not valid JSON (``OSError`` when it cannot be read).  A
-count or seed in a JSON input is read by :func:`json_int`.
+count, seed or path index in a JSON input is read by :func:`json_int`.
 """
 
 from __future__ import annotations
@@ -114,23 +114,3 @@ def json_int(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-
-
-def csv_row(values) -> str:
-    """One CSV line (no newline) from strings, integers and floats.
-
-    The package writes no CSV through it: ``ingest._write_rows`` formats
-    whole blocks of rows.  It stays as the per-value oracle those bytes
-    are tested against (``nan`` for NaN, 17 significant digits otherwise).
-    """
-    parts = []
-    for v in values:
-        if isinstance(v, str):
-            parts.append(v)
-        elif isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-            parts.append(str(int(v)))
-        elif math.isnan(float(v)):
-            parts.append("nan")
-        else:
-            parts.append(format_float(v))
-    return ",".join(parts)

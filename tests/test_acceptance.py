@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+from oracles import pairwise_objective, quat_angle
 from scipy.optimize import minimize
 
 from styluskit.calib import (
@@ -16,7 +17,6 @@ from styluskit.calib import (
     calibration_from_doc,
     calibration_to_doc,
     load_calibration,
-    pairwise_objective,
     save_calibration,
 )
 from styluskit.cli import main
@@ -32,7 +32,6 @@ from styluskit.geometry import (
     TipTrack,
     angle_between,
     compose,
-    quat_angle,
     quat_from_axis_angle,
     quat_rotate,
     transform_point,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import candidate_tip_points, orientation_objective, pairwise_objective
 from scipy.optimize import minimize
 
 from styluskit import calib
@@ -16,11 +17,8 @@ from styluskit.calib import (
     calibrate_position,
     calibration_from_doc,
     calibration_to_doc,
-    candidate_tip_points,
     filter_outliers,
     load_calibration,
-    orientation_objective,
-    pairwise_objective,
     save_calibration,
 )
 from styluskit.errors import (

@@ -211,7 +211,7 @@ class TestIdentifyFrame:
         code, out, _ = run(capsys, "identify-frame", str(wp))
         assert code == 0
         doc = json.loads(out)
-        from styluskit.geometry import quat_angle
+        from oracles import quat_angle
 
         assert quat_angle(np.asarray(doc["rotation_quat"]), g.rotation) < 1e-9
         assert np.allclose(doc["translation"], g.translation, atol=1e-9)
@@ -1271,3 +1271,37 @@ class TestJsonCounts:
             TestFilterFlagErrors.assert_one_line_error(
                 code, out, err, "filtered_outliers must be an integer"
             )
+
+    # Each entry that is not a JSON integer stands where ``int()`` would
+    # have read it as a valid index, so the path is otherwise sound.
+    SEQUENCES = [pytest.param([0, True, 2], id="true"), pytest.param(["0", 1, 2], id="string")]
+
+    @pytest.mark.parametrize("sequence", SEQUENCES)
+    def test_evaluate_path_visiting_sequence(self, tmp_path, capsys, sequence):
+        demo_dir = simulate_demo(tmp_path, capsys)
+        frame_path = tmp_path / "frame.json"
+        write_json(frame_path, IDENTITY_FRAME)
+        doc = json.loads((demo_dir / "path.json").read_text())
+        doc["visiting_sequence"] = sequence
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            str(demo_dir / "trace.csv"),
+            "--frame",
+            str(frame_path),
+            "--path",
+            str(path),
+        )
+        TestFilterFlagErrors.assert_one_line_error(
+            code, out, err, "visiting_sequence must be an integer"
+        )
+
+    @pytest.mark.parametrize("sequence", SEQUENCES)
+    def test_simulate_demonstration_visiting_sequence(self, tmp_path, capsys, sequence):
+        path = {"waypoints": [[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]], "visiting_sequence": sequence}
+        code, out, err, _ = self.simulate(tmp_path, capsys, {**DEMO_CONFIG, "path": path}, "bad")
+        TestFilterFlagErrors.assert_one_line_error(
+            code, out, err, "visiting_sequence must be an integer"
+        )

@@ -3,11 +3,12 @@
 The tip calibration carries the solver's quaternion unchanged from the
 solve to the calibration file.  Yaw-pitch-roll angles are singular at
 pitch +-90 degrees, so a round trip through them on that path loses
-precision there.  They remain in ``geometry``, which defines them, and in
-``cli._pose_from_config``, which reads ``simulate``'s
-``true_rotation_ypr_deg``; a reference anywhere else fails here.  The
-export table in ``__init__.py`` names them as strings, which is not a
-reference.
+precision there.  ``EulerAngles`` and ``euler_to_rotation`` remain in
+``geometry``, which defines them, and in ``cli._pose_from_config``, which
+reads ``simulate``'s ``true_rotation_ypr_deg``; ``rotation_to_euler`` is a
+test oracle in ``tests/oracles.py``.  A reference to any of the three
+anywhere else in the package fails here.  The export table in
+``__init__.py`` names the first two as strings, which is not a reference.
 """
 
 from __future__ import annotations

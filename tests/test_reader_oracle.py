@@ -1,6 +1,6 @@
-"""The single CSV reader against the three parsers it replaced.
+"""The single CSV reader against the parsers it replaced.
 
-The pose, force and demonstration parsers each used to carry their own
+The pose and demonstration parsers each used to carry their own
 header scan and row loop.  Those loops are kept below, verbatim, as
 oracles: on any soup of lines the reader must give the same array bytes,
 or raise the same exception type with the same message and ``.line``,
@@ -32,13 +32,10 @@ from styluskit.geometry import (
 )
 from styluskit.ingest import (
     DEMO_CSV_HEADER,
-    FORCE_CSV_HEADER,
     POSE_CSV_HEADER,
     DemonstrationTrace,
-    ForceRecording,
     PoseRecording,
     parse_demo_csv,
-    parse_force_csv,
     parse_pen_events,
     parse_pose_csv,
 )
@@ -121,43 +118,6 @@ def oracle_parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> Pos
         q=[pose.rotation for pose in poses],
         p=[pose.translation for pose in poses],
     )
-
-
-def oracle_parse_force_csv(stream: Iterable[str]) -> ForceRecording:
-    it = _lines(stream)
-    header = None
-    for number, text in it:
-        if text.strip():
-            header = (number, text.strip())
-            break
-    if header is None:
-        raise FormatError("empty input")
-    if header[1] != FORCE_CSV_HEADER:
-        raise FormatError(f"expected header {FORCE_CSV_HEADER!r}, got {header[1]!r}", header[0])
-
-    ts: list[float] = []
-    fz: list[float] = []
-    dropped = 0
-    for number, text in it:
-        if not text.strip():
-            continue
-        fields = text.split(",")
-        if len(fields) != 2:
-            raise FormatError(f"expected 2 fields, got {len(fields)}", number)
-        t = _parse_float(fields[0], number, "t")
-        f = _parse_float(fields[1], number, "Fz")
-        if not (np.isfinite(t) and np.isfinite(f)):
-            dropped += 1
-            continue
-        if ts and t <= ts[-1]:
-            raise NonMonotonicTime(f"timestamp {t!r} does not increase past {ts[-1]!r}", number)
-        ts.append(t)
-        fz.append(f)
-    if dropped:
-        warnings.warn(f"dropped {dropped} force rows with non-finite values", stacklevel=2)
-    if not ts:
-        raise FormatError("no valid data rows")
-    return ForceRecording(np.array(ts), np.array(fz))
 
 
 def oracle_parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> DemonstrationTrace:
@@ -268,11 +228,6 @@ def oracle_rows_parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -
     )
 
 
-def oracle_rows_parse_force_csv(stream: Iterable[str]) -> ForceRecording:
-    rows = np.array(list(oracle_read_rows(stream, FORCE_CSV_HEADER, "force")))
-    return ForceRecording(rows[:, 0].copy(), rows[:, 1].copy())
-
-
 def oracle_rows_parse_demo_csv(
     stream: Iterable[str], source: str = "stylus"
 ) -> DemonstrationTrace:
@@ -294,20 +249,12 @@ def describe(result):
     """Everything a caller can see of a parsed recording, as comparable values."""
     if isinstance(result, PoseRecording):
         return ("pose", result.frame_id, _bytes(result.t, result.q, result.p))
-    if isinstance(result, ForceRecording):
-        return (
-            "force",
-            result.t.tobytes(),
-            result.fz.tobytes(),
-            result.t.flags.c_contiguous and result.fz.flags.c_contiguous,
-        )
     points = result.points
     return (
         "trace",
         result.source,
         _bytes(points.t, points.position, points.orientation),
         result.forces.tobytes(),
-        result.force_extrapolated,
     )
 
 
@@ -405,11 +352,6 @@ class TestReaderMatchesOracles:
         assert outcome(parse_pose_csv, lines) == outcome(oracle_parse_pose_csv, lines)
 
     @settings(max_examples=300, deadline=None)
-    @given(lines=soups(FORCE_CSV_HEADER))
-    def test_force(self, lines):
-        assert outcome(parse_force_csv, lines) == outcome(oracle_parse_force_csv, lines)
-
-    @settings(max_examples=300, deadline=None)
     @given(lines=soups(DEMO_CSV_HEADER))
     def test_demo(self, lines):
         assert outcome(parse_demo_csv, lines) == outcome(oracle_parse_demo_csv, lines)
@@ -418,7 +360,6 @@ class TestReaderMatchesOracles:
         "parse, oracle, header",
         [
             (parse_pose_csv, oracle_parse_pose_csv, POSE_CSV_HEADER),
-            (parse_force_csv, oracle_parse_force_csv, FORCE_CSV_HEADER),
             (parse_demo_csv, oracle_parse_demo_csv, DEMO_CSV_HEADER),
         ],
     )
@@ -454,7 +395,6 @@ def test_pose_zero_quaternion_raises_before_a_later_bad_row():
     "parse, text",
     [
         (parse_pose_csv, POSE_CSV_HEADER + "\n0.0,0,0,0,0,0,0,1\n"),
-        (parse_force_csv, FORCE_CSV_HEADER + "\n0.0,1\n"),
         (parse_demo_csv, DEMO_CSV_HEADER + "\n0.0,0,0,0,1\n"),
         (parse_pen_events, "EVT 0.1 BTN 1\n"),
     ],
@@ -559,11 +499,6 @@ class TestValidFilesMatchOracles:
     def test_pose(self, lines):
         assert outcome(parse_pose_csv, lines) == outcome(oracle_rows_parse_pose_csv, lines)
 
-    @settings(max_examples=75, deadline=None)
-    @given(lines=valid_files(FORCE_CSV_HEADER))
-    def test_force(self, lines):
-        assert outcome(parse_force_csv, lines) == outcome(oracle_rows_parse_force_csv, lines)
-
     @settings(max_examples=100, deadline=None)
     @given(lines=valid_files(DEMO_CSV_HEADER))
     def test_demo(self, lines):
@@ -572,7 +507,6 @@ class TestValidFilesMatchOracles:
 
 _ROW_ORACLES = [
     (parse_pose_csv, oracle_rows_parse_pose_csv, POSE_CSV_HEADER),
-    (parse_force_csv, oracle_rows_parse_force_csv, FORCE_CSV_HEADER),
     (parse_demo_csv, oracle_rows_parse_demo_csv, DEMO_CSV_HEADER),
 ]
 

@@ -20,6 +20,7 @@ import os
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import csv_row
 
 from styluskit import cli
 from styluskit.evaluation import (
@@ -36,7 +37,7 @@ from styluskit.evaluation import (
 from styluskit.framing import load_frame, to_frame
 from styluskit.geometry import TipTrack
 from styluskit.ingest import DemonstrationTrace, _write_rows, parse_demo_csv
-from styluskit.jsonio import csv_row, write_json, write_text
+from styluskit.jsonio import write_json, write_text
 
 SPECIAL = [
     math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,

@@ -140,7 +140,7 @@ EXPORTED = [
     "PoseRecording", "PositionDataset", "StylusKitError", "TipCalibration",
     "TipTrack", "WaypointList", "angle_between",
     "calibrate_orientation", "calibrate_position", "compose", "euler_to_rotation",
-    "evaluate_demonstrations", "identify_frame", "invert", "rotation_to_euler", "to_frame",
+    "evaluate_demonstrations", "identify_frame", "invert", "to_frame",
     "transform_point", "__version__",
 ]
 

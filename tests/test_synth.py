@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import candidate_tip_points
 
-from styluskit.calib import calibrate_orientation, calibrate_position, candidate_tip_points
+from styluskit.calib import calibrate_orientation, calibrate_position
 from styluskit.evaluation import IdealPath, evaluate_demonstrations, force_spectrum
 from styluskit.geometry import (
     Pose,

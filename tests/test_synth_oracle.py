@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import csv_row
 
 from styluskit import cli
 from styluskit.calib import HoleRecording, OrientationDataset, PositionDataset
@@ -38,7 +39,7 @@ from styluskit.geometry import (
     vec3,
 )
 from styluskit.ingest import POSE_CSV_HEADER, _write_rows
-from styluskit.jsonio import csv_row, write_json
+from styluskit.jsonio import write_json
 from styluskit.synth import (
     OrientationGroundTruth,
     PositionGroundTruth,
