@@ -25,7 +25,9 @@ _EXPORTS = {
         "errors": ["StylusKitError"],
         "geometry": [
             "EulerAngles",
+            "OrientationDataset",
             "Pose",
+            "PositionDataset",
             "TipTrack",
             "angle_between",
             "compose",
@@ -35,8 +37,6 @@ _EXPORTS = {
         ],
         "calib": [
             "FilterParams",
-            "OrientationDataset",
-            "PositionDataset",
             "TipCalibration",
             "calibrate_orientation",
             "calibrate_position",
@@ -45,11 +45,12 @@ _EXPORTS = {
         "ingest": [
             "DemonstrationTrace",
             "ForceRecording",
+            "IdealPath",
             "PenEvent",
             "PoseRecording",
             "WaypointList",
         ],
-        "evaluation": ["EvaluationReport", "IdealPath", "evaluate_demonstrations"],
+        "evaluation": ["EvaluationReport", "evaluate_demonstrations"],
     }.items()
     for name in names
 }

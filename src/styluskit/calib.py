@@ -32,7 +32,11 @@ neighbor counts and the cluster merge share that one walk over cell pairs,
 so the filter needs numpy alone.
 
 Both datasets are :class:`~styluskit.geometry.PoseRows`: the fiducial poses
-as rows ``q`` (N, 4) and ``p`` (N, 3), which the solvers read whole.
+as rows ``q`` (N, 4) and ``p`` (N, 3), which the solvers read whole.  The
+dataset classes (:class:`~styluskit.geometry.PositionDataset`,
+:class:`~styluskit.geometry.HoleRecording` and
+:class:`~styluskit.geometry.OrientationDataset`) are defined in ``geometry``,
+so that ``simulate`` builds them without loading this module.
 
 Before solving, the position step checks that the poses rotate enough: some
 pair must be at least ``min_rotation`` apart.  Rotation angle is a metric,
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +62,10 @@ from .errors import (
     NonFinitePose,
 )
 from .geometry import (
+    Frozen,
+    OrientationDataset,
     Pose,
-    PoseRows,
+    PositionDataset,
     quat_from_axis_angle,
     quat_from_json,
     quat_multiply,
@@ -76,86 +81,58 @@ DEFAULT_MIN_ROTATION = math.radians(30.0)
 _EZ = np.array([0.0, 0.0, 1.0])
 
 
-@dataclass(frozen=True)
-class FilterParams:
+class FilterParams(Frozen):
     """Density-clustering outlier filter: a point needs at least
     ``min_neighbors`` points (itself included) within ``neighborhood_radius``
     to seed a cluster; only the largest cluster survives."""
 
-    neighborhood_radius: float = 0.005
-    min_neighbors: int = 10
-
-    def __post_init__(self):
-        radius = self.neighborhood_radius
+    def __init__(self, neighborhood_radius: float = 0.005, min_neighbors: int = 10):
+        radius = neighborhood_radius
         if not (radius > 0.0 and 2.0**-1022 <= radius * radius < math.inf):
             raise ValueError("neighborhood_radius must be positive with a finite square >= 2**-1022")
-        if self.min_neighbors < 1:
+        if min_neighbors < 1:
             raise ValueError("min_neighbors must be at least 1")
+        self._set(neighborhood_radius=neighborhood_radius, min_neighbors=min_neighbors)
 
 
 AXIS_FILTER_DEFAULT = FilterParams(neighborhood_radius=0.02, min_neighbors=3)
 
 
-class PositionDataset(PoseRows):
-    """Fiducial poses recorded while the tip pivots on one fixed point,
-    as the rows of :class:`~styluskit.geometry.PoseRows`."""
-
-
-class HoleRecording(PoseRows):
-    """Fiducial poses recorded while the stylus spins in one hole, as the
-    rows of :class:`~styluskit.geometry.PoseRows`, plus the hole's unit
-    ``reference_axis``.
-    """
-
-    def __init__(self, reference_axis, poses: list[Pose] | None = None, *, q=None, p=None):
-        super().__init__(poses, q=q, p=p)
-        axis = vec3(reference_axis)
-        n = np.linalg.norm(axis)
-        if not (math.isfinite(n) and n >= 1e-12):
-            raise ValueError("hole reference axis must be finite and nonzero")
-        self.reference_axis = axis / n
-
-
-@dataclass
-class OrientationDataset:
-    """Per-hole recordings against known world-frame reference axes."""
-
-    holes: list[HoleRecording]
-
-    def __post_init__(self):
-        if not self.holes:
-            raise ValueError("orientation dataset must not be empty")
-
-
-@dataclass
 class PositionCalibration:
-    tip_offset: np.ndarray
-    pivot: np.ndarray
-    residual_rms: float
-    removed_outliers: int
+    def __init__(
+        self, tip_offset: np.ndarray, pivot: np.ndarray, residual_rms: float, removed_outliers: int
+    ):
+        self.tip_offset = tip_offset
+        self.pivot = pivot
+        self.residual_rms = residual_rms
+        self.removed_outliers = removed_outliers
 
 
-@dataclass
 class OrientationCalibration:
-    rotation: np.ndarray  # canonical unit quaternion, as Pose stores it
-    residual_rms: float
-    removed_outliers: int
+    def __init__(self, rotation: np.ndarray, residual_rms: float, removed_outliers: int):
+        self.rotation = rotation  # canonical unit quaternion, as Pose stores it
+        self.residual_rms = residual_rms
+        self.removed_outliers = removed_outliers
 
 
-@dataclass
 class TipCalibration:
     """The fiducial-to-tip transform with calibration diagnostics."""
 
-    transform: Pose
-    position_residual_rms: float
-    orientation_residual_rms: float
-    filtered_outliers: int
-
-    def __post_init__(self):
-        if self.position_residual_rms < 0.0 or self.orientation_residual_rms < 0.0:
+    def __init__(
+        self,
+        transform: Pose,
+        position_residual_rms: float,
+        orientation_residual_rms: float,
+        filtered_outliers: int,
+    ):
+        if position_residual_rms < 0.0 or orientation_residual_rms < 0.0:
             raise ValueError("residuals must be non-negative")
-        if self.filtered_outliers < 0:
+        if filtered_outliers < 0:
             raise ValueError("filtered_outliers must be non-negative")
+        self.transform = transform
+        self.position_residual_rms = position_residual_rms
+        self.orientation_residual_rms = orientation_residual_rms
+        self.filtered_outliers = filtered_outliers
 
 
 def _sq_norm(diff: np.ndarray) -> np.ndarray:

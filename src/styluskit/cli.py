@@ -162,6 +162,7 @@ def _check_flag(flag: str, value: float, positive: bool = True) -> None:
 
 def _cmd_calibrate_position(args) -> int:
     from . import calib, ingest
+    from .geometry import PositionDataset
     from .jsonio import dumps_canonical
 
     _check_flag("--min-rotation-deg", args.min_rotation_deg, positive=False)
@@ -170,7 +171,7 @@ def _cmd_calibrate_position(args) -> int:
         params = _filter_params(args.radius, args.min_neighbors, "--radius", "--min-neighbors")
     with open(args.pose_csv, "r", encoding="utf-8") as f:
         recording = ingest.parse_pose_csv(f)
-    dataset = calib.PositionDataset(q=recording.q, p=recording.p)
+    dataset = PositionDataset(q=recording.q, p=recording.p)
     result = calib.calibrate_position(
         dataset, params, min_rotation=math.radians(args.min_rotation_deg)
     )
@@ -195,7 +196,7 @@ def _cmd_calibrate_orientation(args) -> int:
     import numpy as np
 
     from . import calib, ingest
-    from .geometry import vec3
+    from .geometry import HoleRecording, OrientationDataset, vec3
     from .jsonio import dumps_canonical, json_int, read_json
 
     axis_filter = _filter_params(
@@ -223,11 +224,11 @@ def _cmd_calibrate_orientation(args) -> int:
         with open(recording_path, "r", encoding="utf-8") as f:
             recording = ingest.parse_pose_csv(f)
         try:
-            holes.append(calib.HoleRecording(axis, q=recording.q, p=recording.p))
+            holes.append(HoleRecording(axis, q=recording.q, p=recording.p))
         except ValueError as exc:
             raise FormatError(f"{args.manifest}: hole {i}: {exc}") from None
     try:
-        dataset = calib.OrientationDataset(holes=holes)
+        dataset = OrientationDataset(holes=holes)
     except ValueError as exc:
         raise FormatError(f"{args.manifest}: {exc}") from None
 
@@ -317,7 +318,7 @@ def _cmd_evaluate(args) -> int:
     _check_flag("--gate", args.gate)
     _check_flag("--threshold-ratio", args.threshold_ratio, positive=False)
     frame = framing.load_frame(args.frame)
-    path = evaluation.load_path(args.path)
+    path = ingest.load_path(args.path)
     traces = []
     for trace_path in sorted(args.traces):
         trace = _sniff_trace(trace_path)
@@ -431,7 +432,7 @@ def _recording(dataset) -> ingest.PoseRecording:
 
 
 def _cmd_simulate(args) -> int:
-    from . import evaluation, ingest, synth
+    from . import ingest, synth
     from .jsonio import dumps_canonical, json_int, open_output, read_json, write_json
 
     doc = _config_object(read_json(args.config), f"{args.config}: synthesis config")
@@ -490,7 +491,7 @@ def _cmd_simulate(args) -> int:
         )
     elif kind == "demonstration":
         try:
-            path = evaluation.path_from_doc(doc["path"])
+            path = ingest.path_from_doc(doc["path"])
         except KeyError:
             raise FormatError("demonstration config needs 'path'") from None
         try:
@@ -506,7 +507,7 @@ def _cmd_simulate(args) -> int:
             raise FormatError(f"bad demonstration config: {exc}") from None
         with open_output(_path("trace.csv")) as f:
             ingest.write_demo_csv(trace, f)
-        evaluation.save_path(path, _path("path.json"))
+        ingest.save_path(path, _path("path.json"))
         write_json(
             _path("truth.json"),
             {"config": doc, "sample_count": len(trace)},

@@ -14,66 +14,36 @@ out-of-plane z offset is reported separately.
 Each stage works on whole arrays: resampling takes first crossings from
 running extrema of the line parameter, and the report CSVs go through the
 block writer of the recording CSVs (``ingest._write_rows``).
+
+The ideal path and its JSON document (:class:`~styluskit.ingest.IdealPath`,
+``path_from_doc``, ``load_path``, ``save_path``) are defined in ``ingest``
+with the other file formats.  The median sample spacing of the force
+spectrum is taken from the sorted spacings (:func:`_median`), not by
+``np.median``, whose NaN check imports ``numpy.ma``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     EmptyInput,
-    FormatError,
     InputError,
     SegmentUncovered,
     ShapeMismatch,
     TooShort,
     WaypointNotReached,
 )
-from .ingest import DemonstrationTrace, ForceRecording, _write_rows
-from .jsonio import json_int, open_output, read_json, write_json
-
-
-@dataclass
-class IdealPath:
-    """2D waypoints plus the index sequence in which they are visited."""
-
-    waypoints: np.ndarray
-    visiting_sequence: tuple[int, ...]
-
-    def __post_init__(self):
-        self.waypoints = np.asarray(self.waypoints, dtype=float).reshape(-1, 2)
-        if not np.isfinite(self.waypoints).all():
-            raise ValueError("waypoints must be finite")
-        if not all(float(i).is_integer() for i in self.visiting_sequence):
-            raise ValueError("visiting sequence indices must be integers")
-        self.visiting_sequence = tuple(int(i) for i in self.visiting_sequence)
-        if len(self.visiting_sequence) < 2:
-            raise ValueError("visiting sequence needs at least 2 entries")
-        for i in self.visiting_sequence:
-            if not 0 <= i < self.waypoints.shape[0]:
-                raise ValueError(f"visiting sequence index {i} out of range")
-        for a, b in zip(self.visiting_sequence, self.visiting_sequence[1:]):
-            if np.allclose(self.waypoints[a], self.waypoints[b]):
-                raise ValueError("consecutive sequence points must be distinct")
-
-    @property
-    def segment_count(self) -> int:
-        return len(self.visiting_sequence) - 1
-
-    def segment(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        a = self.waypoints[self.visiting_sequence[k]]
-        b = self.waypoints[self.visiting_sequence[k + 1]]
-        return a, b
+from .ingest import DemonstrationTrace, ForceRecording, IdealPath, _write_rows
+from .jsonio import open_output, write_json
 
 
 def segment_label(k: int) -> str:
     return chr(ord("A") + k) if k < 26 else f"S{k}"
 
 
-@dataclass
 class SampledSegment:
     """Per-target pairing of one demonstrated segment with its ideal line.
 
@@ -82,40 +52,59 @@ class SampledSegment:
     in ``missing`` and hold NaN.
     """
 
-    segment_label: str
-    ideal_points: np.ndarray
-    demo_points: np.ndarray
-    signed_error: np.ndarray
-    z_offset: np.ndarray
-    missing: np.ndarray
-    force: np.ndarray | None = None
+    def __init__(
+        self,
+        segment_label: str,
+        ideal_points: np.ndarray,
+        demo_points: np.ndarray,
+        signed_error: np.ndarray,
+        z_offset: np.ndarray,
+        missing: np.ndarray,
+        force: np.ndarray | None = None,
+    ):
+        self.segment_label = segment_label
+        self.ideal_points = ideal_points
+        self.demo_points = demo_points
+        self.signed_error = signed_error
+        self.z_offset = z_offset
+        self.missing = missing
+        self.force = force
 
     @property
     def pair_count(self) -> int:
         return self.ideal_points.shape[0]
 
 
-@dataclass
 class SegmentAggregate:
     """Across-trace statistics per sample index of one segment."""
 
-    segment_label: str
-    mean: np.ndarray
-    mean_abs: np.ndarray
-    std: np.ndarray
-    env_min: np.ndarray
-    env_max: np.ndarray
+    def __init__(
+        self,
+        segment_label: str,
+        mean: np.ndarray,
+        mean_abs: np.ndarray,
+        std: np.ndarray,
+        env_min: np.ndarray,
+        env_max: np.ndarray,
+    ):
+        self.segment_label = segment_label
+        self.mean = mean
+        self.mean_abs = mean_abs
+        self.std = std
+        self.env_min = env_min
+        self.env_max = env_max
 
 
-@dataclass
 class EpsilonHistogram:
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    epsilon: float
-    epsilon_fraction: float
+    def __init__(
+        self, bin_edges: np.ndarray, counts: np.ndarray, epsilon: float, epsilon_fraction: float
+    ):
+        self.bin_edges = bin_edges
+        self.counts = counts
+        self.epsilon = epsilon
+        self.epsilon_fraction = epsilon_fraction
 
 
-@dataclass
 class SpectrumSummary:
     """One-sided force magnitude spectrum with a peak-count summary.
 
@@ -123,26 +112,43 @@ class SpectrumSummary:
     bin (interior bins carry 2|X|/N; DC and Nyquist carry |X|/N).
     """
 
-    sample_rate: float
-    bin_width: float
-    amplitudes: np.ndarray
-    threshold: float
-    count_above: int
-    sample_count: int
+    def __init__(
+        self,
+        sample_rate: float,
+        bin_width: float,
+        amplitudes: np.ndarray,
+        threshold: float,
+        count_above: int,
+        sample_count: int,
+    ):
+        self.sample_rate = sample_rate
+        self.bin_width = bin_width
+        self.amplitudes = amplitudes
+        self.threshold = threshold
+        self.count_above = count_above
+        self.sample_count = sample_count
 
     @property
     def frequencies(self) -> np.ndarray:
         return np.arange(self.amplitudes.size) * self.bin_width
 
 
-@dataclass
 class EvaluationReport:
-    config: dict
-    segment_labels: list[str]
-    per_trace: list[list[SampledSegment]]
-    aggregates: list[SegmentAggregate]
-    histogram: EpsilonHistogram
-    spectra: list[SpectrumSummary] = field(default_factory=list)
+    def __init__(
+        self,
+        config: dict,
+        segment_labels: list[str],
+        per_trace: list[list[SampledSegment]],
+        aggregates: list[SegmentAggregate],
+        histogram: EpsilonHistogram,
+        spectra: list[SpectrumSummary] | None = None,
+    ):
+        self.config = config
+        self.segment_labels = segment_labels
+        self.per_trace = per_trace
+        self.aggregates = aggregates
+        self.histogram = histogram
+        self.spectra = [] if spectra is None else spectra  # a fresh list per report
 
     @property
     def epsilon_fraction(self) -> float:
@@ -379,6 +385,19 @@ def epsilon_histogram(
 FFT_GRID_FACTOR = 64
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-d array, bit for bit, without the
+    ``numpy.ma`` import that its NaN check pays for on its first call in a
+    process.  Like ``np.median``, it takes the ``mean`` of the middle one or
+    two sorted values (so ``-0.0`` comes out as ``0.0``), and any NaN, which
+    sorts last, gives NaN."""
+    s = np.sort(values)
+    if np.isnan(s[-1]):
+        return math.nan
+    m = s.size // 2
+    return float(s[m - 1 + s.size % 2 : m + 1].mean())
+
+
 def force_spectrum(
     force: ForceRecording,
     threshold_ratio: float = 0.05,
@@ -398,7 +417,7 @@ def force_spectrum(
     """
     if len(force) < 8:
         raise TooShort(f"need at least 8 force samples, got {len(force)}")
-    dt = float(np.median(np.diff(force.t)))
+    dt = _median(np.diff(force.t))
     steps = (force.t[-1] - force.t[0]) / dt + 1e-9
     if steps >= FFT_GRID_FACTOR * len(force):
         raise InputError(
@@ -474,33 +493,6 @@ def evaluate_demonstrations(
         histogram=histogram,
         spectra=spectra,
     )
-
-
-def path_to_doc(path: IdealPath) -> dict:
-    return {
-        "waypoints": path.waypoints.tolist(),
-        "visiting_sequence": list(path.visiting_sequence),
-    }
-
-
-def path_from_doc(doc: dict) -> IdealPath:
-    try:
-        return IdealPath(
-            waypoints=np.asarray(doc["waypoints"], dtype=float),
-            visiting_sequence=tuple(
-                json_int(i, "visiting_sequence") for i in doc["visiting_sequence"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"bad ideal path document: {exc}") from None
-
-
-def save_path(path_obj: IdealPath, path) -> None:
-    write_json(path, path_to_doc(path_obj))
-
-
-def load_path(path) -> IdealPath:
-    return path_from_doc(read_json(path))
 
 
 def report_to_doc(report: EvaluationReport) -> dict:

@@ -10,7 +10,6 @@ is kept exact and y is re-orthogonalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +30,16 @@ _MIN_SEPARATION = 1e-4
 _MIN_ANGLE = math.radians(1.0)
 
 
-@dataclass
 class DrawingFrame:
     """A local task frame expressed in the measuring origin."""
 
-    label: str
-    transform: Pose
-    probe_points: np.ndarray
-
-    def __post_init__(self):
-        self.probe_points = np.asarray(self.probe_points, dtype=float).reshape(3, 3)
-        if not np.isfinite(self.probe_points).all():
+    def __init__(self, label: str, transform: Pose, probe_points: np.ndarray):
+        probe_points = np.asarray(probe_points, dtype=float).reshape(3, 3)
+        if not np.isfinite(probe_points).all():
             raise ValueError("probe points must be finite")
+        self.label = label
+        self.transform = transform
+        self.probe_points = probe_points
 
 
 def identify_frame(p1, p2, p3, label: str = "frame") -> DrawingFrame:

@@ -20,13 +20,19 @@ Conventions, used consistently across the package:
   ``p`` (N, 3), a :class:`TipTrack` N tip poses as ``t`` (N,), ``position``
   (N, 3) and ``orientation`` (N, 4).  A list of :class:`Pose` given to
   :class:`PoseRows` is stacked once; its ``poses`` is the one per-sample
-  view, built when read.
+  view, built when read.  The calibration inputs are rows too: a
+  :class:`PositionDataset` and each :class:`HoleRecording` of an
+  :class:`OrientationDataset` are :class:`PoseRows`.  They live here, not
+  in ``calib``, so that ``simulate`` can build them without loading the
+  solvers.
+- Records are plain classes.  The frozen ones (:class:`Pose`,
+  :class:`EulerAngles` and the configs of other modules) derive from
+  :class:`Frozen`, so assigning an attribute raises ``AttributeError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +105,9 @@ def quat_normalize_rows(quats) -> np.ndarray:
     :func:`quat_normalize` would also skip the division.  Every other row
     (off unit, zero or non-finite) goes through :func:`quat_normalize`
     itself, in row order, so the first (near-)zero row raises
-    :class:`ZeroVector`.  The input is left untouched.
+    :class:`ZeroVector`.  Its ``a @ a`` is the float64 dot kernel that
+    ``np.vecdot`` runs on each row of a C-contiguous array, as
+    :func:`quat_from_axis_angle` does.  The input is left untouched.
     """
     q = np.array(quats, dtype=float, order="C")
     if q.ndim != 2 or q.shape[1] != 4:
@@ -227,11 +235,12 @@ def quat_from_axis_angle(axis, angle) -> np.ndarray:
 
     Leading axis: ``axis`` rows (N, 3) with ``angle`` (N,) give (N, 4)
     rows; one axis (3,) with one angle is the same formula on one row.
-    Each row takes its norm from ``r @ r`` on its contiguous copy and its
-    sine and cosine from :mod:`math`: ``einsum``, ``(v * v).sum(1)`` and
-    numpy's ``sin`` round differently, and the bytes ``simulate`` writes
-    depend on these.  The first (near-)zero axis row raises
-    :class:`ZeroVector`, naming the row.
+    The row norms are one ``np.vecdot`` call on the contiguous copy, which
+    runs the float64 dot kernel that ``r @ r`` runs on each row, so every
+    row has the bits of the one-row call; the sines and cosines come from
+    :mod:`math`.  ``einsum``, ``(v * v).sum(1)`` and numpy's ``sin`` round
+    differently, and the bytes ``simulate`` writes depend on these.  The
+    first (near-)zero axis row raises :class:`ZeroVector`, naming the row.
     """
     a = np.asarray(axis, dtype=float)
     if a.ndim == 1:
@@ -242,7 +251,7 @@ def quat_from_axis_angle(axis, angle) -> np.ndarray:
         raise ValueError(
             f"expected axis rows (N, 3) and angles (N,), got {a.shape} and {h.shape}"
         )
-    n = np.sqrt([r @ r for r in a])
+    n = np.sqrt(np.vecdot(a, a))
     zero = n < _UNIT_TOL
     if zero.any():
         row = int(np.argmax(zero))
@@ -276,26 +285,39 @@ def rotation_between(u, v) -> np.ndarray:
     return quat_from_axis_angle(c, math.atan2(s, d))
 
 
-@dataclass(frozen=True, eq=False)
-class Pose:
+class Frozen:
+    """Base of the records whose attributes cannot be assigned or deleted
+    (``AttributeError``) once ``__init__`` has set them through
+    :meth:`_set`."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Pose(Frozen):
     """A rigid transform: rotate by ``rotation``, then add ``translation``.
 
     The quaternion is normalized (canonical sign) on construction and both
     arrays are frozen, so instances are safe to share across threads.
     """
 
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        q = quat_normalize(self.rotation)
-        t = vec3(self.translation).copy()
+    def __init__(self, rotation: np.ndarray, translation: np.ndarray):
+        q = quat_normalize(rotation)
+        t = vec3(translation).copy()
         if not np.all(np.isfinite(q)) or not np.all(np.isfinite(t)):
             raise NonFinitePose("pose has non-finite components")
         q.setflags(write=False)
         t.setflags(write=False)
-        object.__setattr__(self, "rotation", q)
-        object.__setattr__(self, "translation", t)
+        self._set(rotation=q, translation=t)
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -345,13 +367,39 @@ class PoseRows:
         return self.q.shape[0]
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class PositionDataset(PoseRows):
+    """Fiducial poses recorded while the tip pivots on one fixed point,
+    as the rows of :class:`PoseRows`."""
+
+
+class HoleRecording(PoseRows):
+    """Fiducial poses recorded while the stylus spins in one hole, as the
+    rows of :class:`PoseRows`, plus the hole's unit ``reference_axis``.
+    """
+
+    def __init__(self, reference_axis, poses: list[Pose] | None = None, *, q=None, p=None):
+        super().__init__(poses, q=q, p=p)
+        axis = vec3(reference_axis)
+        n = np.linalg.norm(axis)
+        if not (math.isfinite(n) and n >= 1e-12):
+            raise ValueError("hole reference axis must be finite and nonzero")
+        self.reference_axis = axis / n
+
+
+class OrientationDataset:
+    """Per-hole recordings against known world-frame reference axes."""
+
+    def __init__(self, holes: list[HoleRecording]):
+        if not holes:
+            raise ValueError("orientation dataset must not be empty")
+        self.holes = holes
+
+
+class EulerAngles(Frozen):
     """Intrinsic yaw(Z)-pitch(Y)-roll(X) angles in radians."""
 
-    yaw: float
-    pitch: float
-    roll: float
+    def __init__(self, yaw: float, pitch: float, roll: float):
+        self._set(yaw=yaw, pitch=pitch, roll=roll)
 
 
 def _frozen(values, shape: tuple) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Recording parsers and waypoint snapshots.
+"""Recording parsers, waypoint snapshots and the ideal-path document.
 
 File formats (UTF-8, ``\\n`` line endings, ``.`` decimal separator):
 
@@ -9,6 +9,10 @@ File formats (UTF-8, ``\\n`` line endings, ``.`` decimal separator):
 - pen events, one per line: ``EVT <t> BTN 1`` (press), ``EVT <t> BTN 0``
   (release), ``EVT <t> PWR 1`` (power-on).  Unknown lines are skipped and
   counted.
+- ideal path JSON: ``{"waypoints": [[x, y], ...], "visiting_sequence":
+  [i, ...]}``, read into an :class:`IdealPath`.  It is defined here, with
+  the other formats, so that ``simulate`` writes it without loading
+  ``evaluation``, which scores demonstrations against it.
 
 One reader serves both CSV formats: the header is the first non-blank
 line, blank lines are skipped, and rows with a non-finite value are
@@ -42,7 +46,6 @@ import json
 import math
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +65,7 @@ from .geometry import (
     quat_normalize_rows,
     vec3,
 )
-from .jsonio import read_json
+from .jsonio import json_int, read_json, write_json
 
 POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
 DEMO_CSV_HEADER = "t,x,y,z,Fz"
@@ -87,16 +90,12 @@ class PoseRecording(PoseRows):
             raise ValueError("pose recording timestamps must be strictly increasing")
 
 
-@dataclass
 class ForceRecording:
     """A single-axis contact-force time series (newtons)."""
 
-    t: np.ndarray
-    fz: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.fz = np.asarray(self.fz, dtype=float)
+    def __init__(self, t: np.ndarray, fz: np.ndarray):
+        self.t = np.asarray(t, dtype=float)
+        self.fz = np.asarray(fz, dtype=float)
         if self.t.shape != self.fz.shape or self.t.ndim != 1:
             raise ValueError("force samples need matching 1-d t and Fz arrays")
         if np.any(np.diff(self.t) <= 0.0):
@@ -117,7 +116,6 @@ class PenEvent(NamedTuple):
     kind: PenEventKind
 
 
-@dataclass
 class DemonstrationTrace:
     """Tip trajectory with optional per-point contact forces.
 
@@ -125,19 +123,18 @@ class DemonstrationTrace:
     ``position`` arrays are what ``times`` and ``positions`` return.
     """
 
-    points: TipTrack
-    forces: np.ndarray | None = None
-    source: str = "stylus"
-
-    def __post_init__(self):
-        if np.any(np.diff(self.points.t) <= 0.0):
+    def __init__(self, points: TipTrack, forces: np.ndarray | None = None, source: str = "stylus"):
+        if np.any(np.diff(points.t) <= 0.0):
             raise ValueError("trace timestamps must be strictly increasing")
-        if self.forces is not None:
-            self.forces = np.asarray(self.forces, dtype=float)
-            if self.forces.shape != (len(self.points),):
+        if forces is not None:
+            forces = np.asarray(forces, dtype=float)
+            if forces.shape != (len(points),):
                 raise ValueError("need exactly one force value per trace point")
-        if self.source not in ("stylus", "robot"):
-            raise ValueError(f"unknown trace source {self.source!r}")
+        if source not in ("stylus", "robot"):
+            raise ValueError(f"unknown trace source {source!r}")
+        self.points = points
+        self.forces = forces
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.points)
@@ -151,16 +148,14 @@ class DemonstrationTrace:
         return self.points.position
 
 
-@dataclass
 class WaypointList:
     """Tip poses captured with the snapshot button, in capture order, as a
     :class:`~styluskit.geometry.TipTrack`."""
 
-    waypoints: TipTrack
-
-    def __post_init__(self):
-        if np.any(np.diff(self.waypoints.t) < 0.0):
+    def __init__(self, waypoints: TipTrack):
+        if np.any(np.diff(waypoints.t) < 0.0):
             raise ValueError("waypoints must be ordered by capture time")
+        self.waypoints = waypoints
 
     def __len__(self) -> int:
         return len(self.waypoints)
@@ -517,3 +512,61 @@ def waypoint_list_from_doc(doc: dict) -> WaypointList:
 
 def load_waypoint_list(path) -> WaypointList:
     return waypoint_list_from_doc(read_json(path))
+
+
+class IdealPath:
+    """2D waypoints plus the index sequence in which they are visited."""
+
+    def __init__(self, waypoints: np.ndarray, visiting_sequence: tuple[int, ...]):
+        waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 2)
+        if not np.isfinite(waypoints).all():
+            raise ValueError("waypoints must be finite")
+        if not all(float(i).is_integer() for i in visiting_sequence):
+            raise ValueError("visiting sequence indices must be integers")
+        visiting_sequence = tuple(int(i) for i in visiting_sequence)
+        if len(visiting_sequence) < 2:
+            raise ValueError("visiting sequence needs at least 2 entries")
+        for i in visiting_sequence:
+            if not 0 <= i < waypoints.shape[0]:
+                raise ValueError(f"visiting sequence index {i} out of range")
+        for a, b in zip(visiting_sequence, visiting_sequence[1:]):
+            if np.allclose(waypoints[a], waypoints[b]):
+                raise ValueError("consecutive sequence points must be distinct")
+        self.waypoints = waypoints
+        self.visiting_sequence = visiting_sequence
+
+    @property
+    def segment_count(self) -> int:
+        return len(self.visiting_sequence) - 1
+
+    def segment(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        a = self.waypoints[self.visiting_sequence[k]]
+        b = self.waypoints[self.visiting_sequence[k + 1]]
+        return a, b
+
+
+def path_to_doc(path: IdealPath) -> dict:
+    return {
+        "waypoints": path.waypoints.tolist(),
+        "visiting_sequence": list(path.visiting_sequence),
+    }
+
+
+def path_from_doc(doc: dict) -> IdealPath:
+    try:
+        return IdealPath(
+            waypoints=np.asarray(doc["waypoints"], dtype=float),
+            visiting_sequence=tuple(
+                json_int(i, "visiting_sequence") for i in doc["visiting_sequence"]
+            ),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad ideal path document: {exc}") from None
+
+
+def save_path(path_obj: IdealPath, path) -> None:
+    write_json(path, path_to_doc(path_obj))
+
+
+def load_path(path) -> IdealPath:
+    return path_from_doc(read_json(path))

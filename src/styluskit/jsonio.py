@@ -70,6 +70,12 @@ def dumps_canonical(obj, indent: int = 0) -> str:
             # each: only a NaN prints as ``nan``, and that becomes ``null``.
             text = ", ".join(["%.17g"] * len(seq)) % tuple(seq)
             return "[" + text.replace("nan", "null") + "]"
+        # Python ints and bools in one join each, the bytes of _format_scalar;
+        # numpy scalars and mixed lists take the per-scalar path below.
+        if all(type(x) is int for x in seq):
+            return "[" + ", ".join(map(str, seq)) + "]"
+        if all(type(x) is bool for x in seq):
+            return "[" + ", ".join(["true" if x else "false" for x in seq]) + "]"
         if all(_is_scalar(x) for x in seq):
             return "[" + ", ".join(_format_scalar(x) for x in seq) + "]"
         items = [f"{inner}{dumps_canonical(v, indent + 1)}" for v in seq]

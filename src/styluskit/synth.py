@@ -30,14 +30,16 @@ anything is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .calib import HoleRecording, OrientationDataset, PositionDataset
 from .errors import InputError
 from .geometry import (
+    Frozen,
+    HoleRecording,
+    OrientationDataset,
     Pose,
+    PositionDataset,
     TipTrack,
     quat_conjugate,
     quat_from_axis_angle,
@@ -46,8 +48,7 @@ from .geometry import (
     quat_rotate,
     rotation_between,
 )
-from .ingest import DemonstrationTrace
-from .evaluation import IdealPath
+from .ingest import DemonstrationTrace, IdealPath
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
@@ -63,23 +64,31 @@ def _check_size(count, what: str) -> None:
         raise InputError(f"{count:.17g} {what}: at most {MAX_SYNTH_SAMPLES}")
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Frozen):
     """Knobs for dataset generation; same seed, same dataset."""
 
-    true_calibration: Pose
-    pivot_point: np.ndarray
-    sample_count: int = 200
-    rotation_span: float = math.radians(120.0)
-    position_noise_std: float = 0.0
-    orientation_noise_std: float = 0.0
-    outlier_rate: float = 0.0
-    outlier_magnitude: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pivot_point", np.asarray(self.pivot_point, dtype=float).reshape(3)
+    def __init__(
+        self,
+        true_calibration: Pose,
+        pivot_point: np.ndarray,
+        sample_count: int = 200,
+        rotation_span: float = math.radians(120.0),
+        position_noise_std: float = 0.0,
+        orientation_noise_std: float = 0.0,
+        outlier_rate: float = 0.0,
+        outlier_magnitude: float = 0.1,
+        seed: int = 0,
+    ):
+        self._set(
+            true_calibration=true_calibration,
+            pivot_point=np.asarray(pivot_point, dtype=float).reshape(3),
+            sample_count=sample_count,
+            rotation_span=rotation_span,
+            position_noise_std=position_noise_std,
+            orientation_noise_std=orientation_noise_std,
+            outlier_rate=outlier_rate,
+            outlier_magnitude=outlier_magnitude,
+            seed=seed,
         )
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
@@ -95,32 +104,32 @@ class SynthConfig:
             raise ValueError("outlier_rate must be in [0, 0.5)")
 
 
-@dataclass
 class PositionGroundTruth:
-    tip_offset: np.ndarray
-    pivot_point: np.ndarray
-    outlier_indices: np.ndarray
+    def __init__(
+        self, tip_offset: np.ndarray, pivot_point: np.ndarray, outlier_indices: np.ndarray
+    ):
+        self.tip_offset = tip_offset
+        self.pivot_point = pivot_point
+        self.outlier_indices = outlier_indices
 
 
-@dataclass
 class OrientationGroundTruth:
-    rotation: np.ndarray
-    hole_axes: np.ndarray
+    def __init__(self, rotation: np.ndarray, hole_axes: np.ndarray):
+        self.rotation = rotation
+        self.hole_axes = hole_axes
 
 
-@dataclass(frozen=True)
-class ConstantForce:
-    value: float
+class ConstantForce(Frozen):
+    def __init__(self, value: float):
+        self._set(value=value)
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(t, dtype=float), self.value)
 
 
-@dataclass(frozen=True)
-class SineForce:
-    frequency_hz: float
-    amplitude: float
-    offset: float = 0.0
+class SineForce(Frozen):
+    def __init__(self, frequency_hz: float, amplitude: float, offset: float = 0.0):
+        self._set(frequency_hz=frequency_hz, amplitude=amplitude, offset=offset)
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)

@@ -23,9 +23,11 @@ import math
 
 import numpy as np
 
-from styluskit.calib import _EZ, _PAIR_CHUNK, OrientationDataset, PositionDataset, _sq_norm
+from styluskit.calib import _EZ, _PAIR_CHUNK, _sq_norm
 from styluskit.geometry import (
     EulerAngles,
+    OrientationDataset,
+    PositionDataset,
     quat_conjugate,
     quat_multiply,
     quat_normalize,

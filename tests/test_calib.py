@@ -10,8 +10,6 @@ from scipy.optimize import minimize
 from styluskit import calib
 from styluskit.calib import (
     FilterParams,
-    HoleRecording,
-    PositionDataset,
     assemble_calibration,
     calibrate_orientation,
     calibrate_position,
@@ -28,7 +26,9 @@ from styluskit.errors import (
 )
 from styluskit.geometry import (
     EulerAngles,
+    HoleRecording,
     Pose,
+    PositionDataset,
     angle_between,
     compose,
     euler_to_rotation,

@@ -870,7 +870,7 @@ class TestNoPerSampleObjects:
 
             return wrapper
 
-        monkeypatch.setattr(Pose, "__post_init__", counting(Pose.__post_init__))
+        monkeypatch.setattr(Pose, "__init__", counting(Pose.__init__))
         return counts
 
     def test_snapshot_and_evaluate(self, tmp_path, capsys, monkeypatch):

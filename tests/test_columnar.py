@@ -13,11 +13,19 @@ import math
 import numpy as np
 import pytest
 
-from styluskit.calib import HoleRecording, PositionDataset, calibrate_position
-from styluskit.evaluation import IdealPath, segment_trace
-from styluskit.geometry import Pose, TipTrack, quat_from_axis_angle, quat_normalize_rows
+from styluskit.calib import calibrate_position
+from styluskit.evaluation import segment_trace
+from styluskit.geometry import (
+    HoleRecording,
+    Pose,
+    PositionDataset,
+    TipTrack,
+    quat_from_axis_angle,
+    quat_normalize_rows,
+)
 from styluskit.ingest import (
     DemonstrationTrace,
+    IdealPath,
     PoseRecording,
     WaypointList,
     parse_pose_csv,

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from styluskit.errors import (
     EmptyInput,
@@ -17,7 +20,7 @@ from styluskit.evaluation import (
     FFT_GRID_FACTOR,
     MAX_HISTOGRAM_BINS,
     MAX_TARGETS_PER_SEGMENT,
-    IdealPath,
+    _median,
     aggregate,
     epsilon_histogram,
     evaluate_demonstrations,
@@ -26,7 +29,7 @@ from styluskit.evaluation import (
     segment_trace,
 )
 from styluskit.geometry import TipTrack
-from styluskit.ingest import DemonstrationTrace, ForceRecording
+from styluskit.ingest import DemonstrationTrace, ForceRecording, IdealPath
 
 IDENTITY_Q = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -386,6 +389,40 @@ class TestForceSpectrumGridCap:
         assert result.sample_count <= FFT_GRID_FACTOR * 101
         with pytest.raises(InputError):
             force_spectrum(ForceRecording(np.r_[t[:-1], t[-1] + 3.0], np.sin(t)))
+
+
+class TestMedian:
+    """``_median`` against ``np.median``, whose NaN check imports
+    ``numpy.ma``: the same bits and the same warnings."""
+
+    VALUES = st.one_of(
+        st.floats(),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -math.inf]),
+        st.floats(0.001, 0.01),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(VALUES, min_size=1, max_size=60))
+    def test_matches_np_median(self, values):
+        v = np.array(values)
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            expected = float(np.median(v))
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = _median(v)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert got.hex() == expected.hex()
+        assert [str(w.message) for w in got_warnings] == [
+            str(w.message) for w in expected_warnings
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 48, 49, 1999, 2000, 2003])
+    def test_sample_spacings(self, n):
+        spacing = np.diff(np.cumsum(np.random.default_rng(n).uniform(0.004, 0.006, n + 1)))
+        assert _median(spacing).hex() == float(np.median(spacing)).hex()
 
 
 class TestAllocationBounds:

@@ -19,14 +19,13 @@ from styluskit import calib
 from styluskit.calib import (
     AXIS_FILTER_DEFAULT,
     FilterParams,
-    PositionDataset,
     _grid_reach,
     _sq_norm,
     calibrate_position,
     filter_outliers,
 )
 from styluskit.errors import AllOutliers, DegenerateRotations
-from styluskit.geometry import Pose, quat_from_axis_angle, quats_to_matrices
+from styluskit.geometry import Pose, PositionDataset, quat_from_axis_angle, quats_to_matrices
 from styluskit.synth import SynthConfig, gen_orientation_dataset, gen_position_dataset
 
 

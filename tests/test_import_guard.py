@@ -1,6 +1,10 @@
-"""The package never imports scipy: every command runs on numpy alone, so
-an import of scipy anywhere in the package fails here.  Only the tests use
-scipy, for their k-d tree and BFGS oracles."""
+"""The package never imports scipy or dataclasses, and an import of either
+anywhere in the package fails here.
+
+Every command runs on numpy alone; only the tests use scipy, for their k-d
+tree and BFGS oracles.  Records are plain classes: ``@dataclass`` generates
+and ``exec``s its methods at import, about 0.5 ms per class, which every
+command's start-up would pay."""
 
 from __future__ import annotations
 
@@ -11,15 +15,17 @@ import styluskit
 
 PACKAGE = pathlib.Path(styluskit.__file__).parent
 ALLOWED: set[tuple[str, str | None]] = set()
+BANNED = {"scipy", "dataclasses"}
 
 
-def _is_scipy(name: str | None) -> bool:
-    return name is not None and name.split(".")[0] == "scipy"
+def _is_banned(name: str | None) -> bool:
+    return name is not None and name.split(".")[0] in BANNED
 
 
-def scipy_imports(source: str) -> list[tuple[str | None, int]]:
-    """``(innermost enclosing function or None, line)`` of each import of
-    scipy, by statement or by ``importlib.import_module`` / ``__import__``."""
+def banned_imports(source: str) -> list[tuple[str | None, int]]:
+    """``(innermost enclosing function or None, line)`` of each import of a
+    :data:`BANNED` package (scipy, dataclasses), by statement or by
+    ``importlib.import_module`` / ``__import__``."""
     found = []
 
     def visit(node: ast.AST, function: str | None) -> None:
@@ -40,7 +46,7 @@ def scipy_imports(source: str) -> list[tuple[str | None, int]]:
                     first, ast.Constant
                 ):
                     names = [str(first.value)]
-            if any(_is_scipy(name) for name in names):
+            if any(_is_banned(name) for name in names):
                 found.append((function, child.lineno))
             visit(child, inner)
 
@@ -52,7 +58,7 @@ def test_scipy_is_imported_only_by_the_orientation_solver():
     stray = [
         f"{path.name}:{line} (in {function or 'module scope'})"
         for path in sorted(PACKAGE.rglob("*.py"))
-        for function, line in scipy_imports(path.read_text(encoding="utf-8"))
+        for function, line in banned_imports(path.read_text(encoding="utf-8"))
         if (path.name, function) not in ALLOWED
     ]
     assert stray == []
@@ -72,8 +78,12 @@ def solve():
 
     def inner():
         import scipy.linalg
+
+import dataclasses
+from dataclasses import dataclass, field
+importlib.import_module("dataclasses")
 """
-    assert scipy_imports(source) == [
+    assert banned_imports(source) == [
         (None, 2),
         (None, 3),
         (None, 4),
@@ -81,4 +91,7 @@ def solve():
         ("solve", 9),
         ("solve", 10),
         ("inner", 13),
+        (None, 15),
+        (None, 16),
+        (None, 17),
     ]

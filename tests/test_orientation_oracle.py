@@ -28,15 +28,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import orientation_objective, rotation_to_euler
 
-from styluskit.calib import (
-    HoleRecording,
-    OrientationDataset,
-    calibrate_orientation,
-)
+from styluskit.calib import calibrate_orientation
 from styluskit.cli import main
 from styluskit.errors import DegenerateAxesWarning, NoConvergence
 from styluskit.geometry import (
     EulerAngles,
+    HoleRecording,
+    OrientationDataset,
     Pose,
     angle_between,
     euler_to_rotation,

@@ -26,17 +26,15 @@ from styluskit import cli
 from styluskit.evaluation import (
     EpsilonHistogram,
     EvaluationReport,
-    IdealPath,
     SegmentAggregate,
     SpectrumSummary,
     evaluate_demonstrations,
-    load_path,
     segment_label,
     write_report_files,
 )
 from styluskit.framing import load_frame, to_frame
 from styluskit.geometry import TipTrack
-from styluskit.ingest import DemonstrationTrace, _write_rows, parse_demo_csv
+from styluskit.ingest import DemonstrationTrace, IdealPath, _write_rows, load_path, parse_demo_csv
 from styluskit.jsonio import write_json, write_text
 
 SPECIAL = [

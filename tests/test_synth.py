@@ -8,7 +8,7 @@ import pytest
 from oracles import candidate_tip_points
 
 from styluskit.calib import calibrate_orientation, calibrate_position
-from styluskit.evaluation import IdealPath, evaluate_demonstrations, force_spectrum
+from styluskit.evaluation import evaluate_demonstrations, force_spectrum
 from styluskit.geometry import (
     Pose,
     angle_between,
@@ -17,6 +17,7 @@ from styluskit.geometry import (
 )
 from styluskit.ingest import (
     ForceRecording,
+    IdealPath,
     PoseRecording,
     parse_demo_csv,
     parse_pose_csv,

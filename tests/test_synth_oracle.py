@@ -25,11 +25,12 @@ from hypothesis import strategies as st
 from oracles import csv_row
 
 from styluskit import cli
-from styluskit.calib import HoleRecording, OrientationDataset, PositionDataset
 from styluskit.errors import ZeroVector
-from styluskit.evaluation import IdealPath
 from styluskit.geometry import (
+    HoleRecording,
+    OrientationDataset,
     Pose,
+    PositionDataset,
     quat_conjugate,
     quat_from_axis_angle,
     quat_multiply,
@@ -38,7 +39,7 @@ from styluskit.geometry import (
     rotation_between,
     vec3,
 )
-from styluskit.ingest import POSE_CSV_HEADER, _write_rows
+from styluskit.ingest import POSE_CSV_HEADER, IdealPath, _write_rows
 from styluskit.jsonio import write_json
 from styluskit.synth import (
     OrientationGroundTruth,
