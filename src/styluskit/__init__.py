@@ -37,7 +37,6 @@ _EXPORTS = {
         ],
         "calib": [
             "FilterParams",
-            "TipCalibration",
             "calibrate_orientation",
             "calibrate_position",
         ],
@@ -48,6 +47,7 @@ _EXPORTS = {
             "IdealPath",
             "PenEvent",
             "PoseRecording",
+            "TipCalibration",
             "WaypointList",
         ],
         "evaluation": ["EvaluationReport", "evaluate_demonstrations"],

@@ -32,11 +32,11 @@ neighbor counts and the cluster merge share that one walk over cell pairs,
 so the filter needs numpy alone.
 
 Both datasets are :class:`~styluskit.geometry.PoseRows`: the fiducial poses
-as rows ``q`` (N, 4) and ``p`` (N, 3), which the solvers read whole.  The
-dataset classes (:class:`~styluskit.geometry.PositionDataset`,
-:class:`~styluskit.geometry.HoleRecording` and
-:class:`~styluskit.geometry.OrientationDataset`) are defined in ``geometry``,
-so that ``simulate`` builds them without loading this module.
+as rows ``q`` (N, 4) and ``p`` (N, 3), which the solvers read whole.  Their
+classes (``PositionDataset``, ``HoleRecording``, ``OrientationDataset``) are
+defined in ``geometry``, and the result, :class:`~styluskit.ingest.TipCalibration`,
+with its document in ``ingest``, so ``simulate`` and ``snapshot`` never load
+this module.
 
 Before solving, the position step checks that the poses rotate enough: some
 pair must be at least ``min_rotation`` apart.  Rotation angle is a metric,
@@ -57,7 +57,6 @@ from .errors import (
     AllOutliers,
     DegenerateAxesWarning,
     DegenerateRotations,
-    FormatError,
     NoConvergence,
     NonFinitePose,
 )
@@ -67,7 +66,6 @@ from .geometry import (
     Pose,
     PositionDataset,
     quat_from_axis_angle,
-    quat_from_json,
     quat_multiply,
     quat_normalize,
     quat_rotate,
@@ -75,7 +73,7 @@ from .geometry import (
     rotation_between,
     vec3,
 )
-from .jsonio import json_int, read_json, write_json
+from .ingest import TipCalibration
 
 DEFAULT_MIN_ROTATION = math.radians(30.0)
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -113,26 +111,6 @@ class OrientationCalibration:
         self.rotation = rotation  # canonical unit quaternion, as Pose stores it
         self.residual_rms = residual_rms
         self.removed_outliers = removed_outliers
-
-
-class TipCalibration:
-    """The fiducial-to-tip transform with calibration diagnostics."""
-
-    def __init__(
-        self,
-        transform: Pose,
-        position_residual_rms: float,
-        orientation_residual_rms: float,
-        filtered_outliers: int,
-    ):
-        if position_residual_rms < 0.0 or orientation_residual_rms < 0.0:
-            raise ValueError("residuals must be non-negative")
-        if filtered_outliers < 0:
-            raise ValueError("filtered_outliers must be non-negative")
-        self.transform = transform
-        self.position_residual_rms = position_residual_rms
-        self.orientation_residual_rms = orientation_residual_rms
-        self.filtered_outliers = filtered_outliers
 
 
 def _sq_norm(diff: np.ndarray) -> np.ndarray:
@@ -647,33 +625,3 @@ def assemble_calibration(
         orientation_residual_rms=float(orientation_residual_rms),
         filtered_outliers=int(filtered_outliers),
     )
-
-
-def calibration_to_doc(calib: TipCalibration) -> dict:
-    return {
-        "translation": calib.transform.translation.tolist(),
-        "rotation_quat": calib.transform.rotation.tolist(),
-        "position_residual_rms": calib.position_residual_rms,
-        "orientation_residual_rms": calib.orientation_residual_rms,
-        "filtered_outliers": calib.filtered_outliers,
-    }
-
-
-def calibration_from_doc(doc: dict) -> TipCalibration:
-    try:
-        return TipCalibration(
-            transform=Pose(quat_from_json(doc["rotation_quat"]), doc["translation"]),
-            position_residual_rms=float(doc["position_residual_rms"]),
-            orientation_residual_rms=float(doc["orientation_residual_rms"]),
-            filtered_outliers=json_int(doc["filtered_outliers"], "filtered_outliers"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad calibration document: {exc}") from None
-
-
-def save_calibration(calib: TipCalibration, path) -> None:
-    write_json(path, calibration_to_doc(calib))
-
-
-def load_calibration(path) -> TipCalibration:
-    return calibration_from_doc(read_json(path))

@@ -193,11 +193,9 @@ def _cmd_calibrate_position(args) -> int:
 
 
 def _cmd_calibrate_orientation(args) -> int:
-    import numpy as np
-
     from . import calib, ingest
     from .geometry import HoleRecording, OrientationDataset, vec3
-    from .jsonio import dumps_canonical, json_int, read_json
+    from .jsonio import dumps_canonical, json_float, json_floats, json_int, read_json
 
     axis_filter = _filter_params(
         args.axis_radius, args.axis_min_neighbors, "--axis-radius", "--axis-min-neighbors"
@@ -213,9 +211,9 @@ def _cmd_calibrate_orientation(args) -> int:
     holes = []
     for i, entry in enumerate(hole_entries):
         try:
-            axis = np.asarray(entry["reference_axis"], dtype=float)
+            axis = entry["reference_axis"]
             recording_path = str(entry["recording"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError):
             raise FormatError(
                 f"{args.manifest}: each hole needs 'reference_axis' and 'recording'"
             ) from None
@@ -224,6 +222,7 @@ def _cmd_calibrate_orientation(args) -> int:
         with open(recording_path, "r", encoding="utf-8") as f:
             recording = ingest.parse_pose_csv(f)
         try:
+            axis = json_floats(axis, "reference_axis")
             holes.append(HoleRecording(axis, q=recording.q, p=recording.p))
         except ValueError as exc:
             raise FormatError(f"{args.manifest}: hole {i}: {exc}") from None
@@ -234,20 +233,18 @@ def _cmd_calibrate_orientation(args) -> int:
 
     position_doc = read_json(args.position)
     try:
-        translation = vec3(position_doc["translation"])
-        position_rms = float(position_doc["position_residual_rms"])
-        position_removed = position_doc.get("filtered_outliers", 0)
-    except (KeyError, TypeError, ValueError, OverflowError):
+        translation = vec3(json_floats(position_doc["translation"], "translation"))
+        position_rms = json_float(position_doc["position_residual_rms"], "position_residual_rms")
+        position_removed = json_int(position_doc.get("filtered_outliers", 0), "filtered_outliers")
+    except (KeyError, TypeError):
         raise FormatError(
             f"{args.position}: expected the JSON written by calibrate-position"
         ) from None
-    try:
-        position_removed = json_int(position_removed, "filtered_outliers")
     except ValueError as exc:
         raise FormatError(f"{args.position}: {exc}") from None
-    if not (np.isfinite(translation).all() and math.isfinite(position_rms)):
+    if not (all(map(math.isfinite, translation.tolist())) and 0.0 <= position_rms < math.inf):
         raise FormatError(
-            f"{args.position}: translation and position_residual_rms must be finite"
+            f"{args.position}: translation must be finite, position_residual_rms finite and >= 0"
         )
     if position_removed < 0:
         raise FormatError(f"{args.position}: filtered_outliers must not be negative")
@@ -266,7 +263,7 @@ def _cmd_calibrate_orientation(args) -> int:
         orientation.residual_rms,
         position_removed + orientation.removed_outliers,
     )
-    _emit(dumps_canonical(calib.calibration_to_doc(calibration)), args.output)
+    _emit(dumps_canonical(ingest.calibration_to_doc(calibration)), args.output)
     return EXIT_OK
 
 
@@ -365,37 +362,38 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _config_floats(doc: dict, **defaults: float) -> dict:
+    """The config's number fields named in ``defaults``, read by ``json_float`` or defaulted."""
+    from .jsonio import json_float
+
+    return {name: json_float(doc.get(name, value), name) for name, value in defaults.items()}
+
+
 def _pose_from_config(doc: dict) -> Pose:
-    import numpy as np
+    from .geometry import EulerAngles, Pose, euler_to_rotation, vec3
+    from .jsonio import json_floats
 
-    from .geometry import EulerAngles, Pose, euler_to_rotation
-
-    translation = np.asarray(doc.get("true_translation", [0.0, 0.0, 0.0]), dtype=float)
-    ypr = [math.radians(v) for v in doc.get("true_rotation_ypr_deg", [0.0, 0.0, 0.0])]
-    return Pose(euler_to_rotation(EulerAngles(*ypr)), translation)
+    translation = json_floats(doc.get("true_translation", [0.0] * 3), "true_translation")
+    ypr = vec3(json_floats(doc.get("true_rotation_ypr_deg", [0.0] * 3), "true_rotation_ypr_deg"))
+    return Pose(euler_to_rotation(EulerAngles(*map(math.radians, ypr.tolist()))), translation)
 
 
 def _synth_config(doc: dict) -> synth.SynthConfig:
-    import numpy as np
-
     from . import synth
-    from .jsonio import json_int
+    from .jsonio import json_floats, json_int
 
     try:
+        degrees = _config_floats(doc, rotation_span_deg=120.0, orientation_noise_std_deg=0.0)
         return synth.SynthConfig(
             true_calibration=_pose_from_config(doc),
-            pivot_point=np.asarray(doc.get("pivot_point", [0.0, 0.0, 0.0]), dtype=float),
+            pivot_point=json_floats(doc.get("pivot_point", [0.0] * 3), "pivot_point"),
             sample_count=json_int(doc.get("sample_count", 200), "sample_count"),
-            rotation_span=math.radians(float(doc.get("rotation_span_deg", 120.0))),
-            position_noise_std=float(doc.get("position_noise_std", 0.0)),
-            orientation_noise_std=math.radians(
-                float(doc.get("orientation_noise_std_deg", 0.0))
-            ),
-            outlier_rate=float(doc.get("outlier_rate", 0.0)),
-            outlier_magnitude=float(doc.get("outlier_magnitude", 0.1)),
+            rotation_span=math.radians(degrees["rotation_span_deg"]),
+            orientation_noise_std=math.radians(degrees["orientation_noise_std_deg"]),
             seed=json_int(doc.get("seed", 0), "seed"),
+            **_config_floats(doc, position_noise_std=0.0, outlier_rate=0.0, outlier_magnitude=0.1),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"bad synthesis config: {exc}") from None
 
 
@@ -410,13 +408,9 @@ def _force_profile(doc):
 
     kind = _config_object(doc, "force_profile").get("kind", "constant")
     if kind == "constant":
-        return synth.ConstantForce(float(doc.get("value", 1.0)))
+        return synth.ConstantForce(**_config_floats(doc, value=1.0))
     if kind == "sine":
-        return synth.SineForce(
-            frequency_hz=float(doc.get("frequency_hz", 1.0)),
-            amplitude=float(doc.get("amplitude", 1.0)),
-            offset=float(doc.get("offset", 0.0)),
-        )
+        return synth.SineForce(**_config_floats(doc, frequency_hz=1.0, amplitude=1.0, offset=0.0))
     raise FormatError(f"unknown force profile kind {kind!r}")
 
 
@@ -433,7 +427,7 @@ def _recording(dataset) -> ingest.PoseRecording:
 
 def _cmd_simulate(args) -> int:
     from . import ingest, synth
-    from .jsonio import dumps_canonical, json_int, open_output, read_json, write_json
+    from .jsonio import dumps_canonical, json_floats, json_int, open_output, read_json, write_json
 
     doc = _config_object(read_json(args.config), f"{args.config}: synthesis config")
     kind = doc.get("kind")
@@ -469,8 +463,9 @@ def _cmd_simulate(args) -> int:
             raise FormatError("orientation config needs 'hole_axes'")
         try:
             poses_per_hole = json_int(doc.get("poses_per_hole", 50), "poses_per_hole")
+            axes = json_floats(axes, "hole_axes")
             dataset, truth = synth.gen_orientation_dataset(cfg, axes, poses_per_hole)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"bad synthesis config: {exc}") from None
         manifest = {"holes": []}
         for i, hole in enumerate(dataset.holes):
@@ -497,13 +492,11 @@ def _cmd_simulate(args) -> int:
         try:
             trace = synth.gen_demonstration(
                 path,
-                lateral_noise_std=float(doc.get("lateral_noise_std", 0.0)),
-                speed=float(doc.get("speed", 0.05)),
-                sample_rate=float(doc.get("sample_rate", 200.0)),
+                **_config_floats(doc, lateral_noise_std=0.0, speed=0.05, sample_rate=200.0),
                 force_profile=_force_profile(doc.get("force_profile", {})),
                 seed=json_int(doc.get("seed", 0), "seed"),
             )
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise FormatError(f"bad demonstration config: {exc}") from None
         with open_output(_path("trace.csv")) as f:
             ingest.write_demo_csv(trace, f)
@@ -520,13 +513,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
-    from . import calib, ingest
+    from . import ingest
     from .jsonio import dumps_canonical
 
     _check_flag("--guard", args.guard, positive=False)
     with open(args.pose_csv, "r", encoding="utf-8") as f:
         recording = ingest.parse_pose_csv(f)
-    calibration = calib.load_calibration(args.calibration)
+    calibration = ingest.load_calibration(args.calibration)
     tips = ingest.apply_calibration(recording, calibration)
     with open(args.events, "r", encoding="utf-8") as f:
         events, skipped = ingest.parse_pen_events(f)

@@ -20,11 +20,11 @@ from .geometry import (
     angle_between,
     compose_rows,
     invert,
-    quat_from_json,
     quat_from_matrix,
     vec3,
 )
-from .jsonio import read_json, write_json
+from .ingest import quat_from_json
+from .jsonio import json_floats, read_json, write_json
 
 _MIN_SEPARATION = 1e-4
 _MIN_ANGLE = math.radians(1.0)
@@ -94,10 +94,11 @@ def frame_to_doc(frame: DrawingFrame) -> dict:
 
 def frame_from_doc(doc: dict) -> DrawingFrame:
     try:
+        translation = json_floats(doc["translation"], "translation")
         return DrawingFrame(
             label=str(doc["label"]),
-            transform=Pose(quat_from_json(doc["rotation_quat"]), doc["translation"]),
-            probe_points=doc["probe_points"],
+            transform=Pose(quat_from_json(doc["rotation_quat"], "rotation_quat"), translation),
+            probe_points=json_floats(doc["probe_points"], "probe_points"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad drawing frame document: {exc}") from None

@@ -78,24 +78,6 @@ def quat_normalize(q) -> np.ndarray:
     return a
 
 
-def quat_from_json(value) -> np.ndarray:
-    """A quaternion read from a JSON document, as a float (4,) array, not normalized.
-
-    Raises ``ValueError`` for a wrong shape, a non-finite component, or a
-    squared norm above ``MAX_QUAT_NORM2``: no stylus file holds such a
-    quaternion, so it is reported as an input error rather than rescaled
-    by :func:`quat_normalize`.  The norm is summed in Python floats, which
-    overflow without a warning.  A zero quaternion passes, for
-    :func:`quat_normalize` to reject.
-    """
-    a = np.asarray(value, dtype=float)
-    if a.shape != (4,):
-        raise ValueError(f"expected a quaternion (qx,qy,qz,qw), got shape {a.shape}")
-    if not sum(x * x for x in a.tolist()) <= MAX_QUAT_NORM2:
-        raise ValueError(f"quaternion {a.tolist()} is not finite or too large to normalize")
-    return a
-
-
 def quat_normalize_rows(quats) -> np.ndarray:
     """Row-wise :func:`quat_normalize` of an ``(N, 4)`` array, bit for bit.
 

@@ -1,4 +1,4 @@
-"""Recording parsers, waypoint snapshots and the ideal-path document.
+"""Recording parsers, waypoint snapshots, and the path and calibration documents.
 
 File formats (UTF-8, ``\\n`` line endings, ``.`` decimal separator):
 
@@ -9,10 +9,10 @@ File formats (UTF-8, ``\\n`` line endings, ``.`` decimal separator):
 - pen events, one per line: ``EVT <t> BTN 1`` (press), ``EVT <t> BTN 0``
   (release), ``EVT <t> PWR 1`` (power-on).  Unknown lines are skipped and
   counted.
-- ideal path JSON: ``{"waypoints": [[x, y], ...], "visiting_sequence":
-  [i, ...]}``, read into an :class:`IdealPath`.  It is defined here, with
-  the other formats, so that ``simulate`` writes it without loading
-  ``evaluation``, which scores demonstrations against it.
+- ideal path JSON (an :class:`IdealPath`) and calibration JSON (a
+  :class:`TipCalibration`), defined here with the other formats so that
+  ``simulate`` writes a path without ``evaluation`` and ``snapshot`` reads
+  a calibration without ``calib``.
 
 One reader serves both CSV formats: the header is the first non-blank
 line, blank lines are skipped, and rows with a non-finite value are
@@ -57,15 +57,15 @@ from .errors import (
 )
 from .geometry import (
     MAX_QUAT_NORM2,
+    Pose,
     PoseRows,
     TipTrack,
     compose_rows,
-    quat_from_json,
     quat_normalize,
     quat_normalize_rows,
     vec3,
 )
-from .jsonio import json_int, read_json, write_json
+from .jsonio import json_float, json_floats, json_int, read_json, write_json
 
 POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
 DEMO_CSV_HEADER = "t,x,y,z,Fz"
@@ -180,6 +180,26 @@ def _parse_float(text: str, line: int, what: str) -> float:
         raise FormatError(f"cannot parse {what} from {text!r}", line) from None
 
 
+def _quat_norm2(q: list) -> float:
+    """A file quaternion's squared norm in Python floats (``inf`` on overflow, no
+    warning); ``ValueError`` if NaN or above ``MAX_QUAT_NORM2``, which no file reaches."""
+    norm2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
+    if not norm2 <= MAX_QUAT_NORM2:
+        raise ValueError(f"quaternion {q} is not finite or too large to normalize")
+    return norm2
+
+
+def quat_from_json(value, name: str = "quaternion") -> np.ndarray:
+    """The quaternion field ``name`` of a JSON document as a float (4,) array, not
+    normalized: ``ValueError`` for a non-number, a wrong shape or a norm
+    :func:`_quat_norm2` rejects.  A zero one passes, for ``quat_normalize``."""
+    a = json_floats(value, name)
+    if a.shape != (4,):
+        raise ValueError(f"expected a quaternion (qx,qy,qz,qw), got shape {a.shape}")
+    _quat_norm2(a.tolist())
+    return a
+
+
 def _then_raise(items, error: Exception):
     yield from items
     raise error
@@ -288,7 +308,7 @@ def _parse_rows(lines, names: list[str], kind: str, jsonl: bool, quat: slice | N
         if jsonl:
             try:
                 doc = json.loads(text)
-                values = [float(doc[k]) for k in names]
+                values = [json_float(doc[k], k) for k in names]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 raise FormatError(f"bad JSON-lines {kind} record", number) from None
         else:
@@ -305,11 +325,12 @@ def _parse_rows(lines, names: list[str], kind: str, jsonl: bool, quat: slice | N
         last = t
         if quat is not None:
             q = values[quat]
-            norm2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
+            try:
+                norm2 = _quat_norm2(q)
+            except ValueError:
+                raise FormatError(f"quaternion {tuple(q)} is too large to normalize") from None
             if norm2 < 1e-20:
                 quat_normalize(q)
-            elif norm2 > MAX_QUAT_NORM2:
-                raise FormatError(f"quaternion {tuple(q)} is too large to normalize")
         rows.append(values)
     if dropped:
         warnings.warn(f"dropped {dropped} {kind} rows with non-finite values", stacklevel=4)
@@ -325,9 +346,8 @@ def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecord
     at its own row, ahead of any later error and of the dropped-rows
     warning: a row whose squared norm is below 1e-20, far above the 1e-24
     at which :func:`~styluskit.geometry.quat_normalize` raises, goes
-    through it as it is read.  A row whose squared norm is above
-    ``MAX_QUAT_NORM2`` (1e300, shared with
-    :func:`~styluskit.geometry.quat_from_json`) raises
+    through it as it is read.  A row whose squared norm
+    :func:`quat_from_json` would reject too (:func:`_quat_norm2`) raises
     :class:`~styluskit.errors.FormatError` there in the same way, as an
     input error rather than a quaternion to rescale.
     """
@@ -419,7 +439,7 @@ def parse_pen_events(stream: Iterable[str]) -> tuple[list[PenEvent], int]:
 def apply_calibration(rec: PoseRecording, calib) -> TipTrack:
     """Map fiducial poses to tip poses through the tip calibration.
 
-    ``calib`` may be a :class:`~styluskit.calib.TipCalibration` or a bare
+    ``calib`` may be a :class:`TipCalibration` or a bare
     :class:`~styluskit.geometry.Pose`.  All poses are composed with it as
     one array expression (:func:`~styluskit.geometry.compose_rows`), bit
     for bit what :func:`~styluskit.geometry.compose` gives per record.
@@ -483,29 +503,19 @@ def waypoint_list_from_doc(doc: dict) -> WaypointList:
     try:
         rows = [
             (
-                float(w["t"]),
-                np.asarray(w["position"], dtype=float),
-                np.asarray(w["orientation_quat"], dtype=float),
+                json_float(w["t"], "t"),
+                json_floats(w["position"], "position"),
+                json_floats(w["orientation_quat"], "orientation_quat"),
             )
             for w in doc["waypoints"]
         ]
         if not all(np.isfinite(np.r_[t, p.ravel(), q.ravel()]).all() for t, p, q in rows):
             raise ValueError("waypoint times, positions and quaternions must be finite")
         quats, positions = [], []
-        for i, (_, p, q) in enumerate(rows):
-            try:
-                quats.append(quat_from_json(q))
-                positions.append(vec3(p))
-            except ValueError:
-                # A zero quaternion in an earlier waypoint is reported first.
-                quat_normalize_rows(np.reshape(quats[:i], (-1, 4)))
-                raise
-        track = TipTrack(
-            [t for t, _, _ in rows],
-            np.reshape(positions, (-1, 3)),
-            quat_normalize_rows(np.reshape(quats, (-1, 4))),
-        )
-        return WaypointList(track)
+        for _, p, q in rows:
+            positions.append(vec3(p))
+            quats.append(quat_normalize(quat_from_json(q)))
+        return WaypointList(TipTrack([t for t, _, _ in rows], positions, quats))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad waypoint list document: {exc}") from None
 
@@ -521,9 +531,7 @@ class IdealPath:
         waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 2)
         if not np.isfinite(waypoints).all():
             raise ValueError("waypoints must be finite")
-        if not all(float(i).is_integer() for i in visiting_sequence):
-            raise ValueError("visiting sequence indices must be integers")
-        visiting_sequence = tuple(int(i) for i in visiting_sequence)
+        visiting_sequence = tuple(json_int(i, "visiting_sequence") for i in visiting_sequence)
         if len(visiting_sequence) < 2:
             raise ValueError("visiting sequence needs at least 2 entries")
         for i in visiting_sequence:
@@ -555,12 +563,10 @@ def path_to_doc(path: IdealPath) -> dict:
 def path_from_doc(doc: dict) -> IdealPath:
     try:
         return IdealPath(
-            waypoints=np.asarray(doc["waypoints"], dtype=float),
-            visiting_sequence=tuple(
-                json_int(i, "visiting_sequence") for i in doc["visiting_sequence"]
-            ),
+            waypoints=json_floats(doc["waypoints"], "waypoints"),
+            visiting_sequence=doc["visiting_sequence"],
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad ideal path document: {exc}") from None
 
 
@@ -570,3 +576,53 @@ def save_path(path_obj: IdealPath, path) -> None:
 
 def load_path(path) -> IdealPath:
     return path_from_doc(read_json(path))
+
+
+class TipCalibration:
+    """The fiducial-to-tip transform with calibration diagnostics."""
+
+    def __init__(
+        self,
+        transform: Pose,
+        position_residual_rms: float,
+        orientation_residual_rms: float,
+        filtered_outliers: int,
+    ):
+        if position_residual_rms < 0.0 or orientation_residual_rms < 0.0:
+            raise ValueError("residuals must be non-negative")
+        if filtered_outliers < 0:
+            raise ValueError("filtered_outliers must be non-negative")
+        self.transform = transform
+        self.position_residual_rms = position_residual_rms
+        self.orientation_residual_rms = orientation_residual_rms
+        self.filtered_outliers = filtered_outliers
+
+
+def calibration_to_doc(calib: TipCalibration) -> dict:
+    return {
+        "translation": calib.transform.translation.tolist(),
+        "rotation_quat": calib.transform.rotation.tolist(),
+        "position_residual_rms": calib.position_residual_rms,
+        "orientation_residual_rms": calib.orientation_residual_rms,
+        "filtered_outliers": calib.filtered_outliers,
+    }
+
+
+def calibration_from_doc(doc: dict) -> TipCalibration:
+    try:
+        translation = json_floats(doc["translation"], "translation")
+        return TipCalibration(
+            Pose(quat_from_json(doc["rotation_quat"], "rotation_quat"), translation),
+            *[json_float(doc[k], k) for k in ("position_residual_rms", "orientation_residual_rms")],
+            json_int(doc["filtered_outliers"], "filtered_outliers"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad calibration document: {exc}") from None
+
+
+def save_calibration(calib: TipCalibration, path) -> None:
+    write_json(path, calibration_to_doc(calib))
+
+
+def load_calibration(path) -> TipCalibration:
+    return calibration_from_doc(read_json(path))

@@ -8,8 +8,8 @@ doubles), and NaN becomes ``null``.
 Every output file is opened by :func:`open_output` (UTF-8, ``\\n``
 endings) and every JSON file read by :func:`read_json`, which raises
 :class:`~styluskit.errors.FormatError` naming the file when its text is
-not UTF-8 or not valid JSON (``OSError`` when it cannot be read).  A
-count, seed or path index in a JSON input is read by :func:`json_int`.
+not UTF-8 or not valid JSON (``OSError`` when it cannot be read).  Only a
+JSON number passes :func:`json_float`, :func:`json_floats` or :func:`json_int`.
 """
 
 from __future__ import annotations
@@ -110,13 +110,33 @@ def read_json(path):
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
+def json_float(value, name: str) -> float:
+    """A number field of a JSON document (``NaN`` too) as a float; ``ValueError``
+    naming the field for a string, bool or null, or an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer too large for a float") from None
+
+
+def json_floats(value, name: str) -> np.ndarray:
+    """A list of numbers at any depth as a float array of its shape, each
+    scalar read by :func:`json_float`; a ragged list raises ``ValueError``."""
+    for item in np.array(value, dtype=object).flat:
+        if not isinstance(item, list):  # a ragged list: the float array raises
+            json_float(item, name)
+    return np.array(value, dtype=float)
+
+
 def json_int(value, name: str) -> int:
     """An integer field of a JSON document: a number with an integral
     value, so ``3`` and ``3.0`` both read as 3.  Raises ``ValueError``
     naming the field for anything else, ``2.7``, ``true`` and ``"3"``
     included, where ``int()`` would truncate or convert them."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)  # numpy integers too, as in-library ``IdealPath`` indices
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")

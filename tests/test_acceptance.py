@@ -11,14 +11,7 @@ import numpy as np
 from oracles import pairwise_objective, quat_angle
 from scipy.optimize import minimize
 
-from styluskit.calib import (
-    calibrate_orientation,
-    calibrate_position,
-    calibration_from_doc,
-    calibration_to_doc,
-    load_calibration,
-    save_calibration,
-)
+from styluskit.calib import calibrate_orientation, calibrate_position
 from styluskit.cli import main
 from styluskit.evaluation import (
     IdealPath,
@@ -39,7 +32,11 @@ from styluskit.geometry import (
 from styluskit.ingest import (
     DemonstrationTrace,
     ForceRecording,
+    calibration_from_doc,
+    calibration_to_doc,
+    load_calibration,
     parse_pose_csv,
+    save_calibration,
     write_pose_csv,
 )
 from styluskit.jsonio import write_json

@@ -13,11 +13,7 @@ from styluskit.calib import (
     assemble_calibration,
     calibrate_orientation,
     calibrate_position,
-    calibration_from_doc,
-    calibration_to_doc,
     filter_outliers,
-    load_calibration,
-    save_calibration,
 )
 from styluskit.errors import (
     AllOutliers,
@@ -35,6 +31,12 @@ from styluskit.geometry import (
     quat_from_axis_angle,
     quat_rotate,
     transform_point,
+)
+from styluskit.ingest import (
+    calibration_from_doc,
+    calibration_to_doc,
+    load_calibration,
+    save_calibration,
 )
 from styluskit.synth import SynthConfig, gen_orientation_dataset, gen_position_dataset
 

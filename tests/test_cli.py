@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -1305,3 +1307,161 @@ class TestJsonCounts:
         TestFilterFlagErrors.assert_one_line_error(
             code, out, err, "visiting_sequence must be an integer"
         )
+
+
+class TestJsonNumbers:
+    """Every number field of a JSON input takes a JSON number only.  A
+    string, a bool or null in its place exits 2 with one error line naming
+    the field; ``float()`` used to read ``"0.1"`` and ``true`` as numbers
+    and exit 0.  Each edited value below is one the command would run on
+    as a number, so only its JSON type is wrong."""
+
+    @staticmethod
+    def command(d, doc: str, path) -> list[str]:
+        """The command that reads ``path`` in place of ``d / doc``."""
+        trace, tip = d / "demo" / "trace.csv", d / "tip.json"
+        argv = {
+            "calibration.json": ["snapshot", d / "pos" / "poses.csv", d / "events.txt",
+                                 "--calibration", path],
+            "tip.json": ["calibrate-orientation", d / "manifest.json", "--position", path],
+            "manifest.json": ["calibrate-orientation", path, "--position", tip],
+            "frame.json": ["evaluate", trace, "--frame", path, "--path", d / "path.json"],
+            "path.json": ["evaluate", trace, "--frame", d / "frame.json", "--path", path],
+            "waypoints.json": ["identify-frame", path],
+        }.get(doc, ["simulate", path, "--out-dir", path.parent / f"{path.stem}_out"])
+        return [str(a) for a in argv]
+
+    # (document, where the value sits in it, the field its error names)
+    FIELDS = [
+        ("calibration.json", ["translation", 0], "translation"),
+        ("calibration.json", ["rotation_quat", 3], "rotation_quat"),
+        ("calibration.json", ["position_residual_rms"], "position_residual_rms"),
+        ("calibration.json", ["orientation_residual_rms"], "orientation_residual_rms"),
+        ("tip.json", ["translation", 0], "translation"),
+        ("tip.json", ["position_residual_rms"], "position_residual_rms"),
+        ("manifest.json", ["holes", 0, "reference_axis", 2], "hole 0: reference_axis"),
+        ("frame.json", ["translation", 2], "translation"),
+        ("frame.json", ["rotation_quat", 3], "rotation_quat"),
+        ("frame.json", ["probe_points", 0, 0], "probe_points"),
+        ("path.json", ["waypoints", 2, 0], "waypoints"),
+        ("waypoints.json", ["waypoints", 1, "t"], "t must be"),
+        ("waypoints.json", ["waypoints", 0, "position", 2], "position"),
+        ("waypoints.json", ["waypoints", 1, "orientation_quat", 3], "orientation_quat"),
+        ("sim_position.json", ["true_translation", 0], "true_translation"),
+        ("sim_position.json", ["true_rotation_ypr_deg", 0], "true_rotation_ypr_deg"),
+        ("sim_position.json", ["pivot_point", 0], "pivot_point"),
+        ("sim_position.json", ["rotation_span_deg"], "rotation_span_deg"),
+        ("sim_position.json", ["position_noise_std"], "position_noise_std"),
+        ("sim_position.json", ["orientation_noise_std_deg"], "orientation_noise_std_deg"),
+        ("sim_position.json", ["outlier_rate"], "outlier_rate"),
+        ("sim_position.json", ["outlier_magnitude"], "outlier_magnitude"),
+        ("sim_orientation.json", ["true_translation", 2], "true_translation"),
+        ("sim_orientation.json", ["true_rotation_ypr_deg", 1], "true_rotation_ypr_deg"),
+        ("sim_orientation.json", ["hole_axes", 1, 0], "hole_axes"),
+        ("sim_orientation.json", ["position_noise_std"], "position_noise_std"),
+        ("sim_sine.json", ["lateral_noise_std"], "lateral_noise_std"),
+        ("sim_sine.json", ["speed"], "speed"),
+        ("sim_sine.json", ["sample_rate"], "sample_rate"),
+        ("sim_sine.json", ["path", "waypoints", 2, 1], "waypoints"),
+        ("sim_sine.json", ["force_profile", "frequency_hz"], "frequency_hz"),
+        ("sim_sine.json", ["force_profile", "amplitude"], "amplitude"),
+        ("sim_sine.json", ["force_profile", "offset"], "offset"),
+        ("sim_constant.json", ["force_profile", "value"], "value"),
+    ]
+    CASES = [
+        pytest.param(doc, keys, name, value, id=f"{doc[:-5]}-{'.'.join(map(str, keys))}-{value}")
+        for doc, keys, name in FIELDS
+        for value in ("0.1", True, None)
+        # An outlier rate of 1 is out of range whatever its JSON type.
+        if (keys, value) != (["outlier_rate"], True)
+    ]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """One valid document of each kind, and the files the commands read."""
+        d = tmp_path_factory.mktemp("json_numbers")
+
+        def simulate(name, doc):
+            write_json(d / name, doc)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", str(d / name), "--out-dir", str(d / name[:-5])]) == 0
+
+        path = {"waypoints": [[0.0, 0.0], [0.1, 0.0], [0.5, 0.5]], "visiting_sequence": [0, 1]}
+        simulate("sim_position.json", {
+            "kind": "position", "seed": 3, "sample_count": 200,
+            "true_translation": [0.0, 0.0, -0.12], "true_rotation_ypr_deg": [0.0, 0.0, 0.0],
+            "pivot_point": [0.0, 0.0, 0.0], "rotation_span_deg": 120.0,
+            "position_noise_std": 0.0, "orientation_noise_std_deg": 0.0,
+            "outlier_rate": 0.0, "outlier_magnitude": 0.1,
+        })
+        simulate("sim_orientation.json", {
+            **ORIENTATION_CONFIG, "true_rotation_ypr_deg": [0.0, 0.0, 0.0],
+            "position_noise_std": 0.0,
+        })
+        simulate("sim_sine.json", {
+            "kind": "demonstration", "seed": 5, "path": path, "lateral_noise_std": 0.0,
+            "speed": 0.05, "sample_rate": 200.0,
+            "force_profile": {"kind": "sine", "frequency_hz": 5.0, "amplitude": 1.0, "offset": 2.0},
+        })
+        simulate("sim_constant.json", {**DEMO_CONFIG, "force_profile": {"value": 2.0}})
+        (d / "pos").symlink_to(d / "sim_position")
+        (d / "demo").symlink_to(d / "sim_sine")
+        with contextlib.redirect_stdout(io.StringIO()):
+            argv = ["calibrate-position", d / "pos" / "poses.csv", "-o", d / "tip.json"]
+            assert main([str(a) for a in argv]) == 0
+        manifest = json.loads((d / "sim_orientation" / "manifest.json").read_text())
+        for hole in manifest["holes"]:
+            hole["recording"] = str(d / "sim_orientation" / hole["recording"])
+        write_json(d / "manifest.json", manifest)
+        write_json(d / "calibration.json", {
+            "translation": [0.0, 0.0, -0.12], "rotation_quat": [0.0, 0.0, 0.0, 1.0],
+            "position_residual_rms": 0.0, "orientation_residual_rms": 0.0, "filtered_outliers": 0,
+        })
+        (d / "events.txt").write_text("EVT 0.10 BTN 1\n")
+        write_json(d / "frame.json", IDENTITY_FRAME)
+        write_json(d / "path.json", path)
+        write_json(d / "waypoints.json", {"waypoints": [
+            {"t": t, "position": p, "orientation_quat": [0.0, 0.0, 0.0, 1.0]}
+            for t, p in zip([0.0, 0.5, 2.0], IDENTITY_FRAME["probe_points"])
+        ]})
+        return d
+
+    @pytest.mark.parametrize("doc, keys, name, value", CASES)
+    def test_non_number_exit_2(self, inputs, tmp_path, capsys, doc, keys, name, value):
+        edited = json.loads((inputs / doc).read_text())
+        target = edited
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        bad = tmp_path / doc
+        bad.write_text(json.dumps(edited))
+        code, out, err = run(capsys, *self.command(inputs, doc, bad))
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, name)
+
+    @pytest.mark.parametrize("doc", ["calibration.json", "tip.json", "manifest.json", "frame.json",
+                                     "path.json", "waypoints.json", "sim_position.json"])
+    def test_the_documents_are_valid(self, inputs, capsys, doc):
+        code, _, err = run(capsys, *self.command(inputs, doc, inputs / doc))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("value", ['"1"', "true"])
+    def test_json_lines_pose_row(self, value):
+        from styluskit.errors import FormatError
+        from styluskit.ingest import parse_pose_csv
+
+        rows = [
+            '{"t": 0.0, "x": 0, "y": 0, "z": 0, "qx": 0, "qy": 0, "qz": 0, "qw": 1}',
+            f'{{"t": {value}, "x": 0, "y": 0, "z": 0, "qx": 0, "qy": 0, "qz": 0, "qw": 1}}',
+        ]
+        with pytest.raises(FormatError, match="bad JSON-lines pose record") as excinfo:
+            parse_pose_csv(io.StringIO("\n".join(rows) + "\n"))
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("value", [-1e-4, -1e308])
+    def test_negative_position_residual_rms_exit_2(self, inputs, tmp_path, capsys, value):
+        doc = json.loads((inputs / "tip.json").read_text())
+        doc["position_residual_rms"] = value
+        bad = tmp_path / "tip.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *self.command(inputs, "tip.json", bad))
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "position_residual_rms")

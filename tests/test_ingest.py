@@ -295,3 +295,13 @@ class TestWaypointDocuments:
 
     def test_empty_list(self):
         assert len(waypoint_list_from_doc({"waypoints": []})) == 0
+
+
+def test_ideal_path_takes_numpy_integer_indices():
+    """In-library, a visiting sequence of numpy integers reads as Python ints,
+    as it did before the indices went through ``jsonio.json_int``."""
+    from styluskit.ingest import IdealPath
+
+    path = IdealPath([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]], np.arange(3))
+    assert path.visiting_sequence == (0, 1, 2)
+    assert all(type(i) is int for i in path.visiting_sequence)

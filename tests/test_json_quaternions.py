@@ -13,12 +13,11 @@ import warnings
 
 import pytest
 
-from styluskit.calib import calibration_from_doc
 from styluskit.cli import main
 from styluskit.errors import FormatError, ZeroVector
 from styluskit.framing import frame_from_doc
-from styluskit.geometry import MAX_QUAT_NORM2, quat_from_json
-from styluskit.ingest import waypoint_list_from_doc
+from styluskit.geometry import MAX_QUAT_NORM2
+from styluskit.ingest import calibration_from_doc, quat_from_json, waypoint_list_from_doc
 
 OVERFLOWING = [1e200, 0.0, 0.0, 1.0]
 CALIBRATION = {

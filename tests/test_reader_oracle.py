@@ -58,6 +58,16 @@ def _parse_float(text: str, line: int, what: str) -> float:
         raise FormatError(f"cannot parse {what} from {text!r}", line) from None
 
 
+def _json_number(value) -> float:
+    """A JSON-lines field: a JSON number, never a string, a bool or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a JSON number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value} is too large for a float") from None
+
+
 def _chain_first(first, rest):
     yield first
     yield from rest
@@ -89,7 +99,7 @@ def oracle_parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> Pos
         if jsonl:
             try:
                 doc = json.loads(text)
-                values = [float(doc[k]) for k in ("t", "x", "y", "z", "qx", "qy", "qz", "qw")]
+                values = [_json_number(doc[k]) for k in ("t", "x", "y", "z", "qx", "qy", "qz", "qw")]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 raise FormatError("bad JSON-lines pose record", number) from None
         else:
@@ -188,7 +198,7 @@ def oracle_read_rows(stream: Iterable[str], header: str, kind: str, jsonl: bool 
         if jsonl:
             try:
                 doc = json.loads(text)
-                values = [float(doc[k]) for k in names]
+                values = [_json_number(doc[k]) for k in names]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 raise FormatError(f"bad JSON-lines {kind} record", number) from None
         else:

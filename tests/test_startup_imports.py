@@ -121,7 +121,7 @@ COMMANDS = {
     ),
     "snapshot": (
         ["snapshot", "pos/poses.csv", "events.txt", "--calibration", "calibration.json"],
-        CALIBRATE,
+        CORE,
     ),
     "identify-frame": (["identify-frame", "waypoints.json"], IDENTIFY),
     "evaluate": (EVALUATE_ARGV, EVALUATE),
