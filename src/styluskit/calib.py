@@ -64,7 +64,7 @@ from .geometry import (
     Frozen,
     OrientationDataset,
     Pose,
-    PositionDataset,
+    PoseRows,
     quat_from_axis_angle,
     quat_multiply,
     quat_normalize,
@@ -511,7 +511,7 @@ def _residual_squares(rotations, translations, offset, pivot) -> np.ndarray:
 
 
 def calibrate_position(
-    ds: PositionDataset,
+    ds: PoseRows,
     params: FilterParams | None = FilterParams(),
     min_rotation: float = DEFAULT_MIN_ROTATION,
 ) -> PositionCalibration:

@@ -10,17 +10,17 @@ prints as one ``warning: <message>`` line on stderr.  Every output is
 deterministic: identical inputs and flags produce byte-identical files,
 and no report ever contains wall-clock time.
 
-Start-up loads only what a command uses.  At module scope this file
-imports the standard library and ``errors`` alone, so ``--help`` and
-usage errors never load numpy; each handler imports its own modules when
-it runs.  ``dumps_canonical`` and the other ``jsonio`` writers stay
-readable as attributes of this module, forwarded to ``jsonio`` on use.
+A handler checks its flags, calls a loader of ``ingest``, ``framing`` or
+``synth`` per input file, runs the solver or generator, and writes.  At
+module scope this file imports the standard library and ``errors`` alone,
+so ``--help`` and usage errors never load numpy.  ``dumps_canonical`` and
+the other ``jsonio`` writers stay readable as attributes of this module,
+forwarded to ``jsonio`` on use.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -30,8 +30,7 @@ from .errors import FormatError, InputError, StylusKitError
 
 TYPE_CHECKING = False  # read as True by type checkers; spares importing typing
 if TYPE_CHECKING:
-    from . import calib, ingest, synth
-    from .geometry import Pose
+    from . import calib
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -134,9 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    from .jsonio import write_text
+def _emit(doc, output: str | None = None) -> None:
+    """Print ``doc`` as canonical JSON, and also write it to ``output`` if given."""
+    from .jsonio import dumps_canonical, write_text
 
+    text = dumps_canonical(doc)
     print(text)
     if output:
         write_text(output, text)
@@ -162,18 +163,14 @@ def _check_flag(flag: str, value: float, positive: bool = True) -> None:
 
 def _cmd_calibrate_position(args) -> int:
     from . import calib, ingest
-    from .geometry import PositionDataset
-    from .jsonio import dumps_canonical
 
     _check_flag("--min-rotation-deg", args.min_rotation_deg, positive=False)
     params = None
     if not args.no_filter:
         params = _filter_params(args.radius, args.min_neighbors, "--radius", "--min-neighbors")
-    with open(args.pose_csv, "r", encoding="utf-8") as f:
-        recording = ingest.parse_pose_csv(f)
-    dataset = PositionDataset(q=recording.q, p=recording.p)
+    recording = ingest.load_pose_csv(args.pose_csv)
     result = calib.calibrate_position(
-        dataset, params, min_rotation=math.radians(args.min_rotation_deg)
+        recording, params, min_rotation=math.radians(args.min_rotation_deg)
     )
     doc = {
         "config": {
@@ -188,74 +185,26 @@ def _cmd_calibrate_position(args) -> int:
         "position_residual_rms": result.residual_rms,
         "filtered_outliers": result.removed_outliers,
     }
-    _emit(dumps_canonical(doc), args.output)
+    _emit(doc, args.output)
     return EXIT_OK
 
 
 def _cmd_calibrate_orientation(args) -> int:
     from . import calib, ingest
-    from .geometry import HoleRecording, OrientationDataset, vec3
-    from .jsonio import dumps_canonical, json_float, json_floats, json_int, read_json
 
     axis_filter = _filter_params(
         args.axis_radius, args.axis_min_neighbors, "--axis-radius", "--axis-min-neighbors"
     )
     if not math.isfinite(args.initial_roll_deg):
         raise InputError(f"--initial-roll-deg {args.initial_roll_deg}: must be finite")
-    manifest = read_json(args.manifest)
-    try:
-        hole_entries = list(manifest["holes"])
-    except (KeyError, TypeError):
-        raise FormatError(f"{args.manifest}: manifest needs a 'holes' list") from None
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    holes = []
-    for i, entry in enumerate(hole_entries):
-        try:
-            axis = entry["reference_axis"]
-            recording_path = str(entry["recording"])
-        except (KeyError, TypeError):
-            raise FormatError(
-                f"{args.manifest}: each hole needs 'reference_axis' and 'recording'"
-            ) from None
-        if not os.path.isabs(recording_path):
-            recording_path = os.path.join(base, recording_path)
-        with open(recording_path, "r", encoding="utf-8") as f:
-            recording = ingest.parse_pose_csv(f)
-        try:
-            axis = json_floats(axis, "reference_axis")
-            holes.append(HoleRecording(axis, q=recording.q, p=recording.p))
-        except ValueError as exc:
-            raise FormatError(f"{args.manifest}: hole {i}: {exc}") from None
-    try:
-        dataset = OrientationDataset(holes=holes)
-    except ValueError as exc:
-        raise FormatError(f"{args.manifest}: {exc}") from None
-
-    position_doc = read_json(args.position)
-    try:
-        translation = vec3(json_floats(position_doc["translation"], "translation"))
-        position_rms = json_float(position_doc["position_residual_rms"], "position_residual_rms")
-        position_removed = json_int(position_doc.get("filtered_outliers", 0), "filtered_outliers")
-    except (KeyError, TypeError):
-        raise FormatError(
-            f"{args.position}: expected the JSON written by calibrate-position"
-        ) from None
-    except ValueError as exc:
-        raise FormatError(f"{args.position}: {exc}") from None
-    if not (all(map(math.isfinite, translation.tolist())) and 0.0 <= position_rms < math.inf):
-        raise FormatError(
-            f"{args.position}: translation must be finite, position_residual_rms finite and >= 0"
-        )
-    if position_removed < 0:
-        raise FormatError(f"{args.position}: filtered_outliers must not be negative")
-
+    dataset = ingest.load_manifest(args.manifest)
+    translation, position_rms, position_removed = ingest.load_position(args.position)
     orientation = calib.calibrate_orientation(
         dataset,
         translation,
         axis_filter=axis_filter,
         initial_roll=math.radians(args.initial_roll_deg),
     )
-
     calibration = calib.assemble_calibration(
         translation,
         orientation.rotation,
@@ -263,13 +212,12 @@ def _cmd_calibrate_orientation(args) -> int:
         orientation.residual_rms,
         position_removed + orientation.removed_outliers,
     )
-    _emit(dumps_canonical(ingest.calibration_to_doc(calibration)), args.output)
+    _emit(ingest.calibration_to_doc(calibration), args.output)
     return EXIT_OK
 
 
 def _cmd_identify_frame(args) -> int:
     from . import framing, ingest
-    from .jsonio import dumps_canonical
 
     waypoint_list = ingest.load_waypoint_list(args.waypoints)
     if len(waypoint_list) < 3:
@@ -278,34 +226,12 @@ def _cmd_identify_frame(args) -> int:
         )
     p1, p2, p3 = waypoint_list.waypoints.position[:3]
     frame = framing.identify_frame(p1, p2, p3, label=args.label)
-    _emit(dumps_canonical(framing.frame_to_doc(frame)), args.output)
+    _emit(framing.frame_to_doc(frame), args.output)
     return EXIT_OK
-
-
-def _sniff_trace(path: str) -> ingest.DemonstrationTrace:
-    """Parse a demo CSV or a pose CSV, told apart by the first non-blank line.
-
-    The head is read through ``ingest._lines`` for its UTF-8 check.
-    """
-    from . import ingest
-    from .geometry import TipTrack
-
-    with open(path, "r", encoding="utf-8") as f:
-        head = []
-        for _, text in ingest._lines(f):
-            head.append(text)
-            if text.strip():
-                break
-        lines = itertools.chain(head, f)
-        if head and head[-1].strip() == ingest.DEMO_CSV_HEADER:
-            return ingest.parse_demo_csv(lines)
-        recording = ingest.parse_pose_csv(lines)
-        return ingest.DemonstrationTrace(TipTrack(recording.t, recording.p, recording.q))
 
 
 def _cmd_evaluate(args) -> int:
     from . import evaluation, framing, ingest
-    from .jsonio import dumps_canonical
 
     most = evaluation.MAX_TARGETS_PER_SEGMENT
     if not 2 <= args.n <= most:
@@ -318,12 +244,10 @@ def _cmd_evaluate(args) -> int:
     path = ingest.load_path(args.path)
     traces = []
     for trace_path in sorted(args.traces):
-        trace = _sniff_trace(trace_path)
+        trace = ingest.load_trace(trace_path)
         if not args.in_frame:
             points = framing.to_frame(frame, trace.points)
-            trace = ingest.DemonstrationTrace(
-                points=points, forces=trace.forces, source=trace.source
-            )
+            trace = ingest.DemonstrationTrace(points, trace.forces, trace.source)
         traces.append(trace)
 
     config = {
@@ -358,78 +282,17 @@ def _cmd_evaluate(args) -> int:
         "spectra": [s.count_above for s in report.spectra],
         "files": written,
     }
-    print(dumps_canonical(summary))
+    _emit(summary)
     return EXIT_OK
 
 
-def _config_floats(doc: dict, **defaults: float) -> dict:
-    """The config's number fields named in ``defaults``, read by ``json_float`` or defaulted."""
-    from .jsonio import json_float
-
-    return {name: json_float(doc.get(name, value), name) for name, value in defaults.items()}
-
-
-def _pose_from_config(doc: dict) -> Pose:
-    from .geometry import EulerAngles, Pose, euler_to_rotation, vec3
-    from .jsonio import json_floats
-
-    translation = json_floats(doc.get("true_translation", [0.0] * 3), "true_translation")
-    ypr = vec3(json_floats(doc.get("true_rotation_ypr_deg", [0.0] * 3), "true_rotation_ypr_deg"))
-    return Pose(euler_to_rotation(EulerAngles(*map(math.radians, ypr.tolist()))), translation)
-
-
-def _synth_config(doc: dict) -> synth.SynthConfig:
-    from . import synth
-    from .jsonio import json_floats, json_int
-
-    try:
-        degrees = _config_floats(doc, rotation_span_deg=120.0, orientation_noise_std_deg=0.0)
-        return synth.SynthConfig(
-            true_calibration=_pose_from_config(doc),
-            pivot_point=json_floats(doc.get("pivot_point", [0.0] * 3), "pivot_point"),
-            sample_count=json_int(doc.get("sample_count", 200), "sample_count"),
-            rotation_span=math.radians(degrees["rotation_span_deg"]),
-            orientation_noise_std=math.radians(degrees["orientation_noise_std_deg"]),
-            seed=json_int(doc.get("seed", 0), "seed"),
-            **_config_floats(doc, position_noise_std=0.0, outlier_rate=0.0, outlier_magnitude=0.1),
-        )
-    except (ValueError, OverflowError) as exc:
-        raise FormatError(f"bad synthesis config: {exc}") from None
-
-
-def _config_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise FormatError(f"{what} must be a JSON object")
-    return value
-
-
-def _force_profile(doc):
-    from . import synth
-
-    kind = _config_object(doc, "force_profile").get("kind", "constant")
-    if kind == "constant":
-        return synth.ConstantForce(**_config_floats(doc, value=1.0))
-    if kind == "sine":
-        return synth.SineForce(**_config_floats(doc, frequency_hz=1.0, amplitude=1.0, offset=0.0))
-    raise FormatError(f"unknown force profile kind {kind!r}")
-
-
-def _recording(dataset) -> ingest.PoseRecording:
-    """The poses of a synthetic dataset as a recording sampled at 100 Hz."""
+def _cmd_simulate(args) -> int:
     import numpy as np
 
-    from . import ingest
-
-    return ingest.PoseRecording(
-        "world", t=np.arange(len(dataset)) / 100.0, q=dataset.q, p=dataset.p
-    )
-
-
-def _cmd_simulate(args) -> int:
     from . import ingest, synth
-    from .jsonio import dumps_canonical, json_floats, json_int, open_output, read_json, write_json
+    from .jsonio import open_output, write_json
 
-    doc = _config_object(read_json(args.config), f"{args.config}: synthesis config")
+    doc = synth.load_config(args.config)
     kind = doc.get("kind")
     os.makedirs(args.out_dir, exist_ok=True)
     written: list[str] = []
@@ -438,95 +301,66 @@ def _cmd_simulate(args) -> int:
         written.append(name)
         return os.path.join(args.out_dir, name)
 
+    def _write_poses(name: str, rows) -> None:
+        """The poses of a synthetic dataset as a pose CSV sampled at 100 Hz."""
+        t = np.arange(len(rows)) / 100.0
+        with open_output(_path(name)) as f:
+            ingest.write_pose_csv(ingest.PoseRecording("world", t=t, q=rows.q, p=rows.p), f)
+
     if kind == "position":
-        cfg = _synth_config(doc)
-        try:
+        cfg = synth.synth_config_from_doc(doc)
+        with synth.config_errors("synthesis"):
             dataset, truth = synth.gen_position_dataset(cfg)
-        except ValueError as exc:
-            raise FormatError(f"bad synthesis config: {exc}") from None
-        with open_output(_path("poses.csv")) as f:
-            ingest.write_pose_csv(_recording(dataset), f)
-        write_json(
-            _path("truth.json"),
-            {
-                "config": doc,
-                "tip_offset": truth.tip_offset.tolist(),
-                "pivot_point": truth.pivot_point.tolist(),
-                "outlier_indices": truth.outlier_indices.tolist(),
-                "outlier_count": int(truth.outlier_indices.size),
-            },
-        )
+        _write_poses("poses.csv", dataset)
+        truth_doc = {
+            "tip_offset": truth.tip_offset.tolist(),
+            "pivot_point": truth.pivot_point.tolist(),
+            "outlier_indices": truth.outlier_indices.tolist(),
+            "outlier_count": int(truth.outlier_indices.size),
+        }
     elif kind == "orientation":
-        cfg = _synth_config(doc)
-        axes = doc.get("hole_axes")
-        if not axes:
-            raise FormatError("orientation config needs 'hole_axes'")
-        try:
-            poses_per_hole = json_int(doc.get("poses_per_hole", 50), "poses_per_hole")
-            axes = json_floats(axes, "hole_axes")
+        cfg, axes, poses_per_hole = synth.orientation_config_from_doc(doc)
+        with synth.config_errors("synthesis"):
             dataset, truth = synth.gen_orientation_dataset(cfg, axes, poses_per_hole)
-        except (ValueError, OverflowError) as exc:
-            raise FormatError(f"bad synthesis config: {exc}") from None
         manifest = {"holes": []}
         for i, hole in enumerate(dataset.holes):
             name = f"hole_{i:02d}.csv"
-            with open_output(_path(name)) as f:
-                ingest.write_pose_csv(_recording(hole), f)
+            _write_poses(name, hole)
             manifest["holes"].append(
                 {"reference_axis": hole.reference_axis.tolist(), "recording": name}
             )
         write_json(_path("manifest.json"), manifest)
-        write_json(
-            _path("truth.json"),
-            {
-                "config": doc,
-                "rotation_quat": truth.rotation.tolist(),
-                "hole_axes": truth.hole_axes.tolist(),
-            },
-        )
+        truth_doc = {
+            "rotation_quat": truth.rotation.tolist(), "hole_axes": truth.hole_axes.tolist()
+        }
     elif kind == "demonstration":
-        try:
-            path = ingest.path_from_doc(doc["path"])
-        except KeyError:
-            raise FormatError("demonstration config needs 'path'") from None
-        try:
-            trace = synth.gen_demonstration(
-                path,
-                **_config_floats(doc, lateral_noise_std=0.0, speed=0.05, sample_rate=200.0),
-                force_profile=_force_profile(doc.get("force_profile", {})),
-                seed=json_int(doc.get("seed", 0), "seed"),
-            )
-        except ValueError as exc:
-            raise FormatError(f"bad demonstration config: {exc}") from None
+        path, params = synth.demonstration_from_doc(doc)
+        with synth.config_errors("demonstration"):
+            trace = synth.gen_demonstration(path, **params)
         with open_output(_path("trace.csv")) as f:
             ingest.write_demo_csv(trace, f)
         ingest.save_path(path, _path("path.json"))
-        write_json(
-            _path("truth.json"),
-            {"config": doc, "sample_count": len(trace)},
-        )
+        truth_doc = {"sample_count": len(trace)}
     else:
         raise FormatError(f"unknown simulation kind {kind!r}")
+    write_json(_path("truth.json"), {"config": doc, **truth_doc})
 
-    print(dumps_canonical({"out_dir": args.out_dir, "files": written}))
+    _emit({"out_dir": args.out_dir, "files": written})
     return EXIT_OK
 
 
 def _cmd_snapshot(args) -> int:
     from . import ingest
-    from .jsonio import dumps_canonical
 
     _check_flag("--guard", args.guard, positive=False)
-    with open(args.pose_csv, "r", encoding="utf-8") as f:
-        recording = ingest.parse_pose_csv(f)
+    recording = ingest.load_pose_csv(args.pose_csv)
     calibration = ingest.load_calibration(args.calibration)
     tips = ingest.apply_calibration(recording, calibration)
-    with open(args.events, "r", encoding="utf-8") as f:
-        events, skipped = ingest.parse_pen_events(f)
+    events, skipped = ingest.load_pen_events(args.events)
     if skipped:
         print(f"warning: skipped {skipped} unrecognized event lines", file=sys.stderr)
     waypoints = ingest.snapshot_waypoints(tips, events, guard=args.guard)
-    _emit(dumps_canonical(ingest.waypoint_list_to_doc(waypoints)), args.output)
+    _emit(ingest.waypoint_list_to_doc(waypoints), args.output)
     return EXIT_OK
 
 

@@ -362,7 +362,8 @@ class HoleRecording(PoseRows):
     def __init__(self, reference_axis, poses: list[Pose] | None = None, *, q=None, p=None):
         super().__init__(poses, q=q, p=p)
         axis = vec3(reference_axis)
-        n = np.linalg.norm(axis)
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            n = np.linalg.norm(axis)
         if not (math.isfinite(n) and n >= 1e-12):
             raise ValueError("hole reference axis must be finite and nonzero")
         self.reference_axis = axis / n

@@ -1,4 +1,4 @@
-"""Recording parsers, waypoint snapshots, and the path and calibration documents.
+"""Recording parsers, waypoint snapshots, and the loaders of the commands' input files.
 
 File formats (UTF-8, ``\\n`` line endings, ``.`` decimal separator):
 
@@ -9,10 +9,14 @@ File formats (UTF-8, ``\\n`` line endings, ``.`` decimal separator):
 - pen events, one per line: ``EVT <t> BTN 1`` (press), ``EVT <t> BTN 0``
   (release), ``EVT <t> PWR 1`` (power-on).  Unknown lines are skipped and
   counted.
-- ideal path JSON (an :class:`IdealPath`) and calibration JSON (a
-  :class:`TipCalibration`), defined here with the other formats so that
-  ``simulate`` writes a path without ``evaluation`` and ``snapshot`` reads
-  a calibration without ``calib``.
+- JSON: the hole manifest, the position file of ``calibrate-position``,
+  the waypoint list, the ideal path (:class:`IdealPath`) and the
+  calibration (:class:`TipCalibration`); the last two are defined here so
+  that ``simulate`` and ``snapshot`` load neither ``evaluation`` nor ``calib``.
+
+The commands read each of these files by its ``load_*`` function here;
+only the frame (``framing``) and the simulate configs (``synth``) are
+read elsewhere.
 
 One reader serves both CSV formats: the header is the first non-blank
 line, blank lines are skipped, and rows with a non-finite value are
@@ -25,17 +29,12 @@ that fails, or a row would be dropped or raise, is it read again one row
 at a time, so the errors, their lines and order, and the warning are
 those of reading row by row.  JSON-lines records are always read that way.
 
-Recordings are columnar.  A parser reads its rows into one array and
-slices out the columns: a :class:`PoseRecording`
-holds ``t`` (N,) and the ``q`` (N, 4) and ``p`` (N, 3) of
-:class:`~styluskit.geometry.PoseRows`, a :class:`DemonstrationTrace` a
-:class:`~styluskit.geometry.TipTrack` of ``t``, ``position`` and
-``orientation`` plus ``forces`` (N,), and a :class:`WaypointList` a
-:class:`~styluskit.geometry.TipTrack` of the captured poses.  Quaternions
-are canonicalised all at once by
-:func:`~styluskit.geometry.quat_normalize_rows`, bit for bit what
-:class:`~styluskit.geometry.Pose` gives per row.  The functions below
-and the writers work on those arrays, with no object per sample.
+Recordings are columnar: a parser reads its rows into one array and slices
+out the columns of a :class:`PoseRecording`, :class:`DemonstrationTrace`
+or :class:`WaypointList` (each class says which), with every quaternion
+canonicalised at once by :func:`~styluskit.geometry.quat_normalize_rows`,
+bit for bit what :class:`~styluskit.geometry.Pose` gives per row.  The
+functions below and the writers work on those arrays, with no object per sample.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ import enum
 import itertools
 import json
 import math
+import os
 import warnings
 from collections.abc import Iterable
 from typing import NamedTuple
@@ -57,6 +57,8 @@ from .errors import (
 )
 from .geometry import (
     MAX_QUAT_NORM2,
+    HoleRecording,
+    OrientationDataset,
     Pose,
     PoseRows,
     TipTrack,
@@ -369,6 +371,27 @@ def parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> Demonstrati
     return DemonstrationTrace(points=track, forces=rows[:, 4].copy(), source=source)
 
 
+def load_pose_csv(path) -> PoseRecording:
+    """The pose CSV (or JSON-lines) file at ``path``, read by :func:`parse_pose_csv`."""
+    with open(path, "r", encoding="utf-8") as f:
+        return parse_pose_csv(f)
+
+
+def load_trace(path) -> DemonstrationTrace:
+    """The demonstration or pose CSV at ``path``, told apart by its first non-blank line."""
+    with open(path, "r", encoding="utf-8") as f:
+        head = []
+        for _, text in _lines(f):
+            head.append(text)
+            if text.strip():
+                break
+        lines = itertools.chain(head, f)
+        if head and head[-1].strip() == DEMO_CSV_HEADER:
+            return parse_demo_csv(lines)
+        recording = parse_pose_csv(lines)
+        return DemonstrationTrace(TipTrack(recording.t, recording.p, recording.q))
+
+
 def _write_rows(stream, header: str | None, columns, lead: str = "") -> None:
     """Write ``header`` (unless None), then one CSV line per row of the
     stacked ``columns``, each line starting with the text ``lead``.
@@ -434,6 +457,12 @@ def parse_pen_events(stream: Iterable[str]) -> tuple[list[PenEvent], int]:
             raise NonMonotonicTime(f"event timestamp {t!r} decreases", number)
         events.append(PenEvent(t, kind))
     return events, skipped
+
+
+def load_pen_events(path) -> tuple[list[PenEvent], int]:
+    """The pen-event file at ``path``, read by :func:`parse_pen_events`."""
+    with open(path, "r", encoding="utf-8") as f:
+        return parse_pen_events(f)
 
 
 def apply_calibration(rec: PoseRecording, calib) -> TipTrack:
@@ -626,3 +655,48 @@ def save_calibration(calib: TipCalibration, path) -> None:
 
 def load_calibration(path) -> TipCalibration:
     return calibration_from_doc(read_json(path))
+
+
+def load_manifest(path) -> OrientationDataset:
+    """The hole manifest at ``path``, whose recording paths are relative to it."""
+    manifest = read_json(path)
+    try:
+        entries = list(manifest["holes"])
+    except (KeyError, TypeError):
+        raise FormatError(f"{path}: manifest needs a 'holes' list") from None
+    base = os.path.dirname(os.path.abspath(path))
+    holes = []
+    for i, entry in enumerate(entries):
+        try:
+            axis = entry["reference_axis"]
+            recording_path = str(entry["recording"])
+        except (KeyError, TypeError):
+            raise FormatError(f"{path}: each hole needs 'reference_axis' and 'recording'") from None
+        recording = load_pose_csv(os.path.join(base, recording_path))
+        try:
+            axis = json_floats(axis, "reference_axis")
+            holes.append(HoleRecording(axis, q=recording.q, p=recording.p))
+        except ValueError as exc:
+            raise FormatError(f"{path}: hole {i}: {exc}") from None
+    try:
+        return OrientationDataset(holes=holes)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def load_position(path) -> tuple[np.ndarray, float, int]:
+    """The translation, residual and count (0 if absent) ``calibrate-position`` wrote."""
+    doc = read_json(path)
+    try:
+        translation = vec3(json_floats(doc["translation"], "translation"))
+        rms = json_float(doc["position_residual_rms"], "position_residual_rms")
+        removed = json_int(doc.get("filtered_outliers", 0), "filtered_outliers")
+        if not (np.isfinite(translation).all() and 0.0 <= rms < math.inf):
+            raise ValueError("translation must be finite, position_residual_rms finite and >= 0")
+        if removed < 0:
+            raise ValueError("filtered_outliers must not be negative")
+    except (KeyError, TypeError):
+        raise FormatError(f"{path}: expected the JSON written by calibrate-position") from None
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return translation, rms, removed

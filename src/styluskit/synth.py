@@ -24,16 +24,19 @@ the same stream).
 
 Sizes are capped at :data:`MAX_SYNTH_SAMPLES` per dataset or
 demonstration, and every config value must be finite; both raise before
-anything is allocated.
+anything is allocated.  A generated sample that is not finite raises too.
+The ``simulate`` configs are read here, beside the records they build, by
+:func:`load_config` and the ``*_from_doc`` readers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import FormatError, InputError
 from .geometry import (
     Frozen,
     HoleRecording,
@@ -47,8 +50,10 @@ from .geometry import (
     quat_normalize_rows,
     quat_rotate,
     rotation_between,
+    vec3,
 )
-from .ingest import DemonstrationTrace, IdealPath
+from .ingest import DemonstrationTrace, IdealPath, path_from_doc
+from .jsonio import json_float, json_floats, json_int, read_json
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
@@ -61,7 +66,9 @@ MAX_SYNTH_SAMPLES = 1_000_000
 
 def _check_size(count, what: str) -> None:
     if not count <= MAX_SYNTH_SAMPLES:
-        raise InputError(f"{count:.17g} {what}: at most {MAX_SYNTH_SAMPLES}")
+        # An int keeps its digits: a JSON count may lie beyond the float range.
+        shown = count if isinstance(count, int) else f"{count:.17g}"
+        raise InputError(f"{shown} {what}: at most {MAX_SYNTH_SAMPLES}")
 
 
 class SynthConfig(Frozen):
@@ -136,6 +143,86 @@ class SineForce(Frozen):
         return self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency_hz * t)
 
 
+class config_errors(contextlib.AbstractContextManager):
+    """A ``ValueError`` in the block becomes ``FormatError("bad {kind} config: ...")``."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if isinstance(exc, ValueError):
+            raise FormatError(f"bad {self.kind} config: {exc}") from None
+
+
+def _config_floats(doc: dict, **defaults: float) -> dict:
+    """The config's number fields named in ``defaults``, read by ``json_float`` or defaulted."""
+    return {name: json_float(doc.get(name, value), name) for name, value in defaults.items()}
+
+
+def load_config(path) -> dict:
+    """The synthesis config at ``path``: a JSON object whose ``kind`` names its generator."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: synthesis config must be a JSON object")
+    return doc
+
+
+def synth_config_from_doc(doc: dict) -> SynthConfig:
+    """The :class:`SynthConfig` of a position or orientation config, the one
+    reader of yaw-pitch-roll angles (``true_rotation_ypr_deg``)."""
+    from .geometry import EulerAngles, euler_to_rotation  # here only: tests/test_euler_guard.py
+
+    with config_errors("synthesis"):
+        degrees = _config_floats(doc, rotation_span_deg=120.0, orientation_noise_std_deg=0.0)
+        translation = json_floats(doc.get("true_translation", [0.0] * 3), "true_translation")
+        ypr = json_floats(doc.get("true_rotation_ypr_deg", [0.0] * 3), "true_rotation_ypr_deg")
+        rotation = euler_to_rotation(EulerAngles(*map(math.radians, vec3(ypr).tolist())))
+        return SynthConfig(
+            true_calibration=Pose(rotation, translation),
+            pivot_point=json_floats(doc.get("pivot_point", [0.0] * 3), "pivot_point"),
+            sample_count=json_int(doc.get("sample_count", 200), "sample_count"),
+            rotation_span=math.radians(degrees["rotation_span_deg"]),
+            orientation_noise_std=math.radians(degrees["orientation_noise_std_deg"]),
+            seed=json_int(doc.get("seed", 0), "seed"),
+            **_config_floats(doc, position_noise_std=0.0, outlier_rate=0.0, outlier_magnitude=0.1),
+        )
+
+
+def orientation_config_from_doc(doc: dict) -> tuple[SynthConfig, np.ndarray, int]:
+    """An orientation config's arguments of :func:`gen_orientation_dataset`."""
+    cfg = synth_config_from_doc(doc)
+    axes = doc.get("hole_axes")
+    if not axes:
+        raise FormatError("orientation config needs 'hole_axes'")
+    with config_errors("synthesis"):
+        poses_per_hole = json_int(doc.get("poses_per_hole", 50), "poses_per_hole")
+        return cfg, json_floats(axes, "hole_axes"), poses_per_hole
+
+
+def _force_profile_from_doc(doc) -> ConstantForce | SineForce:
+    if not isinstance(doc, dict):
+        raise FormatError("force_profile must be a JSON object")
+    kind = doc.get("kind", "constant")
+    if kind == "constant":
+        return ConstantForce(**_config_floats(doc, value=1.0))
+    if kind == "sine":
+        return SineForce(**_config_floats(doc, frequency_hz=1.0, amplitude=1.0, offset=0.0))
+    raise FormatError(f"unknown force profile kind {kind!r}")
+
+
+def demonstration_from_doc(doc: dict) -> tuple[IdealPath, dict]:
+    """A demonstration config's path and the other arguments of :func:`gen_demonstration`."""
+    if "path" not in doc:
+        raise FormatError("demonstration config needs 'path'")
+    path = path_from_doc(doc["path"])
+    with config_errors("demonstration"):
+        return path, {
+            **_config_floats(doc, lateral_noise_std=0.0, speed=0.05, sample_rate=200.0),
+            "force_profile": _force_profile_from_doc(doc.get("force_profile", {})),
+            "seed": json_int(doc.get("seed", 0), "seed"),
+        }
+
+
 def _random_units(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -201,7 +288,8 @@ def gen_orientation_dataset(
     physically consistent; only the rotations matter to the solver.
     """
     axes = np.asarray(hole_axes, dtype=float).reshape(-1, 3)
-    norms = np.linalg.norm(axes, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norms = np.linalg.norm(axes, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms) & (norms >= 1e-12)):
         raise ValueError("hole axes must be finite and nonzero")
     axes = axes / norms
@@ -258,7 +346,7 @@ def gen_demonstration(
 
     Samples fall on the uniform-rate grid plus the exact waypoint arc
     lengths, so a zero-noise demonstration contains every corner and
-    evaluates to zero error.
+    evaluates to zero error.  A sample that overflows raises ``ValueError``.
     """
     if not (0.0 < speed < math.inf and 0.0 < sample_rate < math.inf):
         raise ValueError("speed and sample_rate must be positive and finite")
@@ -276,7 +364,8 @@ def gen_demonstration(
     if step <= 0.0:
         raise ValueError("speed / sample_rate underflows to zero")
     _check_size(total / step + len(cumulative), "demonstration samples (path length x rate / speed)")
-    grid = np.arange(int(math.floor(total / step + 1e-9)) + 1) * step
+    with np.errstate(invalid="ignore"):  # a step that overflowed gives NaN, refused below
+        grid = np.arange(int(math.floor(total / step + 1e-9)) + 1) * step
     # keep corner arc lengths exactly; drop grid points that collide with them
     # (the nearest corner of a grid point is one of the two around it)
     tol = 1e-9 * max(1.0, total)
@@ -295,11 +384,13 @@ def gen_demonstration(
 
     units = deltas / lengths[:, None]
     normals = np.column_stack([-units[:, 1], units[:, 0]])
-    noise = rng.normal(size=arcs.size) * lateral_noise_std
-    xy = xy + noise[:, None] * normals[segment_of]
-
-    times = arcs / speed
-    forces = force_profile.sample(times)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are refused below
+        noise = rng.normal(size=arcs.size) * lateral_noise_std
+        xy = xy + noise[:, None] * normals[segment_of]
+        times = arcs / speed
+        forces = force_profile.sample(times)
+    if not (np.isfinite(xy).all() and np.isfinite(times).all() and np.isfinite(forces).all()):
+        raise ValueError("generated samples are not finite: a noise, rate or force is out of range")
     track = TipTrack(
         times, np.column_stack([xy, np.zeros(arcs.size)]), np.tile(_IDENTITY_QUAT, (arcs.size, 1))
     )

@@ -812,6 +812,7 @@ class TestSimulateConfigErrors:
             ({"seed": -1}, "bad synthesis config"),
             ({"sample_count": math.inf}, "bad synthesis config"),
             ({"seed": math.inf}, "bad synthesis config"),
+            ({"sample_count": 10**400}, "sample_count"),
         ],
     )
     def test_non_finite_position_fields(self, tmp_path, capsys, overrides, field):
@@ -821,7 +822,8 @@ class TestSimulateConfigErrors:
     @pytest.mark.parametrize(
         "overrides",
         [{"position_noise_std": math.nan}, {"orientation_noise_std_deg": math.inf},
-         {"position_noise_std": 1e308}, {"poses_per_hole": math.inf}],
+         {"position_noise_std": 1e308}, {"poses_per_hole": math.inf},
+         {"poses_per_hole": 10**400}, {"hole_axes": [[1e308, 0.6, 0.8]]}],
     )
     def test_non_finite_orientation_fields(self, tmp_path, capsys, overrides):
         self.simulate_text(tmp_path, capsys, {**ORIENTATION_CONFIG, **overrides})
@@ -829,7 +831,9 @@ class TestSimulateConfigErrors:
     @pytest.mark.parametrize(
         "overrides",
         [{"sample_rate": math.inf}, {"speed": math.nan}, {"lateral_noise_std": math.inf},
-         {"speed": 1e-300, "sample_rate": 1e100}, {"seed": math.inf}],
+         {"speed": 1e-300, "sample_rate": 1e100}, {"seed": math.inf},
+         {"lateral_noise_std": 1e308}, {"force_profile": {"kind": "sine", "frequency_hz": 1e308}},
+         {"sample_rate": 5e-324}],
     )
     def test_non_finite_demonstration_fields(self, tmp_path, capsys, overrides):
         self.simulate_text(tmp_path, capsys, {**DEMO_CONFIG, **overrides})
@@ -959,7 +963,7 @@ class TestOrientationInputErrors:
         )
         return orientation_dir / "manifest.json", position_file
 
-    @pytest.mark.parametrize("axis", [[1, 0], [0, 0, 0], [0, 0, "nan"]])
+    @pytest.mark.parametrize("axis", [[1, 0], [0, 0, 0], [0, 0, "nan"], [0, 0, 1e308]])
     def test_bad_reference_axis_exit_2(self, tmp_path, capsys, axis):
         manifest, position = self.files(tmp_path, capsys)
         doc = json.loads(manifest.read_text())

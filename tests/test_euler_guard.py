@@ -4,8 +4,8 @@ The tip calibration carries the solver's quaternion unchanged from the
 solve to the calibration file.  Yaw-pitch-roll angles are singular at
 pitch +-90 degrees, so a round trip through them on that path loses
 precision there.  ``EulerAngles`` and ``euler_to_rotation`` remain in
-``geometry``, which defines them, and in ``cli._pose_from_config``, which
-reads ``simulate``'s ``true_rotation_ypr_deg``; ``rotation_to_euler`` is a
+``geometry``, which defines them, and in ``synth.synth_config_from_doc``,
+which reads ``simulate``'s ``true_rotation_ypr_deg``; ``rotation_to_euler`` is a
 test oracle in ``tests/oracles.py``.  A reference to any of the three
 anywhere else in the package fails here.  The export table in
 ``__init__.py`` names the first two as strings, which is not a reference.
@@ -21,7 +21,7 @@ import styluskit
 PACKAGE = pathlib.Path(styluskit.__file__).parent
 EULER_NAMES = {"EulerAngles", "euler_to_rotation", "rotation_to_euler"}
 ALLOWED_FILES = {"geometry.py"}
-ALLOWED_FUNCTIONS = {("cli.py", "_pose_from_config")}
+ALLOWED_FUNCTIONS = {("synth.py", "synth_config_from_doc")}
 
 
 def euler_references(source: str) -> list[tuple[str | None, int]]:
@@ -61,8 +61,8 @@ def test_euler_angles_only_at_the_edges():
 
 
 def test_the_edges_still_use_them():
-    cli = euler_references((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    assert {function for function, _ in cli} == {"_pose_from_config"}
+    synth = euler_references((PACKAGE / "synth.py").read_text(encoding="utf-8"))
+    assert {function for function, _ in synth} == {"synth_config_from_doc"}
 
 
 def test_guard_sees_every_form_of_reference():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,12 +19,18 @@ from styluskit.geometry import (
     quat_normalize,
     quat_normalize_rows,
 )
+from styluskit.cli import main
 from styluskit.ingest import (
     DemonstrationTrace,
     PenEventKind,
     PoseRecording,
     WaypointList,
     apply_calibration,
+    load_manifest,
+    load_pen_events,
+    load_pose_csv,
+    load_position,
+    load_trace,
     parse_demo_csv,
     parse_pen_events,
     parse_pose_csv,
@@ -305,3 +312,119 @@ def test_ideal_path_takes_numpy_integer_indices():
     path = IdealPath([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]], np.arange(3))
     assert path.visiting_sequence == (0, 1, 2)
     assert all(type(i) is int for i in path.visiting_sequence)
+
+
+POSE_ROWS = "t,x,y,z,qx,qy,qz,qw\n0,0,0,0,0,0,0,1\n0.1,0,0,0.5,0,0,0,1\n"
+HOLE = {"reference_axis": [0, 0, 1], "recording": "hole.csv"}
+POSITION = {"translation": [0, 0, -0.12], "position_residual_rms": 0.0}
+
+
+class TestFileLoaders:
+    """Each loader a command calls raises the ``FormatError`` whose text
+    the command prints, read here in-library and through the CLI."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "hole.csv").write_text(POSE_ROWS)
+        manifest, position = tmp_path / "manifest.json", tmp_path / "position.json"
+        manifest.write_text(json.dumps({"holes": [HOLE]}))
+        position.write_text(json.dumps(POSITION))
+        return manifest, position
+
+    @staticmethod
+    def raised(load, path) -> FormatError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning ahead of the error
+            with pytest.raises(FormatError) as excinfo:
+                load(path)
+        return excinfo.value
+
+    @staticmethod
+    def printed(capsys, *argv) -> str:
+        assert main([str(a) for a in argv]) == 2
+        return capsys.readouterr().err
+
+    def test_valid_files(self, files, tmp_path, monkeypatch):
+        manifest, position = files
+        monkeypatch.chdir(tmp_path.parent)  # recordings resolve against the manifest
+        dataset = load_manifest(manifest)
+        assert [h.reference_axis.tolist() for h in dataset.holes] == [[0.0, 0.0, 1.0]]
+        assert dataset.holes[0].p.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5]]
+        translation, rms, removed = load_position(position)
+        assert (translation.tolist(), rms, removed) == ([0.0, 0.0, -0.12], 0.0, 0)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"holes": 3}, "manifest needs a 'holes' list"),
+            ({"holes": [{"recording": "hole.csv"}]},
+             "each hole needs 'reference_axis' and 'recording'"),
+            ({"holes": []}, "orientation dataset must not be empty"),
+            ({"holes": [{**HOLE, "reference_axis": [1, 0]}]},
+             "hole 0: expected a 3-vector, got shape (2,)"),
+            ({"holes": [{**HOLE, "reference_axis": [0, 0, "1"]}]},
+             'hole 0: reference_axis must be a number, got "1"'),
+            ({"holes": [{**HOLE, "reference_axis": [0, 0, 1e308]}]},
+             "hole 0: hole reference axis must be finite and nonzero"),
+        ],
+    )
+    def test_bad_manifest(self, files, capsys, doc, message):
+        manifest, position = files
+        manifest.write_text(json.dumps(doc))
+        exc = self.raised(load_manifest, manifest)
+        assert str(exc) == f"{manifest}: {message}"
+        argv = ["calibrate-orientation", manifest, "--position", position]
+        assert self.printed(capsys, *argv) == f"error: {exc}\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"position_residual_rms": 0.0}, "expected the JSON written by calibrate-position"),
+            ({**POSITION, "translation": [0, 0]}, "expected a 3-vector, got shape (2,)"),
+            ({**POSITION, "position_residual_rms": "0"},
+             'position_residual_rms must be a number, got "0"'),
+            ({**POSITION, "position_residual_rms": -1.0},
+             "translation must be finite, position_residual_rms finite and >= 0"),
+            ({**POSITION, "filtered_outliers": 2.5},
+             "filtered_outliers must be an integer, got 2.5"),
+            ({**POSITION, "filtered_outliers": -1}, "filtered_outliers must not be negative"),
+        ],
+    )
+    def test_bad_position_file(self, files, capsys, doc, message):
+        manifest, position = files
+        position.write_text(json.dumps(doc))
+        exc = self.raised(load_position, position)
+        assert str(exc) == f"{position}: {message}"
+        argv = ["calibrate-orientation", manifest, "--position", position]
+        assert self.printed(capsys, *argv) == f"error: {exc}\n"
+
+    def test_bad_pose_csv(self, tmp_path, capsys):
+        path = tmp_path / "poses.csv"
+        path.write_bytes(POSE_ROWS.encode() + b"0.2,0,0,0,0,0,0,\xff\n")
+        exc = self.raised(load_pose_csv, path)
+        # Text is decoded in chunks: the error names the first line of the bad one.
+        assert str(exc) == "line 1: text at or after this line is not UTF-8 (invalid start byte)"
+        assert self.printed(capsys, "calibrate-position", path) == f"error: {exc}\n"
+
+    def test_bad_pen_events(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_bytes(b"EVT 0.10 BTN 1\nEVT x BTN 1\n")
+        assert str(self.raised(load_pen_events, path)) == (
+            "line 2: cannot parse event timestamp from 'x'"
+        )
+        path.write_text("EVT 0.10 BTN 1\nhello\n")
+        events, skipped = load_pen_events(path)
+        assert ([e.kind for e in events], skipped) == ([PenEventKind.BUTTON_PRESS], 1)
+
+    def test_trace_is_told_apart_by_its_first_line(self, tmp_path):
+        demo, poses = tmp_path / "demo.csv", tmp_path / "poses.csv"
+        demo.write_text("\n\nt,x,y,z,Fz\n0,0,0,0,1.5\n0.1,0.1,0,0,2.5\n")
+        poses.write_text(POSE_ROWS)
+        assert load_trace(demo).forces.tolist() == [1.5, 2.5]
+        trace = load_trace(poses)
+        assert trace.forces is None
+        assert trace.positions.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5]]
+        demo.write_bytes(b"\n\xfft,x,y,z,Fz\n")
+        assert str(self.raised(load_trace, demo)) == (
+            "line 1: text at or after this line is not UTF-8 (invalid start byte)"
+        )

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +26,19 @@ from styluskit.ingest import (
     write_demo_csv,
     write_pose_csv,
 )
+from styluskit.cli import main
+from styluskit.errors import FormatError, InputError
 from styluskit.synth import (
     ConstantForce,
     SineForce,
     SynthConfig,
+    demonstration_from_doc,
     gen_demonstration,
     gen_orientation_dataset,
     gen_position_dataset,
+    load_config,
+    orientation_config_from_doc,
+    synth_config_from_doc,
 )
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -197,3 +205,108 @@ class TestCsvRoundTrip:
         out2 = io.StringIO()
         write_demo_csv(back, out2)
         assert out.getvalue() == out2.getvalue()
+
+
+def no_warning_raises(error, call, *args, **kwargs):
+    """The error ``call`` raises, with any warning ahead of it failing the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as excinfo:
+            call(*args, **kwargs)
+    return excinfo.value
+
+
+class TestNonFiniteSamples:
+    """Config values that overflow are refused before any sample is
+    written, with no numpy warning ahead of the error."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"lateral_noise_std": 1e308}, {"force_profile": SineForce(1e308, 1.0)},
+         {"sample_rate": 5e-324}, {"speed": 1e-310, "sample_rate": 1e-316},
+         {"force_profile": ConstantForce(math.inf)}],
+    )
+    def test_demonstration(self, kwargs):
+        exc = no_warning_raises(ValueError, gen_demonstration, SQUARE, **kwargs)
+        assert "generated samples are not finite" in str(exc)
+
+    def test_hole_axis_whose_norm_overflows(self):
+        exc = no_warning_raises(ValueError, gen_orientation_dataset, config(), [[1e308, 0.6, 0.8]])
+        assert str(exc) == "hole axes must be finite and nonzero"
+
+    def test_counts_beyond_the_float_range_are_named(self):
+        exc = no_warning_raises(InputError, config, sample_count=10**400)
+        assert str(exc) == f"{10**400} samples (sample_count): at most 1000000"
+        exc = no_warning_raises(InputError, gen_orientation_dataset, config(), [EZ, EZ], 10**400)
+        assert "(holes x poses_per_hole): at most 1000000" in str(exc)
+
+
+PATH_DOC = {"waypoints": [[0.0, 0.0], [0.1, 0.0]], "visiting_sequence": [0, 1]}
+
+
+class TestConfigReaders:
+    """Each simulate config reader raises the ``FormatError`` whose text
+    ``simulate`` prints, read here in-library and through the CLI."""
+
+    CASES = [
+        (synth_config_from_doc, {"kind": "position", "position_noise_std": "0"},
+         'bad synthesis config: position_noise_std must be a number, got "0"'),
+        (synth_config_from_doc, {"kind": "position", "true_rotation_ypr_deg": [0, 0]},
+         "bad synthesis config: expected a 3-vector, got shape (2,)"),
+        (synth_config_from_doc, {"kind": "position", "sample_count": 0},
+         "bad synthesis config: sample_count must be positive"),
+        (synth_config_from_doc, {"kind": "position", "pivot_point": [0, math.inf, 0]},
+         "bad synthesis config: pivot_point must be finite"),
+        (orientation_config_from_doc, {"kind": "orientation"},
+         "orientation config needs 'hole_axes'"),
+        (orientation_config_from_doc, {"kind": "orientation", "hole_axes": [[0, 0, 1]],
+                                       "poses_per_hole": 2.5},
+         "bad synthesis config: poses_per_hole must be an integer, got 2.5"),
+        (orientation_config_from_doc, {"kind": "orientation", "hole_axes": "z"},
+         'bad synthesis config: hole_axes must be a number, got "z"'),
+        (demonstration_from_doc, {"kind": "demonstration"},
+         "demonstration config needs 'path'"),
+        (demonstration_from_doc, {"kind": "demonstration", "path": {"waypoints": []}},
+         "bad ideal path document: 'visiting_sequence'"),
+        (demonstration_from_doc, {"kind": "demonstration", "path": PATH_DOC, "speed": True},
+         "bad demonstration config: speed must be a number, got true"),
+        (demonstration_from_doc, {"kind": "demonstration", "path": PATH_DOC, "force_profile": [1]},
+         "force_profile must be a JSON object"),
+        (demonstration_from_doc, {"kind": "demonstration", "path": PATH_DOC,
+                                  "force_profile": {"kind": "saw"}},
+         "unknown force profile kind 'saw'"),
+        (demonstration_from_doc, {"kind": "demonstration", "path": PATH_DOC,
+                                  "force_profile": {"kind": "sine", "amplitude": "big"}},
+         'bad demonstration config: amplitude must be a number, got "big"'),
+        (demonstration_from_doc, {"kind": "demonstration", "path": PATH_DOC, "seed": -1.5},
+         "bad demonstration config: seed must be an integer, got -1.5"),
+    ]
+
+    @pytest.mark.parametrize(
+        "reader, doc, message", CASES, ids=[f"{c[0].__name__}-{i}" for i, c in enumerate(CASES)]
+    )
+    def test_bad_config(self, tmp_path, capsys, reader, doc, message):
+        exc = no_warning_raises(FormatError, reader, doc)
+        assert str(exc) == message
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["simulate", str(config_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("doc", [[1, 2], "position", None])
+    def test_config_not_an_object(self, tmp_path, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        exc = no_warning_raises(FormatError, load_config, config_path)
+        assert str(exc) == f"{config_path}: synthesis config must be a JSON object"
+
+    def test_defaults(self):
+        cfg = synth_config_from_doc({})
+        assert (cfg.sample_count, cfg.seed, cfg.rotation_span) == (200, 0, math.radians(120.0))
+        assert cfg.true_calibration.translation.tolist() == [0.0, 0.0, 0.0]
+        _, axes, poses_per_hole = orientation_config_from_doc({"hole_axes": [[0, 0, 1]]})
+        assert (axes.tolist(), poses_per_hole) == ([[0.0, 0.0, 1.0]], 50)
+        path, params = demonstration_from_doc({"path": PATH_DOC})
+        assert path.visiting_sequence == (0, 1)
+        assert params.pop("force_profile").value == 1.0
+        assert params == {"lateral_noise_std": 0.0, "speed": 0.05, "sample_rate": 200.0, "seed": 0}

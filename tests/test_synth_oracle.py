@@ -48,6 +48,7 @@ from styluskit.synth import (
     gen_demonstration,
     gen_orientation_dataset,
     gen_position_dataset,
+    synth_config_from_doc,
 )
 
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -436,7 +437,7 @@ class TestSimulateBytes:
             "outlier_magnitude": 0.1,
         }
         out = self.simulate(tmp_path, doc)
-        oracle, truth = _gen_position_dataset(cli._synth_config(doc))
+        oracle, truth = _gen_position_dataset(synth_config_from_doc(doc))
         assert (out / "poses.csv").read_bytes() == self.expected_pose_csv(oracle)
         written = json.loads((out / "truth.json").read_text())
         assert written["outlier_indices"] == truth.outlier_indices.tolist()
@@ -450,6 +451,6 @@ class TestSimulateBytes:
             "poses_per_hole": 400,
         }
         out = self.simulate(tmp_path, doc)
-        oracle, _ = _gen_orientation_dataset(cli._synth_config(doc), doc["hole_axes"], 400)
+        oracle, _ = _gen_orientation_dataset(synth_config_from_doc(doc), doc["hole_axes"], 400)
         for i, hole in enumerate(oracle.holes):
             assert (out / f"hole_{i:02d}.csv").read_bytes() == self.expected_pose_csv(hole)
