@@ -413,27 +413,35 @@ def force_spectrum(
     The uniform grid may hold at most ``FFT_GRID_FACTOR`` (64) points per
     input sample.  A recording whose median spacing is that much finer than
     its mean spacing (a long gap, or a burst of near-duplicate timestamps)
-    raises :class:`InputError` instead of allocating an unbounded grid.
+    raises :class:`InputError` instead of allocating an unbounded grid, as
+    does a spectrum whose sample rate, bin width or any amplitude is not finite.
     """
     if len(force) < 8:
         raise TooShort(f"need at least 8 force samples, got {len(force)}")
-    dt = _median(np.diff(force.t))
-    steps = (force.t[-1] - force.t[0]) / dt + 1e-9
-    if steps >= FFT_GRID_FACTOR * len(force):
+    with np.errstate(all="ignore"):  # a grid or spectrum that overflows is refused below
+        dt = _median(np.diff(force.t))
+        steps = (force.t[-1] - force.t[0]) / dt + 1e-9
+        if not steps < FFT_GRID_FACTOR * len(force):
+            raise InputError(
+                "force samples are too unevenly timed: a uniform grid at their median "
+                f"spacing needs {steps:.3g} points, more than {FFT_GRID_FACTOR} per "
+                f"sample ({len(force)} samples)"
+            )
+        count = int(math.floor(steps)) + 1
+        grid = force.t[0] + np.arange(count) * dt
+        x = np.interp(grid, force.t, force.fz)
+        x = x - x.mean()
+        spectrum = np.abs(np.fft.rfft(x))
+        amplitudes = spectrum * (2.0 / count)
+        amplitudes[0] = spectrum[0] / count
+        if count % 2 == 0:
+            amplitudes[-1] = spectrum[-1] / count
+    sample_rate, bin_width = 1.0 / dt, 1.0 / (count * dt)
+    if not np.isfinite(np.append(amplitudes, [sample_rate, bin_width])).all():
         raise InputError(
-            "force samples are too unevenly timed: a uniform grid at their median "
-            f"spacing needs {steps:.3g} points, more than {FFT_GRID_FACTOR} per "
-            f"sample ({len(force)} samples)"
+            f"force spectrum is not finite: sample rate {sample_rate:.3g} Hz, bin width "
+            f"{bin_width:.3g} Hz (force times or values out of range)"
         )
-    count = int(math.floor(steps)) + 1
-    grid = force.t[0] + np.arange(count) * dt
-    x = np.interp(grid, force.t, force.fz)
-    x = x - x.mean()
-    spectrum = np.abs(np.fft.rfft(x))
-    amplitudes = spectrum * (2.0 / count)
-    amplitudes[0] = spectrum[0] / count
-    if count % 2 == 0:
-        amplitudes[-1] = spectrum[-1] / count
     if threshold_abs is not None:
         threshold = float(threshold_abs)
     else:
@@ -441,8 +449,8 @@ def force_spectrum(
         threshold = threshold_ratio * peak
     count_above = int(np.sum(amplitudes[1:] > threshold))
     return SpectrumSummary(
-        sample_rate=1.0 / dt,
-        bin_width=1.0 / (count * dt),
+        sample_rate=sample_rate,
+        bin_width=bin_width,
         amplitudes=amplitudes,
         threshold=threshold,
         count_above=count_above,

@@ -13,9 +13,9 @@ Conventions, used consistently across the package:
   quaternion ``(4,)`` / vector ``(3,)`` or rows ``(N, 4)`` / ``(N, 3)``,
   and broadcast one against rows; :func:`quat_from_axis_angle` takes axis
   rows ``(N, 3)`` with angles ``(N,)``.  Each row of a result has the same
-  bits as the call on that row alone; :func:`quat_normalize_rows` and
-  :func:`compose_rows` keep the same promise for :func:`quat_normalize`
-  and :func:`compose`.
+  bits as the call on that row alone; :func:`compose_rows` keeps the same
+  promise for :func:`compose`.  :func:`quat_normalize_rows` is the one
+  quaternion canonicaliser, and :func:`quat_normalize` its one-row case.
 - Rows are the data: :class:`PoseRows` holds N poses as ``q`` (N, 4) and
   ``p`` (N, 3), a :class:`TipTrack` N tip poses as ``t`` (N,), ``position``
   (N, 3) and ``orientation`` (N, 4).  A list of :class:`Pose` given to
@@ -51,64 +51,51 @@ def vec3(v) -> np.ndarray:
 
 
 def quat_normalize(q) -> np.ndarray:
-    """Return the unit quaternion equal to ``q`` with canonical sign.
-
-    Normalization is skipped when the norm is already 1 within 1e-12 so
-    that re-normalizing a canonical quaternion is bit-stable.  The norm is
-    taken on a contiguous copy: ``a @ a`` rounds differently on a strided
-    row, and the skip must not depend on memory layout.  A quaternion
-    whose largest component squared exceeds ``MAX_QUAT_NORM2`` is first
-    divided by that component's magnitude, because ``a @ a`` could
-    overflow to ``inf`` and turn it into zeros; every quaternion the file
-    readers accept takes the path without that division.
-    """
-    a = np.array(q, dtype=float)
+    """Return the unit quaternion equal to ``q`` with canonical sign:
+    :func:`quat_normalize_rows` on the one row ``q``."""
+    a = np.asarray(q, dtype=float)
     if a.shape != (4,):
         raise ValueError(f"expected a quaternion (qx,qy,qz,qw), got shape {a.shape}")
-    big = max(map(abs, a.tolist()))
-    if big * big > MAX_QUAT_NORM2:
-        a /= big
-    n = math.sqrt(float(a @ a))
-    if n < _UNIT_TOL:
-        raise ZeroVector("quaternion has (near-)zero norm")
-    if abs(n - 1.0) > _UNIT_TOL:
-        a /= n
-    if a[3] < 0.0 or (a[3] == 0.0 and _leading_component(a) < 0.0):
-        a = -a
-    return a
+    return quat_normalize_rows(a.reshape(1, 4))[0]
 
 
 def quat_normalize_rows(quats) -> np.ndarray:
-    """Row-wise :func:`quat_normalize` of an ``(N, 4)`` array, bit for bit.
-
-    A row whose norm is within 0.5e-12 of 1 only gets the canonical sign,
-    all rows at once.  Its norm here (``einsum``) and in
-    :func:`quat_normalize` (``a @ a``) differ by a few ulp, so
-    :func:`quat_normalize` would also skip the division.  Every other row
-    (off unit, zero or non-finite) goes through :func:`quat_normalize`
-    itself, in row order, so the first (near-)zero row raises
-    :class:`ZeroVector`.  Its ``a @ a`` is the float64 dot kernel that
-    ``np.vecdot`` runs on each row of a C-contiguous array, as
-    :func:`quat_from_axis_angle` does.  The input is left untouched.
+    """The unit quaternions equal to the rows of an ``(N, 4)`` array, with
+    canonical sign, in whole-array steps; each row gets the bits it would
+    get alone, and the input is left untouched.  The squared norms are one
+    ``np.vecdot`` on the contiguous copy: the float64 dot kernel of ``r @ r``,
+    blind to memory layout.  A row whose largest component squared (NaN when
+    the first is NaN, as Python's ``max`` takes it) exceeds ``MAX_QUAT_NORM2``
+    is first divided by that magnitude, since its squared norm could overflow;
+    no file reader passes such a row.  The first row whose norm is below
+    1e-12 raises :class:`ZeroVector`, after the rows before it were rescaled,
+    with the warnings of a loop over the rows.  A norm within 1e-12 of 1 is
+    not divided, so re-normalizing a canonical quaternion is bit-stable.
     """
     q = np.array(quats, dtype=float, order="C")
     if q.ndim != 2 or q.shape[1] != 4:
         raise ValueError(f"expected (N, 4) quaternion rows, got shape {q.shape}")
-    unit = np.abs(np.sqrt(np.einsum("ij,ij->i", q, q)) - 1.0) <= 0.5 * _UNIT_TOL
+    with np.errstate(over="ignore"):  # silent, as ``r @ r`` is: rescaled below, or NaN
+        norm2 = np.vecdot(q, q)
+        n = np.sqrt(norm2)
+        zero = n < _UNIT_TOL
+        stop = int(np.argmax(zero)) if zero.any() else len(q)
+        huge = np.flatnonzero(~(norm2[:stop] <= MAX_QUAT_NORM2))
+        if huge.size:
+            a = np.abs(q[huge])
+            big = np.fmax.reduce(a, axis=1)
+            rescale = ~np.isnan(a[:, 0]) & (big * big > MAX_QUAT_NORM2)
+            huge = huge[rescale]
+            q[huge] /= big[rescale, None]
+            n[huge] = np.sqrt(np.vecdot(q[huge], q[huge]))
+    if stop < len(q):
+        raise ZeroVector("quaternion has (near-)zero norm")
+    np.divide(q, n[:, None], out=q, where=(np.abs(n - 1.0) > _UNIT_TOL)[:, None])
     x, y, z, w = q.T
     lead = np.where(x != 0.0, x, np.where(y != 0.0, y, np.where(z != 0.0, z, 1.0)))
-    flip = unit & ((w < 0.0) | ((w == 0.0) & (lead < 0.0)))
-    q[flip] = -q[flip]
-    for i in np.flatnonzero(~unit):
-        q[i] = quat_normalize(q[i])
+    flip = (w < 0.0) | ((w == 0.0) & (lead < 0.0))
+    np.negative(q, out=q, where=flip[:, None])
     return q
-
-
-def _leading_component(q: np.ndarray) -> float:
-    for x in q[:3]:
-        if x != 0.0:
-            return float(x)
-    return 1.0
 
 
 def _components(x) -> list:

@@ -24,10 +24,10 @@ dropped with one warning.  A bad header, field count, field or
 JSON-lines record, text that is not UTF-8 (pen events too) and a stream
 without rows raise :class:`~styluskit.errors.FormatError`, a timestamp
 that does not increase :class:`~styluskit.errors.NonMonotonicTime`.
-The body of a CSV file is parsed by one ``np.loadtxt`` call; only when
-that fails, or a row would be dropped or raise, is it read again one row
-at a time, so the errors, their lines and order, and the warning are
-those of reading row by row.  JSON-lines records are always read that way.
+The body of a CSV file is parsed by one ``np.loadtxt`` call, and read
+again one row at a time only when that fails or a row would be dropped or
+raise (a zero quaternion aside), so the errors, their lines and order and
+the warning are those of reading row by row, as for JSON-lines records.
 
 Recordings are columnar: a parser reads its rows into one array and slices
 out the columns of a :class:`PoseRecording`, :class:`DemonstrationTrace`
@@ -254,7 +254,8 @@ _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 def _bulk(body: list[str], width: int, quat: slice | None) -> np.ndarray | None:
     """``body`` parsed by one ``np.loadtxt`` call, or None unless the
-    result is what the row loop would return without an error or warning.
+    result is what the row loop would return without an error or warning,
+    a zero quaternion's error aside, which ``quat_normalize_rows`` raises.
 
     ``loadtxt`` reads fields with the same conversion as ``float``, so
     their bits agree.  It rejects some fields ``float`` accepts (``1_0``,
@@ -286,7 +287,7 @@ def _bulk(body: list[str], width: int, quat: slice | None) -> np.ndarray | None:
         qx, qy, qz, qw = block[:, quat].T
         with np.errstate(over="ignore"):
             norm2 = qx * qx + qy * qy + qz * qz + qw * qw
-        if not ((norm2 >= 1e-20) & (norm2 <= MAX_QUAT_NORM2)).all():
+        if not (norm2 <= MAX_QUAT_NORM2).all():
             return None
     return block
 
@@ -346,12 +347,10 @@ def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecord
 
     A (near-)zero quaternion raises :class:`~styluskit.errors.ZeroVector`
     at its own row, ahead of any later error and of the dropped-rows
-    warning: a row whose squared norm is below 1e-20, far above the 1e-24
-    at which :func:`~styluskit.geometry.quat_normalize` raises, goes
-    through it as it is read.  A row whose squared norm
-    :func:`quat_from_json` would reject too (:func:`_quat_norm2`) raises
-    :class:`~styluskit.errors.FormatError` there in the same way, as an
-    input error rather than a quaternion to rescale.
+    warning: the row loop normalizes each row whose squared norm is below
+    1e-20 as it is read.  A row whose squared norm :func:`quat_from_json`
+    would reject too (:func:`_quat_norm2`) raises :class:`FormatError`
+    there in the same way, as an input error rather than one to rescale.
     """
     data = _read_block(stream, POSE_CSV_HEADER, "pose", jsonl=True, quat=slice(4, 8))
     return PoseRecording(
@@ -566,9 +565,10 @@ class IdealPath:
         for i in visiting_sequence:
             if not 0 <= i < waypoints.shape[0]:
                 raise ValueError(f"visiting sequence index {i} out of range")
-        for a, b in zip(visiting_sequence, visiting_sequence[1:]):
-            if np.allclose(waypoints[a], waypoints[b]):
-                raise ValueError("consecutive sequence points must be distinct")
+        with np.errstate(over="ignore"):  # points 1e308 apart are distinct
+            for a, b in zip(visiting_sequence, visiting_sequence[1:]):
+                if np.allclose(waypoints[a], waypoints[b]):
+                    raise ValueError("consecutive sequence points must be distinct")
         self.waypoints = waypoints
         self.visiting_sequence = visiting_sequence
 

@@ -8,8 +8,9 @@ doubles), and NaN becomes ``null``.
 Every output file is opened by :func:`open_output` (UTF-8, ``\\n``
 endings) and every JSON file read by :func:`read_json`, which raises
 :class:`~styluskit.errors.FormatError` naming the file when its text is
-not UTF-8 or not valid JSON (``OSError`` when it cannot be read).  Only a
-JSON number passes :func:`json_float`, :func:`json_floats` or :func:`json_int`.
+not UTF-8, not valid JSON or an integer too long to read (``OSError``
+when it cannot be read).  Only a JSON number passes :func:`json_float`,
+:func:`json_floats` or :func:`json_int`.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ def read_json(path):
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise FormatError(f"{path}: unreadable JSON number ({exc})") from None
 
 
 def json_float(value, name: str) -> float:

@@ -355,9 +355,10 @@ def gen_demonstration(
     rng = np.random.default_rng(seed)
 
     vertices = path.waypoints[list(path.visiting_sequence)]
-    deltas = np.diff(vertices, axis=0)
-    lengths = np.linalg.norm(deltas, axis=1)
-    cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
+    with np.errstate(over="ignore"):  # an overflowing length is refused by _check_size
+        deltas = np.diff(vertices, axis=0)
+        lengths = np.linalg.norm(deltas, axis=1)
+        cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
     total = float(cumulative[-1])
 
     step = speed / sample_rate

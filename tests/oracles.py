@@ -15,6 +15,9 @@ O(N^2) form of what the package computes another way:
   :func:`styluskit.geometry.euler_to_rotation`.
 - :func:`csv_row` formats one CSV line a value at a time, the bytes that
   the block writer ``ingest._write_rows`` must give.
+- :func:`oracle_quat_normalize` canonicalises one quaternion with Python
+  scalars, the bytes, first error and warnings that
+  :func:`styluskit.geometry.quat_normalize_rows` must give row by row.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ import math
 import numpy as np
 
 from styluskit.calib import _EZ, _PAIR_CHUNK, _sq_norm
+from styluskit.errors import ZeroVector
 from styluskit.geometry import (
+    _UNIT_TOL,
+    MAX_QUAT_NORM2,
     EulerAngles,
     OrientationDataset,
     PositionDataset,
@@ -102,6 +108,41 @@ def rotation_to_euler(q) -> EulerAngles:
         roll = 0.0
         yaw = math.atan2(-r[0, 1], r[1, 1])
     return EulerAngles(yaw=yaw, pitch=pitch, roll=roll)
+
+
+def oracle_quat_normalize(q) -> np.ndarray:
+    """Return the unit quaternion equal to ``q`` with canonical sign.
+
+    Normalization is skipped when the norm is already 1 within 1e-12 so
+    that re-normalizing a canonical quaternion is bit-stable.  The norm is
+    taken on a contiguous copy: ``a @ a`` rounds differently on a strided
+    row, and the skip must not depend on memory layout.  A quaternion
+    whose largest component squared exceeds ``MAX_QUAT_NORM2`` is first
+    divided by that component's magnitude, because ``a @ a`` could
+    overflow to ``inf`` and turn it into zeros; every quaternion the file
+    readers accept takes the path without that division.
+    """
+    a = np.array(q, dtype=float)
+    if a.shape != (4,):
+        raise ValueError(f"expected a quaternion (qx,qy,qz,qw), got shape {a.shape}")
+    big = max(map(abs, a.tolist()))
+    if big * big > MAX_QUAT_NORM2:
+        a /= big
+    n = math.sqrt(float(a @ a))
+    if n < _UNIT_TOL:
+        raise ZeroVector("quaternion has (near-)zero norm")
+    if abs(n - 1.0) > _UNIT_TOL:
+        a /= n
+    if a[3] < 0.0 or (a[3] == 0.0 and _leading_component(a) < 0.0):
+        a = -a
+    return a
+
+
+def _leading_component(q: np.ndarray) -> float:
+    for x in q[:3]:
+        if x != 0.0:
+            return float(x)
+    return 1.0
 
 
 def csv_row(values) -> str:

@@ -1233,6 +1233,16 @@ class TestJsonCounts:
         code, out, err, _ = self.simulate(tmp_path, capsys, {**base, field: value}, "bad")
         TestFilterFlagErrors.assert_one_line_error(code, out, err, f"{field} must be an integer")
 
+    def test_integer_beyond_the_digit_limit_exit_2(self, tmp_path, capsys):
+        # Python refuses to convert an integer literal of more than 4300
+        # digits, inside json.load; the file is named, with no traceback.
+        config_path = tmp_path / "long.json"
+        config_path.write_text('{"kind": "position", "sample_count": ' + "1" * 5000 + "}")
+        code, out, err = run(
+            capsys, "simulate", str(config_path), "--out-dir", str(tmp_path / "out")
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, str(config_path))
+
     @pytest.mark.parametrize("base, field", SIMULATE_FIELDS)
     def test_simulate_integral_float_reads_as_int(self, tmp_path, capsys, base, field):
         written = []

@@ -89,6 +89,30 @@ def test_evaluate_point_with_overflowing_line_offset_exit_2(tmp_path, capsys, x)
     assert_one_line_error(code, out, err, "non-finite line offset")
 
 
+def force_trace(t=lambda i: repr(i * 0.00025), fz=lambda i: "1.0") -> str:
+    """401 samples along ``LINE_PATH``, 4 kHz unless ``t`` says otherwise."""
+    rows = [f"{t(i)},{i * 0.00025},0.0,0.0,{fz(i)}\n" for i in range(401)]
+    return "t,x,y,z,Fz\n" + "".join(rows)
+
+
+@pytest.mark.parametrize(
+    "trace, text",
+    [
+        # The median spacing is 5e-324 s, so the sample rate is inf.
+        (force_trace(t=lambda i: repr(i * 5e-324)), "force spectrum is not finite"),
+        # The transform of one force of 1e308 overflows.
+        (force_trace(fz=lambda i: "1e308" if i == 200 else "1.0"), "force spectrum is not finite"),
+        # The span over the median spacing overflows.
+        (force_trace(t=lambda i: "1e308" if i == 400 else repr(i * 0.00025)),
+         "force samples are too unevenly timed"),
+    ],
+    ids=["subnormal-steps", "huge-force", "huge-last-time"],
+)
+def test_evaluate_with_non_finite_force_spectrum_exit_2(tmp_path, capsys, trace, text):
+    code, out, err = run_evaluate(tmp_path, capsys, trace, "--in-frame")
+    assert_one_line_error(code, out, err, text)
+
+
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()

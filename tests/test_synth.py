@@ -230,6 +230,16 @@ class TestNonFiniteSamples:
         exc = no_warning_raises(ValueError, gen_demonstration, SQUARE, **kwargs)
         assert "generated samples are not finite" in str(exc)
 
+    @pytest.mark.parametrize(
+        "waypoints",
+        [[[0.0, 0.0], [1e308, 0.0]], [[0.0, 0.0], [0.0, -1e308]], [[-1e308, 0.0], [1e308, 0.0]]],
+    )
+    def test_demonstration_path_whose_length_overflows(self, waypoints):
+        exc = no_warning_raises(
+            InputError, lambda: gen_demonstration(IdealPath(waypoints, (0, 1)))
+        )
+        assert str(exc).startswith("inf demonstration samples (path length x rate / speed)")
+
     def test_hole_axis_whose_norm_overflows(self):
         exc = no_warning_raises(ValueError, gen_orientation_dataset, config(), [[1e308, 0.6, 0.8]])
         assert str(exc) == "hole axes must be finite and nonzero"
