@@ -10,6 +10,11 @@ prints as one ``warning: <message>`` line on stderr.  Every output is
 deterministic: identical inputs and flags produce byte-identical files,
 and no report ever contains wall-clock time.
 
+``main`` returns the exit code, for tests and in-process callers.
+``entrypoint``, the ``styluskit`` console script and ``python -m
+styluskit.cli``, ends the process without the interpreter's teardown, once
+the ``atexit`` handlers have run and stdout and stderr are flushed.
+
 A handler checks its flags, calls a loader of ``ingest``, ``framing`` or
 ``synth`` per input file, runs the solver or generator, and writes.  At
 module scope this file imports the standard library and ``errors`` alone,
@@ -21,6 +26,7 @@ forwarded to ``jsonio`` on use.
 from __future__ import annotations
 
 import argparse
+import atexit
 import math
 import os
 import sys
@@ -393,7 +399,24 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run :func:`main` as the ``styluskit`` process and exit with its code.
+
+    Once ``main`` returns, the ``atexit`` handlers run and stdout and stderr
+    are flushed, in CPython's own shutdown order; ``os._exit`` then skips the
+    interpreter's teardown.  Every file the package opens is closed by a
+    ``with`` block, so none is left to a finalizer.  A failed flush (a full
+    disk, a pipe whose reader is gone) falls back to ``sys.exit``, which
+    reports it as Python always has (exit 120).
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start-up
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -292,6 +292,13 @@ class Pose(Frozen):
     def identity(cls) -> "Pose":
         return cls(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
 
+    @classmethod
+    def _of_row(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
+        """A pose holding a canonical, finite, read-only row as it is."""
+        pose = object.__new__(cls)
+        pose._set(rotation=rotation, translation=translation)
+        return pose
+
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.rotation)
 
@@ -309,8 +316,10 @@ class PoseRows:
 
     Build from the rows (``q=``, ``p=``) or from a list of :class:`Pose`,
     stacked once here.  ``poses`` is a tuple of :class:`Pose`: the given
-    poses, or built from the rows on first read.  It is a view; reading it
-    leaves ``q`` and ``p`` as they are.
+    poses, or built from the rows on first read, each holding its row of a
+    read-only copy of ``q`` and ``p`` (the rows are canonical already, so
+    they are not normalized again).  It is a view; reading it leaves ``q``
+    and ``p`` as they are.
     """
 
     def __init__(self, poses: list[Pose] | None = None, *, q=None, p=None):
@@ -329,7 +338,12 @@ class PoseRows:
     @property
     def poses(self) -> tuple[Pose, ...]:
         if self._poses is None:
-            self._poses = tuple(map(Pose, self.q, self.p))
+            q, p = self.q.copy(), self.p.copy()
+            if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                raise NonFinitePose("pose has non-finite components")
+            q.setflags(write=False)
+            p.setflags(write=False)
+            self._poses = tuple(map(Pose._of_row, q, p))
         return self._poses
 
     def __len__(self) -> int:

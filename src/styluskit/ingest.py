@@ -100,7 +100,9 @@ class ForceRecording:
         self.fz = np.asarray(fz, dtype=float)
         if self.t.shape != self.fz.shape or self.t.ndim != 1:
             raise ValueError("force samples need matching 1-d t and Fz arrays")
-        if np.any(np.diff(self.t) <= 0.0):
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+            increasing = np.all(np.diff(self.t) > 0.0)
+        if not increasing:
             raise ValueError("force timestamps must be strictly increasing")
 
     def __len__(self) -> int:

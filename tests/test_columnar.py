@@ -12,8 +12,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_geometry_rows import near_unit_quats, sign_rule_quats, six_decimal_quats, unit_quats
 
 from styluskit.calib import calibrate_position
+from styluskit.errors import NonFinitePose
 from styluskit.evaluation import segment_trace
 from styluskit.geometry import (
     HoleRecording,
@@ -169,6 +173,32 @@ class TestCalibrationDatasets:
         assert [p.rotation.tobytes() for p in from_rows.poses] == [
             p.rotation.tobytes() for p in poses
         ]
+
+    @given(
+        st.lists(
+            st.one_of(unit_quats(), sign_rule_quats(), near_unit_quats(), six_decimal_quats()),
+            min_size=1, max_size=8,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_poses_hold_the_canonical_rows_as_they_are(self, raw, random):
+        q = quat_normalize_rows(np.array(raw))
+        p = np.array([[random.uniform(-2.0, 2.0) for _ in range(3)] for _ in raw])
+        poses = PositionDataset(q=q, p=p).poses
+        rows = [(a.tobytes(), b.tobytes()) for a, b in zip(q, p)]
+        assert [(x.rotation.tobytes(), x.translation.tobytes()) for x in poses] == rows
+        assert [Pose(a, b).rotation.tobytes() for a, b in zip(q, p)] == [a for a, _ in rows]
+        assert not any(x.rotation.flags.writeable or x.translation.flags.writeable for x in poses)
+        q[:], p[:] = 0.0, 0.0
+        assert [(x.rotation.tobytes(), x.translation.tobytes()) for x in poses] == rows
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", ["q", "p"])
+    def test_poses_of_non_finite_rows_raise(self, bad, column):
+        rows = {"q": np.tile([0.0, 0.0, 0.0, 1.0], (3, 1)), "p": np.zeros((3, 3))}
+        rows[column][1, 0] = bad
+        with pytest.raises(NonFinitePose):
+            PositionDataset(**rows).poses  # noqa: B018
 
     @pytest.mark.parametrize("kind", ROW_CONTAINERS)
     def test_list_and_rows_hold_the_same_bytes(self, kind):

@@ -22,6 +22,7 @@ from styluskit.geometry import (
 from styluskit.cli import main
 from styluskit.ingest import (
     DemonstrationTrace,
+    ForceRecording,
     PenEventKind,
     PoseRecording,
     WaypointList,
@@ -258,6 +259,21 @@ class TestTraceInvariants:
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
             DemonstrationTrace(points=tips_at([0.0]), source="wand")
+
+
+class TestForceTimestamps:
+    @pytest.mark.parametrize(
+        "t",
+        [[0.0, 0.01, np.nan, 0.03], [np.nan, 0.01, 0.02, 0.03], [0.0, 0.01, 0.02, np.nan],
+         [0.0, 0.01, np.inf, np.inf], [-np.inf, -np.inf, 0.02, 0.03],
+         [0.0, np.inf, 0.02, 0.03], [0.0, 0.01, -np.inf, 0.03], [0.0, 0.01, 0.01, 0.03]],
+    )
+    def test_not_strictly_increasing_rejected(self, t):
+        # A NaN difference (NaN, or inf - inf) compares False both ways.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ForceRecording(t, np.ones(4))
 
 
 class TestNonFiniteEventTimestamps:
