@@ -5,7 +5,9 @@ Subcommands: ``calibrate-position``, ``calibrate-orientation``,
 
 Exit codes: 0 success, 2 input/format errors, 3 numerical/geometric
 degeneracy, 1 unexpected internal error.  Flag values are checked before
-any file is read.  Each library warning (dropped rows, degenerate axes)
+any file is read.  An output number that would be ±inf, which no reader
+accepts, exits 2 before the output is written, as does a failed write or
+final flush.  Each library warning (dropped rows, degenerate axes)
 prints as one ``warning: <message>`` line on stderr.  Every output is
 deterministic: identical inputs and flags produce byte-identical files,
 and no report ever contains wall-clock time.
@@ -140,10 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc, output: str | None = None) -> None:
-    """Print ``doc`` as canonical JSON, and also write it to ``output`` if given."""
+    """Print ``doc`` as canonical JSON, and also write it to ``output`` if given;
+    an infinity in it raises first (:class:`~styluskit.errors.NonFiniteOutput`)."""
     from .jsonio import dumps_canonical, write_text
 
-    text = dumps_canonical(doc)
+    text = dumps_canonical(doc, allow_inf=False)
     print(text)
     if output:
         write_text(output, text)
@@ -171,27 +174,22 @@ def _cmd_calibrate_position(args) -> int:
     from . import calib, ingest
 
     _check_flag("--min-rotation-deg", args.min_rotation_deg, positive=False)
-    params = None
-    if not args.no_filter:
-        params = _filter_params(args.radius, args.min_neighbors, "--radius", "--min-neighbors")
+    # Checked with --no-filter too: the position file echoes both flags.
+    params = _filter_params(args.radius, args.min_neighbors, "--radius", "--min-neighbors")
     recording = ingest.load_pose_csv(args.pose_csv)
     result = calib.calibrate_position(
-        recording, params, min_rotation=math.radians(args.min_rotation_deg)
+        recording,
+        None if args.no_filter else params,
+        min_rotation=math.radians(args.min_rotation_deg),
     )
-    doc = {
-        "config": {
-            "pose_csv": args.pose_csv,
-            "neighborhood_radius": args.radius,
-            "min_neighbors": args.min_neighbors,
-            "min_rotation_deg": args.min_rotation_deg,
-            "filter": not args.no_filter,
-        },
-        "translation": result.tip_offset.tolist(),
-        "pivot": result.pivot.tolist(),
-        "position_residual_rms": result.residual_rms,
-        "filtered_outliers": result.removed_outliers,
+    config = {
+        "pose_csv": args.pose_csv,
+        "neighborhood_radius": args.radius,
+        "min_neighbors": args.min_neighbors,
+        "min_rotation_deg": args.min_rotation_deg,
+        "filter": not args.no_filter,
     }
-    _emit(doc, args.output)
+    _emit(ingest.position_to_doc(result, config), args.output)
     return EXIT_OK
 
 
@@ -280,7 +278,7 @@ def _cmd_evaluate(args) -> int:
     written = []
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        written = evaluation.write_report_files(report, args.out_dir)
+        written = evaluation.write_report_files(report, args.out_dir, allow_inf=False)
     summary = {
         "config": config,
         "epsilon_fraction": report.epsilon_fraction,
@@ -296,7 +294,7 @@ def _cmd_simulate(args) -> int:
     import numpy as np
 
     from . import ingest, synth
-    from .jsonio import open_output, write_json
+    from .jsonio import dumps_canonical, open_output, write_json, write_text
 
     doc = synth.load_config(args.config)
     kind = doc.get("kind")
@@ -313,43 +311,44 @@ def _cmd_simulate(args) -> int:
         with open_output(_path(name)) as f:
             ingest.write_pose_csv(ingest.PoseRecording("world", t=t, q=rows.q, p=rows.p), f)
 
+    def _truth(**fields) -> str:
+        """The text of truth.json, rendered before any file is written: the
+        config it echoes may hold an infinity, which raises here."""
+        return dumps_canonical({"config": doc, **fields}, allow_inf=False)
+
     if kind == "position":
         cfg = synth.synth_config_from_doc(doc)
         with synth.config_errors("synthesis"):
             dataset, truth = synth.gen_position_dataset(cfg)
+        truth_text = _truth(
+            tip_offset=truth.tip_offset.tolist(),
+            pivot_point=truth.pivot_point.tolist(),
+            outlier_indices=truth.outlier_indices.tolist(),
+            outlier_count=int(truth.outlier_indices.size),
+        )
         _write_poses("poses.csv", dataset)
-        truth_doc = {
-            "tip_offset": truth.tip_offset.tolist(),
-            "pivot_point": truth.pivot_point.tolist(),
-            "outlier_indices": truth.outlier_indices.tolist(),
-            "outlier_count": int(truth.outlier_indices.size),
-        }
     elif kind == "orientation":
         cfg, axes, poses_per_hole = synth.orientation_config_from_doc(doc)
         with synth.config_errors("synthesis"):
             dataset, truth = synth.gen_orientation_dataset(cfg, axes, poses_per_hole)
-        manifest = {"holes": []}
-        for i, hole in enumerate(dataset.holes):
-            name = f"hole_{i:02d}.csv"
+        truth_text = _truth(
+            rotation_quat=truth.rotation.tolist(), hole_axes=truth.hole_axes.tolist()
+        )
+        names = [f"hole_{i:02d}.csv" for i in range(len(dataset.holes))]
+        for name, hole in zip(names, dataset.holes):
             _write_poses(name, hole)
-            manifest["holes"].append(
-                {"reference_axis": hole.reference_axis.tolist(), "recording": name}
-            )
-        write_json(_path("manifest.json"), manifest)
-        truth_doc = {
-            "rotation_quat": truth.rotation.tolist(), "hole_axes": truth.hole_axes.tolist()
-        }
+        write_json(_path("manifest.json"), ingest.manifest_to_doc(dataset, names), allow_inf=False)
     elif kind == "demonstration":
         path, params = synth.demonstration_from_doc(doc)
         with synth.config_errors("demonstration"):
             trace = synth.gen_demonstration(path, **params)
+        truth_text = _truth(sample_count=len(trace))
         with open_output(_path("trace.csv")) as f:
             ingest.write_demo_csv(trace, f)
-        ingest.save_path(path, _path("path.json"))
-        truth_doc = {"sample_count": len(trace)}
+        write_json(_path("path.json"), ingest.path_to_doc(path), allow_inf=False)
     else:
         raise FormatError(f"unknown simulation kind {kind!r}")
-    write_json(_path("truth.json"), {"config": doc, **truth_doc})
+    write_text(_path("truth.json"), truth_text)
 
     _emit({"out_dir": args.out_dir, "files": written})
     return EXIT_OK
@@ -401,21 +400,29 @@ def main(argv=None) -> int:
 def entrypoint() -> None:
     """Run :func:`main` as the ``styluskit`` process and exit with its code.
 
-    Once ``main`` returns, the ``atexit`` handlers run and stdout and stderr
-    are flushed, in CPython's own shutdown order; ``os._exit`` then skips the
-    interpreter's teardown.  Every file the package opens is closed by a
-    ``with`` block, so none is left to a finalizer.  A failed flush (a full
-    disk, a pipe whose reader is gone) falls back to ``sys.exit``, which
-    reports it as Python always has (exit 120).
+    Once ``main`` returns, or argparse exits (``--help``, a usage error),
+    the ``atexit`` handlers run and stdout and stderr are flushed, in
+    CPython's own shutdown order; ``os._exit`` then skips the interpreter's
+    teardown.  Every file the package opens is closed by a ``with`` block,
+    so none is left to a finalizer.  A failed flush (a full disk, a pipe
+    whose reader is gone) is an output error like any other: one ``error:``
+    line and exit 2.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's exit, always with an int status
+        code = exc.code
     atexit._run_exitfuncs()
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None when the descriptor was closed at start-up
                 stream.flush()
-    except OSError:
-        sys.exit(code)
+    except OSError as exc:
+        code = EXIT_INPUT
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr itself is what failed
+            pass
     os._exit(code)
 
 

@@ -56,6 +56,11 @@ class NonFinitePose(InputError, ValueError):
     the input holds one, or transforming or solving with it overflowed."""
 
 
+class NonFiniteOutput(InputError, ValueError):
+    """A number to be written is infinite, which the output's readers reject:
+    JSON has no infinity, and the CSV parsers drop its row."""
+
+
 class ZeroVector(DegenerateDataError):
     """A direction was requested from a (near-)zero vector."""
 

@@ -13,10 +13,10 @@ out-of-plane z offset is reported separately.
 
 Each stage works on whole arrays: resampling takes first crossings from
 running extrema of the line parameter, and the report CSVs go through the
-block writer of the recording CSVs (``ingest._write_rows``).
+block writer of the recording CSVs (``jsonio.write_csv``).
 
 The ideal path and its JSON document (:class:`~styluskit.ingest.IdealPath`,
-``path_from_doc``, ``load_path``, ``save_path``) are defined in ``ingest``
+``path_to_doc``, ``path_from_doc``, ``load_path``) are defined in ``ingest``
 with the other file formats.  The median sample spacing of the force
 spectrum is taken from the sorted spacings (:func:`_median`), not by
 ``np.median``, whose NaN check imports ``numpy.ma``.
@@ -36,8 +36,8 @@ from .errors import (
     TooShort,
     WaypointNotReached,
 )
-from .ingest import DemonstrationTrace, ForceRecording, IdealPath, _write_rows
-from .jsonio import open_output, write_json
+from .ingest import DemonstrationTrace, ForceRecording, IdealPath
+from .jsonio import open_output, write_csv, write_json
 
 
 def segment_label(k: int) -> str:
@@ -551,18 +551,23 @@ def report_to_doc(report: EvaluationReport) -> dict:
     return doc
 
 
-def write_report_files(report: EvaluationReport, out_dir) -> list[str]:
-    """Write report.json plus the plot-ready CSVs; returns written names."""
+def write_report_files(report: EvaluationReport, out_dir, *, allow_inf: bool = True) -> list[str]:
+    """Write report.json plus the plot-ready CSVs; returns written names.
+
+    With ``allow_inf`` false, a ±inf raises ``NonFiniteOutput`` as
+    report.json is rendered, before any file is opened: the CSVs hold the
+    report's numbers and frequencies below its sample rate.
+    """
     import os
 
-    write_json(os.path.join(out_dir, "report.json"), report_to_doc(report))
+    write_json(os.path.join(out_dir, "report.json"), report_to_doc(report), allow_inf=allow_inf)
     written = ["report.json"]
 
     def _write(name: str, header: str, *blocks) -> None:  # blocks: (leading text, columns)
         with open_output(os.path.join(out_dir, name)) as stream:
             stream.write(header + "\n")
             for lead, columns in blocks:
-                _write_rows(stream, None, columns, lead)
+                write_csv(stream, None, columns, lead, allow_inf=allow_inf)
         written.append(name)
 
     _write("segments.csv", "segment,idx,mean,std,env_min,env_max", *[

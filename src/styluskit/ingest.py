@@ -67,13 +67,12 @@ from .geometry import (
     quat_normalize_rows,
     vec3,
 )
-from .jsonio import json_float, json_floats, json_int, read_json, write_json
+from .jsonio import json_float, json_floats, json_int, read_json, write_csv, write_json
 
 POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
 DEMO_CSV_HEADER = "t,x,y,z,Fz"
 
 _IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
-_WRITE_BLOCK = 1024
 
 
 class PoseRecording(PoseRows):
@@ -104,6 +103,8 @@ class ForceRecording:
             increasing = np.all(np.diff(self.t) > 0.0)
         if not increasing:
             raise ValueError("force timestamps must be strictly increasing")
+        if not np.isfinite(self.t).all():  # increasing, so only an end can be ±inf
+            raise ValueError("force timestamps must be finite")
 
     def __len__(self) -> int:
         return self.t.size
@@ -393,34 +394,17 @@ def load_trace(path) -> DemonstrationTrace:
         return DemonstrationTrace(TipTrack(recording.t, recording.p, recording.q))
 
 
-def _write_rows(stream, header: str | None, columns, lead: str = "") -> None:
-    """Write ``header`` (unless None), then one CSV line per row of the
-    stacked ``columns``, each line starting with the text ``lead``.
-
-    Rows are stacked and turned into Python floats a block at a time, so
-    no copy of the whole recording is held.  Each block is one ``%``
-    format of ``%.17g`` fields: the bytes of the per-value CSV oracle in
-    ``tests/oracles.py`` on float rows (``nan`` for either sign of NaN,
-    ``inf``, ``-0``), and on integers below 2**53, which print the digits
-    of ``str(int)``.
-    """
-    if header is not None:
-        stream.write(header + "\n")
-    lead = lead.replace("%", "%%")
-    for start in range(0, len(columns[0]), _WRITE_BLOCK):
-        block = np.column_stack([c[start : start + _WRITE_BLOCK] for c in columns])
-        line = lead + ",".join(["%.17g"] * block.shape[1]) + "\n"
-        stream.write(line * block.shape[0] % tuple(block.ravel().tolist()))
-
-
 def write_pose_csv(rec: PoseRecording, stream) -> None:
-    _write_rows(stream, POSE_CSV_HEADER, [rec.t, rec.p, rec.q])
+    """Write ``rec`` as a pose CSV; a ±inf, whose row the parser would drop, raises."""
+    write_csv(stream, POSE_CSV_HEADER, [rec.t, rec.p, rec.q], allow_inf=False)
 
 
 def write_demo_csv(trace: DemonstrationTrace, stream) -> None:
+    """Write ``trace`` as a demonstration CSV; a ±inf raises as in :func:`write_pose_csv`."""
     if trace.forces is None:
         raise ValueError("demonstration CSV requires per-point forces")
-    _write_rows(stream, DEMO_CSV_HEADER, [trace.times, trace.positions, trace.forces])
+    columns = [trace.times, trace.positions, trace.forces]
+    write_csv(stream, DEMO_CSV_HEADER, columns, allow_inf=False)
 
 
 def parse_pen_events(stream: Iterable[str]) -> tuple[list[PenEvent], int]:
@@ -601,10 +585,6 @@ def path_from_doc(doc: dict) -> IdealPath:
         raise FormatError(f"bad ideal path document: {exc}") from None
 
 
-def save_path(path_obj: IdealPath, path) -> None:
-    write_json(path, path_to_doc(path_obj))
-
-
 def load_path(path) -> IdealPath:
     return path_from_doc(read_json(path))
 
@@ -659,6 +639,12 @@ def load_calibration(path) -> TipCalibration:
     return calibration_from_doc(read_json(path))
 
 
+def manifest_to_doc(dataset: OrientationDataset, recordings: list[str]) -> dict:
+    """The hole manifest of ``dataset``, whose holes were written to ``recordings``."""
+    axes = [hole.reference_axis.tolist() for hole in dataset.holes]
+    return {"holes": [{"reference_axis": a, "recording": r} for a, r in zip(axes, recordings)]}
+
+
 def load_manifest(path) -> OrientationDataset:
     """The hole manifest at ``path``, whose recording paths are relative to it."""
     manifest = read_json(path)
@@ -684,6 +670,18 @@ def load_manifest(path) -> OrientationDataset:
         return OrientationDataset(holes=holes)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
+
+
+def position_to_doc(result, config: dict) -> dict:
+    """The position file of ``calibrate-position``: the ``config`` it ran
+    with, then ``result``, a :class:`~styluskit.calib.PositionCalibration`."""
+    return {
+        "config": config,
+        "translation": result.tip_offset.tolist(),
+        "pivot": result.pivot.tolist(),
+        "position_residual_rms": result.residual_rms,
+        "filtered_outliers": result.removed_outliers,
+    }
 
 
 def load_position(path) -> tuple[np.ndarray, float, int]:

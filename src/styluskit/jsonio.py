@@ -1,9 +1,9 @@
-"""Deterministic JSON formatting, and the one file path for JSON and CSV.
+"""Deterministic text for every number a command writes, and the one file path.
 
 All files the toolkit writes go through these helpers so that identical
-data always produces identical bytes: dict keys keep insertion order,
-floats are printed with 17 significant digits (lossless for IEEE 754
-doubles), and NaN becomes ``null``.
+data always produces identical bytes: dict keys keep insertion order, and
+every float, JSON or CSV, is printed with 17 significant digits (lossless
+for IEEE 754 doubles), NaN as ``null`` in JSON and ``nan`` in CSV.
 
 Every output file is opened by :func:`open_output` (UTF-8, ``\\n``
 endings) and every JSON file read by :func:`read_json`, which raises
@@ -20,14 +20,15 @@ import math
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NonFiniteOutput
+
+_FLOAT = "%.17g"  # the one float rule; NaN of either sign prints as nan, null in JSON
+_WRITE_BLOCK = 1024
 
 
 def format_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "null"
-    return format(x, ".17g")
+    text = _FLOAT % float(x)
+    return "null" if text == "nan" else text
 
 
 def _format_scalar(x) -> str:
@@ -48,8 +49,32 @@ def _is_scalar(x) -> bool:
     return x is None or isinstance(x, (bool, int, float, str, np.integer, np.floating))
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """Serialize ``obj`` to canonical JSON text (no trailing newline)."""
+def _refuse_inf(obj, where: str = "") -> None:
+    """Raise :class:`NonFiniteOutput` naming the key path of the first ±inf in ``obj``."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _refuse_inf(value, f"{where}.{key}" if where else str(key))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            _refuse_inf(value, f"{where}[{i}]")
+    elif isinstance(obj, (float, np.floating)) and math.isinf(obj):
+        raise NonFiniteOutput(f"cannot write {where or 'the document'}: {obj} is not finite")
+
+
+def dumps_canonical(obj, indent: int = 0, *, allow_inf: bool = True) -> str:
+    """Serialize ``obj`` to canonical JSON text (no trailing newline).
+
+    A ±inf prints as ``inf``, which no JSON reader accepts, unless
+    ``allow_inf`` is false: then it raises :class:`NonFiniteOutput` naming
+    its key path, as every command's output does.
+    """
+    if not allow_inf:
+        text = dumps_canonical(obj, indent)
+        if "inf" in text:  # an infinity prints as inf; a string may hold the letters too
+            _refuse_inf(obj)
+        return text
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, np.ndarray):
@@ -67,9 +92,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         seq = [x.tolist() if isinstance(x, np.ndarray) else x for x in obj]
         if all(type(x) is float for x in seq):
-            # One format for the whole list, the bytes of format_float on
-            # each: only a NaN prints as ``nan``, and that becomes ``null``.
-            text = ", ".join(["%.17g"] * len(seq)) % tuple(seq)
+            # One format for the whole list, the bytes of format_float on each.
+            text = ", ".join([_FLOAT] * len(seq)) % tuple(seq)
             return "[" + text.replace("nan", "null") + "]"
         # Python ints and bools in one join each, the bytes of _format_scalar;
         # numpy scalars and mixed lists take the per-scalar path below.
@@ -84,6 +108,34 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def write_csv(
+    stream, header: str | None, columns, lead: str = "", *, allow_inf: bool = True
+) -> None:
+    """Write ``header`` (unless None), then one CSV line per row of the
+    stacked ``columns``, each line starting with the text ``lead``.
+
+    A block of rows at a time is stacked and printed by one ``%`` format of
+    ``%.17g`` fields, so no copy of the whole recording is held: the bytes
+    of :func:`format_float` on each float, but ``nan`` for NaN, and the
+    digits of ``str(int)`` on integers below 2**53.  With ``allow_inf``
+    false, a block holding ±inf raises :class:`NonFiniteOutput` naming its
+    row and column before the block is written.
+    """
+    if header is not None:
+        stream.write(header + "\n")
+    lead = lead.replace("%", "%%")
+    for start in range(0, len(columns[0]), _WRITE_BLOCK):
+        block = np.column_stack([c[start : start + _WRITE_BLOCK] for c in columns])
+        if not allow_inf and np.isinf(block).any():
+            row, col = np.argwhere(np.isinf(block))[0]
+            field = col + lead.count(",")  # the fields of the leading text come first
+            name = header.split(",")[field] if header else field + 1
+            where = f"row {start + row + 1}, column {name}"
+            raise NonFiniteOutput(f"cannot write {where}: {block[row, col]} is not finite")
+        line = lead + ",".join([_FLOAT] * block.shape[1]) + "\n"
+        stream.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+
+
 def open_output(path):
     """Open ``path`` for writing text: UTF-8, newlines written as ``\\n``."""
     return open(path, "w", encoding="utf-8", newline="")
@@ -96,8 +148,8 @@ def write_text(path, text: str) -> None:
         f.write("\n")
 
 
-def write_json(path, obj) -> None:
-    write_text(path, dumps_canonical(obj))
+def write_json(path, obj, *, allow_inf: bool = True) -> None:
+    write_text(path, dumps_canonical(obj, allow_inf=allow_inf))
 
 
 def read_json(path):

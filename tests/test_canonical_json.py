@@ -12,7 +12,9 @@ and strings, alone or mixed.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from styluskit import jsonio
-from styluskit.jsonio import _format_scalar, dumps_canonical
+from styluskit.errors import NonFiniteOutput
+from styluskit.geometry import TipTrack
+from styluskit.ingest import DemonstrationTrace, PoseRecording, write_demo_csv, write_pose_csv
+from styluskit.jsonio import _format_scalar, dumps_canonical, write_csv
 
 
 def oracle_flat_list(seq) -> str:
@@ -99,3 +104,50 @@ def test_int_and_bool_lists_skip_the_per_scalar_path(monkeypatch):
     assert dumps_canonical(np.zeros(3, dtype=bool)) == "[false, false, false]"
     with pytest.raises(AssertionError, match="per-scalar path"):
         dumps_canonical([np.int64(1), 2])
+
+
+# ------------------------------------------------------------ infinities
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [({"config": {"note": math.inf}}, "config.note"),
+     ({"a": [0.5, {"b": (1.0, np.float64(-math.inf))}]}, "a[1].b[1]"),
+     ({"spectra": [{"amplitudes": np.array([0.0, math.inf])}]}, "spectra[0].amplitudes[1]"),
+     (-math.inf, "the document")],
+)
+def test_refused_infinity_names_its_key_path(doc, where):
+    text = dumps_canonical(doc)  # printed as inf unless refused
+    assert "inf" in text
+    with pytest.raises(NonFiniteOutput, match=rf"^cannot write {re.escape(where)}: -?inf is"):
+        dumps_canonical(doc, allow_inf=False)
+
+
+def test_refusal_keeps_nan_strings_and_large_ints():
+    doc = {"info": "inf", "nan": math.nan, "count": 10**400, "rows": [math.nan, 1e308]}
+    assert dumps_canonical(doc, allow_inf=False) == dumps_canonical(doc)
+
+
+def test_csv_writer_names_row_and_column():
+    columns = [np.arange(3) * 0.1, np.array([[0.0, 1.0], [2.0, -math.inf], [math.nan, 4.0]])]
+    stream = io.StringIO()
+    write_csv(stream, "t,a,b", columns)
+    assert stream.getvalue() == (
+        "t,a,b\n0,0,1\n0.10000000000000001,2,-inf\n0.20000000000000001,nan,4\n"
+    )
+    stream = io.StringIO()
+    with pytest.raises(NonFiniteOutput, match="^cannot write row 2, column b: -inf is not finite$"):
+        write_csv(stream, "t,a,b", columns, allow_inf=False)
+    assert stream.getvalue() == "t,a,b\n"  # the block is refused before it is written
+    with pytest.raises(NonFiniteOutput, match="row 2, column 4: -inf"):
+        write_csv(io.StringIO(), None, columns, "A,", allow_inf=False)
+
+
+def test_recording_writers_refuse_infinity():
+    t, identity = np.array([0.0, 0.01, math.inf]), np.tile([0.0, 0.0, 0.0, 1.0], (3, 1))
+    trace = DemonstrationTrace(TipTrack(t[:2], np.zeros((2, 3)), identity[:2]), [1.0, math.inf])
+    with pytest.raises(NonFiniteOutput, match="row 2, column Fz: inf"):
+        write_demo_csv(trace, io.StringIO())
+    recording = PoseRecording("world", t=t, q=identity, p=np.zeros((3, 3)))
+    with pytest.raises(NonFiniteOutput, match="row 3, column t: inf"):
+        write_pose_csv(recording, io.StringIO())

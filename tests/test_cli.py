@@ -454,6 +454,18 @@ class TestFilterFlagErrors:
         self.assert_one_line_error(code, out, err, flag)
 
     @pytest.mark.parametrize(
+        "flag, value", [("--radius", "0"), ("--radius", "inf"), ("--min-neighbors", "-5")]
+    )
+    def test_no_filter_checks_filter_flags_before_reading(self, tmp_path, capsys, flag, value):
+        # The position file echoes both flags, so --no-filter checks them too,
+        # and before any file is read: the pose CSV named here does not exist.
+        output = tmp_path / "pos.json"
+        code, out, err = run(capsys, "calibrate-position", str(tmp_path / "missing.csv"),
+                             "--no-filter", flag, value, "-o", str(output))
+        self.assert_one_line_error(code, out, err, flag)
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--axis-radius", "0"), ("--axis-radius", "-1"), ("--axis-radius", "nan"),
          ("--axis-radius", "1e-200"), ("--axis-min-neighbors", "0")],
@@ -1470,6 +1482,113 @@ class TestJsonNumbers:
         with pytest.raises(FormatError, match="bad JSON-lines pose record") as excinfo:
             parse_pose_csv(io.StringIO("\n".join(rows) + "\n"))
         assert excinfo.value.line == 2
+
+    # Finite in, finite out (ROADMAP item 4): extreme numbers in every JSON
+    # field and CSV column above either exit 0 with no warning and outputs
+    # that every reader takes, or exit 2 or 3 with one error line.
+    CSV_EXTREMES = [1e308, -1e308, 5e-324, -0.0, 1e-320]
+    CSV_COLUMNS = [
+        (command, column)
+        for command, header in [("calibrate-position", "t,x,y,z,qx,qy,qz,qw"),
+                                ("snapshot", "t,x,y,z,qx,qy,qz,qw"), ("evaluate", "t,x,y,z,Fz")]
+        for column in header.split(",")
+    ]
+
+    @staticmethod
+    def assert_finite_outcome(code, out, err, tmp_path, skip=()):
+        """The sweep's rule: exit 2 or 3 with exactly one ``error:`` line, or
+        exit 0 with no ``warning:`` line, stdout and every JSON file under
+        ``tmp_path`` (but ``skip``) free of non-finite constants and every
+        CSV number finite, but the NaN of a target no trace reached."""
+        lines = err.splitlines()
+        if code != 0:
+            assert code in (2, 3) and len(lines) == 1 and lines[0].startswith("error: "), err
+            return
+        assert not [line for line in lines if line.startswith("warning:")], err
+
+        def reject(constant):
+            raise AssertionError(f"non-finite JSON constant {constant}")
+
+        json.loads(out, parse_constant=reject)
+        for path in sorted(set(tmp_path.rglob("*.*")) - set(skip)):
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=reject)
+            elif path.suffix == ".csv":
+                for row in path.read_text().splitlines()[1:]:
+                    numbers = row.split(",")[1:] if path.name == "segments.csv" else row.split(",")
+                    values = np.array(numbers, dtype=float)
+                    finite = np.isfinite(values) | (np.isnan(values) & (path.name == "segments.csv"))
+                    assert finite.all(), (path.name, row)
+
+    @pytest.mark.parametrize(
+        "doc, keys, value",
+        [pytest.param(doc, keys, value, id=f"{doc[:-5]}-{'.'.join(map(str, keys))}-{value}")
+         for doc, keys, _ in FIELDS
+         for value in (1e308, -1e308, 5e-324, -0.0, 10**400, math.inf, -math.inf, math.nan)],
+    )
+    def test_extreme_json_number(self, inputs, tmp_path, capsys, doc, keys, value):
+        edited = json.loads((inputs / doc).read_text())
+        target = edited
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        bad = tmp_path / doc
+        bad.write_text(json.dumps(edited))
+        code, out, err = run(capsys, *self.command(inputs, doc, bad))
+        self.assert_finite_outcome(code, out, err, tmp_path, skip=[bad])
+
+    @pytest.mark.parametrize("command, column", CSV_COLUMNS)
+    @pytest.mark.parametrize("row", ["first", "middle", "last"])
+    @pytest.mark.parametrize("value", CSV_EXTREMES)
+    def test_extreme_csv_number(self, inputs, tmp_path, capsys, command, column, row, value):
+        source = inputs / ("demo/trace.csv" if command == "evaluate" else "pos/poses.csv")
+        header, *rows = source.read_text().splitlines()
+        index = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[row]
+        fields = rows[index].split(",")
+        fields[header.split(",").index(column)] = repr(value)
+        rows[index] = ",".join(fields)
+        edited = tmp_path / "in" / source.name
+        edited.parent.mkdir()
+        edited.write_text("\n".join([header, *rows]) + "\n")
+        out_dir = tmp_path / "out"
+        argv = {
+            "calibrate-position": ["calibrate-position", edited, "-o", out_dir / "tip.json"],
+            "snapshot": ["snapshot", edited, inputs / "events.txt", "--calibration",
+                         inputs / "calibration.json", "-o", out_dir / "waypoints.json"],
+            "evaluate": ["evaluate", edited, "--frame", inputs / "frame.json", "--path",
+                         inputs / "path.json", "--out-dir", out_dir],
+        }[command]
+        out_dir.mkdir()
+        code, out, err = run(capsys, *[str(a) for a in argv])
+        self.assert_finite_outcome(code, out, err, out_dir)
+
+    ECHOES = [
+        ("sim_sine.json", ["note"], math.inf),
+        ("sim_sine.json", ["note"], -math.inf),
+        ("sim_position.json", ["poses_per_hole"], math.inf),
+    ]
+
+    @pytest.mark.parametrize("doc, keys, value", ECHOES, ids=["inf", "-inf", "unused"])
+    def test_config_echo_of_an_infinity_exit_2(self, inputs, tmp_path, capsys, doc, keys, value):
+        # simulate echoes its config into truth.json, which JSON readers
+        # rejected with the infinity in it; now nothing is written.
+        edited = json.loads((inputs / doc).read_text())
+        edited[keys[0]] = value
+        bad = tmp_path / doc
+        bad.write_text(json.dumps(edited))
+        code, out, err = run(capsys, *self.command(inputs, doc, bad))
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, f"config.{keys[0]}")
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [bad]
+
+    def test_config_echo_of_nan_writes_null(self, inputs, tmp_path, capsys):
+        edited = {**json.loads((inputs / "sim_sine.json").read_text()), "note": math.nan}
+        bad = tmp_path / "sim_sine.json"
+        bad.write_text(json.dumps(edited))
+        code, out, err = run(capsys, *self.command(inputs, "sim_sine.json", bad))
+        self.assert_finite_outcome(code, out, err, tmp_path, skip=[bad])
+        assert code == 0
+        truth = json.loads((tmp_path / "sim_sine_out" / "truth.json").read_text())
+        assert truth["config"]["note"] is None
 
     @pytest.mark.parametrize("value", [-1e-4, -1e308])
     def test_negative_position_residual_rms_exit_2(self, inputs, tmp_path, capsys, value):

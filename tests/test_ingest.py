@@ -275,6 +275,15 @@ class TestForceTimestamps:
             with pytest.raises(ValueError, match="strictly increasing"):
                 ForceRecording(t, np.ones(4))
 
+    @pytest.mark.parametrize("end", [-1, 0], ids=["last", "first"])
+    def test_infinite_end_rejected(self, end):
+        # Strictly increasing, so only the finiteness check sees it; the
+        # force spectrum used to report a grid that "needs inf points".
+        t = np.arange(16) * 0.01
+        t[end] = np.inf if end == -1 else -np.inf
+        with pytest.raises(ValueError, match="force timestamps must be finite"):
+            ForceRecording(t, np.ones(16))
+
 
 class TestNonFiniteEventTimestamps:
     def test_rejected_on_any_event_line(self):
@@ -368,6 +377,35 @@ class TestFileLoaders:
         assert dataset.holes[0].p.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5]]
         translation, rms, removed = load_position(position)
         assert (translation.tolist(), rms, removed) == ([0.0, 0.0, -0.12], 0.0, 0)
+
+    def test_written_documents_read_back(self, tmp_path):
+        # Each document is built beside its reader, and reads back whole.
+        from styluskit.calib import PositionCalibration
+        from styluskit.geometry import HoleRecording, OrientationDataset
+        from styluskit.ingest import manifest_to_doc, position_to_doc
+        from styluskit.jsonio import write_json
+
+        rng = np.random.default_rng(29)
+        result = PositionCalibration(rng.normal(size=3), rng.normal(size=3), 2.5e-5, 7)
+        write_json(tmp_path / "position.json", position_to_doc(result, {"filter": True}))
+        translation, rms, removed = load_position(tmp_path / "position.json")
+        assert translation.tobytes() == result.tip_offset.tobytes()
+        assert (rms, removed) == (2.5e-5, 7)
+
+        holes = [
+            HoleRecording(
+                axis, q=quat_normalize_rows(rng.normal(size=(5, 4))), p=rng.normal(size=(5, 3))
+            )
+            for axis in ([0.0, 0.0, 1.0], [0.0, 0.6, 0.8])
+        ]
+        names = ["hole_a.csv", "hole_b.csv"]
+        for name, hole in zip(names, holes):
+            with open(tmp_path / name, "w", encoding="utf-8") as f:
+                write_pose_csv(PoseRecording("world", t=np.arange(5.0), q=hole.q, p=hole.p), f)
+        write_json(tmp_path / "manifest.json", manifest_to_doc(OrientationDataset(holes), names))
+        for back, hole in zip(load_manifest(tmp_path / "manifest.json").holes, holes, strict=True):
+            for name in ("reference_axis", "q", "p"):
+                assert getattr(back, name).tobytes() == getattr(hole, name).tobytes()
 
     @pytest.mark.parametrize(
         "doc, message",

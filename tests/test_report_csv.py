@@ -18,11 +18,13 @@ import math
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_row
 
 from styluskit import cli
+from styluskit.errors import NonFiniteOutput
 from styluskit.evaluation import (
     EpsilonHistogram,
     EvaluationReport,
@@ -34,7 +36,8 @@ from styluskit.evaluation import (
 )
 from styluskit.framing import load_frame, to_frame
 from styluskit.geometry import TipTrack
-from styluskit.ingest import DemonstrationTrace, IdealPath, _write_rows, load_path, parse_demo_csv
+from styluskit.ingest import DemonstrationTrace, IdealPath, load_path, parse_demo_csv
+from styluskit.jsonio import write_csv as _write_rows
 from styluskit.jsonio import write_json, write_text
 
 SPECIAL = [
@@ -225,3 +228,13 @@ def test_leading_text_is_written_as_is():
     _write_rows(stream, None, columns, "100%s,")
     expected = "".join(csv_row(["100%s", a, int(b)]) + "\n" for a, b in zip(*columns))
     assert stream.getvalue() == expected
+
+
+def test_refused_infinity_writes_no_file(tmp_path):
+    # A command writes the report with allow_inf=False: an overflowed
+    # statistic exits before report.json or any CSV is opened.
+    column = np.array([0.5, 1.0, math.inf])
+    report = make_report([[column] * 4], np.arange(3) * 0.001, [1, 2], [np.ones(3)])
+    with pytest.raises(NonFiniteOutput, match=r"^cannot write segments\[0\]\.mean\[2\]: inf is"):
+        write_report_files(report, tmp_path, allow_inf=False)
+    assert list(tmp_path.iterdir()) == []

@@ -39,7 +39,8 @@ from styluskit.geometry import (
     rotation_between,
     vec3,
 )
-from styluskit.ingest import POSE_CSV_HEADER, IdealPath, _write_rows
+from styluskit.ingest import POSE_CSV_HEADER, IdealPath
+from styluskit.jsonio import write_csv as _write_rows
 from styluskit.jsonio import write_json
 from styluskit.synth import (
     OrientationGroundTruth,
