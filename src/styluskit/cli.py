@@ -144,9 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(doc, output: str | None = None) -> None:
     """Print ``doc`` as canonical JSON, and also write it to ``output`` if given;
     an infinity in it raises first (:class:`~styluskit.errors.NonFiniteOutput`)."""
-    from .jsonio import dumps_canonical, write_text
+    from .jsonio import dumps_canonical, refuse_inf, write_text
 
-    text = dumps_canonical(doc, allow_inf=False)
+    refuse_inf(doc)
+    text = dumps_canonical(doc)
     print(text)
     if output:
         write_text(output, text)
@@ -236,6 +237,7 @@ def _cmd_identify_frame(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     from . import evaluation, framing, ingest
+    from .jsonio import refuse_inf
 
     most = evaluation.MAX_TARGETS_PER_SEGMENT
     if not 2 <= args.n <= most:
@@ -278,7 +280,9 @@ def _cmd_evaluate(args) -> int:
     written = []
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        written = evaluation.write_report_files(report, args.out_dir, allow_inf=False)
+        # report.json holds every number the CSVs do, bar frequencies below the sample rate.
+        refuse_inf(evaluation.report_to_doc(report))
+        written = evaluation.write_report_files(report, args.out_dir)
     summary = {
         "config": config,
         "epsilon_fraction": report.epsilon_fraction,
@@ -294,7 +298,7 @@ def _cmd_simulate(args) -> int:
     import numpy as np
 
     from . import ingest, synth
-    from .jsonio import dumps_canonical, open_output, write_json, write_text
+    from .jsonio import dumps_canonical, open_output, refuse_inf, write_json, write_text
 
     doc = synth.load_config(args.config)
     kind = doc.get("kind")
@@ -313,8 +317,11 @@ def _cmd_simulate(args) -> int:
 
     def _truth(**fields) -> str:
         """The text of truth.json, rendered before any file is written: the
-        config it echoes may hold an infinity, which raises here."""
-        return dumps_canonical({"config": doc, **fields}, allow_inf=False)
+        config it echoes may hold an infinity, which raises here.  The
+        manifest and path documents hold only numbers derived from it."""
+        truth = {"config": doc, **fields}
+        refuse_inf(truth)
+        return dumps_canonical(truth)
 
     if kind == "position":
         cfg = synth.synth_config_from_doc(doc)
@@ -337,7 +344,7 @@ def _cmd_simulate(args) -> int:
         names = [f"hole_{i:02d}.csv" for i in range(len(dataset.holes))]
         for name, hole in zip(names, dataset.holes):
             _write_poses(name, hole)
-        write_json(_path("manifest.json"), ingest.manifest_to_doc(dataset, names), allow_inf=False)
+        write_json(_path("manifest.json"), ingest.manifest_to_doc(dataset, names))
     elif kind == "demonstration":
         path, params = synth.demonstration_from_doc(doc)
         with synth.config_errors("demonstration"):
@@ -345,7 +352,7 @@ def _cmd_simulate(args) -> int:
         truth_text = _truth(sample_count=len(trace))
         with open_output(_path("trace.csv")) as f:
             ingest.write_demo_csv(trace, f)
-        write_json(_path("path.json"), ingest.path_to_doc(path), allow_inf=False)
+        write_json(_path("path.json"), ingest.path_to_doc(path))
     else:
         raise FormatError(f"unknown simulation kind {kind!r}")
     write_text(_path("truth.json"), truth_text)

@@ -551,23 +551,18 @@ def report_to_doc(report: EvaluationReport) -> dict:
     return doc
 
 
-def write_report_files(report: EvaluationReport, out_dir, *, allow_inf: bool = True) -> list[str]:
-    """Write report.json plus the plot-ready CSVs; returns written names.
-
-    With ``allow_inf`` false, a ±inf raises ``NonFiniteOutput`` as
-    report.json is rendered, before any file is opened: the CSVs hold the
-    report's numbers and frequencies below its sample rate.
-    """
+def write_report_files(report: EvaluationReport, out_dir) -> list[str]:
+    """Write report.json plus the plot-ready CSVs; returns written names."""
     import os
 
-    write_json(os.path.join(out_dir, "report.json"), report_to_doc(report), allow_inf=allow_inf)
+    write_json(os.path.join(out_dir, "report.json"), report_to_doc(report))
     written = ["report.json"]
 
     def _write(name: str, header: str, *blocks) -> None:  # blocks: (leading text, columns)
         with open_output(os.path.join(out_dir, name)) as stream:
             stream.write(header + "\n")
             for lead, columns in blocks:
-                write_csv(stream, None, columns, lead, allow_inf=allow_inf)
+                write_csv(stream, None, columns, lead)
         written.append(name)
 
     _write("segments.csv", "segment,idx,mean,std,env_min,env_max", *[

@@ -67,7 +67,7 @@ from .geometry import (
     quat_normalize_rows,
     vec3,
 )
-from .jsonio import json_float, json_floats, json_int, read_json, write_csv, write_json
+from .jsonio import json_float, json_floats, json_int, read_json, refuse_inf, write_csv, write_json
 
 POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
 DEMO_CSV_HEADER = "t,x,y,z,Fz"
@@ -394,17 +394,24 @@ def load_trace(path) -> DemonstrationTrace:
         return DemonstrationTrace(TipTrack(recording.t, recording.p, recording.q))
 
 
+def _write_finite_csv(stream, header: str, columns) -> None:
+    """Write ``columns`` under ``header`` once :func:`refuse_inf` finds no
+    ±inf in any CSV column, whose row the parser would drop."""
+    flat = [c for block in columns for c in np.reshape(block, (len(block), -1)).T]
+    refuse_inf(dict(zip(header.split(","), flat)))
+    write_csv(stream, header, columns)
+
+
 def write_pose_csv(rec: PoseRecording, stream) -> None:
-    """Write ``rec`` as a pose CSV; a ±inf, whose row the parser would drop, raises."""
-    write_csv(stream, POSE_CSV_HEADER, [rec.t, rec.p, rec.q], allow_inf=False)
+    """Write ``rec`` as a pose CSV; a ±inf raises, naming its column and row."""
+    _write_finite_csv(stream, POSE_CSV_HEADER, [rec.t, rec.p, rec.q])
 
 
 def write_demo_csv(trace: DemonstrationTrace, stream) -> None:
     """Write ``trace`` as a demonstration CSV; a ±inf raises as in :func:`write_pose_csv`."""
     if trace.forces is None:
         raise ValueError("demonstration CSV requires per-point forces")
-    columns = [trace.times, trace.positions, trace.forces]
-    write_csv(stream, DEMO_CSV_HEADER, columns, allow_inf=False)
+    _write_finite_csv(stream, DEMO_CSV_HEADER, [trace.times, trace.positions, trace.forces])
 
 
 def parse_pen_events(stream: Iterable[str]) -> tuple[list[PenEvent], int]:

@@ -3,7 +3,9 @@
 All files the toolkit writes go through these helpers so that identical
 data always produces identical bytes: dict keys keep insertion order, and
 every float, JSON or CSV, is printed with 17 significant digits (lossless
-for IEEE 754 doubles), NaN as ``null`` in JSON and ``nan`` in CSV.
+for IEEE 754 doubles), NaN as ``null`` in JSON and ``nan`` in CSV.  A
+±inf would print as ``inf``, so every command passes what it writes
+through :func:`refuse_inf` before opening the output.
 
 Every output file is opened by :func:`open_output` (UTF-8, ``\\n``
 endings) and every JSON file read by :func:`read_json`, which raises
@@ -49,9 +51,18 @@ def _is_scalar(x) -> bool:
     return x is None or isinstance(x, (bool, int, float, str, np.integer, np.floating))
 
 
-def _refuse_inf(obj, where: str = "") -> None:
-    """Raise :class:`NonFiniteOutput` naming the key path of the first ±inf in ``obj``."""
+def refuse_inf(doc) -> None:
+    """Raise :class:`NonFiniteOutput` naming the key path of the first ±inf
+    in ``doc``, which the writers would print as ``inf``: no JSON reader
+    accepts it, and the pose parser drops its row.  Every command checks
+    what it writes here before it opens the output."""
+    _refuse_inf(doc, "")
+
+
+def _refuse_inf(obj, where: str) -> None:
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf" and not np.isinf(obj).any():
+            return  # one pass over a whole column; the walk below names an infinity
         obj = obj.tolist()
     if isinstance(obj, dict):
         for key, value in obj.items():
@@ -63,18 +74,9 @@ def _refuse_inf(obj, where: str = "") -> None:
         raise NonFiniteOutput(f"cannot write {where or 'the document'}: {obj} is not finite")
 
 
-def dumps_canonical(obj, indent: int = 0, *, allow_inf: bool = True) -> str:
-    """Serialize ``obj`` to canonical JSON text (no trailing newline).
-
-    A ±inf prints as ``inf``, which no JSON reader accepts, unless
-    ``allow_inf`` is false: then it raises :class:`NonFiniteOutput` naming
-    its key path, as every command's output does.
-    """
-    if not allow_inf:
-        text = dumps_canonical(obj, indent)
-        if "inf" in text:  # an infinity prints as inf; a string may hold the letters too
-            _refuse_inf(obj)
-        return text
+def dumps_canonical(obj, indent: int = 0) -> str:
+    """Serialize ``obj`` to canonical JSON text (no trailing newline); a
+    ±inf prints as ``inf`` (see :func:`refuse_inf`)."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, np.ndarray):
@@ -108,30 +110,21 @@ def dumps_canonical(obj, indent: int = 0, *, allow_inf: bool = True) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_csv(
-    stream, header: str | None, columns, lead: str = "", *, allow_inf: bool = True
-) -> None:
+def write_csv(stream, header: str | None, columns, lead: str = "") -> None:
     """Write ``header`` (unless None), then one CSV line per row of the
     stacked ``columns``, each line starting with the text ``lead``.
 
     A block of rows at a time is stacked and printed by one ``%`` format of
     ``%.17g`` fields, so no copy of the whole recording is held: the bytes
-    of :func:`format_float` on each float, but ``nan`` for NaN, and the
-    digits of ``str(int)`` on integers below 2**53.  With ``allow_inf``
-    false, a block holding ±inf raises :class:`NonFiniteOutput` naming its
-    row and column before the block is written.
+    of :func:`format_float` on each float, but ``nan`` for NaN and ``inf``
+    for ±inf (see :func:`refuse_inf`), and the digits of ``str(int)`` on
+    integers below 2**53.
     """
     if header is not None:
         stream.write(header + "\n")
     lead = lead.replace("%", "%%")
     for start in range(0, len(columns[0]), _WRITE_BLOCK):
         block = np.column_stack([c[start : start + _WRITE_BLOCK] for c in columns])
-        if not allow_inf and np.isinf(block).any():
-            row, col = np.argwhere(np.isinf(block))[0]
-            field = col + lead.count(",")  # the fields of the leading text come first
-            name = header.split(",")[field] if header else field + 1
-            where = f"row {start + row + 1}, column {name}"
-            raise NonFiniteOutput(f"cannot write {where}: {block[row, col]} is not finite")
         line = lead + ",".join([_FLOAT] * block.shape[1]) + "\n"
         stream.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
@@ -148,8 +141,8 @@ def write_text(path, text: str) -> None:
         f.write("\n")
 
 
-def write_json(path, obj, *, allow_inf: bool = True) -> None:
-    write_text(path, dumps_canonical(obj, allow_inf=allow_inf))
+def write_json(path, obj) -> None:
+    write_text(path, dumps_canonical(obj))
 
 
 def read_json(path):

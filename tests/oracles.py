@@ -14,7 +14,7 @@ O(N^2) form of what the package computes another way:
   :func:`rotation_to_euler` inverts
   :func:`styluskit.geometry.euler_to_rotation`.
 - :func:`csv_row` formats one CSV line a value at a time, the bytes that
-  the block writer ``ingest._write_rows`` must give.
+  the block writer ``jsonio.write_csv`` must give.
 - :func:`oracle_quat_normalize` canonicalises one quaternion with Python
   scalars, the bytes, first error and warnings that
   :func:`styluskit.geometry.quat_normalize_rows` must give row by row.
@@ -148,7 +148,7 @@ def _leading_component(q: np.ndarray) -> float:
 def csv_row(values) -> str:
     """One CSV line (no newline) from strings, integers and floats.
 
-    The package writes no CSV through it: ``ingest._write_rows`` formats
+    The package writes no CSV through it: ``jsonio.write_csv`` formats
     whole blocks of rows.  It stays as the per-value oracle those bytes
     are tested against (``nan`` for NaN, 17 significant digits otherwise).
     """

@@ -114,40 +114,41 @@ def test_int_and_bool_lists_skip_the_per_scalar_path(monkeypatch):
     [({"config": {"note": math.inf}}, "config.note"),
      ({"a": [0.5, {"b": (1.0, np.float64(-math.inf))}]}, "a[1].b[1]"),
      ({"spectra": [{"amplitudes": np.array([0.0, math.inf])}]}, "spectra[0].amplitudes[1]"),
+     ({"p": np.array([[0.0, 1.0], [2.0, -math.inf]])}, "p[1][1]"),
      (-math.inf, "the document")],
 )
 def test_refused_infinity_names_its_key_path(doc, where):
-    text = dumps_canonical(doc)  # printed as inf unless refused
-    assert "inf" in text
+    assert "inf" in dumps_canonical(doc)  # the writer prints it; the check refuses it
     with pytest.raises(NonFiniteOutput, match=rf"^cannot write {re.escape(where)}: -?inf is"):
-        dumps_canonical(doc, allow_inf=False)
+        jsonio.refuse_inf(doc)
 
 
-def test_refusal_keeps_nan_strings_and_large_ints():
-    doc = {"info": "inf", "nan": math.nan, "count": 10**400, "rows": [math.nan, 1e308]}
-    assert dumps_canonical(doc, allow_inf=False) == dumps_canonical(doc)
+def test_refusal_passes_nan_strings_and_large_ints():
+    jsonio.refuse_inf({"info": "inf", "nan": math.nan, "count": 10**400, "rows": [math.nan, 1e308]})
+    jsonio.refuse_inf({"ints": np.arange(3), "flags": np.ones(2, dtype=bool), "nan": np.array([np.nan])})
 
 
-def test_csv_writer_names_row_and_column():
+def test_csv_writer_prints_infinity_as_inf():
     columns = [np.arange(3) * 0.1, np.array([[0.0, 1.0], [2.0, -math.inf], [math.nan, 4.0]])]
     stream = io.StringIO()
     write_csv(stream, "t,a,b", columns)
     assert stream.getvalue() == (
         "t,a,b\n0,0,1\n0.10000000000000001,2,-inf\n0.20000000000000001,nan,4\n"
     )
-    stream = io.StringIO()
-    with pytest.raises(NonFiniteOutput, match="^cannot write row 2, column b: -inf is not finite$"):
-        write_csv(stream, "t,a,b", columns, allow_inf=False)
-    assert stream.getvalue() == "t,a,b\n"  # the block is refused before it is written
-    with pytest.raises(NonFiniteOutput, match="row 2, column 4: -inf"):
-        write_csv(io.StringIO(), None, columns, "A,", allow_inf=False)
 
 
 def test_recording_writers_refuse_infinity():
     t, identity = np.array([0.0, 0.01, math.inf]), np.tile([0.0, 0.0, 0.0, 1.0], (3, 1))
     trace = DemonstrationTrace(TipTrack(t[:2], np.zeros((2, 3)), identity[:2]), [1.0, math.inf])
-    with pytest.raises(NonFiniteOutput, match="row 2, column Fz: inf"):
-        write_demo_csv(trace, io.StringIO())
-    recording = PoseRecording("world", t=t, q=identity, p=np.zeros((3, 3)))
-    with pytest.raises(NonFiniteOutput, match="row 3, column t: inf"):
-        write_pose_csv(recording, io.StringIO())
+    stream = io.StringIO()
+    with pytest.raises(NonFiniteOutput, match=r"^cannot write Fz\[1\]: inf is not finite$"):
+        write_demo_csv(trace, stream)
+    p = np.zeros((3, 3))
+    p[1, 2] = -math.inf
+    recording = PoseRecording("world", t=t, q=identity, p=p)
+    with pytest.raises(NonFiniteOutput, match=r"^cannot write t\[2\]: inf"):
+        write_pose_csv(recording, stream)
+    recording = PoseRecording("world", t=t[:2], q=identity[:2], p=p[:2])
+    with pytest.raises(NonFiniteOutput, match=r"^cannot write z\[1\]: -inf"):
+        write_pose_csv(recording, stream)
+    assert stream.getvalue() == ""  # refused before the header is written

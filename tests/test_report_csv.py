@@ -3,7 +3,7 @@ writer.
 
 ``write_report_files`` writes ``segments.csv``, ``histogram.csv`` and the
 ``spectrum_*.csv`` files through the block writer of the recording CSVs
-(``ingest._write_rows``).  It used to format every row through
+(``jsonio.write_csv``).  It used to format every row through
 ``jsonio.csv_row``; that writer is kept below as the oracle, and every
 report CSV must match its bytes: NaN means at missing targets, -0.0, both
 infinities, labels past ``Z`` and tables that cross the writer's
@@ -31,6 +31,7 @@ from styluskit.evaluation import (
     SegmentAggregate,
     SpectrumSummary,
     evaluate_demonstrations,
+    report_to_doc,
     segment_label,
     write_report_files,
 )
@@ -38,7 +39,7 @@ from styluskit.framing import load_frame, to_frame
 from styluskit.geometry import TipTrack
 from styluskit.ingest import DemonstrationTrace, IdealPath, load_path, parse_demo_csv
 from styluskit.jsonio import write_csv as _write_rows
-from styluskit.jsonio import write_json, write_text
+from styluskit.jsonio import refuse_inf, write_json, write_text
 
 SPECIAL = [
     math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -230,11 +231,10 @@ def test_leading_text_is_written_as_is():
     assert stream.getvalue() == expected
 
 
-def test_refused_infinity_writes_no_file(tmp_path):
-    # A command writes the report with allow_inf=False: an overflowed
-    # statistic exits before report.json or any CSV is opened.
+def test_report_doc_names_an_infinite_statistic():
+    # evaluate checks report.json's document before it opens any report
+    # file: the CSVs hold the same numbers.
     column = np.array([0.5, 1.0, math.inf])
     report = make_report([[column] * 4], np.arange(3) * 0.001, [1, 2], [np.ones(3)])
     with pytest.raises(NonFiniteOutput, match=r"^cannot write segments\[0\]\.mean\[2\]: inf is"):
-        write_report_files(report, tmp_path, allow_inf=False)
-    assert list(tmp_path.iterdir()) == []
+        refuse_inf(report_to_doc(report))
