@@ -2,10 +2,10 @@
 
 Step one (position): with the tip pivoting on a fixed point, the tip
 offset ``p`` and the contact point ``c`` jointly minimize
-``sum_i ||R_i p + t_i - c||^2`` -- a linear least-squares problem over the
-stacked fiducial poses.  The O(N^2) sum of pairwise tip-point distances,
-which has the same noise-free minimizer, is kept as a verification oracle
-in ``tests/oracles.py``.
+``sum_i ||R_i p + t_i - c||^2``: with ``S = sum R_i`` and ``t`` the mean
+translation, ``M p = sum R_i^T (t - t_i)`` for ``M = N I - S^T S / N`` and
+``c = t + S p / N`` (Yaniv, SPIE 9415, 2015).  The stacked least-squares
+solve and the pairwise tip-distance sum are oracles in ``tests/oracles.py``.
 
 Step two (orientation): with the stylus rotating in holes of known world
 inclination, the rotation of the tip frame is chosen so its z axis (the
@@ -484,16 +484,15 @@ def _rotation_spread_reaches(q: np.ndarray, threshold: float) -> bool:
 
 def _solve_pivot(rotations: np.ndarray, translations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = rotations.shape[0]
-    a = np.zeros((3 * n, 6))
-    a[:, :3] = rotations.reshape(-1, 3)
-    a[:, 3:] = -np.tile(np.eye(3), (n, 1))
-    b = -translations.reshape(-1)
-    solution, _, _, singular = np.linalg.lstsq(a, b, rcond=None)
-    if singular[-1] < 1e-10 * singular[0]:
-        raise DegenerateRotations(
-            "stacked pivot system is rank-deficient; tip offset is unobservable"
-        )
-    return solution[:3], solution[3:]
+    s = rotations.sum(axis=0)
+    m = n * np.eye(3) - s.T @ s / n
+    eig = np.linalg.eigvalsh(m)
+    if eig[0] < 1e-10 * eig[-1]:
+        raise DegenerateRotations("stacked pivot system is rank-deficient; tip offset is unobservable")
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN on overflow: _residual_squares refuses it
+        mean = translations.mean(axis=0)
+        offset = np.linalg.solve(m, np.einsum("nji,nj->i", rotations, mean - translations))
+        return offset, mean + s @ offset / n
 
 
 def _residual_squares(rotations, translations, offset, pivot) -> np.ndarray:

@@ -7,6 +7,9 @@ O(N^2) form of what the package computes another way:
   points ``R_i p + t_i`` (:func:`candidate_tip_points`).  It has the same
   noise-free minimizer as the linear pivot solve of
   :func:`styluskit.calib.calibrate_position`.
+- :func:`oracle_solve_pivot` solves the stacked 3N x 6 pivot system
+  ``[R_i | -I] (p, c) = -t_i`` by ``np.linalg.lstsq``, the solve that
+  :func:`styluskit.calib._solve_pivot` reduces to three sums.
 - :func:`orientation_objective` is the alignment cost
   ``sum (1 - cos theta)`` that :func:`styluskit.calib.calibrate_orientation`
   minimizes in closed form.
@@ -66,6 +69,17 @@ def pairwise_objective(ds: PositionDataset, p, cap: int = 2000) -> float:
         float(np.sqrt(_sq_norm(tips[s:s + rows, None, :] - tips)).sum())
         for s in range(0, tips.shape[0], rows)
     )
+
+
+def oracle_solve_pivot(rotations: np.ndarray, translations: np.ndarray):
+    """Tip offset, pivot and singular values of the stacked least-squares
+    pivot system, with no rank test."""
+    n = rotations.shape[0]
+    a = np.zeros((3 * n, 6))
+    a[:, :3] = rotations.reshape(-1, 3)
+    a[:, 3:] = -np.tile(np.eye(3), (n, 1))
+    solution, _, _, singular = np.linalg.lstsq(a, -translations.reshape(-1), rcond=None)
+    return solution[:3], solution[3:], singular
 
 
 def orientation_objective(ds: OrientationDataset, rotation) -> float:
