@@ -300,18 +300,21 @@ def resample_segment(
 
 
 def _masked_stats(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Statistics over the traces of each target, NaN where none reached it.
+    A sum that overflows leaves ±inf, which the writers refuse."""
     mask = ~np.isnan(stack)
     count = mask.sum(axis=0)
     safe = np.maximum(count, 1)
-    total = np.where(mask, stack, 0.0).sum(axis=0)
-    mean = np.where(count > 0, total / safe, np.nan)
-    centered = np.where(mask, stack - mean, 0.0)
-    var = (centered * centered).sum(axis=0) / safe
-    std = np.where(count > 0, np.sqrt(var), np.nan)
-    env_min = np.where(count > 0, np.where(mask, stack, np.inf).min(axis=0), np.nan)
-    env_max = np.where(count > 0, np.where(mask, stack, -np.inf).max(axis=0), np.nan)
-    total_abs = np.where(mask, np.abs(stack), 0.0).sum(axis=0)
-    mean_abs = np.where(count > 0, total_abs / safe, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.where(mask, stack, 0.0).sum(axis=0)
+        mean = np.where(count > 0, total / safe, np.nan)
+        centered = np.where(mask, stack - mean, 0.0)
+        var = (centered * centered).sum(axis=0) / safe
+        std = np.where(count > 0, np.sqrt(var), np.nan)
+        env_min = np.where(count > 0, np.where(mask, stack, np.inf).min(axis=0), np.nan)
+        env_max = np.where(count > 0, np.where(mask, stack, -np.inf).max(axis=0), np.nan)
+        total_abs = np.where(mask, np.abs(stack), 0.0).sum(axis=0)
+        mean_abs = np.where(count > 0, total_abs / safe, np.nan)
     return mean, mean_abs, std, env_min, env_max
 
 
@@ -504,23 +507,25 @@ def evaluate_demonstrations(
 
 
 def report_to_doc(report: EvaluationReport) -> dict:
+    """The document of ``report.json``, its arrays as they are: the writer
+    renders them and :func:`~styluskit.jsonio.refuse_inf` checks each whole."""
     doc: dict = {"config": report.config}
     doc["segments"] = [
         {
             "label": agg.segment_label,
-            "mean": agg.mean.tolist(),
-            "mean_abs": agg.mean_abs.tolist(),
-            "std": agg.std.tolist(),
-            "env_min": agg.env_min.tolist(),
-            "env_max": agg.env_max.tolist(),
+            "mean": agg.mean,
+            "mean_abs": agg.mean_abs,
+            "std": agg.std,
+            "env_min": agg.env_min,
+            "env_max": agg.env_max,
         }
         for agg in report.aggregates
     ]
     doc["epsilon"] = report.histogram.epsilon
     doc["epsilon_fraction"] = report.histogram.epsilon_fraction
     doc["histogram"] = {
-        "bin_edges": report.histogram.bin_edges.tolist(),
-        "counts": report.histogram.counts.tolist(),
+        "bin_edges": report.histogram.bin_edges,
+        "counts": report.histogram.counts,
     }
     doc["spectra"] = [
         {
@@ -529,7 +534,7 @@ def report_to_doc(report: EvaluationReport) -> dict:
             "threshold": s.threshold,
             "count_above": s.count_above,
             "sample_count": s.sample_count,
-            "amplitudes": s.amplitudes.tolist(),
+            "amplitudes": s.amplitudes,
         }
         for s in report.spectra
     ]
@@ -539,9 +544,9 @@ def report_to_doc(report: EvaluationReport) -> dict:
             "segments": [
                 {
                     "label": seg.segment_label,
-                    "signed_error": seg.signed_error.tolist(),
-                    "z_offset": seg.z_offset.tolist(),
-                    "missing": seg.missing.astype(bool).tolist(),
+                    "signed_error": seg.signed_error,
+                    "z_offset": seg.z_offset,
+                    "missing": seg.missing.astype(bool),
                 }
                 for seg in sampled
             ],

@@ -1056,6 +1056,35 @@ class TestEvaluateBounds:
         assert code == 0, err
 
 
+class TestEvaluateStatisticsOverflow:
+    """Two traces 1e200 m off the line on opposite sides: the spread of their
+    errors overflows.  No numpy warning reaches the user."""
+
+    def evaluate(self, tmp_path, capsys, *flags):
+        traces = []
+        for name, y in (("a.csv", 1e200), ("b.csv", -1e200)):
+            rows = [f"{i * 0.01!r},{i * 0.0025!r},{y if 10 <= i <= 30 else 0.0!r},0.0,1.0"
+                    for i in range(41)]
+            (tmp_path / name).write_text("t,x,y,z,Fz\n" + "\n".join(rows) + "\n")
+            traces.append(str(tmp_path / name))
+        write_json(tmp_path / "frame.json", IDENTITY_FRAME)
+        write_json(tmp_path / "path.json", {"waypoints": [[0.0, 0.0], [0.1, 0.0]],
+                                            "visiting_sequence": [0, 1]})
+        return run(capsys, "evaluate", *traces, "--frame", str(tmp_path / "frame.json"),
+                   "--path", str(tmp_path / "path.json"), "--in-frame", "--bin-width", "1e300",
+                   *flags)
+
+    def test_report_with_an_infinite_spread_is_refused(self, tmp_path, capsys):
+        code, out, err = self.evaluate(tmp_path, capsys, "--out-dir", str(tmp_path / "report"))
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, "segments[0].std[23]")
+        assert os.listdir(tmp_path / "report") == []
+
+    def test_summary_without_report_has_no_warning(self, tmp_path, capsys):
+        code, out, err = self.evaluate(tmp_path, capsys)
+        assert code == 0 and err == ""
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"stdout holds {c}"))
+
+
 class TestNonFinitePressTime:
     """A press time that is not finite is an input error (exit 2), never a
     silent capture of the last pose (NaN) or a degenerate-data exit."""

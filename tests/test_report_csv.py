@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_row
 
-from styluskit import cli
+from styluskit import cli, jsonio
 from styluskit.errors import NonFiniteOutput
 from styluskit.evaluation import (
     EpsilonHistogram,
@@ -40,6 +40,7 @@ from styluskit.geometry import TipTrack
 from styluskit.ingest import DemonstrationTrace, IdealPath, load_path, parse_demo_csv
 from styluskit.jsonio import write_csv as _write_rows
 from styluskit.jsonio import refuse_inf, write_json, write_text
+from styluskit.synth import SineForce, gen_demonstration
 
 SPECIAL = [
     math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -238,3 +239,23 @@ def test_report_doc_names_an_infinite_statistic():
     report = make_report([[column] * 4], np.arange(3) * 0.001, [1, 2], [np.ones(3)])
     with pytest.raises(NonFiniteOutput, match=r"^cannot write segments\[0\]\.mean\[2\]: inf is"):
         refuse_inf(report_to_doc(report))
+
+
+def test_report_doc_is_checked_an_array_at_a_time(monkeypatch):
+    # A session-size report (6 traces x 4 segments) reaches refuse_inf with
+    # its arrays whole, one isinf each, not one call per number.
+    path = IdealPath([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1], [0.0, 0.1]], (0, 1, 2, 3, 0))
+    force = SineForce(frequency_hz=5.0, amplitude=1.0, offset=2.0)
+    traces = [gen_demonstration(path, 0.001, force_profile=force, seed=s) for s in range(6)]
+    report = evaluate_demonstrations(traces, path)
+    calls = 0
+    walk = jsonio._refuse_inf
+
+    def counted(obj, where):
+        nonlocal calls
+        calls += 1
+        walk(obj, where)
+
+    monkeypatch.setattr(jsonio, "_refuse_inf", counted)
+    refuse_inf(report_to_doc(report))
+    assert 0 < calls < 300
