@@ -72,14 +72,14 @@ def pairwise_objective(ds: PositionDataset, p, cap: int = 2000) -> float:
 
 
 def oracle_solve_pivot(rotations: np.ndarray, translations: np.ndarray):
-    """Tip offset, pivot and singular values of the stacked least-squares
-    pivot system, with no rank test."""
+    """Tip offset and pivot of the stacked least-squares pivot system, with
+    no rank test."""
     n = rotations.shape[0]
     a = np.zeros((3 * n, 6))
     a[:, :3] = rotations.reshape(-1, 3)
     a[:, 3:] = -np.tile(np.eye(3), (n, 1))
-    solution, _, _, singular = np.linalg.lstsq(a, -translations.reshape(-1), rcond=None)
-    return solution[:3], solution[3:], singular
+    solution = np.linalg.lstsq(a, -translations.reshape(-1), rcond=None)[0]
+    return solution[:3], solution[3:]
 
 
 def orientation_objective(ds: OrientationDataset, rotation) -> float:

@@ -62,7 +62,7 @@ def test_closed_form_matches_stacked_least_squares(n, seed, span, noise, scale):
     translations = pivot - rotations @ offset + rng.normal(scale=noise * scale, size=(n, 3))
 
     got_offset, got_pivot = _solve_pivot(rotations, translations)
-    want_offset, want_pivot, _ = oracle_solve_pivot(rotations, translations)
+    want_offset, want_pivot = oracle_solve_pivot(rotations, translations)
     size = max(np.linalg.norm(np.r_[want_offset, want_pivot]), np.abs(translations).max())
     assert np.linalg.norm(np.r_[got_offset - want_offset, got_pivot - want_pivot]) <= 1e-9 * size
 
