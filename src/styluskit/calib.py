@@ -6,7 +6,8 @@ offset ``p`` and the contact point ``c`` jointly minimize
 translation, ``M p = sum R_i^T (t - t_i)`` for ``M = N I - S^T S / N`` and
 ``c = t + S p / N`` (Yaniv, SPIE 9415, 2015).  The stacked least-squares
 solve and the pairwise tip-distance sum are oracles in ``tests/oracles.py``.
-Rows far from the median translation are gated before the first solve.
+The first solve takes the rows near the median translation when they rotate
+enough, so one far row cannot pull it.
 
 Step two (orientation): with the stylus rotating in holes of known world
 inclination, the rotation of the tip frame is chosen so its z axis (the
@@ -66,6 +67,7 @@ from .geometry import (
     OrientationDataset,
     Pose,
     PoseRows,
+    median_rows,
     quat_from_axis_angle,
     quat_multiply,
     quat_normalize,
@@ -519,14 +521,6 @@ def _residual_squares(rotations, translations, offset, pivot) -> np.ndarray:
     return squares
 
 
-def _median_rows(x: np.ndarray) -> np.ndarray:
-    """Median along the first axis: the mean of the middle one or two
-    values, found by ``np.partition`` (``np.median``'s NaN check imports
-    ``numpy.ma``)."""
-    n = x.shape[0]
-    return np.partition(x, [(n - 1) // 2, n // 2], axis=0)[(n - 1) // 2 : n // 2 + 1].mean(axis=0)
-
-
 def _near_rows(translations: np.ndarray) -> np.ndarray:
     """Mask of the rows whose translation lies within 20 MADs of the
     coordinate-wise median translation, MAD being the median of those
@@ -534,9 +528,26 @@ def _near_rows(translations: np.ndarray) -> np.ndarray:
     overflows leaves inf, and an infinite MAD keeps every row for the
     residual check to refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.linalg.norm(translations - _median_rows(translations), axis=1)
-        mad = _median_rows(dist)
+        dist = np.linalg.norm(translations - median_rows(translations), axis=1)
+        mad = median_rows(dist)
         return (dist <= 20.0 * mad) | (mad == 0.0)
+
+
+def _first_pass(q, rotations, translations, min_rotation) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Tip offset and pivot of the first pass, and whether they come from a
+    subset of the rows.  They come from the rows near the median translation
+    (:func:`_near_rows`), so that one far row cannot pull them, when those
+    rows rotate enough and fix the tip; else from every row.  The near rows
+    are only a seed: when the stylus rests still for most of a recording,
+    every row that turns lies far from the median, and the filter keeps
+    each row whose tip point agrees."""
+    near = _near_rows(translations)
+    if not near.all() and _rotation_spread_reaches(q[near], min_rotation):
+        try:
+            return (*_solve_pivot(rotations[near], translations[near]), True)
+        except DegenerateRotations:
+            pass
+    return (*_solve_pivot(rotations, translations), False)
 
 
 def calibrate_position(
@@ -546,43 +557,39 @@ def calibrate_position(
 ) -> PositionCalibration:
     """Recover the tip offset from a pivot recording.
 
-    Rows whose translation lies far from the others (:func:`_near_rows`)
-    are gated first, since one of them would pull the first pass and
-    spread the tip points apart.  A first least-squares pass then
-    estimates the offset, occlusion outliers are removed by density
-    clustering on the induced tip points, and the solve is repeated on the
-    kept set; ``removed_outliers`` counts the rows of both steps.  Pass
-    ``params=None`` to skip both (useful to quantify how much the filter
-    helps).  Finite rows whose residuals overflow raise
+    A first least-squares pass estimates the offset (from the rows near the
+    median translation, :func:`_first_pass`), occlusion outliers are
+    removed by density clustering on the tip points it induces for every
+    row, and the solve is repeated on the kept set.  Pass ``params=None``
+    to skip both the seed rows and the filter (useful to quantify how much
+    the filter helps).  Finite rows whose residuals overflow raise
     :class:`NonFinitePose` after the first pass, before the filter sees
     their tip points.
     """
     if len(ds) < 3:
         raise DegenerateRotations(f"need at least 3 poses, got {len(ds)}")
-    q, translations = ds.q, ds.p
-    removed = 0
-    if params is not None:
-        near = _near_rows(translations)
-        removed = int(np.count_nonzero(~near))
-        if removed:
-            q, translations = q[near], translations[near]
-    if not _rotation_spread_reaches(q, min_rotation):
+    if not _rotation_spread_reaches(ds.q, min_rotation):
         raise DegenerateRotations(
             "largest pairwise rotation is below the required minimum "
             f"({math.degrees(min_rotation):.1f} deg)"
         )
-    rotations = quats_to_matrices(q)
-    offset, pivot = _solve_pivot(rotations, translations)
+    rotations = quats_to_matrices(ds.q)
+    translations = ds.p
+    if params is None:
+        offset, pivot = _solve_pivot(rotations, translations)
+        seeded = False
+    else:
+        offset, pivot, seeded = _first_pass(ds.q, rotations, translations, min_rotation)
     squares = _residual_squares(rotations, translations, offset, pivot)
+    removed = 0
     if params is not None:
         tips = rotations @ offset + translations
-        kept, dropped = filter_outliers(tips, params)
-        if dropped:
+        kept, removed = filter_outliers(tips, params)
+        if removed or seeded:
             rotations = rotations[kept]
             translations = translations[kept]
             offset, pivot = _solve_pivot(rotations, translations)
             squares = _residual_squares(rotations, translations, offset, pivot)
-        removed += dropped
     rms = float(np.sqrt(np.mean(squares)))
     return PositionCalibration(
         tip_offset=offset, pivot=pivot, residual_rms=rms, removed_outliers=removed

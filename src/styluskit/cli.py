@@ -279,9 +279,9 @@ def _cmd_evaluate(args) -> int:
     )
     written = []
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         # report.json holds every number the CSVs do, bar frequencies below the sample rate.
         refuse_inf(evaluation.report_to_doc(report))
+        os.makedirs(args.out_dir, exist_ok=True)
         written = evaluation.write_report_files(report, args.out_dir)
     summary = {
         "config": config,

@@ -18,7 +18,7 @@ block writer of the recording CSVs (``jsonio.write_csv``).
 The ideal path and its JSON document (:class:`~styluskit.ingest.IdealPath`,
 ``path_to_doc``, ``path_from_doc``, ``load_path``) are defined in ``ingest``
 with the other file formats.  The median sample spacing of the force
-spectrum is taken from the sorted spacings (:func:`_median`), not by
+spectrum is :func:`~styluskit.geometry.median_rows` of the spacings, not
 ``np.median``, whose NaN check imports ``numpy.ma``.
 """
 
@@ -36,6 +36,7 @@ from .errors import (
     TooShort,
     WaypointNotReached,
 )
+from .geometry import median_rows
 from .ingest import DemonstrationTrace, ForceRecording, IdealPath
 from .jsonio import open_output, write_csv, write_json
 
@@ -388,19 +389,6 @@ def epsilon_histogram(
 FFT_GRID_FACTOR = 64
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a non-empty 1-d array, bit for bit, without the
-    ``numpy.ma`` import that its NaN check pays for on its first call in a
-    process.  Like ``np.median``, it takes the ``mean`` of the middle one or
-    two sorted values (so ``-0.0`` comes out as ``0.0``), and any NaN, which
-    sorts last, gives NaN."""
-    s = np.sort(values)
-    if np.isnan(s[-1]):
-        return math.nan
-    m = s.size // 2
-    return float(s[m - 1 + s.size % 2 : m + 1].mean())
-
-
 def force_spectrum(
     force: ForceRecording,
     threshold_ratio: float = 0.05,
@@ -422,7 +410,7 @@ def force_spectrum(
     if len(force) < 8:
         raise TooShort(f"need at least 8 force samples, got {len(force)}")
     with np.errstate(all="ignore"):  # a grid or spectrum that overflows is refused below
-        dt = _median(np.diff(force.t))
+        dt = float(median_rows(np.diff(force.t)))
         steps = (force.t[-1] - force.t[0]) / dt + 1e-9
         if not steps < FFT_GRID_FACTOR * len(force):
             raise InputError(
@@ -508,7 +496,11 @@ def evaluate_demonstrations(
 
 def report_to_doc(report: EvaluationReport) -> dict:
     """The document of ``report.json``, its arrays as they are: the writer
-    renders them and :func:`~styluskit.jsonio.refuse_inf` checks each whole."""
+    renders them and :func:`~styluskit.jsonio.refuse_inf` checks each whole.
+
+    Its arrays are numpy arrays, not lists: pass the document to
+    :func:`~styluskit.jsonio.dumps_canonical`, not ``json.dumps``, and
+    compare arrays with ``np.array_equal``, not ``==``."""
     doc: dict = {"config": report.config}
     doc["segments"] = [
         {

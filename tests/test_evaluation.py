@@ -20,7 +20,6 @@ from styluskit.evaluation import (
     FFT_GRID_FACTOR,
     MAX_HISTOGRAM_BINS,
     MAX_TARGETS_PER_SEGMENT,
-    _median,
     aggregate,
     epsilon_histogram,
     evaluate_demonstrations,
@@ -28,7 +27,7 @@ from styluskit.evaluation import (
     resample_segment,
     segment_trace,
 )
-from styluskit.geometry import TipTrack
+from styluskit.geometry import TipTrack, median_rows
 from styluskit.ingest import DemonstrationTrace, ForceRecording, IdealPath
 
 IDENTITY_Q = np.array([0.0, 0.0, 0.0, 1.0])
@@ -392,8 +391,8 @@ class TestForceSpectrumGridCap:
 
 
 class TestMedian:
-    """``_median`` against ``np.median``, whose NaN check imports
-    ``numpy.ma``: the same bits and the same warnings."""
+    """``geometry.median_rows`` against ``np.median``, whose NaN check
+    imports ``numpy.ma``: the same bits and the same warnings."""
 
     VALUES = st.one_of(
         st.floats(),
@@ -410,7 +409,7 @@ class TestMedian:
             expected = float(np.median(v))
         with warnings.catch_warnings(record=True) as got_warnings:
             warnings.simplefilter("always")
-            got = _median(v)
+            got = float(median_rows(v))
         if math.isnan(expected):
             assert math.isnan(got)
         else:
@@ -419,10 +418,22 @@ class TestMedian:
             str(w.message) for w in expected_warnings
         ]
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(VALUES, VALUES, VALUES), min_size=1, max_size=30))
+    def test_matches_np_median_by_column(self, rows):
+        v = np.array(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = np.median(v, axis=0)
+            got = median_rows(v)
+        assert got.shape == (3,)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        assert got[~np.isnan(got)].tobytes() == expected[~np.isnan(expected)].tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 48, 49, 1999, 2000, 2003])
     def test_sample_spacings(self, n):
         spacing = np.diff(np.cumsum(np.random.default_rng(n).uniform(0.004, 0.006, n + 1)))
-        assert _median(spacing).hex() == float(np.median(spacing)).hex()
+        assert float(median_rows(spacing)).hex() == float(np.median(spacing)).hex()
 
 
 class TestAllocationBounds:

@@ -1,4 +1,4 @@
-"""The pivot solve of ``calib.calibrate_position`` and the gate ahead of it.
+"""The pivot solve of ``calib.calibrate_position`` and the rows it starts from.
 
 The closed form of ``calib._solve_pivot`` is checked against the stacked
 3N x 6 least-squares solve it replaced, kept as
@@ -8,8 +8,11 @@ the property runs on draws whose reduced system is well conditioned
 (eigenvalue ratio at least 1e-3), where both must agree to 1e-9 relative.
 Its rank test is pinned on rotations about nearly one axis.
 
-Rows far from the median translation are gated before the first solve:
-with them removed, the result is the clean recording's, bit for bit.
+Rows far from the median translation are kept out of the first solve, and
+the density filter drops them: the result is the clean recording's, bit
+for bit.  They are only kept out of the first solve: a recording that rests
+still for most of its rows, so that every row that turns lies far from the
+median, still calibrates.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from styluskit.calib import FilterParams, _solve_pivot, calibrate_position
 from styluskit.cli import main
 from styluskit.errors import DegenerateRotations
 from styluskit.geometry import Pose, PositionDataset, quat_from_matrix, quats_to_matrices
+from styluskit.ingest import PoseRecording, write_pose_csv
 from styluskit.synth import SynthConfig, gen_position_dataset
 
 
@@ -95,7 +99,7 @@ def test_rotations_about_axes_a_milliradian_apart_solve():
     assert np.linalg.norm(pivot - WOBBLE_PIVOT) < 1e-9
 
 
-# ------------------------------------------------------ the gross-row gate
+# ------------------------------------------------- far rows and the first pass
 
 
 def pivot_recording(n=300, seed=0, noise=1e-4, rate=0.05):
@@ -129,7 +133,7 @@ CLEAN_RESULT = calibrate_position(CLEAN)
         max_size=10,
     )
 )
-def test_far_rows_are_gated_before_the_first_solve(far):
+def test_far_rows_leave_the_clean_result(far):
     # 1-10 rows at 1e2-1e6 m, anywhere in the recording, leave every
     # number of the clean recording's result as it was.
     q, p = CLEAN.q, CLEAN.p
@@ -148,7 +152,7 @@ def test_far_rows_are_gated_before_the_first_solve(far):
 
 def test_equal_translations_keep_every_row():
     # A zero tip offset without noise: every translation is the pivot, the
-    # median distance is 0, and no row is gated.
+    # median distance is 0, and every row is near.
     rotations = axis_angle_rotations(np.eye(3)[np.arange(30) % 3], np.linspace(-1.0, 1.0, 30))
     q = np.array([quat_from_matrix(r) for r in rotations])
     ds = PositionDataset(q=q, p=np.tile(WOBBLE_PIVOT, (30, 1)))
@@ -158,7 +162,7 @@ def test_equal_translations_keep_every_row():
     assert np.linalg.norm(result.tip_offset) < 1e-12
 
 
-def test_one_far_row_in_a_pivot_file_is_gated(tmp_path, capsys):
+def test_one_far_row_in_a_pivot_file_is_dropped(tmp_path, capsys):
     # One row moved 100 km out made the density filter find no cluster
     # (exit 3) when the first solve saw it.
     config = tmp_path / "position.json"
@@ -180,3 +184,30 @@ def test_one_far_row_in_a_pivot_file_is_gated(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert np.linalg.norm(np.subtract(doc["translation"], truth["tip_offset"])) < 1e-3
     assert doc["filtered_outliers"] > truth["outlier_count"]
+
+
+@pytest.mark.parametrize("across", [False, True])
+def test_a_mostly_still_recording_calibrates(tmp_path, capsys, across):
+    # 60 % of the rows rest on the divot, 40 % pivot up to 60 degrees, with
+    # 0.1 mm of noise: the median distance is noise-sized, so every row
+    # turned more than about 1.4 degrees about an axis across the shaft lies
+    # over 20 MADs out.  Turned about such axes only, the near rows span too
+    # little rotation to seed the solve; turned about any axis, they seed it
+    # a millimetre off.  Either way every row agrees on the tip.
+    rng = np.random.default_rng(3)
+    n_still, n_turn = 600, 400
+    axes = rng.normal(size=(n_still + n_turn, 3))
+    if across:
+        axes = np.cross(axes, WOBBLE_OFFSET)
+    angles = np.r_[np.zeros(n_still), rng.uniform(-1.0, 1.0, n_turn) * math.radians(60.0)]
+    rotations = axis_angle_rotations(axes, angles)
+    p = WOBBLE_PIVOT - rotations @ WOBBLE_OFFSET + rng.normal(scale=1e-4, size=(len(angles), 3))
+    q = np.array([quat_from_matrix(r) for r in rotations])
+    poses = tmp_path / "still.csv"
+    with open(poses, "w") as stream:
+        write_pose_csv(PoseRecording("tracker", t=np.arange(len(angles)) * 0.01, q=q, p=p), stream)
+
+    assert main(["calibrate-position", str(poses)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["filtered_outliers"] == 0
+    assert np.linalg.norm(np.subtract(doc["translation"], WOBBLE_OFFSET)) < 1e-4
