@@ -41,7 +41,8 @@ with its document in ``ingest``, so ``simulate`` and ``snapshot`` never load
 this module.
 
 Before solving, the position step checks that the poses rotate enough: some
-pair must be at least ``min_rotation`` apart.  Rotation angle is a metric,
+pair must be at least ``min_rotation`` apart; after the filter, so must
+some pair of the rows it keeps.  Rotation angle is a metric,
 so by the triangle inequality the largest pairwise angle lies between the
 largest angle ``m`` from pose 0 and ``2m``.  The test passes when
 ``m >= min_rotation`` and fails when ``2m < min_rotation``.  Only in
@@ -564,7 +565,9 @@ def calibrate_position(
     to skip both the seed rows and the filter (useful to quantify how much
     the filter helps).  Finite rows whose residuals overflow raise
     :class:`NonFinitePose` after the first pass, before the filter sees
-    their tip points.
+    their tip points.  Raises :class:`DegenerateRotations` when the rows
+    the filter keeps rotate less than ``min_rotation``: a seed pulled by
+    far rows can leave only the rows where the stylus rested still.
     """
     if len(ds) < 3:
         raise DegenerateRotations(f"need at least 3 poses, got {len(ds)}")
@@ -585,6 +588,11 @@ def calibrate_position(
     if params is not None:
         tips = rotations @ offset + translations
         kept, removed = filter_outliers(tips, params)
+        if removed and not _rotation_spread_reaches(ds.q[kept], min_rotation):
+            raise DegenerateRotations(
+                f"the {kept.size} poses kept by the outlier filter rotate less than "
+                f"the required minimum ({math.degrees(min_rotation):.1f} deg)"
+            )
         if removed or seeded:
             rotations = rotations[kept]
             translations = translations[kept]

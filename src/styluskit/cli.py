@@ -56,8 +56,19 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose help text, when it cannot be written,
+    raises the ``OSError`` that argparse would swallow before exiting 0."""
+
+    def print_help(self, file=None):
+        # argparse's fallbacks: stderr when stdout was closed at start-up, else nothing.
+        file = file or sys.stdout or sys.stderr
+        if file is not None:
+            file.write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="styluskit",
         description="Tip calibration and demonstration evaluation for tracked styluses.",
     )
@@ -382,7 +393,11 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except OSError as exc:  # the help text could not be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _print_warning

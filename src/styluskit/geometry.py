@@ -18,9 +18,10 @@ Conventions, used consistently across the package:
   quaternion canonicaliser, and :func:`quat_normalize` its one-row case.
 - Rows are the data: :class:`PoseRows` holds N poses as ``q`` (N, 4) and
   ``p`` (N, 3), a :class:`TipTrack` N tip poses as ``t`` (N,), ``position``
-  (N, 3) and ``orientation`` (N, 4).  A list of :class:`Pose` given to
-  :class:`PoseRows` is stacked once; its ``poses`` is the one per-sample
-  view, built when read.  The calibration inputs are rows too: a
+  (N, 3) and ``orientation`` (N, 4).  Every :class:`PoseRows` is built from
+  its rows; its ``poses`` is the one per-sample view, built when read.
+  :func:`quats_to_matrices` is the one matrix form of rotations.  The
+  calibration inputs are rows too: a
   :class:`PositionDataset` and each :class:`HoleRecording` of an
   :class:`OrientationDataset` are :class:`PoseRows`.  They live here, not
   in ``calib``, so that ``simulate`` can build them without loading the
@@ -155,11 +156,6 @@ def quat_rotate(q, v) -> np.ndarray:
             vz + w * tz + (ux * ty - uy * tx),
         ]
     ).T
-
-
-def quat_to_matrix(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion: :func:`quats_to_matrices` on one row."""
-    return quats_to_matrices(np.reshape(q, (1, 4)))[0]
 
 
 def quats_to_matrices(quats: np.ndarray) -> np.ndarray:
@@ -310,35 +306,21 @@ class Pose(Frozen):
         pose._set(rotation=rotation, translation=translation)
         return pose
 
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.rotation)
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation_matrix()
-        m[:3, 3] = self.translation
-        return m
-
 
 class PoseRows:
     """One or more poses as rows: ``q`` (N, 4) canonical unit quaternions
     and ``p`` (N, 3) translations, as :func:`quat_normalize_rows` and the
-    parsers give them.  The rows are the data.
+    parsers give them.  The rows are the data, and the only way to build
+    one (``q=``, ``p=``).
 
-    Build from the rows (``q=``, ``p=``) or from a list of :class:`Pose`,
-    stacked once here.  ``poses`` is a tuple of :class:`Pose`: the given
-    poses, or built from the rows on first read, each holding its row of a
-    read-only copy of ``q`` and ``p`` (the rows are canonical already, so
-    they are not normalized again).  It is a view; reading it leaves ``q``
-    and ``p`` as they are.
+    ``poses`` is a tuple of :class:`Pose` built from the rows on first
+    read, each holding its row of a read-only copy of ``q`` and ``p`` (the
+    rows are canonical already, so they are not normalized again).  It is
+    a view; reading it leaves ``q`` and ``p`` as they are.
     """
 
-    def __init__(self, poses: list[Pose] | None = None, *, q=None, p=None):
-        if poses is not None:
-            poses = tuple(poses)
-            q = [x.rotation for x in poses]
-            p = [x.translation for x in poses]
-        self._poses = poses
+    def __init__(self, *, q, p):
+        self._poses = None
         self.q = np.asarray(q, dtype=float).reshape(-1, 4)
         self.p = np.asarray(p, dtype=float).reshape(-1, 3)
         if self.q.shape[0] != self.p.shape[0]:
@@ -371,8 +353,8 @@ class HoleRecording(PoseRows):
     rows of :class:`PoseRows`, plus the hole's unit ``reference_axis``.
     """
 
-    def __init__(self, reference_axis, poses: list[Pose] | None = None, *, q=None, p=None):
-        super().__init__(poses, q=q, p=p)
+    def __init__(self, reference_axis, *, q, p):
+        super().__init__(q=q, p=p)
         axis = vec3(reference_axis)
         with np.errstate(over="ignore"):  # an overflowing norm is refused below
             n = np.linalg.norm(axis)

@@ -21,6 +21,8 @@ O(N^2) form of what the package computes another way:
 - :func:`oracle_quat_normalize` canonicalises one quaternion with Python
   scalars, the bytes, first error and warnings that
   :func:`styluskit.geometry.quat_normalize_rows` must give row by row.
+- :func:`quat_to_matrix` is the rotation matrix of one quaternion, the
+  one-row case of :func:`styluskit.geometry.quats_to_matrices`.
 """
 
 from __future__ import annotations
@@ -41,11 +43,15 @@ from styluskit.geometry import (
     quat_multiply,
     quat_normalize,
     quat_rotate,
-    quat_to_matrix,
     quats_to_matrices,
     vec3,
 )
 from styluskit.jsonio import format_float
+
+
+def quat_to_matrix(q) -> np.ndarray:
+    """Rotation matrix of one unit quaternion: ``quats_to_matrices`` on one row."""
+    return quats_to_matrices(np.reshape(q, (1, 4)))[0]
 
 
 def candidate_tip_points(ds: PositionDataset, p) -> np.ndarray:

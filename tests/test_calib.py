@@ -26,7 +26,7 @@ from styluskit.geometry import (
     Pose,
     PositionDataset,
     angle_between,
-    compose,
+    compose_rows,
     euler_to_rotation,
     quat_from_axis_angle,
     quat_rotate,
@@ -43,6 +43,7 @@ from styluskit.synth import SynthConfig, gen_orientation_dataset, gen_position_d
 EZ = np.array([0.0, 0.0, 1.0])
 TRUE_OFFSET = np.array([0.0, 0.0, -0.12])
 PIVOT = np.array([0.4, 0.1, 0.02])
+IDENTITY_Q = [0.0, 0.0, 0.0, 1.0]
 
 
 def clean_position_dataset(n=200, seed=0, noise=0.0, rate=0.0, magnitude=0.1):
@@ -67,7 +68,7 @@ class TestCandidateTipPoints:
         assert np.allclose(tips, ds.p)
 
     def test_single_identity_pose(self):
-        ds = PositionDataset([Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))])
+        ds = PositionDataset(q=[IDENTITY_Q], p=np.zeros((1, 3)))
         tips = candidate_tip_points(ds, [1.0, 2.0, 3.0])
         assert np.allclose(tips, [[1.0, 2.0, 3.0]])
 
@@ -126,26 +127,21 @@ class TestCalibratePosition:
         assert result.removed_outliers == 0
 
     def test_single_orientation_raises(self):
-        pose = quat_from_axis_angle([0, 1, 0], 0.4)
-        ds = PositionDataset(
-            [Pose(pose, np.array([0.1 * i, 0.0, 0.0])) for i in range(10)]
-        )
+        q = np.tile(quat_from_axis_angle([0, 1, 0], 0.4), (10, 1))
+        ds = PositionDataset(q=q, p=[[0.1 * i, 0.0, 0.0] for i in range(10)])
         with pytest.raises(DegenerateRotations):
             calibrate_position(ds)
 
     def test_single_pose_raises(self):
-        ds = PositionDataset([Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))])
+        ds = PositionDataset(q=[IDENTITY_Q], p=np.zeros((1, 3)))
         with pytest.raises(DegenerateRotations):
             calibrate_position(ds)
 
     def test_low_diversity_raises(self):
         rng = np.random.default_rng(7)
-        poses = [
-            Pose(quat_from_axis_angle(rng.normal(size=3), rng.uniform(-0.05, 0.05)), rng.normal(size=3))
-            for _ in range(20)
-        ]
+        q = quat_from_axis_angle(rng.normal(size=(20, 3)), rng.uniform(-0.05, 0.05, 20))
         with pytest.raises(DegenerateRotations):
-            calibrate_position(PositionDataset(poses))
+            calibrate_position(PositionDataset(q=q, p=rng.normal(size=(20, 3))))
 
     def test_submillimeter_with_noise(self):
         # recovery stays below 1 mm at 0.2 mm translation noise
@@ -158,7 +154,8 @@ class TestCalibratePosition:
         g = Pose(
             quat_from_axis_angle([0.3, -0.5, 0.8], 1.1), np.array([0.5, -0.2, 0.9])
         )
-        moved = PositionDataset([compose(g, p) for p in ds.poses])
+        q, p = compose_rows(g.rotation, g.translation, ds.q, ds.p)
+        moved = PositionDataset(q=q, p=p)
         base = calibrate_position(ds)
         shifted = calibrate_position(moved)
         assert np.linalg.norm(base.tip_offset - shifted.tip_offset) < 1e-9
@@ -176,16 +173,11 @@ class TestCalibratePosition:
 
 class TestPairwiseObjective:
     def test_single_pose_is_zero(self):
-        ds = PositionDataset([Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))])
+        ds = PositionDataset(q=[IDENTITY_Q], p=np.zeros((1, 3)))
         assert pairwise_objective(ds, [0.0, 0.0, 0.0]) == 0.0
 
     def test_two_poses_one_meter_apart(self):
-        ds = PositionDataset(
-            [
-                Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3)),
-                Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])),
-            ]
-        )
+        ds = PositionDataset(q=[IDENTITY_Q, IDENTITY_Q], p=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         assert pairwise_objective(ds, np.zeros(3)) == pytest.approx(2.0, abs=1e-12)
 
     def test_cap_enforced(self):
@@ -296,14 +288,13 @@ class TestCalibrateOrientation:
         ds, truth = orientation_dataset(true_q, noise=math.radians(0.05), seed=21)
         rng = np.random.default_rng(22)
         for i, hole in enumerate(ds.holes):
-            bad = [
-                Pose(
-                    quat_from_axis_angle(rng.normal(size=3), rng.uniform(0.5, 2.0)),
-                    rng.normal(size=3),
-                )
+            bad_q, bad_p = zip(*[
+                (quat_from_axis_angle(rng.normal(size=3), rng.uniform(0.5, 2.0)), rng.normal(size=3))
                 for _ in range(3)
-            ]
-            ds.holes[i] = HoleRecording(hole.reference_axis, [*hole.poses, *bad])
+            ])
+            ds.holes[i] = HoleRecording(
+                hole.reference_axis, q=[*hole.q, *bad_q], p=[*hole.p, *bad_p]
+            )
         result = calibrate_orientation(ds, TRUE_OFFSET)
         assert result.removed_outliers >= 6
         recovered_axis = quat_rotate(result.rotation, EZ)

@@ -1,8 +1,9 @@
 """Columnar recordings and tip tracks.
 
-The data types hold arrays.  Rows normalized one :class:`Pose` at a time
-and rows normalized all at once must carry the same bits, and so must the
-``poses`` view built from them and every function's result.
+The data types hold arrays and are built from rows only.  Rows normalized
+one :class:`Pose` at a time and rows normalized all at once must carry the
+same bits, and so must the ``poses`` view built from them and every
+function's result.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from styluskit.evaluation import segment_trace
 from styluskit.geometry import (
     HoleRecording,
     Pose,
+    PoseRows,
     PositionDataset,
     TipTrack,
     quat_from_axis_angle,
@@ -62,20 +64,24 @@ ROW_CONTAINERS = ["PositionDataset", "HoleRecording", "PoseRecording", "Waypoint
 
 
 def built_both_ways(kind: str, n: int = 5):
-    """A ``kind`` built from a list of poses (for a recording or a waypoint
-    list, their rows stacked) and one built from rows normalized all at
-    once, and the name of its view."""
+    """A ``kind`` built from the stacked rows of a list of poses, each
+    normalized alone, and one built from rows normalized all at once, and
+    the name of its view."""
     rng = np.random.default_rng(4)
     raw_q, p = rng.normal(size=(n, 4)), rng.normal(size=(n, 3))
     q, t = quat_normalize_rows(raw_q), np.arange(n) / 100.0
     poses = [Pose(a, b) for a, b in zip(raw_q, p)]
-    if kind == "PositionDataset":
-        return PositionDataset(poses), PositionDataset(q=q, p=p), "poses"
-    if kind == "HoleRecording":
-        axis = [0.0, 0.0, 1.0]
-        return HoleRecording(axis, poses), HoleRecording(axis, q=q, p=p), "poses"
     stacked_q = [pose.rotation for pose in poses]
     stacked_p = [pose.translation for pose in poses]
+    if kind == "PositionDataset":
+        return PositionDataset(q=stacked_q, p=stacked_p), PositionDataset(q=q, p=p), "poses"
+    if kind == "HoleRecording":
+        axis = [0.0, 0.0, 1.0]
+        return (
+            HoleRecording(axis, q=stacked_q, p=stacked_p),
+            HoleRecording(axis, q=q, p=p),
+            "poses",
+        )
     if kind == "PoseRecording":
         return (
             PoseRecording("world", t=t, q=stacked_q, p=stacked_p),
@@ -164,9 +170,13 @@ class TestPoseRecording:
 
 class TestCalibrationDatasets:
     def test_rows_and_list_give_the_same_solve(self):
+        # The rows of 60 poses, each normalized alone, and the same rows
+        # normalized all at once.
         poses = random_poses(60, seed=3)
-        from_list = PositionDataset(poses)
-        from_rows = PositionDataset(q=from_list.q, p=from_list.p)
+        from_list = PositionDataset(
+            q=[x.rotation for x in poses], p=[x.translation for x in poses]
+        )
+        from_rows = PositionDataset(q=quat_normalize_rows(from_list.q), p=from_list.p)
         a = calibrate_position(from_list, None, min_rotation=math.radians(5.0))
         b = calibrate_position(from_rows, None, min_rotation=math.radians(5.0))
         assert a.tip_offset.tobytes() == b.tip_offset.tobytes()
@@ -220,6 +230,17 @@ class TestCalibrationDatasets:
         assert all(a is b for a, b in zip(data(container), before, strict=True))
         if view != "waypoints":
             assert isinstance(items, (list, tuple)) and getattr(container, view) is items
+
+    @pytest.mark.parametrize(
+        "build",
+        [PoseRows, PositionDataset, lambda poses: HoleRecording([0.0, 0.0, 1.0], poses),
+         lambda poses: PoseRecording("world", poses)],
+        ids=["PoseRows", "PositionDataset", "HoleRecording", "PoseRecording"],
+    )
+    def test_a_list_of_poses_is_refused(self, build):
+        # Rows (q=, p=) are the only way to build a dataset.
+        with pytest.raises(TypeError):
+            build(random_poses(3))
 
     def test_hole_axis_is_normalized(self):
         hole = HoleRecording([0.0, 0.0, 2.0], q=[[0.0, 0.0, 0.0, 1.0]], p=[[0.0, 0.0, 0.0]])

@@ -124,13 +124,30 @@ def test_full_disk_at_the_final_flush_exits_2(inputs):
     assert proc.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
 
 
+# Buffered, the help text waits for the final flush, which fails there;
+# unbuffered, its write fails inside argparse, which would swallow the error.
+HELP_CASES = pytest.mark.parametrize(
+    "argv, unbuffered",
+    [(["--help"], False), (["--help"], True), (["evaluate", "--help"], False),
+     (["evaluate", "--help"], True)],
+    ids=["buffered", "unbuffered", "buffered-subcommand", "unbuffered-subcommand"],
+)
+
+
 @needs_dev_full
-def test_help_to_a_full_disk_exits_2():
-    # argparse exits through SystemExit, which takes the same final flush.
+@HELP_CASES
+def test_help_to_a_full_disk_exits_2(argv, unbuffered):
     with open("/dev/full", "w") as full:
-        proc = run_cli(["--help"], stdout=full)
+        proc = run_cli(argv, stdout=full, unbuffered=unbuffered)
     assert proc.returncode == 2
     assert proc.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+@HELP_CASES
+def test_help_to_a_closed_pipe_exits_2(argv, unbuffered):
+    proc = into_closed_pipe(["-m", "styluskit.cli", *argv], unbuffered=unbuffered)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
 
 
 def test_buffered_broken_pipe_exits_2(inputs):

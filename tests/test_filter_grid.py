@@ -490,9 +490,9 @@ class TestRotationGate:
             )
 
     def test_calibrate_position_rejects_low_diversity(self):
-        poses = [Pose(q, np.zeros(3)) for q in rotations_about([(0, 0), (0, 10), (180, 10)])]
+        q = rotations_about([(0, 0), (0, 10), (180, 10)])
         with pytest.raises(DegenerateRotations, match="30.0 deg"):
-            calibrate_position(PositionDataset(poses))
+            calibrate_position(PositionDataset(q=q, p=np.zeros((3, 3))))
 
 
 def test_calibrate_position_memory_stays_bounded():

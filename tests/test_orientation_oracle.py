@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import orientation_objective, rotation_to_euler
+from oracles import orientation_objective, quat_to_matrix, rotation_to_euler
 
 from styluskit.calib import calibrate_orientation
 from styluskit.cli import main
@@ -42,7 +42,6 @@ from styluskit.geometry import (
     quat_from_matrix,
     quat_multiply,
     quat_rotate,
-    quat_to_matrix,
     quats_to_matrices,
     rotation_between,
 )

@@ -106,7 +106,7 @@ def _gen_position_dataset(cfg: SynthConfig):
     truth = PositionGroundTruth(
         tip_offset=p.copy(), pivot_point=cfg.pivot_point.copy(), outlier_indices=indices
     )
-    return PositionDataset(poses=poses), truth
+    return PositionDataset(q=[x.rotation for x in poses], p=[x.translation for x in poses]), truth
 
 
 def _gen_orientation_dataset(cfg: SynthConfig, hole_axes, poses_per_hole: int = 50):
@@ -139,7 +139,13 @@ def _gen_orientation_dataset(cfg: SynthConfig, hole_axes, poses_per_hole: int = 
             if cfg.position_noise_std > 0.0:
                 translation = translation + rng.normal(0.0, cfg.position_noise_std, 3)
             poses.append(Pose(body, translation))
-        holes.append(HoleRecording(reference_axis=axis, poses=poses))
+        holes.append(
+            HoleRecording(
+                reference_axis=axis,
+                q=[x.rotation for x in poses],
+                p=[x.translation for x in poses],
+            )
+        )
 
     truth = OrientationGroundTruth(rotation=tip_rotation.copy(), hole_axes=axes)
     return OrientationDataset(holes=holes), truth
