@@ -21,11 +21,10 @@ Conventions, used consistently across the package:
   (N, 3) and ``orientation`` (N, 4).  Every :class:`PoseRows` is built from
   its rows; its ``poses`` is the one per-sample view, built when read.
   :func:`quats_to_matrices` is the one matrix form of rotations.  The
-  calibration inputs are rows too: a
-  :class:`PositionDataset` and each :class:`HoleRecording` of an
-  :class:`OrientationDataset` are :class:`PoseRows`.  They live here, not
-  in ``calib``, so that ``simulate`` can build them without loading the
-  solvers.
+  calibration inputs are rows too: a :class:`PositionDataset` and each
+  :class:`HoleRecording` of an :class:`OrientationDataset` are
+  :class:`PoseRows`.  They live here, not in ``calib``, so that
+  ``simulate`` can build them without loading the solvers.
 - Records are plain classes.  The frozen ones (:class:`Pose`,
   :class:`EulerAngles` and the configs of other modules) derive from
   :class:`Frozen`, so assigning an attribute raises ``AttributeError``.
@@ -316,7 +315,9 @@ class PoseRows:
     ``poses`` is a tuple of :class:`Pose` built from the rows on first
     read, each holding its row of a read-only copy of ``q`` and ``p`` (the
     rows are canonical already, so they are not normalized again).  It is
-    a view; reading it leaves ``q`` and ``p`` as they are.
+    a view; reading it leaves ``q`` and ``p`` as they are.  Nothing in the
+    package reads it; the benchmark's tracer (``perfbench/tracer.py``)
+    counts generated samples through it.
     """
 
     def __init__(self, *, q, p):

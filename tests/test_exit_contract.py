@@ -124,26 +124,37 @@ def test_full_disk_at_the_final_flush_exits_2(inputs):
     assert proc.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
 
 
-# Buffered, the help text waits for the final flush, which fails there;
-# unbuffered, its write fails inside argparse, which would swallow the error.
-HELP_CASES = pytest.mark.parametrize(
-    "argv, unbuffered",
-    [(["--help"], False), (["--help"], True), (["evaluate", "--help"], False),
-     (["evaluate", "--help"], True)],
-    ids=["buffered", "unbuffered", "buffered-subcommand", "unbuffered-subcommand"],
-)
+@needs_dev_full
+def test_help_to_a_full_disk_exits_2():
+    # argparse exits through SystemExit, which takes the same final flush.
+    with open("/dev/full", "w") as full:
+        proc = run_cli(["--help"], stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+# Unbuffered, the help text's write fails inside argparse, which would
+# swallow the error and exit 0; buffered, the final flush fails.
+HELP_ARGV = [["--help"], ["evaluate", "--help"]]
+HELP_IDS = ["top", "subcommand"]
 
 
 @needs_dev_full
-@HELP_CASES
-def test_help_to_a_full_disk_exits_2(argv, unbuffered):
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [(["--help"], True), (["evaluate", "--help"], False), (["evaluate", "--help"], True)],
+    ids=["unbuffered-top", "buffered-subcommand", "unbuffered-subcommand"],
+)
+def test_any_help_to_a_full_disk_exits_2(argv, unbuffered):
+    # The buffered top-level case is test_help_to_a_full_disk_exits_2.
     with open("/dev/full", "w") as full:
         proc = run_cli(argv, stdout=full, unbuffered=unbuffered)
     assert proc.returncode == 2
     assert proc.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
 
 
-@HELP_CASES
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=HELP_IDS)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_help_to_a_closed_pipe_exits_2(argv, unbuffered):
     proc = into_closed_pipe(["-m", "styluskit.cli", *argv], unbuffered=unbuffered)
     assert proc.returncode == 2
