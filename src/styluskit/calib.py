@@ -6,8 +6,9 @@ offset ``p`` and the contact point ``c`` jointly minimize
 translation, ``M p = sum R_i^T (t - t_i)`` for ``M = N I - S^T S / N`` and
 ``c = t + S p / N`` (Yaniv, SPIE 9415, 2015).  The stacked least-squares
 solve and the pairwise tip-distance sum are oracles in ``tests/oracles.py``.
-The first solve takes the rows near the median translation when they rotate
-enough, so one far row cannot pull it.
+The first solve takes the shortest prefix of the rows, ordered by distance
+from the median translation, that rotates enough and fixes the tip, so far
+rows cannot pull it, even when the stylus rests still for most of a recording.
 
 Step two (orientation): with the stylus rotating in holes of known world
 inclination, the rotation of the tip frame is chosen so its z axis (the
@@ -45,8 +46,12 @@ pair must be at least ``min_rotation`` apart; after the filter, so must
 some pair of the rows it keeps.  Rotation angle is a metric,
 so by the triangle inequality the largest pairwise angle lies between the
 largest angle ``m`` from pose 0 and ``2m``.  The test passes when
-``m >= min_rotation`` and fails when ``2m < min_rotation``.  Only in
-between does it scan all pairs, a block of rows at a time in O(N) memory.
+``m >= min_rotation`` and fails when ``2m < min_rotation``.  In between, a
+centre of the poses bounds it again, and only the rows far enough from that
+centre to be in a qualifying pair are scanned, a block of rows at a time in
+O(N) memory.  A recording that turns too little is then refused in linear
+time; three clusters of poses just over ``min_rotation`` apart still scan
+all pairs.
 """
 
 from __future__ import annotations
@@ -469,15 +474,28 @@ def _rotation_spread_reaches(q: np.ndarray, threshold: float) -> bool:
 
     The angle ``2 acos|q_i . q_j|`` is a metric on rotations, so with ``m``
     the largest angle from pose 0 the largest pairwise angle lies in
-    ``[m, 2m]``.  Only when ``threshold`` falls in that band is the exact
-    minimum of ``|q q^T|`` computed, a block of rows at a time, in O(N)
-    memory.  The 1e-6 rad slack covers ``acos`` rounding near 1.
+    ``[m, 2m]``.  When ``threshold`` falls in that band, a centre ``c``
+    bounds it again (Badoiu & Clarkson, SODA 2003): ``c`` is the normalized
+    sum of the quaternions, each signed to agree with pose 0, and with ``R``
+    the largest angle from ``c`` no pair is over ``2R`` apart, while both
+    ends of a pair ``threshold`` apart lie at least ``threshold - R`` from
+    ``c``.  Only those rows are scanned, the exact minimum of ``|q q^T|``
+    over them computed a block of rows at a time, in O(N) memory.  The
+    1e-6 rad slack covers ``acos`` rounding near 1.
     """
-    spread = 2.0 * math.acos(min(float(np.abs(q @ q[0]).min()), 1.0))
+    dots = q @ q[0]
+    spread = 2.0 * math.acos(min(float(np.abs(dots).min()), 1.0))
     if spread >= threshold:
         return True
     if 2.0 * spread + 1e-6 < threshold:
         return False
+    centre = np.where(dots < 0.0, -1.0, 1.0) @ q
+    centre /= np.linalg.norm(centre)
+    from_centre = 2.0 * np.arccos(np.minimum(np.abs(q @ centre), 1.0))
+    radius = float(from_centre.max())
+    if 2.0 * radius + 1e-6 < threshold:
+        return False
+    q = q[from_centre >= threshold - radius - 1e-6]
     rows = max(1, _GATE_CHUNK // q.shape[0])
     for start in range(0, q.shape[0], rows):
         dots = np.abs(q[start:start + rows] @ q.T)
@@ -522,32 +540,32 @@ def _residual_squares(rotations, translations, offset, pivot) -> np.ndarray:
     return squares
 
 
-def _near_rows(translations: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose translation lies within 20 MADs of the
-    coordinate-wise median translation, MAD being the median of those
-    distances; every row when MAD is 0 (equal rows).  Arithmetic that
-    overflows leaves inf, and an infinite MAD keeps every row for the
-    residual check to refuse."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.linalg.norm(translations - median_rows(translations), axis=1)
-        mad = median_rows(dist)
-        return (dist <= 20.0 * mad) | (mad == 0.0)
+_SEED_FRACTIONS = (0.5, 0.75, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999)
 
 
 def _first_pass(q, rotations, translations, min_rotation) -> tuple[np.ndarray, np.ndarray, bool]:
     """Tip offset and pivot of the first pass, and whether they come from a
-    subset of the rows.  They come from the rows near the median translation
-    (:func:`_near_rows`), so that one far row cannot pull them, when those
-    rows rotate enough and fix the tip; else from every row.  The near rows
-    are only a seed: when the stylus rests still for most of a recording,
-    every row that turns lies far from the median, and the filter keeps
-    each row whose tip point agrees."""
-    near = _near_rows(translations)
-    if not near.all() and _rotation_spread_reaches(q[near], min_rotation):
-        try:
-            return (*_solve_pivot(rotations[near], translations[near]), True)
-        except DegenerateRotations:
-            pass
+    subset of the rows.  The rows are ordered by the distance of their
+    translation from the coordinate-wise median translation, and the seed is
+    the shortest prefix, over the fractions ``_SEED_FRACTIONS`` of the rows,
+    that rotates at least ``min_rotation`` and fixes the tip (passes the
+    rank test of :func:`_solve_pivot`); else every row.  So far rows cannot
+    pull the seed, and when the stylus rests still for most of a recording
+    the prefix grows past the still rows to the nearest rows that turn.  The
+    seed is only a start: the filter keeps each row whose tip point agrees.
+    Arithmetic that overflows leaves inf, which sorts last."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.linalg.norm(translations - median_rows(translations), axis=1)
+    order = np.argsort(dist, kind="stable")
+    for fraction in _SEED_FRACTIONS:
+        seed = order[:math.ceil(fraction * order.size)]
+        if seed.size == order.size:
+            break
+        if _rotation_spread_reaches(q[seed], min_rotation):
+            try:
+                return (*_solve_pivot(rotations[seed], translations[seed]), True)
+            except DegenerateRotations:
+                pass
     return (*_solve_pivot(rotations, translations), False)
 
 
@@ -558,16 +576,16 @@ def calibrate_position(
 ) -> PositionCalibration:
     """Recover the tip offset from a pivot recording.
 
-    A first least-squares pass estimates the offset (from the rows near the
-    median translation, :func:`_first_pass`), occlusion outliers are
+    A first least-squares pass estimates the offset (from the rows nearest
+    the median translation, :func:`_first_pass`), occlusion outliers are
     removed by density clustering on the tip points it induces for every
     row, and the solve is repeated on the kept set.  Pass ``params=None``
     to skip both the seed rows and the filter (useful to quantify how much
     the filter helps).  Finite rows whose residuals overflow raise
     :class:`NonFinitePose` after the first pass, before the filter sees
     their tip points.  Raises :class:`DegenerateRotations` when the rows
-    the filter keeps rotate less than ``min_rotation``: a seed pulled by
-    far rows can leave only the rows where the stylus rested still.
+    the filter keeps rotate less than ``min_rotation``: when the rows that
+    turn share no pivot, only the rows where the stylus rested still agree.
     """
     if len(ds) < 3:
         raise DegenerateRotations(f"need at least 3 poses, got {len(ds)}")

@@ -46,7 +46,7 @@ def segment_label(k: int) -> str:
 
 
 class SampledSegment:
-    """Per-target pairing of one demonstrated segment with its ideal line.
+    """Per-target offsets of one demonstrated segment from its ideal line.
 
     Arrays are indexed by the uniform targets on the ideal line; entries
     where the demonstration never crossed the target parameter are marked
@@ -56,24 +56,18 @@ class SampledSegment:
     def __init__(
         self,
         segment_label: str,
-        ideal_points: np.ndarray,
-        demo_points: np.ndarray,
         signed_error: np.ndarray,
         z_offset: np.ndarray,
         missing: np.ndarray,
-        force: np.ndarray | None = None,
     ):
         self.segment_label = segment_label
-        self.ideal_points = ideal_points
-        self.demo_points = demo_points
         self.signed_error = signed_error
         self.z_offset = z_offset
         self.missing = missing
-        self.force = force
 
     @property
     def pair_count(self) -> int:
-        return self.ideal_points.shape[0]
+        return self.signed_error.size
 
 
 class SegmentAggregate:
@@ -204,6 +198,7 @@ def segment_trace(
 
 
 MAX_TARGETS_PER_SEGMENT = 100_000
+MAX_MISSING_FRACTION = 0.2
 
 
 def resample_segment(
@@ -211,14 +206,14 @@ def resample_segment(
     line: tuple[np.ndarray, np.ndarray],
     n: int,
     label: str = "A",
-    max_missing_fraction: float = 0.2,
 ) -> SampledSegment:
-    """Pair ``n`` uniform targets on the ideal line with the demonstration.
+    """The lateral and z offsets of the demonstration at ``n`` uniform
+    targets on the ideal line.
 
     For each target the demonstrated polyline is linearly interpolated at
     the first crossing of the target's line parameter; targets never
-    crossed are marked missing.  More than ``max_missing_fraction``
-    missing raises :class:`SegmentUncovered`.  More than
+    crossed are marked missing.  More than ``MAX_MISSING_FRACTION`` (a
+    fifth) missing raises :class:`SegmentUncovered`.  More than
     ``MAX_TARGETS_PER_SEGMENT`` (100,000) targets, or a point whose line
     parameter or lateral offset is not finite, raises :class:`InputError`.
 
@@ -265,16 +260,13 @@ def resample_segment(
     index = np.arange(n, dtype=float)
     step = np.maximum(np.searchsorted(upper, index), np.searchsorted(-lower, -index))
     missing = step >= u.size - 1
-    if float(missing.mean()) > max_missing_fraction:
+    if float(missing.mean()) > MAX_MISSING_FRACTION:
         raise SegmentUncovered(
             f"segment {label}: {int(missing.sum())} of {n} targets never crossed"
         )
 
-    ideal = a + targets[:, None] * direction
-    demo = np.full((n, 2), np.nan)
     signed = np.full(n, np.nan)
     z_offset = np.full(n, np.nan)
-    force = None if sub.forces is None else np.full(n, np.nan)
     hit = ~missing
     k_idx = step[hit]
     u0 = u[k_idx]
@@ -282,22 +274,9 @@ def resample_segment(
     alpha = np.divide(targets[hit] - u0, denom, out=np.full(k_idx.size, 0.5), where=denom != 0.0)
     # np.maximum may keep -0.0 on a tie; + 0.0 gives 0.0, as Python's max(0.0, -0.0).
     alpha = np.minimum(1.0, np.maximum(alpha, 0.0)) + 0.0
-    demo[hit] = xy[k_idx] + alpha[:, None] * (xy[k_idx + 1] - xy[k_idx])
     signed[hit] = lateral[k_idx] + alpha * (lateral[k_idx + 1] - lateral[k_idx])
     z_offset[hit] = z[k_idx] + alpha * (z[k_idx + 1] - z[k_idx])
-    if force is not None:
-        f = sub.forces
-        force[hit] = f[k_idx] + alpha * (f[k_idx + 1] - f[k_idx])
-
-    return SampledSegment(
-        segment_label=label,
-        ideal_points=ideal,
-        demo_points=demo,
-        signed_error=signed,
-        z_offset=z_offset,
-        missing=missing,
-        force=force,
-    )
+    return SampledSegment(label, signed_error=signed, z_offset=z_offset, missing=missing)
 
 
 def _masked_stats(stack: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -389,17 +368,13 @@ def epsilon_histogram(
 FFT_GRID_FACTOR = 64
 
 
-def force_spectrum(
-    force: ForceRecording,
-    threshold_ratio: float = 0.05,
-    threshold_abs: float | None = None,
-) -> SpectrumSummary:
+def force_spectrum(force: ForceRecording, threshold_ratio: float = 0.05) -> SpectrumSummary:
     """Magnitude spectrum of the contact force with a peak count.
 
     The signal is resampled to a uniform rate (the median original rate)
     by linear interpolation and mean-removed before the FFT.  The peak
     count covers non-DC bins above ``threshold_ratio`` times the largest
-    non-DC amplitude, or above ``threshold_abs`` when given.
+    non-DC amplitude.
 
     The uniform grid may hold at most ``FFT_GRID_FACTOR`` (64) points per
     input sample.  A recording whose median spacing is that much finer than
@@ -433,11 +408,8 @@ def force_spectrum(
             f"force spectrum is not finite: sample rate {sample_rate:.3g} Hz, bin width "
             f"{bin_width:.3g} Hz (force times or values out of range)"
         )
-    if threshold_abs is not None:
-        threshold = float(threshold_abs)
-    else:
-        peak = float(amplitudes[1:].max()) if amplitudes.size > 1 else 0.0
-        threshold = threshold_ratio * peak
+    peak = float(amplitudes[1:].max()) if amplitudes.size > 1 else 0.0
+    threshold = threshold_ratio * peak
     count_above = int(np.sum(amplitudes[1:] > threshold))
     return SpectrumSummary(
         sample_rate=sample_rate,

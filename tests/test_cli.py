@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import styluskit
 from styluskit.cli import main
@@ -1498,6 +1503,56 @@ class TestJsonNumbers:
     def test_the_documents_are_valid(self, inputs, capsys, doc):
         code, _, err = run(capsys, *self.command(inputs, doc, inputs / doc))
         assert code == 0, err
+
+    # North star 3: no JSON input exits 1.  Each example replaces or deletes
+    # one or two fields of a valid document, anywhere in it, with values
+    # from a fixed pool that holds no large valid size, so each command
+    # stays small.
+    MUTANTS = [None, True, False, "", "0.1", [], {}, [[0.0, [1.0]], []], 0, -1, 10**30,
+               10**400, 2**63, 1e308, -1e308, math.nan, math.inf, -math.inf]
+
+    @staticmethod
+    def key_paths(node, prefix=()):
+        """The key path of every value below ``node``."""
+        if isinstance(node, dict):
+            items = node.items()
+        elif isinstance(node, list):
+            items = enumerate(node)
+        else:
+            return
+        for key, value in items:
+            yield prefix + (key,)
+            yield from TestJsonNumbers.key_paths(value, prefix + (key,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        doc=st.sampled_from(["calibration.json", "tip.json", "manifest.json", "frame.json",
+                             "path.json", "waypoints.json", "sim_position.json",
+                             "sim_orientation.json", "sim_sine.json"]),
+        data=st.data(),
+    )
+    def test_no_edited_document_exits_1(self, inputs, doc, data):
+        edited = json.loads((inputs / doc).read_text())
+        for _ in range(data.draw(st.integers(1, 2))):
+            paths = list(self.key_paths(edited))
+            if not paths:  # the first edit deleted the only field
+                break
+            *keys, last = data.draw(st.sampled_from(paths))
+            target = edited
+            for key in keys:
+                target = target[key]
+            if data.draw(st.booleans()):
+                del target[last]
+            else:
+                target[last] = copy.deepcopy(data.draw(st.sampled_from(self.MUTANTS)))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = pathlib.Path(tmp) / doc
+            bad.write_text(json.dumps(edited))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(self.command(inputs, doc, bad))
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize("value", ['"1"', "true"])
     def test_json_lines_pose_row(self, value):

@@ -176,13 +176,6 @@ class TestResampleSegment:
         half = seg.signed_error[: int(0.6 * 100)]
         assert np.allclose(half, 0.001, atol=1e-9)
 
-    def test_force_interpolated_at_crossing(self):
-        u = np.linspace(0, 1, 11)
-        xy = segment_samples([0, 0], [0.1, 0], u)
-        forces = np.linspace(1.0, 2.0, 11)
-        seg = resample_segment(trace_from_xy(xy, forces=forces), self.LINE, n=5)
-        assert np.allclose(seg.force, [1.0, 1.25, 1.5, 1.75, 2.0], atol=1e-9)
-
     def test_z_offset_reported(self):
         u = np.linspace(0, 1, 11)
         xy = segment_samples([0, 0], [0.1, 0], u)
@@ -305,14 +298,6 @@ class TestForceSpectrum:
         fz = np.sin(2 * math.pi * 3.0 * t) + np.sin(2 * math.pi * 7.0 * t)
         result = force_spectrum(ForceRecording(t, fz), threshold_ratio=0.05)
         assert result.count_above == 2
-
-    def test_absolute_threshold_mode(self):
-        t = np.arange(1000) / 100.0
-        fz = np.sin(2 * math.pi * 3.0 * t) + 0.2 * np.sin(2 * math.pi * 7.0 * t)
-        relative = force_spectrum(ForceRecording(t, fz), threshold_ratio=0.5)
-        absolute = force_spectrum(ForceRecording(t, fz), threshold_abs=0.1)
-        assert relative.count_above == 1
-        assert absolute.count_above == 2
 
     def test_parseval(self):
         rng = np.random.default_rng(44)

@@ -25,7 +25,13 @@ from styluskit.calib import (
     filter_outliers,
 )
 from styluskit.errors import AllOutliers, DegenerateRotations
-from styluskit.geometry import Pose, PositionDataset, quat_from_axis_angle, quats_to_matrices
+from styluskit.geometry import (
+    Pose,
+    PositionDataset,
+    quat_from_axis_angle,
+    quat_multiply,
+    quats_to_matrices,
+)
 from styluskit.synth import SynthConfig, gen_orientation_dataset, gen_position_dataset
 
 
@@ -493,6 +499,64 @@ class TestRotationGate:
         q = rotations_about([(0, 0), (0, 10), (180, 10)])
         with pytest.raises(DegenerateRotations, match="30.0 deg"):
             calibrate_position(PositionDataset(q=q, p=np.zeros((3, 3))))
+
+
+def rotation_layout(rng, layout: str, n: int, degrees: float) -> np.ndarray:
+    """``n`` unit quaternions about a random centre: within ``degrees`` of
+    it (a cone), all ``degrees`` from it (a shell), turned about one axis
+    evenly from ``-degrees`` to ``degrees`` (an arc, whose ends are twice
+    its radius apart), or within 1 degree of three poses ``degrees`` from it
+    (clusters); random signs, and pose 0 the one farthest from the centre
+    when ``layout`` ends in "edge"."""
+    centre = quat_from_axis_angle(rng.normal(size=3), rng.uniform(0.0, math.pi))
+    radians = math.radians(degrees)
+    axes = rng.normal(size=(n, 3))
+    if layout.startswith("cone"):
+        local = quat_from_axis_angle(axes, radians * np.sqrt(rng.uniform(0.0, 1.0, n)))
+    elif layout.startswith("shell"):
+        local = quat_from_axis_angle(axes, np.full(n, radians))
+    elif layout.startswith("arc"):
+        turns = np.linspace(-1.0, 1.0, n)[rng.permutation(n)]
+        local = quat_from_axis_angle(np.tile(axes[0], (n, 1)), radians * turns)
+    else:
+        hubs = quat_from_axis_angle(rng.normal(size=(3, 3)), np.full(3, radians))
+        jitter = quat_from_axis_angle(axes, math.radians(1.0) * rng.uniform(0.0, 1.0, n))
+        local = quat_multiply(hubs[rng.integers(0, 3, n)], jitter)
+    q = quat_multiply(np.tile(centre, (n, 1)), local)
+    if layout.endswith("edge"):
+        far = int(np.argmin(np.abs(q @ centre)))
+        q[[0, far]] = q[[far, 0]]
+    return q * rng.choice([-1.0, 1.0], size=(n, 1))
+
+
+class TestRotationGateCentre:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(
+            ["cone", "cone edge", "shell", "shell edge", "arc", "arc edge", "clusters",
+             "clusters edge"]
+        ),
+        n=st.integers(2, 40),
+        degrees=st.floats(1.0, 80.0),
+        ratio=st.floats(0.8, 1.25),
+    )
+    def test_matches_the_oracle_near_the_threshold(self, seed, layout, n, degrees, ratio):
+        q = rotation_layout(np.random.default_rng(seed), layout, n, degrees)
+        largest = oracle_rotation_diversity(q)
+        threshold = largest * ratio
+        if abs(threshold - largest) < 1e-9:  # within rounding of the largest angle
+            return
+        assert calib._rotation_spread_reaches(q, threshold) == (largest >= threshold)
+
+    @pytest.mark.parametrize("layout, degrees", [("cone edge", 14.7), ("shell", 13.5)])
+    def test_large_sets_answer_without_the_scan(self, monkeypatch, layout, degrees):
+        # Pose 0 sees up to twice ``degrees`` of the others, so the pose-0
+        # bounds leave 30 degrees undecided; no pair reaches it.
+        monkeypatch.setattr(calib, "_GATE_CHUNK", None)  # the scan must not run
+        q = rotation_layout(np.random.default_rng(12), layout, 20_000, degrees)
+        assert 2.0 * math.acos(float(np.abs(q @ q[0]).min())) > math.radians(15.0)
+        assert calib._rotation_spread_reaches(q, math.radians(30.0)) is False
 
 
 def test_calibrate_position_memory_stays_bounded():

@@ -2,8 +2,9 @@
 
 The closed form takes each target's first crossing from running extrema
 of the line parameter.  The loop below, over trace steps and the targets
-each step spans, is the code the package used before; it is kept here
-verbatim as a test-only oracle.  The properties compare the bytes of
+each step spans, is the code the package used before; it is kept here as a
+test-only oracle, less the per-target ideal points, demonstrated points and
+forces that no command wrote.  The properties compare the bytes of
 every output array on paths that move monotonically, go back and forth,
 land exactly on targets or within the 1e-9 widening of one, stand still
 (zero-length steps) and start beyond either end of the line.
@@ -13,12 +14,14 @@ from __future__ import annotations
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from styluskit import evaluation
 from styluskit.errors import InputError, SegmentUncovered
 from styluskit.evaluation import SampledSegment, resample_segment
 from styluskit.geometry import TipTrack
@@ -76,29 +79,19 @@ def resample_segment_loop(
             f"segment {label}: {int(missing.sum())} of {n} targets never crossed"
         )
 
-    ideal = a + targets[:, None] * direction
-    demo = np.full((n, 2), np.nan)
     signed = np.full(n, np.nan)
     z_offset = np.full(n, np.nan)
-    force = None if sub.forces is None else np.full(n, np.nan)
     hit = ~missing
     k_idx = seg_index[hit]
     alpha = seg_alpha[hit]
-    demo[hit] = xy[k_idx] + alpha[:, None] * (xy[k_idx + 1] - xy[k_idx])
     signed[hit] = lateral[k_idx] + alpha * (lateral[k_idx + 1] - lateral[k_idx])
     z_offset[hit] = z[k_idx] + alpha * (z[k_idx + 1] - z[k_idx])
-    if force is not None:
-        f = sub.forces
-        force[hit] = f[k_idx] + alpha * (f[k_idx + 1] - f[k_idx])
 
     return SampledSegment(
         segment_label=label,
-        ideal_points=ideal,
-        demo_points=demo,
         signed_error=signed,
         z_offset=z_offset,
         missing=missing,
-        force=force,
     )
 
 
@@ -117,14 +110,10 @@ def trace_on_line(line, u, lateral, z, forces=None) -> DemonstrationTrace:
 
 
 def assert_same_bytes(new: SampledSegment, old: SampledSegment) -> None:
-    for name in ("ideal_points", "demo_points", "signed_error", "z_offset", "missing"):
+    for name in ("signed_error", "z_offset", "missing"):
         a, b = getattr(new, name), getattr(old, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    if old.force is None:
-        assert new.force is None
-    else:
-        assert new.force.tobytes() == old.force.tobytes(), "force"
 
 
 # Offsets, in target units, around an exact target: on it, inside the
@@ -173,7 +162,8 @@ def test_matches_the_double_loop(case, line, with_forces, seed):
     forces = with_signed_zeros(rng, rng.uniform(0.0, 5.0, size=u.size)) if with_forces else None
     trace = trace_on_line(line, u, lateral, z, forces)
     old = resample_segment_loop(trace, line, n, max_missing_fraction=1.0)
-    new = resample_segment(trace, line, n, max_missing_fraction=1.0)
+    with mock.patch.object(evaluation, "MAX_MISSING_FRACTION", 1.0):
+        new = resample_segment(trace, line, n)
     assert_same_bytes(new, old)
 
 
