@@ -30,9 +30,10 @@ clusters on a grid whose every cell is a clique, in time and memory
 near-linear in the number of points, whatever their extent; its docstring
 gives the grid rules and how border points are assigned.  The grid answers
 the radius queries too: each occupied cell gets one int64 key, and the
-cells around it are found once, by binary search in the sorted keys; the
-neighbor counts and the cluster merge share that one walk over cell pairs,
-so the filter needs numpy alone.
+cells around it are found by binary search in the sorted keys.  The
+neighbor counts and the cluster merge take their cell pairs from one
+method, in two walks: one over the cells of the points that are counted,
+one over the cells that hold core points.  The filter needs numpy alone.
 
 Both datasets are :class:`~styluskit.geometry.PoseRows`: the fiducial poses
 as rows ``q`` (N, 4) and ``p`` (N, 3), which the solvers read whole.  Their
@@ -364,7 +365,9 @@ def filter_outliers(points, params: FilterParams) -> tuple[np.ndarray, int]:
     points are connected, and if it holds ``min_neighbors`` points they are
     all core without being counted.  Only the points of smaller cells get an
     exact neighbor count.  The counts and the merge of cells take their cell
-    pairs from one walk, :meth:`_Grid.cell_pairs`: a pair of cells whose
+    pairs from one method, :meth:`_Grid.cell_pairs`, in two walks: one in
+    :meth:`_Grid.neighbors` over the cells of the counted points, one over
+    the cells that hold core points.  In the count, a pair of cells whose
     boxes are within ``r`` corner to corner counts whole, and only the
     points of the other pairs are compared.  Cells merge when their core
     bounding boxes are within ``r`` end to end, stay apart when the boxes

@@ -47,10 +47,6 @@ class TooShort(InputError):
     """A signal has too few samples for the requested analysis."""
 
 
-class ShapeMismatch(InputError):
-    """Aggregation inputs do not share one sampling structure."""
-
-
 class NonFinitePose(InputError, ValueError):
     """A pose, given or computed from the input, has a non-finite component:
     the input holds one, or transforming or solving with it overflowed."""

@@ -11,9 +11,13 @@ spectrum of the contact force.
 Signed errors are positive to the left of the travel direction; the
 out-of-plane z offset is reported separately.
 
-Each stage works on whole arrays: resampling takes first crossings from
-running extrema of the line parameter, and the report CSVs go through the
-block writer of the recording CSVs (``jsonio.write_csv``).
+The stages pass arrays, not trace records: ``segment_trace`` returns the
+rows a trace's ``(m, 3)`` positions split at, ``resample_segment`` takes
+the rows of one segment and finds first crossings from running extrema of
+the line parameter, and the signed errors of every trace are stacked once,
+as a ``(traces, segments, targets)`` array that ``aggregate`` and
+``epsilon_histogram`` read whole.  The report CSVs go through the block
+writer of the recording CSVs (``jsonio.write_csv``).
 
 The ideal path and its JSON document (:class:`~styluskit.ingest.IdealPath`,
 ``path_to_doc``, ``path_from_doc``, ``load_path``) are defined in ``ingest``
@@ -28,14 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    InputError,
-    SegmentUncovered,
-    ShapeMismatch,
-    TooShort,
-    WaypointNotReached,
-)
+from .errors import EmptyInput, InputError, SegmentUncovered, TooShort, WaypointNotReached
 from .geometry import median_rows
 from .ingest import DemonstrationTrace, ForceRecording, IdealPath
 from .jsonio import open_output, write_csv, write_json
@@ -64,10 +61,6 @@ class SampledSegment:
         self.signed_error = signed_error
         self.z_offset = z_offset
         self.missing = missing
-
-    @property
-    def pair_count(self) -> int:
-        return self.signed_error.size
 
 
 class SegmentAggregate:
@@ -150,25 +143,24 @@ class EvaluationReport:
         return self.histogram.epsilon_fraction
 
 
-def segment_trace(
-    trace: DemonstrationTrace, path: IdealPath, gate: float = 0.02
-) -> list[DemonstrationTrace]:
-    """Split a drawing-frame trace at its closest approaches to the
-    interior waypoints, searched in visiting order.
+def segment_trace(positions: np.ndarray, path: IdealPath, gate: float = 0.02) -> list[int]:
+    """The rows a drawing-frame trace splits at: 0, its closest approach to
+    each interior waypoint, searched in visiting order, and its last row.
+    Segment k runs from row ``splits[k]`` to row ``splits[k + 1]``, both
+    included.
 
     The search window moves forward only, so revisited waypoints split at
     the correct pass.  A waypoint whose closest approach inside its window
     exceeds ``gate`` raises :class:`WaypointNotReached`.
     """
-    if not trace.points:
+    if not len(positions):
         raise ValueError("cannot segment an empty trace")
-    xy = trace.positions[:, :2]
+    xy = positions[:, :2]
     splits = [0]
-    start = 0
     sequence = path.visiting_sequence
     for order, waypoint_index in enumerate(sequence[1:-1], start=1):
-        target = path.waypoints[waypoint_index]
-        distances = np.linalg.norm(xy[start:] - target, axis=1)
+        start = splits[-1]
+        distances = np.linalg.norm(xy[start:] - path.waypoints[waypoint_index], axis=1)
         inside = distances <= gate
         if not inside.any():
             raise WaypointNotReached(
@@ -179,22 +171,9 @@ def segment_trace(
         first = int(np.argmax(inside))
         after = np.flatnonzero(~inside[first:])
         end = first + (int(after[0]) if after.size else inside.size - first)
-        split = start + first + int(np.argmin(distances[first:end]))
-        splits.append(split)
-        start = split
-    splits.append(len(trace.points) - 1)
-
-    pieces = []
-    for k in range(len(splits) - 1):
-        lo, hi = splits[k], splits[k + 1]
-        pieces.append(
-            DemonstrationTrace(
-                points=trace.points[lo : hi + 1],
-                forces=None if trace.forces is None else trace.forces[lo : hi + 1],
-                source=trace.source,
-            )
-        )
-    return pieces
+        splits.append(start + first + int(np.argmin(distances[first:end])))
+    splits.append(len(positions) - 1)
+    return splits
 
 
 MAX_TARGETS_PER_SEGMENT = 100_000
@@ -202,13 +181,13 @@ MAX_MISSING_FRACTION = 0.2
 
 
 def resample_segment(
-    sub: DemonstrationTrace,
+    positions: np.ndarray,
     line: tuple[np.ndarray, np.ndarray],
     n: int,
     label: str = "A",
 ) -> SampledSegment:
-    """The lateral and z offsets of the demonstration at ``n`` uniform
-    targets on the ideal line.
+    """The lateral and z offsets of a segment's ``(m, 3)`` rows at ``n``
+    uniform targets on the ideal line.
 
     For each target the demonstrated polyline is linearly interpolated at
     the first crossing of the target's line parameter; targets never
@@ -231,7 +210,7 @@ def resample_segment(
         raise InputError(
             f"{n} resampling targets per segment: at most {MAX_TARGETS_PER_SEGMENT}"
         )
-    if len(sub.points) < 2:
+    if len(positions) < 2:
         raise ValueError("need at least 2 demonstration points")
     a, b = np.asarray(line[0], dtype=float), np.asarray(line[1], dtype=float)
     direction = b - a
@@ -241,7 +220,6 @@ def resample_segment(
     unit = direction / length
     normal = np.array([-unit[1], unit[0]])
 
-    positions = sub.positions
     xy = positions[:, :2]
     scale = n - 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -298,37 +276,13 @@ def _masked_stats(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     return mean, mean_abs, std, env_min, env_max
 
 
-def aggregate(evals: list[list[SampledSegment]]) -> list[SegmentAggregate]:
-    """Mean, population std, and envelope per sample index across traces.
+def aggregate(errors: np.ndarray, labels: list[str]) -> list[SegmentAggregate]:
+    """Mean, population std, and envelope per sample index across traces,
+    from the ``(traces, segments, targets)`` stack of signed errors.
 
-    Missing pairs are excluded from their index's statistics.  All traces
-    must share segment structure and target count.
+    Missing pairs (NaN) are excluded from their index's statistics.
     """
-    if not evals:
-        raise ShapeMismatch("no evaluations to aggregate")
-    reference = evals[0]
-    for other in evals[1:]:
-        if len(other) != len(reference):
-            raise ShapeMismatch("traces have different segment counts")
-        for seg_a, seg_b in zip(reference, other):
-            if seg_a.pair_count != seg_b.pair_count or seg_a.segment_label != seg_b.segment_label:
-                raise ShapeMismatch("traces have mismatched segment sampling")
-
-    out = []
-    for j, seg in enumerate(reference):
-        stack = np.stack([trace[j].signed_error for trace in evals])
-        mean, mean_abs, std, env_min, env_max = _masked_stats(stack)
-        out.append(
-            SegmentAggregate(
-                segment_label=seg.segment_label,
-                mean=mean,
-                mean_abs=mean_abs,
-                std=std,
-                env_min=env_min,
-                env_max=env_max,
-            )
-        )
-    return out
+    return [SegmentAggregate(label, *_masked_stats(errors[:, j])) for j, label in enumerate(labels)]
 
 
 MAX_HISTOGRAM_BINS = 100_000
@@ -437,18 +391,16 @@ def evaluate_demonstrations(
     labels = [segment_label(k) for k in range(path.segment_count)]
     per_trace: list[list[SampledSegment]] = []
     for trace in traces:
-        pieces = segment_trace(trace, path, gate=gate)
-        sampled = [
-            resample_segment(piece, path.segment(k), n, label=labels[k])
-            for k, piece in enumerate(pieces)
-        ]
-        per_trace.append(sampled)
+        positions = trace.positions
+        splits = segment_trace(positions, path, gate=gate)
+        per_trace.append([
+            resample_segment(positions[lo : hi + 1], path.segment(k), n, label=labels[k])
+            for k, (lo, hi) in enumerate(zip(splits, splits[1:]))
+        ])
 
-    aggregates = aggregate(per_trace)
-    pooled = np.concatenate(
-        [seg.signed_error for sampled in per_trace for seg in sampled]
-    )
-    histogram = epsilon_histogram(pooled, epsilon=epsilon, bin_width=bin_width)
+    errors = np.array([[seg.signed_error for seg in sampled] for sampled in per_trace])
+    aggregates = aggregate(errors, labels)
+    histogram = epsilon_histogram(errors, epsilon=epsilon, bin_width=bin_width)
 
     spectra = []
     for trace in traces:

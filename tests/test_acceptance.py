@@ -251,7 +251,7 @@ def test_criterion_6_evaluation_pipeline():
         np.column_stack([offset_xy, np.zeros(len(offset_xy))]),
         np.tile(IDENTITY_Q, (len(offset_xy), 1)),
     )
-    offset_seg = resample_segment(DemonstrationTrace(points=offset_points), line, n=100)
+    offset_seg = resample_segment(DemonstrationTrace(points=offset_points).positions, line, n=100)
     offset_ok = (
         not offset_seg.missing.any()
         and float(np.max(np.abs(offset_seg.signed_error - 0.002))) < 1e-6

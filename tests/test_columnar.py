@@ -19,7 +19,6 @@ from test_geometry_rows import near_unit_quats, sign_rule_quats, six_decimal_qua
 
 from styluskit.calib import calibrate_position
 from styluskit.errors import NonFinitePose
-from styluskit.evaluation import segment_trace
 from styluskit.geometry import (
     HoleRecording,
     Pose,
@@ -30,8 +29,6 @@ from styluskit.geometry import (
     quat_normalize_rows,
 )
 from styluskit.ingest import (
-    DemonstrationTrace,
-    IdealPath,
     PoseRecording,
     WaypointList,
     parse_pose_csv,
@@ -251,19 +248,3 @@ class TestCalibrationDatasets:
             PositionDataset(q=np.zeros((0, 4)), p=np.zeros((0, 3)))
         with pytest.raises(ValueError):
             HoleRecording([0.0, 0.0, 1.0], q=np.zeros((0, 4)), p=np.zeros((0, 3)))
-
-
-class TestDemonstrationTrace:
-    def test_segments_are_tracks(self):
-        xy = [[0.01 * i, 0.0] for i in range(11)] + [[0.1, 0.01 * i] for i in range(1, 11)]
-        n = len(xy)
-        points = TipTrack(
-            [0.01 * i for i in range(n)],
-            [[x, y, 0.0] for x, y in xy],
-            np.tile([0.0, 0.0, 0.0, 1.0], (n, 1)),
-        )
-        path = IdealPath(np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]]), (0, 1, 2))
-        pieces = segment_trace(DemonstrationTrace(points=points), path)
-        assert [len(p) for p in pieces] == [11, 11]
-        assert all(isinstance(p.points, TipTrack) for p in pieces)
-        assert bits(pieces[1].points) == bits(points[10:])

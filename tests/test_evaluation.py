@@ -12,7 +12,6 @@ from styluskit.errors import (
     EmptyInput,
     InputError,
     SegmentUncovered,
-    ShapeMismatch,
     TooShort,
     WaypointNotReached,
 )
@@ -33,7 +32,7 @@ from styluskit.ingest import DemonstrationTrace, ForceRecording, IdealPath
 IDENTITY_Q = np.array([0.0, 0.0, 0.0, 1.0])
 
 
-def trace_from_xy(xy, dt=0.01, forces=None, z=None):
+def trace_from_xy(xy, dt=0.01, z=None):
     xy = np.asarray(xy, dtype=float)
     zs = np.zeros(len(xy)) if z is None else np.asarray(z, dtype=float)
     points = TipTrack(
@@ -41,7 +40,7 @@ def trace_from_xy(xy, dt=0.01, forces=None, z=None):
         np.column_stack([xy, zs]),
         np.tile(IDENTITY_Q, (len(xy), 1)),
     )
-    return DemonstrationTrace(points=points, forces=forces)
+    return DemonstrationTrace(points=points)
 
 
 def segment_samples(a, b, params):
@@ -59,22 +58,18 @@ class TestSegmentTrace:
         xy = np.vstack(
             [segment_samples([0, 0], [0.1, 0], u), segment_samples([0.1, 0], [0.1, 0.1], u[1:])]
         )
-        pieces = segment_trace(trace_from_xy(xy), L_PATH)
-        assert len(pieces) == 2
-        assert len(pieces[0].points) == 11
-        assert len(pieces[1].points) == 11
-        assert np.allclose(pieces[0].points.position[-1, :2], [0.1, 0.0])
+        splits = segment_trace(trace_from_xy(xy).positions, L_PATH)
+        assert splits == [0, 10, 20]
+        assert np.allclose(xy[splits[1]], [0.1, 0.0])
 
     def test_single_segment_is_whole_trace(self):
         xy = segment_samples([0, 0], [0.1, 0], np.linspace(0, 1, 20))
-        pieces = segment_trace(trace_from_xy(xy), ONE_SEGMENT)
-        assert len(pieces) == 1
-        assert len(pieces[0].points) == 20
+        assert segment_trace(trace_from_xy(xy).positions, ONE_SEGMENT) == [0, 19]
 
     def test_unreached_waypoint_raises(self):
         xy = segment_samples([0, 0], [0.04, 0.0], np.linspace(0, 1, 30))
         with pytest.raises(WaypointNotReached) as excinfo:
-            segment_trace(trace_from_xy(xy), L_PATH)
+            segment_trace(trace_from_xy(xy).positions, L_PATH)
         assert excinfo.value.waypoint_index == 1
 
     def test_revisited_waypoint_uses_forward_window(self):
@@ -90,21 +85,63 @@ class TestSegmentTrace:
                 segment_samples([0, 0], [0, 0.1], u[1:]),
             ]
         )
-        pieces = segment_trace(trace_from_xy(xy), path)
-        assert len(pieces) == 3
+        splits = segment_trace(trace_from_xy(xy).positions, path)
         # the second split is the *return* to the start, not the departure
-        assert np.allclose(pieces[1].points.position[-1, :2], [0.0, 0.0], atol=1e-12)
-        assert len(pieces[1].points) == 11
+        assert splits == [0, 10, 20, 30]
+        assert np.allclose(xy[splits[2]], [0.0, 0.0], atol=1e-12)
 
-    def test_forces_sliced_with_points(self):
-        u = np.linspace(0.0, 1.0, 11)
-        xy = np.vstack(
-            [segment_samples([0, 0], [0.1, 0], u), segment_samples([0.1, 0], [0.1, 0.1], u[1:])]
-        )
-        forces = np.arange(len(xy), dtype=float)
-        pieces = segment_trace(trace_from_xy(xy, forces=forces), L_PATH)
-        assert pieces[0].forces is not None
-        assert pieces[0].forces[-1] == pieces[1].forces[0]
+
+@st.composite
+def walked_paths(draw):
+    """(path, positions, gate): a path over two to five waypoints on a
+    0.1 m grid and a trace that walks its visiting sequence, one noisy run
+    of points per leg.  Each leg ends on its waypoint, moved by less than
+    the gate, and no waypoint lies within twice the gate of another, so
+    every waypoint is reached."""
+    grid = st.tuples(st.integers(0, 10), st.integers(0, 10))
+    waypoints = draw(st.lists(grid, min_size=2, max_size=5, unique=True))
+    count = len(waypoints)
+    sequence = [draw(st.integers(0, count - 1))]
+    for _ in range(draw(st.integers(1, 5))):
+        sequence.append(draw(st.sampled_from([i for i in range(count) if i != sequence[-1]])))
+    gate = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    waypoints = 0.1 * np.array(waypoints, dtype=float)
+    corners = waypoints[sequence]
+    legs = [corners[:1]]
+    for a, b in zip(corners, corners[1:]):
+        u = np.sort(rng.uniform(0.0, 1.0, draw(st.integers(0, 12))))
+        legs.append(a + np.r_[u, 1.0][:, None] * (b - a))
+    xy = np.vstack(legs)
+    xy = xy + rng.uniform(-0.5, 0.5, xy.shape) * draw(st.sampled_from([0.0, 0.5, 1.0])) * gate
+    positions = np.column_stack([xy, rng.normal(scale=0.001, size=len(xy))])
+    return IdealPath(waypoints, tuple(sequence)), positions, gate
+
+
+class TestSegmentTraceSplits:
+    """Properties of the split rows on traces that walk their path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=walked_paths())
+    def test_splits_are_the_closest_rows_in_order(self, case):
+        path, positions, gate = case
+        splits = segment_trace(positions, path, gate=gate)
+        assert len(splits) == path.segment_count + 1
+        assert splits[0] == 0 and splits[-1] == len(positions) - 1
+        assert all(a <= b for a, b in zip(splits, splits[1:]))
+        # Each interior split is the closest row of the first in-gate run
+        # of rows at or after the split before it.
+        for k in range(1, path.segment_count):
+            target = path.waypoints[path.visiting_sequence[k]]
+            distances = np.linalg.norm(positions[:, :2] - target, axis=1)
+            inside = np.flatnonzero(distances <= gate)
+            first = int(inside[inside >= splits[k - 1]][0])
+            end = first
+            while end < len(positions) and distances[end] <= gate:
+                end += 1
+            assert first <= splits[k] < end
+            assert distances[splits[k]] <= gate
+            assert distances[splits[k]] == distances[first:end].min()
 
 
 class TestResampleSegment:
@@ -112,7 +149,7 @@ class TestResampleSegment:
 
     def test_exact_trace_zero_errors(self):
         xy = segment_samples([0, 0], [0.1, 0], np.linspace(0, 1, 50))
-        seg = resample_segment(trace_from_xy(xy), self.LINE, n=25)
+        seg = resample_segment(trace_from_xy(xy).positions, self.LINE, n=25)
         assert not seg.missing.any()
         assert np.allclose(seg.signed_error, 0.0, atol=1e-12)
         assert np.allclose(seg.z_offset, 0.0, atol=1e-12)
@@ -120,21 +157,21 @@ class TestResampleSegment:
     def test_constant_left_offset(self):
         u = np.linspace(0, 1, 80)
         xy = segment_samples([0, 0.002], [0.1, 0.002], u)
-        seg = resample_segment(trace_from_xy(xy), self.LINE, n=40)
+        seg = resample_segment(trace_from_xy(xy).positions, self.LINE, n=40)
         assert not seg.missing.any()
         assert np.allclose(seg.signed_error, 0.002, atol=1e-9)
 
     def test_right_offset_is_negative(self):
         u = np.linspace(0, 1, 80)
         xy = segment_samples([0, -0.002], [0.1, -0.002], u)
-        seg = resample_segment(trace_from_xy(xy), self.LINE, n=40)
+        seg = resample_segment(trace_from_xy(xy).positions, self.LINE, n=40)
         assert np.allclose(seg.signed_error, -0.002, atol=1e-9)
 
     def test_sinusoid_amplitude_recovered(self):
         amplitude = 0.01
         u = np.linspace(0.0, 1.0, 20001)
         xy = np.column_stack([0.1 * u, amplitude * np.sin(math.pi * u)])
-        seg = resample_segment(trace_from_xy(xy, dt=1e-4), self.LINE, n=1000)
+        seg = resample_segment(trace_from_xy(xy, dt=1e-4).positions, self.LINE, n=1000)
         assert not seg.missing.any()
         assert abs(float(np.max(np.abs(seg.signed_error))) - amplitude) < 1e-6
 
@@ -145,14 +182,14 @@ class TestResampleSegment:
         base = segment_samples([0, 0], [0.1, 0], u)
         left = base + np.column_stack([np.zeros_like(u), lateral])
         right = base - np.column_stack([np.zeros_like(u), lateral])
-        seg_left = resample_segment(trace_from_xy(left), self.LINE, n=100)
-        seg_right = resample_segment(trace_from_xy(right), self.LINE, n=100)
+        seg_left = resample_segment(trace_from_xy(left).positions, self.LINE, n=100)
+        seg_right = resample_segment(trace_from_xy(right).positions, self.LINE, n=100)
         assert np.allclose(seg_left.signed_error, -seg_right.signed_error, atol=1e-12)
 
     def test_partial_coverage_marks_missing(self):
         u = np.linspace(0.1, 1.0, 100)
         xy = segment_samples([0, 0], [0.1, 0], u)
-        seg = resample_segment(trace_from_xy(xy), self.LINE, n=50)
+        seg = resample_segment(trace_from_xy(xy).positions, self.LINE, n=50)
         assert seg.missing.any()
         assert float(seg.missing.mean()) <= 0.2
         assert np.isnan(seg.signed_error[seg.missing]).all()
@@ -161,7 +198,7 @@ class TestResampleSegment:
         u = np.linspace(0.0, 0.5, 100)
         xy = segment_samples([0, 0], [0.1, 0], u)
         with pytest.raises(SegmentUncovered):
-            resample_segment(trace_from_xy(xy), self.LINE, n=50)
+            resample_segment(trace_from_xy(xy).positions, self.LINE, n=50)
 
     def test_backtracking_uses_first_crossing(self):
         # forward to u=0.6 at +1 mm, back to u=0.3, forward again at -1 mm
@@ -172,14 +209,14 @@ class TestResampleSegment:
         xy = segment_samples([0, 0], [0.1, 0], u) + np.column_stack(
             [np.zeros_like(u), lateral]
         )
-        seg = resample_segment(trace_from_xy(xy), self.LINE, n=101)
+        seg = resample_segment(trace_from_xy(xy).positions, self.LINE, n=101)
         half = seg.signed_error[: int(0.6 * 100)]
         assert np.allclose(half, 0.001, atol=1e-9)
 
     def test_z_offset_reported(self):
         u = np.linspace(0, 1, 11)
         xy = segment_samples([0, 0], [0.1, 0], u)
-        seg = resample_segment(trace_from_xy(xy, z=np.full(11, 0.004)), self.LINE, n=5)
+        seg = resample_segment(trace_from_xy(xy, z=np.full(11, 0.004)).positions, self.LINE, n=5)
         assert np.allclose(seg.z_offset, 0.004, atol=1e-12)
 
 
@@ -187,18 +224,22 @@ class TestAggregate:
     def _seg(self, offset, n=20):
         u = np.linspace(0, 1, 200)
         xy = segment_samples([0, offset], [0.1, offset], u)
-        return [resample_segment(trace_from_xy(xy), TestResampleSegment.LINE, n=n)]
+        return resample_segment(trace_from_xy(xy).positions, TestResampleSegment.LINE, n=n)
+
+    @staticmethod
+    def _aggregate(segs):
+        """``aggregate`` of one segment per trace: a (traces, 1, targets) stack."""
+        return aggregate(np.array([[seg.signed_error] for seg in segs]), ["A"])
 
     def test_single_trace(self):
-        sampled = self._seg(0.001)
-        result = aggregate([sampled])
+        result = self._aggregate([self._seg(0.001)])
         assert np.allclose(result[0].mean, 0.001, atol=1e-9)
         assert np.allclose(result[0].std, 0.0, atol=1e-12)
         assert np.allclose(result[0].env_min, result[0].env_max, atol=1e-12)
 
     def test_symmetric_offsets(self):
         d = 0.002
-        result = aggregate([self._seg(d), self._seg(-d)])
+        result = self._aggregate([self._seg(d), self._seg(-d)])
         assert np.allclose(result[0].mean, 0.0, atol=1e-9)
         assert np.allclose(result[0].std, d, atol=1e-9)
         assert np.allclose(result[0].env_min, -d, atol=1e-9)
@@ -207,8 +248,8 @@ class TestAggregate:
     def test_envelope_attained_and_contains_mean(self):
         rng = np.random.default_rng(41)
         sets = [self._seg(float(rng.uniform(-0.003, 0.003))) for _ in range(5)]
-        result = aggregate(sets)
-        stack = np.stack([s[0].signed_error for s in sets])
+        result = self._aggregate(sets)
+        stack = np.stack([s.signed_error for s in sets])
         assert np.allclose(result[0].env_min, stack.min(axis=0), atol=1e-12)
         assert np.allclose(result[0].env_max, stack.max(axis=0), atol=1e-12)
         assert np.all(result[0].env_min <= result[0].mean + 1e-12)
@@ -225,23 +266,19 @@ class TestAggregate:
             xy = segment_samples([0, 0], [0.1, 0], u) + np.column_stack(
                 [np.zeros_like(u), lateral]
             )
-            sets.append([resample_segment(trace_from_xy(xy), TestResampleSegment.LINE, n=n)])
-        result = aggregate(sets)
-        pooled = np.concatenate([s[0].signed_error for s in sets])
+            sets.append(resample_segment(trace_from_xy(xy).positions, TestResampleSegment.LINE, n=n))
+        result = self._aggregate(sets)
+        pooled = np.concatenate([s.signed_error for s in sets])
         assert abs(float(np.std(pooled)) - sigma) / sigma < 0.25
         assert abs(float(np.mean(result[0].std)) - sigma) / sigma < 0.25
 
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ShapeMismatch):
-            aggregate([self._seg(0.001, n=20), self._seg(0.001, n=30)])
-
     def test_missing_excluded(self):
-        full = self._seg(0.001, n=50)[0]
+        full = self._seg(0.001, n=50)
         u = np.linspace(0.1, 1.0, 300)
         xy = segment_samples([0, 0.003], [0.1, 0.003], u)
-        partial = resample_segment(trace_from_xy(xy), TestResampleSegment.LINE, n=50)
+        partial = resample_segment(trace_from_xy(xy).positions, TestResampleSegment.LINE, n=50)
         assert partial.missing[0]
-        result = aggregate([[full], [partial]])
+        result = self._aggregate([full, partial])
         assert result[0].mean[0] == pytest.approx(0.001, abs=1e-9)
         assert result[0].mean[-1] == pytest.approx(0.002, abs=1e-9)
 
@@ -439,7 +476,7 @@ class TestAllocationBounds:
         xy = np.column_stack([np.linspace(-0.01, 0.11, 13), np.zeros(13)])
         line = TestResampleSegment.LINE
         with pytest.raises(InputError, match="targets"):
-            resample_segment(trace_from_xy(xy), line, n=MAX_TARGETS_PER_SEGMENT + 1)
-        seg = resample_segment(trace_from_xy(xy), line, n=MAX_TARGETS_PER_SEGMENT)
-        assert seg.pair_count == MAX_TARGETS_PER_SEGMENT
+            resample_segment(trace_from_xy(xy).positions, line, n=MAX_TARGETS_PER_SEGMENT + 1)
+        seg = resample_segment(trace_from_xy(xy).positions, line, n=MAX_TARGETS_PER_SEGMENT)
+        assert seg.signed_error.size == MAX_TARGETS_PER_SEGMENT
         assert not seg.missing.any()

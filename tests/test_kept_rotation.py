@@ -8,7 +8,9 @@ shortest prefix of them that rotates enough and fixes the tip, so such a
 recording calibrates.  The solve's rank test reads the shape of the system,
 not the size of the turns, so ``calibrate_position`` still checks the rows
 the filter keeps against ``min_rotation``: a recording whose turning rows
-share no pivot keeps only its still rows and exits 3.
+share no pivot keeps only its still rows and exits 3.  When a few turning
+rows land in the still rows' cluster by chance, they pass that check and
+the tip comes out 1-2 cm off; the last test marks that defect.
 """
 
 from __future__ import annotations
@@ -165,3 +167,20 @@ def test_a_tip_within_1_mm_or_exit_3(seed, still, far):
     assert np.linalg.norm(result.tip_offset - OFFSET) < 1e-3
     assert result.removed_outliers >= len({row for row, _ in far})
     assert math.isfinite(result.residual_rms)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: chance turning rows in the still rows' cluster pass the "
+    "kept-rows check, and the command exits 0 with a tip 16-17 mm off",
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_turning_rows_that_share_no_pivot_give_a_tip_within_1_mm_or_exit_3(seed):
+    # 1 cm of noise on the turning rows: the filter keeps the still rows and
+    # the few turning rows whose tip points land in their cluster.
+    q, p = mostly_still(seed, 0.9, [], turn_noise=0.01)
+    try:
+        result = calibrate_position(PositionDataset(q=q, p=p))
+    except DegenerateDataError:  # exit 3
+        return
+    assert np.linalg.norm(result.tip_offset - OFFSET) < 1e-3

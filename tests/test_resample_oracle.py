@@ -163,7 +163,7 @@ def test_matches_the_double_loop(case, line, with_forces, seed):
     trace = trace_on_line(line, u, lateral, z, forces)
     old = resample_segment_loop(trace, line, n, max_missing_fraction=1.0)
     with mock.patch.object(evaluation, "MAX_MISSING_FRACTION", 1.0):
-        new = resample_segment(trace, line, n)
+        new = resample_segment(trace.positions, line, n)
     assert_same_bytes(new, old)
 
 
@@ -176,10 +176,10 @@ def test_coverage_check_matches_the_double_loop(case):
         old = resample_segment_loop(trace, LINES[0], n, label="C")
     except SegmentUncovered as exc:
         with pytest.raises(SegmentUncovered) as caught:
-            resample_segment(trace, LINES[0], n, label="C")
+            resample_segment(trace.positions, LINES[0], n, label="C")
         assert str(caught.value) == str(exc)
     else:
-        assert_same_bytes(resample_segment(trace, LINES[0], n, label="C"), old)
+        assert_same_bytes(resample_segment(trace.positions, LINES[0], n, label="C"), old)
 
 
 def growing_zigzag(points: int) -> np.ndarray:
@@ -195,7 +195,7 @@ def test_growing_zigzag_matches_the_double_loop():
     rng = np.random.default_rng(5)
     trace = trace_on_line(LINES[1], u, rng.normal(scale=0.002, size=u.size), np.zeros(u.size))
     old = resample_segment_loop(trace, LINES[1], 2000)
-    assert_same_bytes(resample_segment(trace, LINES[1], 2000), old)
+    assert_same_bytes(resample_segment(trace.positions, LINES[1], 2000), old)
 
 
 def test_zigzag_at_scale_is_fast():
@@ -204,7 +204,7 @@ def test_zigzag_at_scale_is_fast():
     rng = np.random.default_rng(6)
     trace = trace_on_line(LINES[1], u, rng.normal(scale=0.002, size=u.size), np.zeros(u.size))
     start = time.perf_counter()
-    seg = resample_segment(trace, LINES[1], 20_000)
+    seg = resample_segment(trace.positions, LINES[1], 20_000)
     assert time.perf_counter() - start < 1.0
     assert not seg.missing.any()
 
@@ -228,4 +228,4 @@ TENTH = (np.array([0.0, 0.0]), np.array([0.1, 0.0]))
 def test_non_finite_line_offset_raises_input_error(x, y):
     # 1e308 is finite, but its line parameter on a 0.1 m line is not.
     with pytest.raises(InputError, match="non-finite line offset"):
-        resample_segment(trace_through(x, y), TENTH, 10)
+        resample_segment(trace_through(x, y).positions, TENTH, 10)
