@@ -50,7 +50,7 @@ _EXPORTS = {
             "TipCalibration",
             "WaypointList",
         ],
-        "evaluation": ["EvaluationReport", "evaluate_demonstrations"],
+        "evaluation": ["evaluate_demonstrations"],
     }.items()
     for name in names
 }

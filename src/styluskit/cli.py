@@ -291,14 +291,14 @@ def _cmd_evaluate(args) -> int:
     written = []
     if args.out_dir:
         # report.json holds every number the CSVs do, bar frequencies below the sample rate.
-        refuse_inf(evaluation.report_to_doc(report))
+        refuse_inf(report)
         os.makedirs(args.out_dir, exist_ok=True)
         written = evaluation.write_report_files(report, args.out_dir)
     summary = {
         "config": config,
-        "epsilon_fraction": report.epsilon_fraction,
-        "segments": report.segment_labels,
-        "spectra": [s.count_above for s in report.spectra],
+        "epsilon_fraction": report["epsilon_fraction"],
+        "segments": [s["label"] for s in report["segments"]],
+        "spectra": [s["count_above"] for s in report["spectra"]],
         "files": written,
     }
     _emit(summary)

@@ -16,8 +16,12 @@ rows a trace's ``(m, 3)`` positions split at, ``resample_segment`` takes
 the rows of one segment and finds first crossings from running extrema of
 the line parameter, and the signed errors of every trace are stacked once,
 as a ``(traces, segments, targets)`` array that ``aggregate`` and
-``epsilon_histogram`` read whole.  The report CSVs go through the block
-writer of the recording CSVs (``jsonio.write_csv``).
+``epsilon_histogram`` read whole.  ``evaluate_demonstrations`` returns
+the document of ``report.json`` itself, a dict of its arrays: ``aggregate``
+returns its ``segments`` entries and ``epsilon_histogram`` its
+``histogram`` entry with the fraction, and ``write_report_files`` writes
+that one document and the report CSVs from it, through the block writer of
+the recording CSVs (``jsonio.write_csv``).
 
 The ideal path and its JSON document (:class:`~styluskit.ingest.IdealPath`,
 ``path_to_doc``, ``path_from_doc``, ``load_path``) are defined in ``ingest``
@@ -63,36 +67,6 @@ class SampledSegment:
         self.missing = missing
 
 
-class SegmentAggregate:
-    """Across-trace statistics per sample index of one segment."""
-
-    def __init__(
-        self,
-        segment_label: str,
-        mean: np.ndarray,
-        mean_abs: np.ndarray,
-        std: np.ndarray,
-        env_min: np.ndarray,
-        env_max: np.ndarray,
-    ):
-        self.segment_label = segment_label
-        self.mean = mean
-        self.mean_abs = mean_abs
-        self.std = std
-        self.env_min = env_min
-        self.env_max = env_max
-
-
-class EpsilonHistogram:
-    def __init__(
-        self, bin_edges: np.ndarray, counts: np.ndarray, epsilon: float, epsilon_fraction: float
-    ):
-        self.bin_edges = bin_edges
-        self.counts = counts
-        self.epsilon = epsilon
-        self.epsilon_fraction = epsilon_fraction
-
-
 class SpectrumSummary:
     """One-sided force magnitude spectrum with a peak-count summary.
 
@@ -115,32 +89,6 @@ class SpectrumSummary:
         self.threshold = threshold
         self.count_above = count_above
         self.sample_count = sample_count
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.arange(self.amplitudes.size) * self.bin_width
-
-
-class EvaluationReport:
-    def __init__(
-        self,
-        config: dict,
-        segment_labels: list[str],
-        per_trace: list[list[SampledSegment]],
-        aggregates: list[SegmentAggregate],
-        histogram: EpsilonHistogram,
-        spectra: list[SpectrumSummary] | None = None,
-    ):
-        self.config = config
-        self.segment_labels = segment_labels
-        self.per_trace = per_trace
-        self.aggregates = aggregates
-        self.histogram = histogram
-        self.spectra = [] if spectra is None else spectra  # a fresh list per report
-
-    @property
-    def epsilon_fraction(self) -> float:
-        return self.histogram.epsilon_fraction
 
 
 def segment_trace(positions: np.ndarray, path: IdealPath, gate: float = 0.02) -> list[int]:
@@ -257,7 +205,7 @@ def resample_segment(
     return SampledSegment(label, signed_error=signed, z_offset=z_offset, missing=missing)
 
 
-def _masked_stats(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+def _masked_stats(stack: np.ndarray) -> dict:
     """Statistics over the traces of each target, NaN where none reached it.
     A sum that overflows leaves ±inf, which the writers refuse."""
     mask = ~np.isnan(stack)
@@ -273,16 +221,19 @@ def _masked_stats(stack: np.ndarray) -> tuple[np.ndarray, ...]:
         env_max = np.where(count > 0, np.where(mask, stack, -np.inf).max(axis=0), np.nan)
         total_abs = np.where(mask, np.abs(stack), 0.0).sum(axis=0)
         mean_abs = np.where(count > 0, total_abs / safe, np.nan)
-    return mean, mean_abs, std, env_min, env_max
+    return {"mean": mean, "mean_abs": mean_abs, "std": std, "env_min": env_min, "env_max": env_max}
 
 
-def aggregate(errors: np.ndarray, labels: list[str]) -> list[SegmentAggregate]:
+def aggregate(errors: np.ndarray, labels: list[str]) -> list[dict]:
     """Mean, population std, and envelope per sample index across traces,
-    from the ``(traces, segments, targets)`` stack of signed errors.
+    from the ``(traces, segments, targets)`` stack of signed errors: the
+    report's ``segments`` entries, one per label, each holding its
+    ``label`` and the arrays ``mean``, ``mean_abs``, ``std``, ``env_min``
+    and ``env_max``.
 
     Missing pairs (NaN) are excluded from their index's statistics.
     """
-    return [SegmentAggregate(label, *_masked_stats(errors[:, j])) for j, label in enumerate(labels)]
+    return [{"label": label, **_masked_stats(errors[:, j])} for j, label in enumerate(labels)]
 
 
 MAX_HISTOGRAM_BINS = 100_000
@@ -290,8 +241,10 @@ MAX_HISTOGRAM_BINS = 100_000
 
 def epsilon_histogram(
     all_errors, epsilon: float = 0.003, bin_width: float = 0.001
-) -> EpsilonHistogram:
-    """Histogram of absolute errors plus the fraction inside the epsilon zone.
+) -> tuple[dict, float]:
+    """Histogram of absolute errors plus the fraction inside the epsilon zone:
+    the report's ``histogram`` entry (``bin_edges`` and ``counts``) and its
+    ``epsilon_fraction``.
 
     Bins of ``bin_width`` run from 0 past the largest error.  A width that
     needs more than ``MAX_HISTOGRAM_BINS`` (100,000) bins raises
@@ -314,9 +267,7 @@ def epsilon_histogram(
     edges = np.arange(bins + 1) * bin_width
     counts, _ = np.histogram(errors, bins=edges)
     fraction = float(np.mean(errors <= epsilon))
-    return EpsilonHistogram(
-        bin_edges=edges, counts=counts, epsilon=epsilon, epsilon_fraction=fraction
-    )
+    return {"bin_edges": edges, "counts": counts}, fraction
 
 
 FFT_GRID_FACTOR = 64
@@ -384,8 +335,14 @@ def evaluate_demonstrations(
     threshold_ratio: float = 0.05,
     gate: float = 0.02,
     config: dict | None = None,
-) -> EvaluationReport:
-    """Run the full pipeline: segment, resample, aggregate, histogram, FFT."""
+) -> dict:
+    """Run the full pipeline: segment, resample, aggregate, histogram, FFT.
+
+    Returns the document of ``report.json``, its arrays as they are: the
+    writers render them and :func:`~styluskit.jsonio.refuse_inf` checks
+    each whole.  Pass it to :func:`~styluskit.jsonio.dumps_canonical`, not
+    ``json.dumps``, and compare its arrays with ``np.array_equal``, not
+    ``==``."""
     if not traces:
         raise EmptyInput("no traces to evaluate")
     labels = [segment_label(k) for k in range(path.segment_count)]
@@ -399,84 +356,54 @@ def evaluate_demonstrations(
         ])
 
     errors = np.array([[seg.signed_error for seg in sampled] for sampled in per_trace])
-    aggregates = aggregate(errors, labels)
-    histogram = epsilon_histogram(errors, epsilon=epsilon, bin_width=bin_width)
-
-    spectra = []
-    for trace in traces:
-        if trace.forces is not None and len(trace.points) >= 8:
-            recording = ForceRecording(trace.times, trace.forces)
-            spectra.append(force_spectrum(recording, threshold_ratio=threshold_ratio))
-
-    return EvaluationReport(
-        config=dict(config or {}),
-        segment_labels=labels,
-        per_trace=per_trace,
-        aggregates=aggregates,
-        histogram=histogram,
-        spectra=spectra,
-    )
-
-
-def report_to_doc(report: EvaluationReport) -> dict:
-    """The document of ``report.json``, its arrays as they are: the writer
-    renders them and :func:`~styluskit.jsonio.refuse_inf` checks each whole.
-
-    Its arrays are numpy arrays, not lists: pass the document to
-    :func:`~styluskit.jsonio.dumps_canonical`, not ``json.dumps``, and
-    compare arrays with ``np.array_equal``, not ``==``."""
-    doc: dict = {"config": report.config}
-    doc["segments"] = [
-        {
-            "label": agg.segment_label,
-            "mean": agg.mean,
-            "mean_abs": agg.mean_abs,
-            "std": agg.std,
-            "env_min": agg.env_min,
-            "env_max": agg.env_max,
-        }
-        for agg in report.aggregates
+    segments = aggregate(errors, labels)
+    histogram, fraction = epsilon_histogram(errors, epsilon=epsilon, bin_width=bin_width)
+    spectra = [
+        force_spectrum(ForceRecording(trace.times, trace.forces), threshold_ratio=threshold_ratio)
+        for trace in traces
+        if trace.forces is not None and len(trace.points) >= 8
     ]
-    doc["epsilon"] = report.histogram.epsilon
-    doc["epsilon_fraction"] = report.histogram.epsilon_fraction
-    doc["histogram"] = {
-        "bin_edges": report.histogram.bin_edges,
-        "counts": report.histogram.counts,
+    return {
+        "config": dict(config or {}),
+        "segments": segments,
+        "epsilon": epsilon,
+        "epsilon_fraction": fraction,
+        "histogram": histogram,
+        "spectra": [
+            {
+                "sample_rate": s.sample_rate,
+                "bin_width": s.bin_width,
+                "threshold": s.threshold,
+                "count_above": s.count_above,
+                "sample_count": s.sample_count,
+                "amplitudes": s.amplitudes,
+            }
+            for s in spectra
+        ],
+        "traces": [
+            {
+                "index": i,
+                "segments": [
+                    {
+                        "label": seg.segment_label,
+                        "signed_error": seg.signed_error,
+                        "z_offset": seg.z_offset,
+                        "missing": seg.missing,
+                    }
+                    for seg in sampled
+                ],
+            }
+            for i, sampled in enumerate(per_trace)
+        ],
     }
-    doc["spectra"] = [
-        {
-            "sample_rate": s.sample_rate,
-            "bin_width": s.bin_width,
-            "threshold": s.threshold,
-            "count_above": s.count_above,
-            "sample_count": s.sample_count,
-            "amplitudes": s.amplitudes,
-        }
-        for s in report.spectra
-    ]
-    doc["traces"] = [
-        {
-            "index": i,
-            "segments": [
-                {
-                    "label": seg.segment_label,
-                    "signed_error": seg.signed_error,
-                    "z_offset": seg.z_offset,
-                    "missing": seg.missing.astype(bool),
-                }
-                for seg in sampled
-            ],
-        }
-        for i, sampled in enumerate(report.per_trace)
-    ]
-    return doc
 
 
-def write_report_files(report: EvaluationReport, out_dir) -> list[str]:
-    """Write report.json plus the plot-ready CSVs; returns written names."""
+def write_report_files(report: dict, out_dir) -> list[str]:
+    """Write the document of :func:`evaluate_demonstrations` as report.json,
+    plus the plot-ready CSVs; returns written names."""
     import os
 
-    write_json(os.path.join(out_dir, "report.json"), report_to_doc(report))
+    write_json(os.path.join(out_dir, "report.json"), report)
     written = ["report.json"]
 
     def _write(name: str, header: str, *blocks) -> None:  # blocks: (leading text, columns)
@@ -486,12 +413,15 @@ def write_report_files(report: EvaluationReport, out_dir) -> list[str]:
                 write_csv(stream, None, columns, lead)
         written.append(name)
 
-    _write("segments.csv", "segment,idx,mean,std,env_min,env_max", *[
-        (f"{a.segment_label},", [np.arange(a.mean.size), a.mean, a.std, a.env_min, a.env_max])
-        for a in report.aggregates
+    stats = ("mean", "std", "env_min", "env_max")
+    _write("segments.csv", "segment,idx," + ",".join(stats), *[
+        (f"{s['label']},", [np.arange(s["mean"].size), *[s[k] for k in stats]])
+        for s in report["segments"]
     ])
-    edges, counts = report.histogram.bin_edges, report.histogram.counts
+    edges, counts = report["histogram"]["bin_edges"], report["histogram"]["counts"]
     _write("histogram.csv", "bin_lo,bin_hi,count", ("", [edges[:-1], edges[1:], counts]))
-    for i, s in enumerate(report.spectra):
-        _write(f"spectrum_{i:03d}.csv", "freq_hz,amplitude", ("", [s.frequencies, s.amplitudes]))
+    for i, s in enumerate(report["spectra"]):
+        amplitudes = s["amplitudes"]
+        frequencies = np.arange(amplitudes.size) * s["bin_width"]
+        _write(f"spectrum_{i:03d}.csv", "freq_hz,amplitude", ("", [frequencies, amplitudes]))
     return written

@@ -235,10 +235,10 @@ def test_criterion_6_evaluation_pipeline():
     ideal_trace = gen_demonstration(L_PATH, lateral_noise_std=0.0, speed=0.05, sample_rate=200.0)
     ideal_report = evaluate_demonstrations([ideal_trace], L_PATH, n=100)
     ideal_errors = np.concatenate(
-        [seg.signed_error for seg in ideal_report.per_trace[0]]
+        [seg["signed_error"] for seg in ideal_report["traces"][0]["segments"]]
     )
     ideal_ok = (
-        ideal_report.epsilon_fraction == 1.0
+        ideal_report["epsilon_fraction"] == 1.0
         and np.all(np.isfinite(ideal_errors))
         and float(np.max(np.abs(ideal_errors))) < 1e-9
     )
@@ -264,10 +264,10 @@ def test_criterion_6_evaluation_pipeline():
     ]
     cohort = evaluate_demonstrations(traces, SQUARE, n=400, epsilon=0.003)
     pooled = np.concatenate(
-        [seg.signed_error for sampled in cohort.per_trace for seg in sampled]
+        [seg["signed_error"] for trace in cohort["traces"] for seg in trace["segments"]]
     )
     sample_count = int(np.isfinite(pooled).sum())
-    gaussian_ok = sample_count >= 10_000 and abs(cohort.epsilon_fraction - 0.997) <= 0.01
+    gaussian_ok = sample_count >= 10_000 and abs(cohort["epsilon_fraction"] - 0.997) <= 0.01
 
     ok = ideal_ok and offset_ok and gaussian_ok
     _report(
@@ -275,7 +275,7 @@ def test_criterion_6_evaluation_pipeline():
         ok,
         f"ideal trace zero errors {ideal_ok}, 2 mm offset max deviation "
         f"{float(np.max(np.abs(offset_seg.signed_error - 0.002))):.2e} (< 1e-6), "
-        f"epsilon fraction {cohort.epsilon_fraction:.4f} over {sample_count} samples "
+        f"epsilon fraction {cohort['epsilon_fraction']:.4f} over {sample_count} samples "
         f"(0.997 +/- 0.01)",
     )
 

@@ -711,6 +711,15 @@ class TestMalformedInputFiles:
         )
         TestFilterFlagErrors.assert_one_line_error(code, out, err, "not UTF-8")
 
+    def test_non_utf8_path_json(self, tmp_path, capsys):
+        trace, frame, _ = self.evaluate_files(tmp_path, capsys)
+        path = tmp_path / "latin1_path.json"
+        path.write_bytes(b'{"waypoints": "\xff"}\n')
+        code, out, err = run(
+            capsys, "evaluate", str(trace), "--frame", str(frame), "--path", str(path)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, f"{path}: not UTF-8 text")
+
 
 class TestTraceSniffing:
     def test_demo_csv_after_blank_line_is_read_as_demo(self, tmp_path, capsys):
@@ -1015,6 +1024,26 @@ class TestOrientationInputErrors:
             capsys, "calibrate-orientation", str(manifest), "--position", str(position)
         )
         TestFilterFlagErrors.assert_one_line_error(code, out, err, str(position))
+
+
+def test_opposite_holes_recorded_with_the_same_poses_exit_3(tmp_path, capsys):
+    # Reference axes +z and -z over one recording: the measured axes cancel
+    # out, so no alignment target is left (NoConvergence).
+    orientation_dir, _ = simulate_orientation(tmp_path, capsys)
+    manifest = orientation_dir / "manifest.json"
+    write_json(manifest, {"holes": [
+        {"reference_axis": [0, 0, 1], "recording": "hole_00.csv"},
+        {"reference_axis": [0, 0, -1], "recording": "hole_00.csv"},
+    ]})
+    position = tmp_path / "position.json"
+    write_json(position, {"translation": [0.01, -0.02, -0.12], "position_residual_rms": 0.0})
+    code, out, err = run(
+        capsys, "calibrate-orientation", str(manifest), "--position", str(position)
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "measured axes cancel out" in err and "Traceback" not in err
 
 
 class TestEvaluateBounds:

@@ -233,27 +233,27 @@ class TestAggregate:
 
     def test_single_trace(self):
         result = self._aggregate([self._seg(0.001)])
-        assert np.allclose(result[0].mean, 0.001, atol=1e-9)
-        assert np.allclose(result[0].std, 0.0, atol=1e-12)
-        assert np.allclose(result[0].env_min, result[0].env_max, atol=1e-12)
+        assert np.allclose(result[0]["mean"], 0.001, atol=1e-9)
+        assert np.allclose(result[0]["std"], 0.0, atol=1e-12)
+        assert np.allclose(result[0]["env_min"], result[0]["env_max"], atol=1e-12)
 
     def test_symmetric_offsets(self):
         d = 0.002
         result = self._aggregate([self._seg(d), self._seg(-d)])
-        assert np.allclose(result[0].mean, 0.0, atol=1e-9)
-        assert np.allclose(result[0].std, d, atol=1e-9)
-        assert np.allclose(result[0].env_min, -d, atol=1e-9)
-        assert np.allclose(result[0].env_max, d, atol=1e-9)
+        assert np.allclose(result[0]["mean"], 0.0, atol=1e-9)
+        assert np.allclose(result[0]["std"], d, atol=1e-9)
+        assert np.allclose(result[0]["env_min"], -d, atol=1e-9)
+        assert np.allclose(result[0]["env_max"], d, atol=1e-9)
 
     def test_envelope_attained_and_contains_mean(self):
         rng = np.random.default_rng(41)
         sets = [self._seg(float(rng.uniform(-0.003, 0.003))) for _ in range(5)]
         result = self._aggregate(sets)
         stack = np.stack([s.signed_error for s in sets])
-        assert np.allclose(result[0].env_min, stack.min(axis=0), atol=1e-12)
-        assert np.allclose(result[0].env_max, stack.max(axis=0), atol=1e-12)
-        assert np.all(result[0].env_min <= result[0].mean + 1e-12)
-        assert np.all(result[0].mean <= result[0].env_max + 1e-12)
+        assert np.allclose(result[0]["env_min"], stack.min(axis=0), atol=1e-12)
+        assert np.allclose(result[0]["env_max"], stack.max(axis=0), atol=1e-12)
+        assert np.all(result[0]["env_min"] <= result[0]["mean"] + 1e-12)
+        assert np.all(result[0]["mean"] <= result[0]["env_max"] + 1e-12)
 
     def test_gaussian_cohort_std(self):
         rng = np.random.default_rng(42)
@@ -270,7 +270,7 @@ class TestAggregate:
         result = self._aggregate(sets)
         pooled = np.concatenate([s.signed_error for s in sets])
         assert abs(float(np.std(pooled)) - sigma) / sigma < 0.25
-        assert abs(float(np.mean(result[0].std)) - sigma) / sigma < 0.25
+        assert abs(float(np.mean(result[0]["std"])) - sigma) / sigma < 0.25
 
     def test_missing_excluded(self):
         full = self._seg(0.001, n=50)
@@ -279,23 +279,23 @@ class TestAggregate:
         partial = resample_segment(trace_from_xy(xy).positions, TestResampleSegment.LINE, n=50)
         assert partial.missing[0]
         result = self._aggregate([full, partial])
-        assert result[0].mean[0] == pytest.approx(0.001, abs=1e-9)
-        assert result[0].mean[-1] == pytest.approx(0.002, abs=1e-9)
+        assert result[0]["mean"][0] == pytest.approx(0.001, abs=1e-9)
+        assert result[0]["mean"][-1] == pytest.approx(0.002, abs=1e-9)
 
 
 class TestEpsilonHistogram:
     def test_all_zero_errors(self):
-        result = epsilon_histogram(np.zeros(100))
-        assert result.epsilon_fraction == 1.0
-        assert result.counts.sum() == 100
-        assert result.counts[0] == 100
+        histogram, fraction = epsilon_histogram(np.zeros(100))
+        assert fraction == 1.0
+        assert histogram["counts"].sum() == 100
+        assert histogram["counts"][0] == 100
 
     def test_uniform_errors_split_at_epsilon(self):
         errors = np.linspace(0.0, 0.006, 1201)
-        result = epsilon_histogram(errors, epsilon=0.003, bin_width=0.001)
-        assert result.epsilon_fraction == pytest.approx(0.5, abs=0.01)
-        assert result.bin_edges[-1] == pytest.approx(0.006, abs=1e-12)
-        assert result.counts.sum() == 1201
+        histogram, fraction = epsilon_histogram(errors, epsilon=0.003, bin_width=0.001)
+        assert fraction == pytest.approx(0.5, abs=0.01)
+        assert histogram["bin_edges"][-1] == pytest.approx(0.006, abs=1e-12)
+        assert histogram["counts"].sum() == 1201
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -309,7 +309,7 @@ class TestEpsilonHistogram:
         rng = np.random.default_rng(43)
         errors = rng.normal(scale=0.002, size=500)
         fractions = [
-            epsilon_histogram(errors, epsilon=e).epsilon_fraction
+            epsilon_histogram(errors, epsilon=e)[1]
             for e in (0.0005, 0.001, 0.002, 0.004, 0.008)
         ]
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
@@ -327,7 +327,7 @@ class TestForceSpectrum:
         result = force_spectrum(ForceRecording(t, fz), threshold_ratio=0.05)
         assert result.count_above == 1
         peak_bin = int(np.argmax(result.amplitudes[1:])) + 1
-        assert result.frequencies[peak_bin] == pytest.approx(5.0, abs=1e-9)
+        assert peak_bin * result.bin_width == pytest.approx(5.0, abs=1e-9)
         assert result.amplitudes[peak_bin] == pytest.approx(1.0, abs=1e-9)
 
     def test_two_sines_count_two(self):
@@ -372,10 +372,10 @@ class TestEvaluateDemonstrations:
 
         trace = gen_demonstration(L_PATH, lateral_noise_std=0.0, speed=0.05, sample_rate=200.0)
         report = evaluate_demonstrations([trace], L_PATH, n=50)
-        assert report.epsilon_fraction == 1.0
-        for agg in report.aggregates:
-            assert np.allclose(agg.mean, 0.0, atol=1e-9)
-        assert len(report.spectra) == 1
+        assert report["epsilon_fraction"] == 1.0
+        for agg in report["segments"]:
+            assert np.allclose(agg["mean"], 0.0, atol=1e-9)
+        assert len(report["spectra"]) == 1
 
     def test_report_structure(self):
         from styluskit.synth import SineForce, gen_demonstration
@@ -389,11 +389,13 @@ class TestEvaluateDemonstrations:
             seed=3,
         )
         report = evaluate_demonstrations([trace, trace], L_PATH, n=40, config={"n": 40})
-        assert report.segment_labels == ["A", "B"]
-        assert len(report.per_trace) == 2
-        assert len(report.aggregates) == 2
-        assert report.config == {"n": 40}
-        assert 0.0 <= report.epsilon_fraction <= 1.0
+        assert list(report) == [
+            "config", "segments", "epsilon", "epsilon_fraction", "histogram", "spectra", "traces"
+        ]
+        assert [agg["label"] for agg in report["segments"]] == ["A", "B"]
+        assert [t["index"] for t in report["traces"]] == [0, 1]
+        assert report["config"] == {"n": 40}
+        assert 0.0 <= report["epsilon_fraction"] <= 1.0
 
 
 class TestForceSpectrumGridCap:
@@ -468,9 +470,9 @@ class TestAllocationBounds:
             epsilon_histogram([0.005], bin_width=bin_width)
 
     def test_bin_bound_is_inclusive(self):
-        result = epsilon_histogram([1.0], bin_width=1.0 / MAX_HISTOGRAM_BINS)
-        assert result.counts.size == MAX_HISTOGRAM_BINS
-        assert result.counts.sum() == 1
+        histogram, _ = epsilon_histogram([1.0], bin_width=1.0 / MAX_HISTOGRAM_BINS)
+        assert histogram["counts"].size == MAX_HISTOGRAM_BINS
+        assert histogram["counts"].sum() == 1
 
     def test_too_many_targets_raise(self):
         xy = np.column_stack([np.linspace(-0.01, 0.11, 13), np.zeros(13)])

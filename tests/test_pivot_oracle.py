@@ -26,7 +26,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import oracle_solve_pivot
 
-from styluskit.calib import FilterParams, _solve_pivot, calibrate_position
+from styluskit.calib import (
+    DEFAULT_MIN_ROTATION,
+    FilterParams,
+    _first_pass,
+    _solve_pivot,
+    calibrate_position,
+)
 from styluskit.cli import main
 from styluskit.errors import DegenerateRotations
 from styluskit.geometry import Pose, PositionDataset, quat_from_matrix, quats_to_matrices
@@ -211,3 +217,31 @@ def test_a_mostly_still_recording_calibrates(tmp_path, capsys, across):
     doc = json.loads(capsys.readouterr().out)
     assert doc["filtered_outliers"] == 0
     assert np.linalg.norm(np.subtract(doc["translation"], WOBBLE_OFFSET)) < 1e-4
+
+
+@pytest.mark.parametrize("n", [400, 2000])
+@pytest.mark.parametrize("near", ["still", "about the shaft"])
+def test_no_proper_prefix_seeds_so_every_row_does(n, near):
+    # The rows nearest the median translation either rest still (too little
+    # rotation) or turn about the shaft only (the tip is unobservable along
+    # it); only the two farthest rows turn across it.  No prefix short of
+    # every row seeds the first pass, so every row does: at 400 rows the
+    # 99.9 % prefix is every row, at 2000 the last prefix is two rows short.
+    rng = np.random.default_rng(n)
+    shaft = np.tile(WOBBLE_OFFSET, (n - 2, 1))
+    spin = 0.0 if near == "still" else rng.uniform(-1.0, 1.0, n - 2)
+    angles = np.r_[spin * np.ones(n - 2), math.radians(40.0), math.radians(-40.0)]
+    rotations = axis_angle_rotations(np.r_[shaft, np.eye(3)[:2]], angles)
+    q = np.array([quat_from_matrix(r) for r in rotations])
+    rotations = quats_to_matrices(q)
+    p = WOBBLE_PIVOT - rotations @ WOBBLE_OFFSET + rng.normal(scale=1e-5, size=(n, 3))
+
+    assert _first_pass(q, rotations, p, DEFAULT_MIN_ROTATION)[2] is False
+    result = calibrate_position(PositionDataset(q=q, p=p))
+    want_offset, want_pivot = oracle_solve_pivot(rotations, p)
+    size = max(np.linalg.norm(np.r_[want_offset, want_pivot]), np.abs(p).max())
+    assert result.removed_outliers == 0
+    assert np.linalg.norm(np.r_[result.tip_offset - want_offset, result.pivot - want_pivot]) <= (
+        1e-9 * size
+    )
+    assert np.linalg.norm(result.tip_offset - WOBBLE_OFFSET) < 1e-4

@@ -1,17 +1,14 @@
 """The package's records are plain classes, not dataclasses.
 
 The frozen ones reject assigning and deleting attributes, as
-``@dataclass(frozen=True)`` did; the others keep their fields as given,
-and ``EvaluationReport.spectra`` is a fresh list per report.
+``@dataclass(frozen=True)`` did; the others keep their fields as given.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from styluskit.calib import FilterParams
-from styluskit.evaluation import EpsilonHistogram, EvaluationReport
 from styluskit.geometry import EulerAngles, Pose
 from styluskit.synth import ConstantForce, SineForce, SynthConfig
 
@@ -53,10 +50,3 @@ def test_records_keep_their_parameters_and_defaults():
     ]
     assert cfg.pivot_point.dtype == float and cfg.sample_count == 200 and cfg.seed == 0
 
-
-def test_each_report_gets_its_own_spectra_list():
-    histogram = EpsilonHistogram(np.arange(2.0), np.array([1]), 0.003, 1.0)
-    a = EvaluationReport({}, [], [], [], histogram)
-    b = EvaluationReport({}, [], [], [], histogram)
-    a.spectra.append("spectrum")
-    assert b.spectra == []

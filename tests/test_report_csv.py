@@ -25,16 +25,7 @@ from oracles import csv_row
 
 from styluskit import cli, jsonio
 from styluskit.errors import NonFiniteOutput
-from styluskit.evaluation import (
-    EpsilonHistogram,
-    EvaluationReport,
-    SegmentAggregate,
-    SpectrumSummary,
-    evaluate_demonstrations,
-    report_to_doc,
-    segment_label,
-    write_report_files,
-)
+from styluskit.evaluation import evaluate_demonstrations, segment_label, write_report_files
 from styluskit.framing import load_frame, to_frame
 from styluskit.geometry import TipTrack
 from styluskit.ingest import DemonstrationTrace, IdealPath, load_path, parse_demo_csv
@@ -48,7 +39,7 @@ SPECIAL = [
 ]
 
 
-def write_report_csvs_per_row(report: EvaluationReport, out_dir) -> list[str]:
+def write_report_csvs_per_row(report: dict, out_dir) -> list[str]:
     """The former CSV half of ``write_report_files``: one ``csv_row`` per row."""
     written = []
 
@@ -57,32 +48,33 @@ def write_report_csvs_per_row(report: EvaluationReport, out_dir) -> list[str]:
         written.append(name)
 
     lines = ["segment,idx,mean,std,env_min,env_max"]
-    for agg in report.aggregates:
-        for i in range(agg.mean.size):
+    for agg in report["segments"]:
+        for i in range(agg["mean"].size):
             lines.append(
                 csv_row(
-                    [agg.segment_label, i, agg.mean[i], agg.std[i], agg.env_min[i], agg.env_max[i]]
+                    [agg["label"], i, agg["mean"][i], agg["std"][i], agg["env_min"][i],
+                     agg["env_max"][i]]
                 )
             )
     _write("segments.csv", "\n".join(lines))
 
     lines = ["bin_lo,bin_hi,count"]
-    hist = report.histogram
-    for lo, hi, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
+    edges = report["histogram"]["bin_edges"]
+    for lo, hi, count in zip(edges[:-1], edges[1:], report["histogram"]["counts"]):
         lines.append(csv_row([lo, hi, int(count)]))
     _write("histogram.csv", "\n".join(lines))
 
-    for i, spectrum in enumerate(report.spectra):
+    for i, spectrum in enumerate(report["spectra"]):
         lines = ["freq_hz,amplitude"]
-        freqs = spectrum.frequencies
-        for f, amp in zip(freqs, spectrum.amplitudes):
+        freqs = np.arange(spectrum["amplitudes"].size) * spectrum["bin_width"]
+        for f, amp in zip(freqs, spectrum["amplitudes"]):
             lines.append(csv_row([f, amp]))
         _write(f"spectrum_{i:03d}.csv", "\n".join(lines))
 
     return written
 
 
-def assert_csvs_match(report: EvaluationReport, tmp_path, written=None) -> list[str]:
+def assert_csvs_match(report: dict, tmp_path, written=None) -> list[str]:
     """Write ``report`` both ways (unless ``written`` names files already in
     ``tmp_path / "new"``) and compare every CSV byte for byte."""
     new, old = tmp_path / "new", tmp_path / "old"
@@ -97,24 +89,27 @@ def assert_csvs_match(report: EvaluationReport, tmp_path, written=None) -> list[
     return expected
 
 
-def make_report(columns_per_segment, edges, counts, amplitudes_per_spectrum) -> EvaluationReport:
-    aggregates = [
-        SegmentAggregate(segment_label(k), mean, np.abs(mean), std, lo, hi)
+def make_report(columns_per_segment, edges, counts, amplitudes_per_spectrum) -> dict:
+    """A report document in the layout ``evaluate_demonstrations`` returns."""
+    segments = [
+        {"label": segment_label(k), "mean": mean, "mean_abs": np.abs(mean), "std": std,
+         "env_min": lo, "env_max": hi}
         for k, (mean, std, lo, hi) in enumerate(columns_per_segment)
     ]
-    histogram = EpsilonHistogram(np.asarray(edges), np.asarray(counts), 0.003, 0.5)
     spectra = [
-        SpectrumSummary(100.0, 0.25, np.asarray(amps), 0.1, 1, 2 * len(amps))
+        {"sample_rate": 100.0, "bin_width": 0.25, "threshold": 0.1, "count_above": 1,
+         "sample_count": 2 * len(amps), "amplitudes": np.asarray(amps)}
         for amps in amplitudes_per_spectrum
     ]
-    return EvaluationReport(
-        config={},
-        segment_labels=[a.segment_label for a in aggregates],
-        per_trace=[],
-        aggregates=aggregates,
-        histogram=histogram,
-        spectra=spectra,
-    )
+    return {
+        "config": {},
+        "segments": segments,
+        "epsilon": 0.003,
+        "epsilon_fraction": 0.5,
+        "histogram": {"bin_edges": np.asarray(edges), "counts": np.asarray(counts)},
+        "spectra": spectra,
+        "traces": [],
+    }
 
 
 def test_special_values_labels_and_block_edges(tmp_path):
@@ -171,7 +166,7 @@ def test_pipeline_report_with_missing_targets(tmp_path):
     trace = DemonstrationTrace(points=track, forces=np.sin(20 * u) + 2.0)
     path = IdealPath(waypoints=[[0.0, 0.0], [0.1, 0.0]], visiting_sequence=(0, 1))
     report = evaluate_demonstrations([trace, trace], path, n=1500)
-    assert np.isnan(report.aggregates[0].mean).any()
+    assert np.isnan(report["segments"][0]["mean"]).any()
     assert_csvs_match(report, tmp_path)
 
 
@@ -238,7 +233,7 @@ def test_report_doc_names_an_infinite_statistic():
     column = np.array([0.5, 1.0, math.inf])
     report = make_report([[column] * 4], np.arange(3) * 0.001, [1, 2], [np.ones(3)])
     with pytest.raises(NonFiniteOutput, match=r"^cannot write segments\[0\]\.mean\[2\]: inf is"):
-        refuse_inf(report_to_doc(report))
+        refuse_inf(report)
 
 
 def test_report_doc_is_checked_an_array_at_a_time(monkeypatch):
@@ -257,5 +252,5 @@ def test_report_doc_is_checked_an_array_at_a_time(monkeypatch):
         walk(obj, where)
 
     monkeypatch.setattr(jsonio, "_refuse_inf", counted)
-    refuse_inf(report_to_doc(report))
+    refuse_inf(report)
     assert 0 < calls < 300

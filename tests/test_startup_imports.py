@@ -150,9 +150,11 @@ def test_evaluate_loads_no_numpy_ma(inputs):
 # ------------------------------------------------------------ lazy namespace
 
 # The names the package exported when it imported every module eagerly,
-# less the workspace boxes and the per-sample record, which are gone.
+# less the workspace boxes, the per-sample record and the evaluation report
+# record (``evaluate_demonstrations`` returns the report's document), which
+# are gone.
 EXPORTED = [
-    "DemonstrationTrace", "DrawingFrame", "EulerAngles", "EvaluationReport",
+    "DemonstrationTrace", "DrawingFrame", "EulerAngles",
     "FilterParams", "ForceRecording", "IdealPath", "OrientationDataset", "PenEvent", "Pose",
     "PoseRecording", "PositionDataset", "StylusKitError", "TipCalibration",
     "TipTrack", "WaypointList", "angle_between",
