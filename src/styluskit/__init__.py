@@ -43,7 +43,6 @@ _EXPORTS = {
         "framing": ["DrawingFrame", "identify_frame", "to_frame"],
         "ingest": [
             "DemonstrationTrace",
-            "ForceRecording",
             "IdealPath",
             "PenEvent",
             "PoseRecording",

@@ -680,8 +680,6 @@ def calibrate_orientation(
 
 
 def _max_pairwise_angle(axes: np.ndarray) -> float:
-    if axes.shape[0] < 2:
-        return 0.0
     dots = np.clip(axes @ axes.T, -1.0, 1.0)
     return float(np.arccos(dots.min()))
 

@@ -263,8 +263,8 @@ def _cmd_evaluate(args) -> int:
     for trace_path in sorted(args.traces):
         trace = ingest.load_trace(trace_path)
         if not args.in_frame:
-            points = framing.to_frame(frame, trace.points)
-            trace = ingest.DemonstrationTrace(points, trace.forces, trace.source)
+            positions = framing.to_frame(frame, trace.positions)
+            trace = ingest.DemonstrationTrace(trace.times, positions, trace.forces, trace.source)
         traces.append(trace)
 
     config = {

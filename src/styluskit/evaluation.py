@@ -16,7 +16,8 @@ rows a trace's ``(m, 3)`` positions split at, ``resample_segment`` takes
 the rows of one segment and finds first crossings from running extrema of
 the line parameter, and the signed errors of every trace are stacked once,
 as a ``(traces, segments, targets)`` array that ``aggregate`` and
-``epsilon_histogram`` read whole.  ``evaluate_demonstrations`` returns
+``epsilon_histogram`` read whole; ``force_spectrum`` takes a trace's
+``times`` and ``forces`` arrays.  ``evaluate_demonstrations`` returns
 the document of ``report.json`` itself, a dict of its arrays: ``aggregate``
 returns its ``segments`` entries and ``epsilon_histogram`` its
 ``histogram`` entry with the fraction, and ``write_report_files`` writes
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import EmptyInput, InputError, SegmentUncovered, TooShort, WaypointNotReached
 from .geometry import median_rows
-from .ingest import DemonstrationTrace, ForceRecording, IdealPath
+from .ingest import DemonstrationTrace, IdealPath
 from .jsonio import open_output, write_csv, write_json
 
 
@@ -273,13 +274,16 @@ def epsilon_histogram(
 FFT_GRID_FACTOR = 64
 
 
-def force_spectrum(force: ForceRecording, threshold_ratio: float = 0.05) -> SpectrumSummary:
-    """Magnitude spectrum of the contact force with a peak count.
+def force_spectrum(t, fz, threshold_ratio: float = 0.05) -> SpectrumSummary:
+    """Magnitude spectrum of the contact force ``fz`` (newtons) sampled at
+    times ``t`` (seconds), with a peak count.
 
-    The signal is resampled to a uniform rate (the median original rate)
-    by linear interpolation and mean-removed before the FFT.  The peak
-    count covers non-DC bins above ``threshold_ratio`` times the largest
-    non-DC amplitude.
+    ``t`` and ``fz`` must be 1-d arrays of one shape, and ``t`` finite and
+    strictly increasing (each a ``ValueError``); fewer than 8 samples then
+    raise :class:`TooShort`.  The signal is resampled to a uniform rate
+    (the median original rate) by linear interpolation and mean-removed
+    before the FFT.  The peak count covers non-DC bins above
+    ``threshold_ratio`` times the largest non-DC amplitude.
 
     The uniform grid may hold at most ``FFT_GRID_FACTOR`` (64) points per
     input sample.  A recording whose median spacing is that much finer than
@@ -287,20 +291,29 @@ def force_spectrum(force: ForceRecording, threshold_ratio: float = 0.05) -> Spec
     raises :class:`InputError` instead of allocating an unbounded grid, as
     does a spectrum whose sample rate, bin width or any amplitude is not finite.
     """
-    if len(force) < 8:
-        raise TooShort(f"need at least 8 force samples, got {len(force)}")
+    t, fz = np.asarray(t, dtype=float), np.asarray(fz, dtype=float)
+    if t.shape != fz.shape or t.ndim != 1:
+        raise ValueError("force samples need matching 1-d t and Fz arrays")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        increasing = np.all(np.diff(t) > 0.0)
+    if not increasing:
+        raise ValueError("force timestamps must be strictly increasing")
+    if not np.isfinite(t).all():  # increasing, so only an end can be ±inf
+        raise ValueError("force timestamps must be finite")
+    if t.size < 8:
+        raise TooShort(f"need at least 8 force samples, got {t.size}")
     with np.errstate(all="ignore"):  # a grid or spectrum that overflows is refused below
-        dt = float(median_rows(np.diff(force.t)))
-        steps = (force.t[-1] - force.t[0]) / dt + 1e-9
-        if not steps < FFT_GRID_FACTOR * len(force):
+        dt = float(median_rows(np.diff(t)))
+        steps = (t[-1] - t[0]) / dt + 1e-9
+        if not steps < FFT_GRID_FACTOR * t.size:
             raise InputError(
                 "force samples are too unevenly timed: a uniform grid at their median "
                 f"spacing needs {steps:.3g} points, more than {FFT_GRID_FACTOR} per "
-                f"sample ({len(force)} samples)"
+                f"sample ({t.size} samples)"
             )
         count = int(math.floor(steps)) + 1
-        grid = force.t[0] + np.arange(count) * dt
-        x = np.interp(grid, force.t, force.fz)
+        grid = t[0] + np.arange(count) * dt
+        x = np.interp(grid, t, fz)
         x = x - x.mean()
         spectrum = np.abs(np.fft.rfft(x))
         amplitudes = spectrum * (2.0 / count)
@@ -359,9 +372,9 @@ def evaluate_demonstrations(
     segments = aggregate(errors, labels)
     histogram, fraction = epsilon_histogram(errors, epsilon=epsilon, bin_width=bin_width)
     spectra = [
-        force_spectrum(ForceRecording(trace.times, trace.forces), threshold_ratio=threshold_ratio)
+        force_spectrum(trace.times, trace.forces, threshold_ratio=threshold_ratio)
         for trace in traces
-        if trace.forces is not None and len(trace.points) >= 8
+        if trace.forces is not None and len(trace) >= 8
     ]
     return {
         "config": dict(config or {}),

@@ -4,7 +4,8 @@ A drawing frame makes demonstrations independent of the measuring system:
 x runs from the second probed point toward the first, z is normal to the
 probed plane, y completes the right-handed frame, and the origin sits on
 the second point.  Hand-probed points are never exactly orthogonal, so x
-is kept exact and y is re-orthogonalized.
+is kept exact and y is re-orthogonalized.  :func:`to_frame` maps a trace's
+``(N, 3)`` tip positions into a frame as one array expression.
 """
 
 from __future__ import annotations
@@ -13,16 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, ColinearPoints, FormatError
-from .geometry import (
-    Pose,
-    TipTrack,
-    angle_between,
-    compose_rows,
-    invert,
-    quat_from_matrix,
-    vec3,
-)
+from .errors import CoincidentPoints, ColinearPoints, FormatError, NonFinitePose
+from .geometry import Pose, angle_between, invert, quat_from_matrix, quat_rotate, vec3
 from .ingest import quat_from_json
 from .jsonio import json_floats, read_json, write_json
 
@@ -67,20 +60,21 @@ def identify_frame(p1, p2, p3, label: str = "frame") -> DrawingFrame:
     return DrawingFrame(label=label, transform=transform, probe_points=np.array([p1, p2, p3]))
 
 
-def to_frame(frame: DrawingFrame, track: TipTrack) -> TipTrack:
-    """Express a tip track in the drawing frame, timestamps preserved.
+def to_frame(frame: DrawingFrame, positions) -> np.ndarray:
+    """The ``(N, 3)`` tip positions expressed in the drawing frame.
 
     Every row is mapped through the inverse frame transform as one array
-    expression (:func:`~styluskit.geometry.compose_rows`), bit for bit what
-    :func:`~styluskit.geometry.compose` gives per row.  Raises
+    expression, bit for bit the translations
+    :func:`~styluskit.geometry.compose_rows` gives.  Raises
     :class:`~styluskit.errors.NonFinitePose` (a ``ValueError``) when a row
     or its result is not finite.
     """
     inverse = invert(frame.transform)
-    rotations, positions = compose_rows(
-        inverse.rotation, inverse.translation, track.orientation, track.position
-    )
-    return TipTrack(track.t, positions, rotations)
+    with np.errstate(over="ignore", invalid="ignore"):
+        local = quat_rotate(inverse.rotation, positions) + inverse.translation
+    if not np.isfinite(local).all():
+        raise NonFinitePose("pose has non-finite components")
+    return local
 
 
 def frame_to_doc(frame: DrawingFrame) -> dict:

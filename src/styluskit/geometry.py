@@ -380,7 +380,7 @@ class EulerAngles(Frozen):
         self._set(yaw=yaw, pitch=pitch, roll=roll)
 
 
-def _frozen(values, shape: tuple) -> np.ndarray:
+def read_only(values, shape: tuple) -> np.ndarray:
     """A read-only float view of ``values`` in ``shape`` (copied only if
     ``values`` is not already a float array)."""
     view = np.asarray(values, dtype=float).reshape(shape)
@@ -403,9 +403,9 @@ class TipTrack:
     __hash__ = None
 
     def __init__(self, t, position, orientation):
-        self.t = _frozen(t, (-1,))
-        self.position = _frozen(position, (-1, 3))
-        self.orientation = _frozen(orientation, (-1, 4))
+        self.t = read_only(t, (-1,))
+        self.position = read_only(position, (-1, 3))
+        self.orientation = read_only(orientation, (-1, 4))
         if not self.t.size == self.position.shape[0] == self.orientation.shape[0]:
             raise ValueError("a tip track needs one position and one orientation per time")
 

@@ -5,7 +5,7 @@ File formats (UTF-8, ``\\n`` line endings, ``.`` decimal separator):
 - pose CSV: header ``t,x,y,z,qx,qy,qz,qw``; a JSON-lines variant with the
   same field names is accepted transparently.
 - demonstration CSV: header ``t,x,y,z,Fz`` (tip position paired with the
-  contact force; orientation is identity).
+  contact force).
 - pen events, one per line: ``EVT <t> BTN 1`` (press), ``EVT <t> BTN 0``
   (release), ``EVT <t> PWR 1`` (power-on).  Unknown lines are skipped and
   counted.
@@ -33,8 +33,11 @@ Recordings are columnar: a parser reads its rows into one array and slices
 out the columns of a :class:`PoseRecording`, :class:`DemonstrationTrace`
 or :class:`WaypointList` (each class says which), with every quaternion
 canonicalised at once by :func:`~styluskit.geometry.quat_normalize_rows`,
-bit for bit what :class:`~styluskit.geometry.Pose` gives per row.  The
-functions below and the writers work on those arrays, with no object per sample.
+bit for bit what :class:`~styluskit.geometry.Pose` gives per row.  A
+demonstration trace holds no orientations: its times, positions and
+forces are all that is evaluated, so a pose CSV read as a trace keeps only
+``t`` and the positions.  The functions below and the writers work on
+those arrays, with no object per sample.
 """
 
 from __future__ import annotations
@@ -65,14 +68,13 @@ from .geometry import (
     compose_rows,
     quat_normalize,
     quat_normalize_rows,
+    read_only,
     vec3,
 )
 from .jsonio import json_float, json_floats, json_int, read_json, refuse_inf, write_csv, write_json
 
 POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
 DEMO_CSV_HEADER = "t,x,y,z,Fz"
-
-_IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 class PoseRecording(PoseRows):
@@ -91,25 +93,6 @@ class PoseRecording(PoseRows):
             raise ValueError("pose recording timestamps must be strictly increasing")
 
 
-class ForceRecording:
-    """A single-axis contact-force time series (newtons)."""
-
-    def __init__(self, t: np.ndarray, fz: np.ndarray):
-        self.t = np.asarray(t, dtype=float)
-        self.fz = np.asarray(fz, dtype=float)
-        if self.t.shape != self.fz.shape or self.t.ndim != 1:
-            raise ValueError("force samples need matching 1-d t and Fz arrays")
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
-            increasing = np.all(np.diff(self.t) > 0.0)
-        if not increasing:
-            raise ValueError("force timestamps must be strictly increasing")
-        if not np.isfinite(self.t).all():  # increasing, so only an end can be ±inf
-            raise ValueError("force timestamps must be finite")
-
-    def __len__(self) -> int:
-        return self.t.size
-
-
 class PenEventKind(enum.Enum):
     BUTTON_PRESS = "press"
     BUTTON_RELEASE = "release"
@@ -122,35 +105,28 @@ class PenEvent(NamedTuple):
 
 
 class DemonstrationTrace:
-    """Tip trajectory with optional per-point contact forces.
+    """Tip positions with optional per-point contact forces: ``times`` (N,)
+    strictly increasing seconds, ``positions`` (N, 3) meters and ``forces``
+    (N,) newtons or None, each a read-only view of what it was built from."""
 
-    ``points`` is a :class:`~styluskit.geometry.TipTrack`, whose ``t`` and
-    ``position`` arrays are what ``times`` and ``positions`` return.
-    """
-
-    def __init__(self, points: TipTrack, forces: np.ndarray | None = None, source: str = "stylus"):
-        if np.any(np.diff(points.t) <= 0.0):
+    def __init__(self, times, positions, forces=None, source: str = "stylus"):
+        self.times = read_only(times, (-1,))
+        self.positions = read_only(positions, (-1, 3))
+        if self.positions.shape[0] != self.times.size:
+            raise ValueError("need exactly one position per trace time")
+        if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trace timestamps must be strictly increasing")
         if forces is not None:
-            forces = np.asarray(forces, dtype=float)
-            if forces.shape != (len(points),):
+            if np.shape(forces) != self.times.shape:
                 raise ValueError("need exactly one force value per trace point")
+            forces = read_only(forces, (-1,))
         if source not in ("stylus", "robot"):
             raise ValueError(f"unknown trace source {source!r}")
-        self.points = points
         self.forces = forces
         self.source = source
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.points.t
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.points.position
+        return self.times.size
 
 
 class WaypointList:
@@ -367,10 +343,7 @@ def parse_pose_csv(stream: Iterable[str], frame_id: str = "world") -> PoseRecord
 def parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> DemonstrationTrace:
     """Parse a ``t,x,y,z,Fz`` CSV stream into a :class:`DemonstrationTrace`."""
     rows = _read_block(stream, DEMO_CSV_HEADER, "trace")
-    track = TipTrack(
-        rows[:, 0].copy(), rows[:, 1:4].copy(), np.tile(_IDENTITY_QUAT, (rows.shape[0], 1))
-    )
-    return DemonstrationTrace(points=track, forces=rows[:, 4].copy(), source=source)
+    return DemonstrationTrace(rows[:, 0], rows[:, 1:4], rows[:, 4], source)
 
 
 def load_pose_csv(path) -> PoseRecording:
@@ -391,7 +364,7 @@ def load_trace(path) -> DemonstrationTrace:
         if head and head[-1].strip() == DEMO_CSV_HEADER:
             return parse_demo_csv(lines)
         recording = parse_pose_csv(lines)
-        return DemonstrationTrace(TipTrack(recording.t, recording.p, recording.q))
+        return DemonstrationTrace(recording.t, recording.p)
 
 
 def _write_finite_csv(stream, header: str, columns) -> None:

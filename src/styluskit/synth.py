@@ -43,7 +43,6 @@ from .geometry import (
     OrientationDataset,
     Pose,
     PositionDataset,
-    TipTrack,
     quat_conjugate,
     quat_from_axis_angle,
     quat_multiply,
@@ -56,7 +55,6 @@ from .ingest import DemonstrationTrace, IdealPath, path_from_doc
 from .jsonio import json_float, json_floats, json_int, read_json
 
 _EZ = np.array([0.0, 0.0, 1.0])
-_IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
 
 # Most samples one generated dataset may hold (a position dataset, all the
 # holes of an orientation dataset, or a demonstration): about an hour of
@@ -392,7 +390,4 @@ def gen_demonstration(
         forces = force_profile.sample(times)
     if not (np.isfinite(xy).all() and np.isfinite(times).all() and np.isfinite(forces).all()):
         raise ValueError("generated samples are not finite: a noise, rate or force is out of range")
-    track = TipTrack(
-        times, np.column_stack([xy, np.zeros(arcs.size)]), np.tile(_IDENTITY_QUAT, (arcs.size, 1))
-    )
-    return DemonstrationTrace(points=track, forces=forces, source="stylus")
+    return DemonstrationTrace(times, np.column_stack([xy, np.zeros(arcs.size)]), forces)

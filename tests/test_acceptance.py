@@ -22,7 +22,6 @@ from styluskit.evaluation import (
 from styluskit.framing import identify_frame, to_frame
 from styluskit.geometry import (
     Pose,
-    TipTrack,
     angle_between,
     compose,
     quat_from_axis_angle,
@@ -31,7 +30,6 @@ from styluskit.geometry import (
 )
 from styluskit.ingest import (
     DemonstrationTrace,
-    ForceRecording,
     calibration_from_doc,
     calibration_to_doc,
     load_calibration,
@@ -189,14 +187,14 @@ def test_criterion_5_frame_identification():
 
     probes = [np.array([0.9, 0.1, 0.3]), np.array([0.1, 0.2, 0.3]), np.array([0.2, 0.9, 0.35])]
     frame = identify_frame(*probes)
-    local = to_frame(frame, TipTrack([0.0, 1.0, 2.0], probes, np.tile(IDENTITY_Q, (3, 1))))
+    local = to_frame(frame, np.array(probes))
     canonical_coords_ok = (
-        np.linalg.norm(local.position[1]) < 1e-9
-        and abs(local.position[0][1]) < 1e-9
-        and abs(local.position[0][2]) < 1e-9
-        and local.position[0][0] > 0
-        and local.position[2][1] > 0
-        and abs(local.position[2][2]) < 1e-9
+        np.linalg.norm(local[1]) < 1e-9
+        and abs(local[0][1]) < 1e-9
+        and abs(local[0][2]) < 1e-9
+        and local[0][0] > 0
+        and local[2][1] > 0
+        and abs(local[2][2]) < 1e-9
     )
 
     rng = np.random.default_rng(105)
@@ -246,12 +244,11 @@ def test_criterion_6_evaluation_pipeline():
     line = (np.array([0.0, 0.0]), np.array([0.1, 0.0]))
     u = np.linspace(0.0, 1.0, 500)
     offset_xy = np.column_stack([0.1 * u, np.full(u.size, 0.002)])
-    offset_points = TipTrack(
+    offset_trace = DemonstrationTrace(
         [i * 0.01 for i in range(len(offset_xy))],
         np.column_stack([offset_xy, np.zeros(len(offset_xy))]),
-        np.tile(IDENTITY_Q, (len(offset_xy), 1)),
     )
-    offset_seg = resample_segment(DemonstrationTrace(points=offset_points).positions, line, n=100)
+    offset_seg = resample_segment(offset_trace.positions, line, n=100)
     offset_ok = (
         not offset_seg.missing.any()
         and float(np.max(np.abs(offset_seg.signed_error - 0.002))) < 1e-6
@@ -282,17 +279,14 @@ def test_criterion_6_evaluation_pipeline():
 
 def test_criterion_7_force_spectrum():
     t = np.arange(1000) / 100.0
-    single = force_spectrum(
-        ForceRecording(t, 2.0 + np.sin(2 * math.pi * 5.0 * t)), threshold_ratio=0.05
-    )
+    single = force_spectrum(t, 2.0 + np.sin(2 * math.pi * 5.0 * t), threshold_ratio=0.05)
     double = force_spectrum(
-        ForceRecording(t, np.sin(2 * math.pi * 3.0 * t) + np.sin(2 * math.pi * 7.0 * t)),
-        threshold_ratio=0.05,
+        t, np.sin(2 * math.pi * 3.0 * t) + np.sin(2 * math.pi * 7.0 * t), threshold_ratio=0.05
     )
 
     rng = np.random.default_rng(106)
     fz = rng.normal(size=512)
-    spectrum = force_spectrum(ForceRecording(np.arange(512) / 200.0, fz))
+    spectrum = force_spectrum(np.arange(512) / 200.0, fz)
     x = fz - fz.mean()
     energy = float(np.sum(x * x))
     weights = np.full(spectrum.amplitudes.size, spectrum.sample_count / 2.0)

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from styluskit import jsonio
 from styluskit.errors import NonFiniteOutput
-from styluskit.geometry import TipTrack
 from styluskit.ingest import DemonstrationTrace, PoseRecording, write_demo_csv, write_pose_csv
 from styluskit.jsonio import _format_scalar, dumps_canonical, write_csv
 
@@ -139,7 +138,7 @@ def test_csv_writer_prints_infinity_as_inf():
 
 def test_recording_writers_refuse_infinity():
     t, identity = np.array([0.0, 0.01, math.inf]), np.tile([0.0, 0.0, 0.0, 1.0], (3, 1))
-    trace = DemonstrationTrace(TipTrack(t[:2], np.zeros((2, 3)), identity[:2]), [1.0, math.inf])
+    trace = DemonstrationTrace(t[:2], np.zeros((2, 3)), [1.0, math.inf])
     stream = io.StringIO()
     with pytest.raises(NonFiniteOutput, match=r"^cannot write Fz\[1\]: inf is not finite$"):
         write_demo_csv(trace, stream)

@@ -1711,3 +1711,50 @@ class TestJsonNumbers:
         bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, *self.command(inputs, "tip.json", bad))
         TestFilterFlagErrors.assert_one_line_error(code, out, err, "position_residual_rms")
+
+
+class TestRepeatedPathPointAndNegativeOutlierCount:
+    """Two documents the loaders reject on a value rather than a shape."""
+
+    REPEATED = {"waypoints": [[0.0, 0.0], [0.1, 0.0], [0.1, 0.0]], "visiting_sequence": [0, 1, 2]}
+    DISTINCT = "bad ideal path document: consecutive sequence points must be distinct"
+
+    def test_evaluate_path_with_equal_consecutive_points_exit_2(self, tmp_path, capsys):
+        trace, frame, _ = TestMalformedInputFiles.evaluate_files(tmp_path, capsys)
+        path = tmp_path / "repeated_path.json"
+        write_json(path, self.REPEATED)
+        code, out, err = run(
+            capsys, "evaluate", str(trace), "--frame", str(frame), "--path", str(path)
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, self.DISTINCT)
+
+    def test_simulate_path_with_equal_consecutive_points_exit_2(self, tmp_path, capsys):
+        config_path = tmp_path / "demo_config.json"
+        write_json(config_path, {**DEMO_CONFIG, "path": self.REPEATED})
+        code, out, err = run(
+            capsys, "simulate", str(config_path), "--out-dir", str(tmp_path / "out")
+        )
+        TestFilterFlagErrors.assert_one_line_error(code, out, err, self.DISTINCT)
+        assert not list((tmp_path / "out").rglob("*"))
+
+    def test_snapshot_negative_filtered_outliers_exit_2(self, tmp_path, capsys):
+        pose_csv, events, calib_path = TestSnapshot()._setup(tmp_path, capsys, "EVT 0.10 BTN 1\n")
+        doc = json.loads(calib_path.read_text())
+        write_json(calib_path, {**doc, "filtered_outliers": -1})
+        code, out, err = run(
+            capsys, "snapshot", str(pose_csv), str(events), "--calibration", str(calib_path)
+        )
+        TestFilterFlagErrors.assert_one_line_error(
+            code, out, err, "bad calibration document: filtered_outliers must be non-negative"
+        )
+
+
+def test_snapshot_skips_unknown_event_lines_and_ignores_blank_ones(tmp_path, capsys):
+    events_text = "\nEVT 0.10 BTN 1\n   \n\t\nEVT 0.5 FOO 1\n\nEVT 0.90 BTN 1\n  \n"
+    pose_csv, events, calib_path = TestSnapshot()._setup(tmp_path, capsys, events_text)
+    code, out, err = run(
+        capsys, "snapshot", str(pose_csv), str(events), "--calibration", str(calib_path)
+    )
+    assert code == 0
+    assert err == "warning: skipped 1 unrecognized event lines\n"
+    assert [w["t"] for w in json.loads(out)["waypoints"]] == pytest.approx([0.10, 0.90])

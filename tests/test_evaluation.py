@@ -26,21 +26,14 @@ from styluskit.evaluation import (
     resample_segment,
     segment_trace,
 )
-from styluskit.geometry import TipTrack, median_rows
-from styluskit.ingest import DemonstrationTrace, ForceRecording, IdealPath
-
-IDENTITY_Q = np.array([0.0, 0.0, 0.0, 1.0])
+from styluskit.geometry import median_rows
+from styluskit.ingest import DemonstrationTrace, IdealPath
 
 
 def trace_from_xy(xy, dt=0.01, z=None):
     xy = np.asarray(xy, dtype=float)
     zs = np.zeros(len(xy)) if z is None else np.asarray(z, dtype=float)
-    points = TipTrack(
-        [i * dt for i in range(len(xy))],
-        np.column_stack([xy, zs]),
-        np.tile(IDENTITY_Q, (len(xy), 1)),
-    )
-    return DemonstrationTrace(points=points)
+    return DemonstrationTrace([i * dt for i in range(len(xy))], np.column_stack([xy, zs]))
 
 
 def segment_samples(a, b, params):
@@ -318,13 +311,13 @@ class TestEpsilonHistogram:
 class TestForceSpectrum:
     def test_constant_force_has_no_peaks(self):
         t = np.arange(100) / 100.0
-        result = force_spectrum(ForceRecording(t, np.full(100, 2.0)))
+        result = force_spectrum(t, np.full(100, 2.0))
         assert result.count_above == 0
 
     def test_bin_aligned_sine(self):
         t = np.arange(1000) / 100.0
         fz = 2.0 + 1.0 * np.sin(2 * math.pi * 5.0 * t)
-        result = force_spectrum(ForceRecording(t, fz), threshold_ratio=0.05)
+        result = force_spectrum(t, fz, threshold_ratio=0.05)
         assert result.count_above == 1
         peak_bin = int(np.argmax(result.amplitudes[1:])) + 1
         assert peak_bin * result.bin_width == pytest.approx(5.0, abs=1e-9)
@@ -333,7 +326,7 @@ class TestForceSpectrum:
     def test_two_sines_count_two(self):
         t = np.arange(1000) / 100.0
         fz = np.sin(2 * math.pi * 3.0 * t) + np.sin(2 * math.pi * 7.0 * t)
-        result = force_spectrum(ForceRecording(t, fz), threshold_ratio=0.05)
+        result = force_spectrum(t, fz, threshold_ratio=0.05)
         assert result.count_above == 2
 
     def test_parseval(self):
@@ -341,7 +334,7 @@ class TestForceSpectrum:
         n = 512
         t = np.arange(n) / 200.0
         fz = rng.normal(size=n)
-        result = force_spectrum(ForceRecording(t, fz))
+        result = force_spectrum(t, fz)
         x = fz - fz.mean()
         expected = float(np.sum(x * x))
         weights = np.full(result.amplitudes.size, result.sample_count / 2.0)
@@ -354,13 +347,13 @@ class TestForceSpectrum:
     def test_too_short_raises(self):
         t = np.arange(7) / 100.0
         with pytest.raises(TooShort):
-            force_spectrum(ForceRecording(t, np.ones(7)))
+            force_spectrum(t, np.ones(7))
 
     def test_count_invariant_holds(self):
         rng = np.random.default_rng(45)
         t = np.arange(256) / 100.0
         fz = rng.normal(size=256)
-        result = force_spectrum(ForceRecording(t, fz))
+        result = force_spectrum(t, fz)
         assert result.count_above == int(
             np.sum(result.amplitudes[1:] > result.threshold)
         )
@@ -403,15 +396,15 @@ class TestForceSpectrumGridCap:
         # Eight samples 1 ns apart but spanning 1e6 s would need a 1e15-point grid.
         t = np.r_[np.arange(7) * 1e-9, 1e6]
         with pytest.raises(InputError, match="per sample"):
-            force_spectrum(ForceRecording(t, np.ones(8)))
+            force_spectrum(t, np.ones(8))
 
     def test_grid_up_to_the_cap_is_allowed(self):
         # 100 evenly spaced samples plus one gap: 62 median spacings per sample.
         t = np.r_[np.arange(100) * 0.01, 0.99 + 0.01 * (62 * 101 - 100)]
-        result = force_spectrum(ForceRecording(t, np.sin(t)))
+        result = force_spectrum(t, np.sin(t))
         assert result.sample_count <= FFT_GRID_FACTOR * 101
         with pytest.raises(InputError):
-            force_spectrum(ForceRecording(np.r_[t[:-1], t[-1] + 3.0], np.sin(t)))
+            force_spectrum(np.r_[t[:-1], t[-1] + 3.0], np.sin(t))
 
 
 class TestMedian:

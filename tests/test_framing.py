@@ -17,17 +17,12 @@ from styluskit.framing import (
 )
 from styluskit.geometry import (
     Pose,
-    TipTrack,
     compose,
     quat_from_axis_angle,
     transform_point,
 )
 
 IDENTITY_Q = np.array([0.0, 0.0, 0.0, 1.0])
-
-
-def track_at(times, positions) -> TipTrack:
-    return TipTrack(times, positions, np.tile(IDENTITY_Q, (len(times), 1)))
 
 
 def random_rigid(rng: np.random.Generator) -> Pose:
@@ -79,34 +74,28 @@ class TestIdentifyFrame:
 class TestToFrame:
     def test_origin_maps_to_zero(self):
         frame = identify_frame([1.5, 0.2, 0.1], [0.5, 0.2, 0.1], [0.5, 1.2, 0.1])
-        local = to_frame(frame, track_at([0.0], [[0.5, 0.2, 0.1]]))
-        assert np.allclose(local.position[0], 0.0, atol=1e-12)
-        assert local.t[0] == 0.0
+        local = to_frame(frame, np.array([[0.5, 0.2, 0.1]]))
+        assert local.shape == (1, 3)
+        assert np.allclose(local[0], 0.0, atol=1e-12)
 
     def test_identity_frame_is_noop(self):
         frame = identify_frame([1, 0, 0], [0, 0, 0], [0, 1, 0])
-        local = to_frame(frame, track_at([0.3], [[0.2, 0.4, 0.6]]))
-        assert np.allclose(local.position[0], [0.2, 0.4, 0.6], atol=1e-12)
+        local = to_frame(frame, np.array([[0.2, 0.4, 0.6]]))
+        assert np.allclose(local[0], [0.2, 0.4, 0.6], atol=1e-12)
 
     def test_round_trip_through_frame(self):
         rng = np.random.default_rng(31)
         frame = identify_frame([0.9, 0.1, 0.3], [0.1, 0.2, 0.3], [0.2, 0.9, 0.35])
-        positions, rotations = [], []
-        for _ in range(10):
-            positions.append(rng.uniform(-1, 1, 3))
-            rotations.append(quat_from_axis_angle(rng.normal(size=3), rng.uniform(-1, 1)))
-        track = TipTrack([i * 0.1 for i in range(10)], positions, rotations)
-        local = to_frame(frame, track)
+        positions = rng.uniform(-1, 1, (10, 3))
+        local = to_frame(frame, positions)
         for i in range(10):
-            back = compose(frame.transform, Pose(local.orientation[i], local.position[i]))
-            assert np.linalg.norm(back.translation - track.position[i]) < 1e-9
-            assert quat_angle(back.rotation, track.orientation[i]) < 1e-9
+            back = transform_point(frame.transform, local[i])
+            assert np.linalg.norm(back - positions[i]) < 1e-9
 
     def test_probe_points_land_canonically(self):
         p1, p2, p3 = np.array([0.9, 0.1, 0.3]), np.array([0.1, 0.2, 0.3]), np.array([0.2, 0.9, 0.35])
         frame = identify_frame(p1, p2, p3)
-        local = to_frame(frame, track_at([0.0, 1.0, 2.0], [p1, p2, p3]))
-        x_local, origin_local, y_local = local.position
+        x_local, origin_local, y_local = to_frame(frame, np.array([p1, p2, p3]))
         assert np.allclose(origin_local, 0.0, atol=1e-9)
         assert abs(x_local[1]) < 1e-9 and abs(x_local[2]) < 1e-9 and x_local[0] > 0
         assert y_local[1] > 0 and abs(y_local[2]) < 1e-9

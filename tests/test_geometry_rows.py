@@ -17,6 +17,8 @@ from styluskit.framing import DrawingFrame, to_frame
 from styluskit.geometry import (
     Pose,
     TipTrack,
+    compose_rows,
+    invert,
     quat_conjugate,
     quat_multiply,
     quat_normalize,
@@ -80,12 +82,11 @@ def oracle_apply_calibration(rec: PoseRecording, calib) -> TipTrack:
     return track_of(rec.t, tips)
 
 
-def oracle_to_frame(frame: DrawingFrame, points: TipTrack) -> TipTrack:
+def oracle_to_frame(frame: DrawingFrame, positions: np.ndarray) -> np.ndarray:
     inverse = oracle_invert(frame.transform)
-    local = []
-    for q, p in zip(points.orientation, points.position):
-        local.append(oracle_compose(inverse, Pose(q, p)))
-    return track_of(points.t, local)
+    identity = np.array([0.0, 0.0, 0.0, 1.0])
+    local = [oracle_compose(inverse, Pose(identity, p)).translation for p in positions]
+    return np.reshape(local, (-1, 3))
 
 
 # --------------------------------------------------------------- strategies
@@ -382,12 +383,16 @@ class TestApplyCalibration:
             apply_calibration(rec, calib)
 
 
-def tip_track(rec: PoseRecording, nan_row: int | None = None) -> TipTrack:
-    """The recording's rows as a tip track, with a NaN position at ``nan_row``."""
+def positions_of(rec: PoseRecording, nan_row: int | None = None) -> np.ndarray:
+    """The recording's positions, with a NaN one at ``nan_row``."""
     position = rec.p.copy()
     if nan_row is not None and nan_row < len(rec):
         position[nan_row] = [math.nan, 0.0, 0.0]
-    return TipTrack(rec.t, position, rec.q)
+    return position
+
+
+def array_bits(result) -> tuple:
+    return result if isinstance(result, tuple) else (result.shape, result.tobytes())
 
 
 class TestToFrame:
@@ -395,23 +400,26 @@ class TestToFrame:
     @given(rec=recordings(), transform=poses())
     def test_matches_per_record_loop(self, rec, transform):
         frame = DrawingFrame("f", transform, np.eye(3))
-        points = tip_track(rec)
-        assert track_bits(to_frame(frame, points)) == track_bits(
-            oracle_to_frame(frame, points)
-        )
+        positions = positions_of(rec)
+        local = to_frame(frame, positions)
+        assert array_bits(local) == array_bits(oracle_to_frame(frame, positions))
+        inverse = invert(transform)
+        _, translations = compose_rows(inverse.rotation, inverse.translation, rec.q, positions)
+        assert array_bits(local) == array_bits(translations)
 
     @settings(max_examples=60, deadline=None)
     @given(rec=recordings(bad_rows=True), transform=poses(), nan_row=st.integers(0, 8))
     def test_first_bad_row_raises_like_loop(self, rec, transform, nan_row):
         frame = DrawingFrame("f", transform, np.eye(3))
-        points = tip_track(rec, nan_row)
-        assert track_bits(outcome(to_frame, frame, points)) == track_bits(
-            outcome(oracle_to_frame, frame, points)
+        positions = positions_of(rec, nan_row)
+        assert array_bits(outcome(to_frame, frame, positions)) == array_bits(
+            outcome(oracle_to_frame, frame, positions)
         )
 
     def test_empty(self):
-        empty = TipTrack([], np.zeros((0, 3)), np.zeros((0, 4)))
-        assert to_frame(DrawingFrame("f", Pose.identity(), np.eye(3)), empty) == empty
+        empty = np.zeros((0, 3))
+        local = to_frame(DrawingFrame("f", Pose.identity(), np.eye(3)), empty)
+        assert array_bits(local) == array_bits(empty)
 
 
 def test_strided_row_normalizes_like_its_copy():

@@ -20,9 +20,9 @@ from styluskit.geometry import (
     quat_normalize_rows,
 )
 from styluskit.cli import main
+from styluskit.evaluation import force_spectrum
 from styluskit.ingest import (
     DemonstrationTrace,
-    ForceRecording,
     PenEventKind,
     PoseRecording,
     WaypointList,
@@ -254,11 +254,33 @@ class TestSnapshotWaypoints:
 class TestTraceInvariants:
     def test_force_count_must_match(self):
         with pytest.raises(ValueError):
-            DemonstrationTrace(points=tips_at([0.0, 0.1]), forces=np.array([1.0]))
+            DemonstrationTrace([0.0, 0.1], np.zeros((2, 3)), forces=np.array([1.0]))
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
-            DemonstrationTrace(points=tips_at([0.0]), source="wand")
+            DemonstrationTrace([0.0], np.zeros((1, 3)), source="wand")
+
+    @pytest.mark.parametrize("t", [[0.0, 0.1, 0.1], [0.0, 0.2, 0.1]], ids=["equal", "decreasing"])
+    def test_times_must_increase(self, t):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DemonstrationTrace(t, np.zeros((3, 3)))
+
+    def test_position_count_must_match(self):
+        with pytest.raises(ValueError, match="one position per trace time"):
+            DemonstrationTrace([0.0, 0.1, 0.2], np.zeros((2, 3)))
+
+    def test_forces_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one force value per trace point"):
+            DemonstrationTrace([0.0, 0.1], np.zeros((2, 3)), forces=np.ones((2, 1)))
+
+    def test_arrays_are_read_only_views(self):
+        t, p, f = np.array([0.0, 0.1]), np.zeros((2, 3)), np.ones(2)
+        trace = DemonstrationTrace(t, p, f)
+        for array in (trace.times, trace.positions, trace.forces):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert np.shares_memory(trace.positions, p) and t.flags.writeable
 
 
 class TestForceTimestamps:
@@ -273,7 +295,7 @@ class TestForceTimestamps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="strictly increasing"):
-                ForceRecording(t, np.ones(4))
+                force_spectrum(t, np.ones(4))
 
     @pytest.mark.parametrize("end", [-1, 0], ids=["last", "first"])
     def test_infinite_end_rejected(self, end):
@@ -282,7 +304,15 @@ class TestForceTimestamps:
         t = np.arange(16) * 0.01
         t[end] = np.inf if end == -1 else -np.inf
         with pytest.raises(ValueError, match="force timestamps must be finite"):
-            ForceRecording(t, np.ones(16))
+            force_spectrum(t, np.ones(16))
+
+    @pytest.mark.parametrize(
+        "t, fz", [(np.arange(8.0), np.ones(9)), (np.arange(8.0).reshape(2, 4), np.ones((2, 4)))],
+        ids=["lengths", "2-d"],
+    )
+    def test_shapes_must_match_in_one_dimension(self, t, fz):
+        with pytest.raises(ValueError, match="matching 1-d"):
+            force_spectrum(t, fz)
 
 
 class TestNonFiniteEventTimestamps:

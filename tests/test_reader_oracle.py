@@ -26,7 +26,6 @@ from styluskit.errors import FormatError, NonMonotonicTime, ZeroVector
 from styluskit.geometry import (
     MAX_QUAT_NORM2,
     Pose,
-    TipTrack,
     quat_normalize,
     quat_normalize_rows,
 )
@@ -39,9 +38,6 @@ from styluskit.ingest import (
     parse_pen_events,
     parse_pose_csv,
 )
-
-_IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
-
 
 # ------------------------------------------------------------------ oracles
 
@@ -167,8 +163,7 @@ def oracle_parse_demo_csv(stream: Iterable[str], source: str = "stylus") -> Demo
         warnings.warn(f"dropped {dropped} trace rows with non-finite values", stacklevel=2)
     if not times:
         raise FormatError("no valid data rows")
-    points = TipTrack(times, positions, np.tile(_IDENTITY_QUAT, (len(times), 1)))
-    return DemonstrationTrace(points=points, forces=np.array(forces), source=source)
+    return DemonstrationTrace(times, positions, np.array(forces), source)
 
 
 # The row reader the bulk parse sits in front of, as it stood: one float
@@ -242,10 +237,7 @@ def oracle_rows_parse_demo_csv(
     stream: Iterable[str], source: str = "stylus"
 ) -> DemonstrationTrace:
     rows = np.array(list(oracle_read_rows(stream, DEMO_CSV_HEADER, "trace")))
-    track = TipTrack(
-        rows[:, 0].copy(), rows[:, 1:4].copy(), np.tile(_IDENTITY_QUAT, (rows.shape[0], 1))
-    )
-    return DemonstrationTrace(points=track, forces=rows[:, 4].copy(), source=source)
+    return DemonstrationTrace(rows[:, 0], rows[:, 1:4], rows[:, 4], source)
 
 
 # ------------------------------------------------------------------ comparison
@@ -259,13 +251,7 @@ def describe(result):
     """Everything a caller can see of a parsed recording, as comparable values."""
     if isinstance(result, PoseRecording):
         return ("pose", result.frame_id, _bytes(result.t, result.q, result.p))
-    points = result.points
-    return (
-        "trace",
-        result.source,
-        _bytes(points.t, points.position, points.orientation),
-        result.forces.tobytes(),
-    )
+    return ("trace", result.source, _bytes(result.times, result.positions, result.forces))
 
 
 def outcome(parse, lines):

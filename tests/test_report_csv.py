@@ -27,7 +27,6 @@ from styluskit import cli, jsonio
 from styluskit.errors import NonFiniteOutput
 from styluskit.evaluation import evaluate_demonstrations, segment_label, write_report_files
 from styluskit.framing import load_frame, to_frame
-from styluskit.geometry import TipTrack
 from styluskit.ingest import DemonstrationTrace, IdealPath, load_path, parse_demo_csv
 from styluskit.jsonio import write_csv as _write_rows
 from styluskit.jsonio import refuse_inf, write_json, write_text
@@ -162,8 +161,7 @@ def test_pipeline_report_with_missing_targets(tmp_path):
     u = np.linspace(0.0, 0.9, 300)
     rng = np.random.default_rng(3)
     positions = np.column_stack([0.1 * u, rng.normal(scale=0.001, size=u.size), np.zeros(u.size)])
-    track = TipTrack(u, positions, np.tile([0.0, 0.0, 0.0, 1.0], (u.size, 1)))
-    trace = DemonstrationTrace(points=track, forces=np.sin(20 * u) + 2.0)
+    trace = DemonstrationTrace(u, positions, forces=np.sin(20 * u) + 2.0)
     path = IdealPath(waypoints=[[0.0, 0.0], [0.1, 0.0]], visiting_sequence=(0, 1))
     report = evaluate_demonstrations([trace, trace], path, n=1500)
     assert np.isnan(report["segments"][0]["mean"]).any()
@@ -212,7 +210,9 @@ def test_evaluate_command_matches_per_row_writer(tmp_path, capsys):
     for name in sorted(traces):
         with open(name, encoding="utf-8") as f:
             demo = parse_demo_csv(f)
-        demos.append(DemonstrationTrace(to_frame(frame, demo.points), demo.forces))
+        demos.append(
+            DemonstrationTrace(demo.times, to_frame(frame, demo.positions), demo.forces)
+        )
     report = evaluate_demonstrations(demos, load_path(path_file), n=1200)
     assert assert_csvs_match(report, tmp_path, written) == written[1:]
     assert len(written) == 5  # report.json, segments, histogram and one spectrum per trace

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from styluskit import evaluation
 from styluskit.errors import InputError, SegmentUncovered
 from styluskit.evaluation import SampledSegment, resample_segment
-from styluskit.geometry import TipTrack
 from styluskit.ingest import DemonstrationTrace
 
 # u is exact on the first line (x itself) and rounded on the second.
@@ -105,8 +104,7 @@ def trace_on_line(line, u, lateral, z, forces=None) -> DemonstrationTrace:
     xy = a + np.asarray(u)[:, None] * direction + np.asarray(lateral)[:, None] * normal
     positions = np.column_stack([xy, z])
     t = np.arange(len(u)) * 0.01
-    track = TipTrack(t, positions, np.tile([0.0, 0.0, 0.0, 1.0], (len(u), 1)))
-    return DemonstrationTrace(points=track, forces=forces)
+    return DemonstrationTrace(t, positions, forces)
 
 
 def assert_same_bytes(new: SampledSegment, old: SampledSegment) -> None:
@@ -214,8 +212,7 @@ def trace_through(x: float, y: float) -> DemonstrationTrace:
     positions = np.zeros((11, 3))
     positions[:, 0] = np.linspace(0.0, 0.1, 11)
     positions[4, :2] = x, y
-    track = TipTrack(np.arange(11) * 0.01, positions, np.tile([0.0, 0.0, 0.0, 1.0], (11, 1)))
-    return DemonstrationTrace(points=track)
+    return DemonstrationTrace(np.arange(11) * 0.01, positions)
 
 
 TENTH = (np.array([0.0, 0.0]), np.array([0.1, 0.0]))

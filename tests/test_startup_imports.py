@@ -150,12 +150,12 @@ def test_evaluate_loads_no_numpy_ma(inputs):
 # ------------------------------------------------------------ lazy namespace
 
 # The names the package exported when it imported every module eagerly,
-# less the workspace boxes, the per-sample record and the evaluation report
-# record (``evaluate_demonstrations`` returns the report's document), which
-# are gone.
+# less the workspace boxes, the per-sample record, the evaluation report
+# record (``evaluate_demonstrations`` returns the report's document) and the
+# force record (``force_spectrum`` takes a trace's arrays), which are gone.
 EXPORTED = [
     "DemonstrationTrace", "DrawingFrame", "EulerAngles",
-    "FilterParams", "ForceRecording", "IdealPath", "OrientationDataset", "PenEvent", "Pose",
+    "FilterParams", "IdealPath", "OrientationDataset", "PenEvent", "Pose",
     "PoseRecording", "PositionDataset", "StylusKitError", "TipCalibration",
     "TipTrack", "WaypointList", "angle_between",
     "calibrate_orientation", "calibrate_position", "compose", "euler_to_rotation",

@@ -18,7 +18,6 @@ from styluskit.geometry import (
     quat_rotate,
 )
 from styluskit.ingest import (
-    ForceRecording,
     IdealPath,
     PoseRecording,
     parse_demo_csv,
@@ -167,8 +166,7 @@ class TestDemonstrationGenerator:
             sample_rate=100.0,
             force_profile=SineForce(frequency_hz=2.0, amplitude=0.8, offset=1.2),
         )
-        recording = ForceRecording(trace.times, trace.forces)
-        spectrum = force_spectrum(recording)
+        spectrum = force_spectrum(trace.times, trace.forces)
         peak = int(np.argmax(spectrum.amplitudes[1:])) + 1
         assert peak * spectrum.bin_width == pytest.approx(2.0, abs=spectrum.bin_width)
 
